@@ -19,7 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import BoundaryGrid, BoundaryTrace, holder_norms, winding_number
+from .boundary import (
+    BoundaryGrid,
+    BoundaryTrace,
+    band_limited_sampler,
+    holder_iterate_norm,
+    holder_residual_norm,
+    winding_number,
+)
 from .curves import CurveFamily, divisor_transform, eta_decompose
 from .disc import DiscSolveOptions, right_inverse_apply, solve_disc
 from .domains import Annulus, locate_zeros
@@ -41,6 +48,15 @@ from .newton import (
 from .pompeiu import AreaCharge, RadialCutoff, radial_quadrature
 
 _polyval = np.polynomial.polynomial.polyval
+
+# collar Neumann series: term budget, relative convergence tolerance, the
+# per-term contraction below which the series counts as stalled, and the
+# relative defect a stalled series must have reached to keep its best iterate
+# instead of falling back to the dense solve
+_NEUMANN_MAX_TERMS = 20
+_NEUMANN_TOL = 1e-11
+_NEUMANN_STALL_RATIO = 0.9
+_NEUMANN_PLATEAU = 1e-4
 
 
 # --------------------------------------------------------------------------
@@ -233,14 +249,9 @@ class AnnulusSolveOptions:
     tol: float = 1e-10
     max_iter: int = 40
     damping: bool = True
-    alpha: float = 0.5
     certify: bool = True
     seed: int = 0
     glue_threshold: float = 0.5
-    neumann_max_terms: int = 20
-    neumann_stall_ratio: float = 0.9
-    neumann_tol: float = 1e-11
-    locate: bool = True
 
 
 def _glue_coefficients(
@@ -389,31 +400,12 @@ def _laurent_sampler(grid: BoundaryGrid, q: float):
     return sample
 
 
-def _residual_pair_sampler(grid: BoundaryGrid):
-    theta = grid.theta
-    modes = np.arange(1, 9)
-    cos = np.cos(np.outer(modes, theta))
-    sin = np.sin(np.outer(modes, theta))
-
-    def half(rng):
-        c0 = rng.standard_normal()
-        a = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        b = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        return c0 + a @ cos + b @ sin
-
-    def sample(rng):
-        return np.concatenate([half(rng), half(rng)])
-
-    return sample
-
-
 def _annulus_problem(
     outer_family: CurveFamily,
     inner_family: CurveFamily,
     q: float,
     grid: BoundaryGrid,
     band: CollarBand,
-    opts: AnnulusSolveOptions,
     state: dict,
 ) -> NewtonProblem:
     theta = grid.theta
@@ -536,19 +528,19 @@ def _annulus_problem(
             prev = scale
             best = scale
             best_x = x
-            for _ in range(opts.neumann_max_terms):
+            for _ in range(_NEUMANN_MAX_TERMS):
                 x = x + collar_apply(err)
                 err = r - derivative_action(c, x)
                 cur = float(np.max(np.abs(err)))
                 if cur < best:
                     best = cur
                     best_x = x
-                if cur <= opts.neumann_tol * scale or cur <= 1e-15:
+                if cur <= _NEUMANN_TOL * scale or cur <= 1e-15:
                     return x
-                if cur > opts.neumann_stall_ratio * prev:
+                if cur > _NEUMANN_STALL_RATIO * prev:
                     break
                 prev = cur
-            if best <= 1e-4 * scale:
+            if best <= _NEUMANN_PLATEAU * scale:
                 # roundoff plateau, not a genuine stall; the step is still
                 # far more accurate than Newton needs
                 return best_x
@@ -564,19 +556,7 @@ def _annulus_problem(
     def residual_norm(r):
         return float(np.max(np.abs(r)))
 
-    def certify_residual_norm(r):
-        out = 0.0
-        for half in (r[:n], r[n:]):
-            rep = holder_norms(BoundaryTrace(grid, np.asarray(half, dtype=complex)), opts.alpha)
-            out = max(out, rep.sup_norm + rep.c_alpha)
-        return out
-
-    def certify_iterate_norm(dc):
-        d0, d1 = traces(dc)
-        out = 0.0
-        for half in (d0, d1):
-            out = max(out, holder_norms(BoundaryTrace(grid, half), opts.alpha).c1_alpha)
-        return out
+    probe = band_limited_sampler(grid)
 
     return NewtonProblem(
         residual=residual,
@@ -585,9 +565,9 @@ def _annulus_problem(
         residual_norm=residual_norm,
         derivative_action=derivative_action,
         iterate_sampler=_laurent_sampler(grid, q),
-        residual_sampler=_residual_pair_sampler(grid),
-        certify_iterate_norm=certify_iterate_norm,
-        certify_residual_norm=certify_residual_norm,
+        residual_sampler=lambda rng: np.concatenate([probe(rng), probe(rng)]),
+        certify_iterate_norm=lambda dc: holder_iterate_norm(grid, traces(dc)),
+        certify_residual_norm=lambda r: holder_residual_norm(grid, (r[:n], r[n:])),
     )
 
 
@@ -655,7 +635,7 @@ def solve_annulus(
     fam0t = _twisted(outer_family, sigma, 1.0)
     fam1t = _twisted(inner_family, sigma, q ** float(sigma))
     state = {"fallback": False}
-    problem = _annulus_problem(fam0t, fam1t, q, grid, band, opts, state)
+    problem = _annulus_problem(fam0t, fam1t, q, grid, band, state)
     cert = (
         certify(problem, h0, CertifyOptions(seed=opts.seed))
         if opts.certify
@@ -684,7 +664,7 @@ def solve_annulus(
         float(np.max(np.abs(inner_family.rho(theta, t1)))) / _rho_scale(inner_family, theta),
     )
     zeros = ()
-    if opts.locate and n0 - n1 > 0:
+    if n0 - n1 > 0:
         zeros = tuple(locate_zeros((tr0, tr1), Annulus(q)))
     return AnnulusSolution(
         grid=grid,
@@ -719,9 +699,6 @@ class LaurentHarmonic:
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
         return self.c_log * np.log(np.abs(z)) + laurent_evaluate(self.coeffs, z).real
-
-    def holomorphic_part(self, z):
-        return laurent_evaluate(self.coeffs, z)
 
 
 def harmonic_extend_annulus(
@@ -807,7 +784,6 @@ def solve_annulus_radial(
     q: float,
     grid_n: int = 256,
     zero_phase: float = 0.0,
-    locate: bool = True,
 ) -> RadialSolution:
     """Closed-form solve when every curve is a circle centered at 0.
 
@@ -869,7 +845,7 @@ def solve_annulus_radial(
         float(np.max(np.abs(inner_family.rho(theta, f1)))) / _rho_scale(inner_family, theta),
     )
     zeros = ()
-    if locate and zero is not None:
+    if zero is not None:
         zeros = tuple(locate_zeros((tr0, tr1), Annulus(q)))
     return RadialSolution(
         grid=grid,

@@ -37,10 +37,6 @@ class BoundaryGrid:
     def theta(self) -> np.ndarray:
         return _TWO_PI * np.arange(self.n) / self.n
 
-    @property
-    def spacing(self) -> float:
-        return _TWO_PI / self.n
-
     def modes(self) -> np.ndarray:
         """Mode numbers in FFT storage order, with the Nyquist mode at +N/2."""
         k = np.arange(self.n)
@@ -190,7 +186,7 @@ def _interval_increments(trace: BoundaryTrace, floor: float) -> np.ndarray:
     return increments
 
 
-def winding_number(trace: BoundaryTrace, floor: float = 1e-12, return_residue: bool = False):
+def winding_number(trace: BoundaryTrace, floor: float = 1e-12) -> int:
     """Winding of a nonvanishing trace around 0, by certified phase unwrapping."""
     increments = _interval_increments(trace, floor)
     total = float(np.sum(increments)) / _TWO_PI
@@ -198,8 +194,6 @@ def winding_number(trace: BoundaryTrace, floor: float = 1e-12, return_residue: b
     residue = abs(total - w)
     if residue >= 0.1:
         raise UnresolvedPhase(f"winding rounding residue {residue:.3f} >= 0.1")
-    if return_residue:
-        return w, residue
     return w
 
 
@@ -256,3 +250,40 @@ def holder_norms(trace: BoundaryTrace, alpha: float = 0.5) -> HolderNormReport:
     deriv = spectral_derivative(trace)
     c1 = sup + _pair_seminorm(deriv.values, theta, alpha)
     return HolderNormReport(alpha=alpha, sup_norm=sup, c_alpha=c_alpha, c1_alpha=c1)
+
+
+# --------------------------------------------------------------------------
+# certificate norms and probes
+# --------------------------------------------------------------------------
+
+# Holder exponent of the certificate norms
+_CERTIFY_ALPHA = 0.5
+
+
+def holder_residual_norm(grid: BoundaryGrid, parts) -> float:
+    """Certificate norm of a residual: max of sup + C^alpha over its boundary parts."""
+    reports = [holder_norms(BoundaryTrace(grid, part), _CERTIFY_ALPHA) for part in parts]
+    return max(rep.sup_norm + rep.c_alpha for rep in reports)
+
+
+def holder_iterate_norm(grid: BoundaryGrid, parts) -> float:
+    """Certificate norm of an iterate: max of C^{1,alpha} over its boundary traces."""
+    return max(holder_norms(BoundaryTrace(grid, part), _CERTIFY_ALPHA).c1_alpha for part in parts)
+
+
+def band_limited_sampler(grid: BoundaryGrid):
+    """Sampler of smooth real probes c0 + sum_{m<=8} a_m cos m theta + b_m sin m theta.
+
+    The coefficients are Gaussian, damped by (1 + m)^-2.
+    """
+    modes = np.arange(1, 9)
+    cos = np.cos(np.outer(modes, grid.theta))
+    sin = np.sin(np.outer(modes, grid.theta))
+
+    def sample(rng):
+        c0 = rng.standard_normal()
+        a = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
+        b = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
+        return c0 + a @ cos + b @ sin
+
+    return sample

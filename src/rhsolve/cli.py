@@ -54,6 +54,8 @@ def _as_float(value, where, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
     if positive and value <= 0.0:
         raise ConfigError(f"{where} must be positive, got {value}")
     return value
@@ -63,6 +65,26 @@ def _as_int(value, where):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+# grid, seed and tol come from the config or from a command-line override;
+# both paths check them here
+def _as_grid(value):
+    n = _as_int(value, "grid")
+    if n < 16 or (n & (n - 1)) != 0:
+        raise ConfigError(f"grid must be a power of two >= 16, got {n}")
+    return n
+
+
+def _as_seed(value):
+    seed = _as_int(value, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
+def _as_tol(value):
+    return _as_float(value, "newton tol", positive=True)
 
 
 def load_config(path):
@@ -109,15 +131,13 @@ def validate_config(config):
             raise ConfigError("windings must be an integer or a pair of integers")
 
     if "grid" in config:
-        n = _as_int(config["grid"], "grid")
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ConfigError(f"grid must be a power of two >= 16, got {n}")
+        _as_grid(config["grid"])
 
     newton = config.get("newton")
     if newton is not None:
         _check_keys(newton, {"tol", "max_iter", "damping"}, "newton")
         if "tol" in newton:
-            _as_float(newton["tol"], "newton tol", positive=True)
+            _as_tol(newton["tol"])
         if "max_iter" in newton:
             iters = _as_int(newton["max_iter"], "newton max_iter")
             if iters <= 0:
@@ -136,9 +156,7 @@ def validate_config(config):
                 raise ConfigError("outputs formats must be a sublist of [json, csv]")
 
     if "seed" in config:
-        seed = _as_int(config["seed"], "seed")
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        _as_seed(config["seed"])
 
     if "zero_phase" in config:
         _as_float(config["zero_phase"], "zero_phase")
@@ -193,22 +211,16 @@ def _merge(args, config) -> Run:
     directory = args.out or outputs.get("directory", "rhsolve-out")
     formats = tuple(outputs.get("formats", ["json", "csv"]))
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if not 0 <= int(seed) < 2 ** 64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
     grid = args.grid if args.grid is not None else config.get("grid", 256)
-    if grid < 16 or (grid & (grid - 1)) != 0:
-        raise ConfigError(f"grid must be a power of two >= 16, got {grid}")
     newton = config.get("newton", {})
     tol = args.tol if args.tol is not None else newton.get("tol", 1e-10)
-    if tol <= 0:
-        raise ConfigError("tolerance must be positive")
     return Run(
         config=config,
         directory=directory,
         formats=formats,
-        seed=int(seed),
-        grid=int(grid),
-        tol=float(tol),
+        seed=_as_seed(seed),
+        grid=_as_grid(grid),
+        tol=_as_tol(tol),
     )
 
 
@@ -268,69 +280,59 @@ def _solve_configured(run: Run):
     )
 
 
-def _write_annulus_artifacts(run: Run, solution):
+def _solve_disc_configured(run: Run):
+    family = _family(run.config, "gamma0")
+    winding = _require(run.config, "windings")
+    if not isinstance(winding, int):
+        raise ConfigError("disc windings must be a single integer")
+    if winding < 0:
+        raise ConfigError("disc winding must be nonnegative")
+    newton = run.config.get("newton", {})
+    return solve_disc(
+        family,
+        winding,
+        DiscSolveOptions(
+            grid_n=run.grid,
+            tol=run.tol,
+            max_iter=int(newton.get("max_iter", 30)),
+            damping=bool(newton.get("damping", True)),
+            seed=run.seed,
+        ),
+    )
+
+
+def _write_solve_artifacts(run: Run, solution, summary, traces):
+    """result.json from summary(solution); one CSV per named trace; history.csv."""
     if run.wants_json:
         serialize.write_text(
-            run.directory,
-            "result.json",
-            serialize.dump_json(serialize.annulus_result_dict(solution)),
+            run.directory, "result.json", serialize.dump_json(summary(solution))
         )
     if run.wants_csv:
-        serialize.write_text(
-            run.directory, "trace_gamma0.csv", serialize.trace_csv(solution.outer_trace)
-        )
-        serialize.write_text(
-            run.directory, "trace_gamma1.csv", serialize.trace_csv(solution.inner_trace)
-        )
+        for name, trace in traces.items():
+            serialize.write_text(run.directory, name, serialize.trace_csv(trace))
         serialize.write_text(
             run.directory,
             "history.csv",
             serialize.history_csv(getattr(solution, "run", None)),
         )
+    serialize.write_metadata(run.directory, "solve")
 
 
 def cmd_solve(args) -> int:
     run = _merge(args, load_config(_require_config(args)))
     kind, _ = _domain(run.config)
     if kind == "disc":
-        family = _family(run.config, "gamma0")
-        winding = _require(run.config, "windings")
-        if not isinstance(winding, int):
-            raise ConfigError("disc windings must be a single integer")
-        if winding < 0:
-            raise ConfigError("disc winding must be nonnegative")
-        newton = run.config.get("newton", {})
-        solution = solve_disc(
-            family,
-            winding,
-            DiscSolveOptions(
-                grid_n=run.grid,
-                tol=run.tol,
-                max_iter=int(newton.get("max_iter", 30)),
-                damping=bool(newton.get("damping", True)),
-                seed=run.seed,
-            ),
-        )
-        if run.wants_json:
-            serialize.write_text(
-                run.directory,
-                "result.json",
-                serialize.dump_json(serialize.disc_result_dict(solution)),
-            )
-        if run.wants_csv:
-            serialize.write_text(
-                run.directory, "trace.csv", serialize.trace_csv(solution.f_trace)
-            )
-            serialize.write_text(
-                run.directory, "history.csv", serialize.history_csv(solution.run)
-            )
-        serialize.write_metadata(run.directory, "solve")
-        print(f"solve: residual_sup {solution.residual_sup:.3e} -> {run.directory}")
-        return 0
-
-    solution = _solve_configured(run)
-    _write_annulus_artifacts(run, solution)
-    serialize.write_metadata(run.directory, "solve")
+        solution = _solve_disc_configured(run)
+        summary = serialize.disc_result_dict
+        traces = {"trace.csv": solution.f_trace}
+    else:
+        solution = _solve_configured(run)
+        summary = serialize.annulus_result_dict
+        traces = {
+            "trace_gamma0.csv": solution.outer_trace,
+            "trace_gamma1.csv": solution.inner_trace,
+        }
+    _write_solve_artifacts(run, solution, summary, traces)
     print(f"solve: residual_sup {solution.residual_sup:.3e} -> {run.directory}")
     return 0
 

@@ -26,8 +26,9 @@ from .boundary import (
     BoundaryGrid,
     BoundaryTrace,
     analytic_completion,
-    hilbert_transform,
-    holder_norms,
+    band_limited_sampler,
+    holder_iterate_norm,
+    holder_residual_norm,
 )
 from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, divisor_transform, eta_decompose
 from .errors import NoConvergence
@@ -41,7 +42,6 @@ class DiscSolveOptions:
     tol: float = 1e-10
     max_iter: int = 30
     damping: bool = True
-    alpha: float = 0.5
     homotopy: bool = False
     certify: bool = True
     seed: int = 0
@@ -57,35 +57,12 @@ class DiscSolution:
     run: Optional[NewtonRun] = None
 
 
-@dataclass(frozen=True)
-class LinearRHSystem:
-    """Linearization 2 Re(eta k) = rhs of the boundary condition at a trace."""
-
-    grid: BoundaryGrid
-    nu: np.ndarray
-    eta: EtaDecomposition
-    rhs: np.ndarray
-
-
 def right_inverse_apply(eta: EtaDecomposition, rhs: np.ndarray) -> np.ndarray:
     """Solve 2 Re(eta k) = rhs with k in the holomorphic class."""
     grid = eta.grid
     phi = np.exp(-eta.a - eta.b_tilde) * np.asarray(rhs, dtype=float)
     analytic = analytic_completion(BoundaryTrace(grid, phi)).values
     return 0.5 * np.exp(eta.b_tilde - 1j * eta.b) * analytic
-
-
-def linearize(family: CurveFamily, trace: BoundaryTrace) -> LinearRHSystem:
-    """Newton linear system at a trace: 2 Re(eta k) = -rho along the boundary."""
-    theta = trace.grid.theta
-    w = trace.values
-    dec = eta_decompose(family, trace)
-    return LinearRHSystem(
-        grid=trace.grid,
-        nu=family.d_w(theta, w),
-        eta=dec,
-        rhs=-np.asarray(family.rho(theta, w), dtype=float),
-    )
 
 
 def _winding_multiplier(winding: int):
@@ -108,50 +85,13 @@ def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:
     return analytic_completion(BoundaryTrace(grid, u)).values
 
 
-def _band_limited_sampler(grid: BoundaryGrid, complex_valued: bool):
-    theta = grid.theta
-    modes = np.arange(1, 9)
-
-    def sample(rng):
-        c0 = rng.standard_normal()
-        a = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        b = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        u = c0 + a @ np.cos(np.outer(modes, theta)) + b @ np.sin(np.outer(modes, theta))
-        if not complex_valued:
-            return u
-        v = sample_imag(rng)
-        return u + 1j * v
-
-    def sample_imag(rng):
-        c0 = rng.standard_normal()
-        a = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        b = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        return c0 + a @ np.cos(np.outer(modes, theta)) + b @ np.sin(np.outer(modes, theta))
-
-    return sample
-
-
 def _sup(v) -> float:
     return float(np.max(np.abs(v)))
 
 
-def _holder_residual_norm(grid: BoundaryGrid, alpha: float):
-    def norm(r):
-        rep = holder_norms(BoundaryTrace(grid, np.asarray(r, dtype=complex)), alpha)
-        return rep.sup_norm + rep.c_alpha
-
-    return norm
-
-
-def _holder_iterate_norm(grid: BoundaryGrid, alpha: float):
-    def norm(d):
-        return holder_norms(BoundaryTrace(grid, np.asarray(d, dtype=complex)), alpha).c1_alpha
-
-    return norm
-
-
-def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid, alpha: float) -> NewtonProblem:
+def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
     theta = grid.theta
+    probe = band_limited_sampler(grid)
 
     def residual(g):
         return np.asarray(fam_t.rho(theta, np.exp(g)), dtype=float)
@@ -171,10 +111,10 @@ def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid, alpha: float) -> Ne
         iterate_norm=_sup,
         residual_norm=_sup,
         derivative_action=derivative_action,
-        iterate_sampler=_band_limited_sampler(grid, complex_valued=True),
-        residual_sampler=_band_limited_sampler(grid, complex_valued=False),
-        certify_iterate_norm=_holder_iterate_norm(grid, alpha),
-        certify_residual_norm=_holder_residual_norm(grid, alpha),
+        iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
+        residual_sampler=probe,
+        certify_iterate_norm=lambda d: holder_iterate_norm(grid, (d,)),
+        certify_residual_norm=lambda r: holder_residual_norm(grid, (r,)),
     )
 
 
@@ -202,7 +142,7 @@ def solve_disc(family: CurveFamily, winding: int, options: DiscSolveOptions = Di
         raise ValueError("a holomorphic solution cannot have negative boundary winding")
     grid = BoundaryGrid(options.grid_n)
     fam_t = _transformed_family(family, winding)
-    problem = _g_space_problem(fam_t, grid, options.alpha)
+    problem = _g_space_problem(fam_t, grid)
     g0 = _initial_log_trace(fam_t, grid)
     it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter, allow_damping=options.damping)
     cert = certify(problem, g0, CertifyOptions(seed=options.seed)) if options.certify else None
@@ -236,7 +176,7 @@ def _homotopy_run(family: CurveFamily, winding: int, grid: BoundaryGrid, options
     run = None
     for t in (0.25, 0.5, 0.75, 1.0):
         blend = _blend_families(circle, family, t)
-        problem = _g_space_problem(_transformed_family(blend, winding), grid, options.alpha)
+        problem = _g_space_problem(_transformed_family(blend, winding), grid)
         run = iterate(problem, g, it_opts)
         g = run.x
     return run
@@ -255,34 +195,6 @@ def solve_disc_circle_closed_form(radius, winding: int, grid_n: int = 256) -> Di
     u = np.log(R(grid.theta))
     g = analytic_completion(BoundaryTrace(grid, u)).values
     return _finish(family, winding, grid, g, None)
-
-
-@dataclass(frozen=True)
-class StepDiagnostics:
-    step_norm: float
-    predicted_residual: float
-    actual_residual: float
-
-
-def newton_step_diagnostics(
-    family: CurveFamily, winding: int, g_values: np.ndarray, grid: BoundaryGrid, damping: float = 1.0
-) -> StepDiagnostics:
-    """One Newton step from g, reported in the f-scale.
-
-    predicted_residual is the linear-model value (1 - damping) * ||rho||; the
-    gap between actual and predicted measures the quadratic remainder.
-    """
-    theta = grid.theta
-    fam_t = _transformed_family(family, winding)
-    h = np.exp(g_values)
-    dec = eta_decompose(fam_t, BoundaryTrace(grid, h))
-    r = np.asarray(fam_t.rho(theta, h), dtype=float)
-    k = right_inverse_apply(dec, r)
-    f = np.exp(1j * winding * theta) * h
-    step_norm = _sup(damping * f * k)
-    predicted = _sup(r - damping * 2.0 * (dec.eta.values * k).real)
-    actual = _sup(fam_t.rho(theta, h * np.exp(-damping * k)))
-    return StepDiagnostics(step_norm=step_norm, predicted_residual=predicted, actual_residual=actual)
 
 
 def gauge_align(values: np.ndarray, reference: np.ndarray) -> np.ndarray:

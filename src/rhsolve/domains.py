@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryTrace, winding_number
+from .boundary import _TWO_PI, BoundaryTrace, winding_number
 from .errors import CountMismatch, PointTooCloseToBoundary
-
-_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -91,16 +89,17 @@ def cauchy_extend(traces, domain, points, *, margin=None, derivative=False):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroSearchOptions:
-    seed: int = 0
-    contour_points: int = 24
-    max_contour_points: int = 768
-    polish_diameter: float = 0.05
-    min_cell: float = 1e-6
-    jitter_retries: int = 8
-    margin_retries: int = 3
-    polish_tol: float = 1e-8
+# zero search: contour sampling starts at _CONTOUR_POINTS and doubles until two
+# counts agree; cells below _POLISH_DIAMETER are polished by Newton and accepted
+# with residual below _POLISH_TOL * scale; _MIN_CELL is the subdivision floor
+_SEED = 0
+_CONTOUR_POINTS = 24
+_MAX_CONTOUR_POINTS = 768
+_POLISH_DIAMETER = 0.05
+_MIN_CELL = 1e-6
+_JITTER_RETRIES = 8
+_MARGIN_RETRIES = 3
+_POLISH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,7 @@ def _loop_winding(cell, m, evalf, floor):
     return total
 
 
-def _count_in_cell(cell, evalf, floor, opts):
+def _count_in_cell(cell, evalf, floor):
     """Zeros enclosed by the cell boundary, or None when the contour cannot
     certify the count (near-zero on the cut or unresolved phase).
 
@@ -247,9 +246,9 @@ def _count_in_cell(cell, evalf, floor, opts):
     full turn between samples, so a count is accepted only when it agrees
     with the count at twice the sampling density.
     """
-    m = opts.contour_points
+    m = _CONTOUR_POINTS
     prev = _loop_winding(cell, m, evalf, floor)
-    while 2 * m <= opts.max_contour_points:
+    while 2 * m <= _MAX_CONTOUR_POINTS:
         m *= 2
         cur = _loop_winding(cell, m, evalf, floor)
         if cur is not None and cur == prev:
@@ -258,8 +257,8 @@ def _count_in_cell(cell, evalf, floor, opts):
     return None
 
 
-def _polish(cell, mult, evalf, evald, opts, scale):
-    diam = max(cell.diameter(), opts.min_cell)
+def _polish(cell, mult, evalf, evald, scale):
+    diam = max(cell.diameter(), _MIN_CELL)
     z = cell.center()
     try:
         for _ in range(60):
@@ -278,12 +277,12 @@ def _polish(cell, mult, evalf, evald, opts, scale):
         residual = abs(evalf(np.array([z]))[0])
     except PointTooCloseToBoundary:
         return None
-    if residual < opts.polish_tol * scale and cell.contains(z, 0.75):
+    if residual < _POLISH_TOL * scale and cell.contains(z, 0.75):
         return LocatedZero(position=complex(z), multiplicity=mult, residual=float(residual))
     return None
 
 
-def locate_zeros(traces, domain, options=None):
+def locate_zeros(traces, domain):
     """Find all zeros of the holomorphic extension, with multiplicities.
 
     The expected total comes from the boundary winding numbers; the search
@@ -291,9 +290,8 @@ def locate_zeros(traces, domain, options=None):
     total, so the result is certified against the boundary data. Raises
     CountMismatch when counts cannot be reconciled.
     """
-    opts = options if options is not None else ZeroSearchOptions()
     traces = _trace_tuple(traces, domain)
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(_SEED)
 
     expected = winding_number(traces[0])
     if isinstance(domain, Annulus):
@@ -308,7 +306,7 @@ def locate_zeros(traces, domain, options=None):
     base_margin = _TWO_PI / min(t.grid.n for t in traces)
 
     root = None
-    for attempt in range(opts.margin_retries):
+    for attempt in range(_MARGIN_RETRIES):
         margin = base_margin / 2.0**attempt
         eval_margin = 0.5 * margin
 
@@ -322,7 +320,7 @@ def locate_zeros(traces, domain, options=None):
             candidate = _DiskCell(1.0 - margin)
         else:
             candidate = _RingCell(np.log(domain.q + margin), np.log(1.0 - margin))
-        if _count_in_cell(candidate, evalf, floor, opts) == expected:
+        if _count_in_cell(candidate, evalf, floor) == expected:
             root = candidate
             break
     if root is None:
@@ -334,16 +332,16 @@ def locate_zeros(traces, domain, options=None):
     stack = [(root, expected)]
     while stack:
         cell, count = stack.pop()
-        if cell.diameter() <= opts.polish_diameter:
-            hit = _polish(cell, count, evalf, evald, opts, scale)
+        if cell.diameter() <= _POLISH_DIAMETER:
+            hit = _polish(cell, count, evalf, evald, scale)
             if hit is not None:
                 zeros.append(hit)
                 continue
-            if cell.diameter() <= opts.min_cell:
+            if cell.diameter() <= _MIN_CELL:
                 raise CountMismatch("zero cluster failed to polish at the cell-size floor")
-        for attempt in range(opts.jitter_retries):
+        for attempt in range(_JITTER_RETRIES):
             children = cell.split(rng, jitter=attempt > 0)
-            counts = [_count_in_cell(ch, evalf, floor, opts) for ch in children]
+            counts = [_count_in_cell(ch, evalf, floor) for ch in children]
             if None not in counts and sum(counts) == count:
                 stack.extend((ch, c) for ch, c in zip(children, counts) if c > 0)
                 break

@@ -46,14 +46,21 @@ class NewtonProblem:
     certify_residual_norm: Optional[Callable] = None
 
 
+# certificate sampling: residual probes for omega1, point pairs for omega2
+# (drawn at distance 0.01..0.1 from x0), the finite-difference step length in
+# the iterate norm, and the largest right-inverse identity defect that certifies
+_RESIDUAL_SAMPLES = 16
+_LIPSCHITZ_PAIRS = 8
+_BALL_RADIUS = 0.1
+_FD_STEP = 1e-6
+_CHECK_TOL = 1e-6
+# damping budget: step halvings tried before the iteration gives up
+_MAX_HALVINGS = 6
+
+
 @dataclass(frozen=True)
 class CertifyOptions:
-    residual_samples: int = 16
-    lipschitz_pairs: int = 8
-    ball_radius: float = 0.1
     seed: int = 0
-    fd_step: float = 1e-6
-    check_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,7 +78,6 @@ class IterateOptions:
     tol: float = 1e-12
     max_iter: int = 40
     allow_damping: bool = True
-    max_halvings: int = 6
 
 
 @dataclass(frozen=True)
@@ -97,13 +103,13 @@ def _gaussian_like(example):
     return sample
 
 
-def _derivative_action(problem: NewtonProblem, x, d, fd_step):
+def _derivative_action(problem: NewtonProblem, x, d):
     if problem.derivative_action is not None:
         return problem.derivative_action(x, d)
     scale = problem.iterate_norm(d)
     if scale == 0.0 or not np.isfinite(scale):
         raise SamplingFailed("degenerate direction for the finite-difference derivative")
-    h = fd_step / scale
+    h = _FD_STEP / scale
     return (problem.residual(x + h * d) - problem.residual(x - h * d)) / (2.0 * h)
 
 
@@ -121,34 +127,32 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
 
     omega1 = 0.0
     identity_defect = 0.0
-    for _ in range(options.residual_samples):
+    for _ in range(_RESIDUAL_SAMPLES):
         r = sample_r(rng)
         rn = res_norm(r)
         if rn == 0.0 or not np.isfinite(rn):
             raise SamplingFailed("residual probe has degenerate norm")
         step = inverse(r)
         omega1 = max(omega1, it_norm(step) / rn)
-        recovered = _derivative_action(problem, x0, step, options.fd_step)
+        recovered = _derivative_action(problem, x0, step)
         identity_defect = max(identity_defect, res_norm(recovered - r) / rn)
 
     omega2 = 0.0
-    for _ in range(options.lipschitz_pairs):
+    for _ in range(_LIPSCHITZ_PAIRS):
         du, dv, d = sample_x(rng), sample_x(rng), sample_x(rng)
         nu, nv, nd = problem.iterate_norm(du), problem.iterate_norm(dv), problem.iterate_norm(d)
         if min(nu, nv, nd) == 0.0 or not all(np.isfinite(v) for v in (nu, nv, nd)):
             raise SamplingFailed("iterate probe has degenerate norm")
-        u = x0 + (options.ball_radius * rng.uniform(0.1, 1.0) / nu) * du
-        v = x0 + (options.ball_radius * rng.uniform(0.1, 1.0) / nv) * dv
+        u = x0 + (_BALL_RADIUS * rng.uniform(0.1, 1.0) / nu) * du
+        v = x0 + (_BALL_RADIUS * rng.uniform(0.1, 1.0) / nv) * dv
         gap = problem.iterate_norm(u - v)
         if gap == 0.0:
             continue
-        diff = _derivative_action(problem, u, d, options.fd_step) - _derivative_action(
-            problem, v, d, options.fd_step
-        )
+        diff = _derivative_action(problem, u, d) - _derivative_action(problem, v, d)
         omega2 = max(omega2, res_norm(diff) / (gap * nd))
 
     product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3
-    certified = bool(product < 1.0 and identity_defect <= options.check_tol)
+    certified = bool(product < 1.0 and identity_defect <= _CHECK_TOL)
     return NewtonCertificate(
         omega1=float(omega1),
         omega2=float(omega2),
@@ -194,7 +198,7 @@ def iterate(
         trial = x - lam * step
         trial_norm = problem.residual_norm(problem.residual(trial))
         halvings = 0
-        while trial_norm >= rn and options.allow_damping and halvings < options.max_halvings:
+        while trial_norm >= rn and options.allow_damping and halvings < _MAX_HALVINGS:
             lam *= 0.5
             halvings += 1
             trial = x - lam * step

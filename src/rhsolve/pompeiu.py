@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import BoundaryGrid
+from .boundary import _TWO_PI, BoundaryGrid
 
 _GL_POINTS = 64  # enough for machine-precision integrals of the flat-ended cutoffs
-_TWO_PI = 2.0 * np.pi
 
 
 def _psi(x):

@@ -49,18 +49,6 @@ def certificate_dict(certificate, fallback: bool):
     }
 
 
-def certificate_standalone_dict(certificate, method: str):
-    """Standalone certificate file: the five constants plus the method tag."""
-    return {
-        "omega1": float(certificate.omega1),
-        "omega2": float(certificate.omega2),
-        "omega3": float(certificate.omega3),
-        "product": float(certificate.product),
-        "identity_defect": float(certificate.identity_defect),
-        "method": str(method),
-    }
-
-
 def _zeros_list(zeros):
     ordered = sorted(zeros, key=lambda z: (round(np.angle(z.position), 12), abs(z.position)))
     return [

@@ -1,5 +1,7 @@
 """Flux identity, harmonic measures, surjectivity demo, zero selection."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -128,8 +130,8 @@ def test_identity_requires_located_zeros():
         builtin_circle_family(1.0),
         builtin_circle_family(q ** 0.5),
         q,
-        locate=False,
     )
+    sol = dataclasses.replace(sol, zeros=())
     with pytest.raises(ConfigError):
         check_identity(sol)
 

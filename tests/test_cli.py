@@ -231,3 +231,7 @@ def test_grid_and_tol_flags_validated(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", annulus_config(out))
     assert main(["solve", "--config", cfg, "--grid", "100"]) == 1
     assert main(["solve", "--config", cfg, "--tol", "-1"]) == 1
+    assert main(["solve", "--config", cfg, "--tol", "inf"]) == 1
+    assert main(["solve", "--config", cfg, "--tol", "nan"]) == 1
+    infinite = write_config(tmp_path, "inf.json", annulus_config(out, newton={"tol": float("inf")}))
+    assert main(["solve", "--config", infinite]) == 1

@@ -1,4 +1,4 @@
-"""Disc solver: closed forms, right inverse, step diagnostics, homotopy."""
+"""Disc solver: closed forms, right inverse, homotopy."""
 
 import numpy as np
 import numpy.testing as npt
@@ -18,8 +18,6 @@ from rhsolve.curves import CurveFamily, builtin_circle_family, builtin_ellipse_f
 from rhsolve.disc import (
     DiscSolveOptions,
     gauge_align,
-    linearize,
-    newton_step_diagnostics,
     right_inverse_apply,
     solve_disc,
     solve_disc_circle_closed_form,
@@ -103,17 +101,6 @@ def test_negative_winding_rejected():
 # ------------------------------------------------------------- linear algebra
 
 
-def test_linearize_fields():
-    fam = builtin_ellipse_family(2.0, 1.0)
-    grid = BoundaryGrid(128)
-    trace = BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta))
-    sys = linearize(fam, trace)
-    npt.assert_allclose(sys.rhs, -fam.rho(grid.theta, trace.values), atol=1e-14)
-    npt.assert_allclose(sys.nu, fam.d_w(grid.theta, trace.values), atol=1e-14)
-    # eta = w conj(dbar rho) = w nu since rho is real
-    npt.assert_allclose(sys.eta.eta.values, trace.values * sys.nu, atol=1e-14)
-
-
 def test_right_inverse_solves_linear_equation():
     fam = builtin_ellipse_family(2.0, 1.0, phi=[0.0, 0.2, 0.0])
     grid = BoundaryGrid(256)
@@ -131,24 +118,6 @@ def test_right_inverse_solves_linear_equation():
         c = trig_coefficients(BoundaryTrace(grid, k))
         modes = coefficient_modes(grid)
         assert np.max(np.abs(c[modes < 0])) < 1e-10
-
-
-def test_step_diagnostics_linear_model():
-    fam = builtin_ellipse_family(2.0, 1.0)
-    grid = BoundaryGrid(256)
-    # start from the circle-average initializer, one step out
-    sol = solve_disc(fam, 1, FAST)
-    g = sol.g_values + 0.05 * np.cos(grid.theta) + 0.02j * np.sin(2 * grid.theta)
-    r0 = np.max(np.abs(fam.rho(grid.theta, np.exp(1j * grid.theta) * np.exp(g))))
-    full = newton_step_diagnostics(fam, 1, g, grid, damping=1.0)
-    half = newton_step_diagnostics(fam, 1, g, grid, damping=0.5)
-    # predicted residual is the exact linear-model value (1 - damping) ||r||
-    assert full.predicted_residual < 1e-12
-    npt.assert_allclose(half.predicted_residual, 0.5 * r0, rtol=1e-10)
-    # the quadratic remainder: a full step beats the half-step prediction
-    assert full.actual_residual < 0.1 * r0
-    assert full.actual_residual < half.actual_residual
-    assert full.step_norm > 0
 
 
 def test_homotopy_rescues_tight_budget():

@@ -9,7 +9,6 @@ from rhsolve.domains import (
     Annulus,
     Disc,
     LocatedZero,
-    ZeroSearchOptions,
     cauchy_extend,
     locate_zeros,
 )
@@ -131,8 +130,8 @@ def test_locate_annulus_no_zero_pure_power():
 def test_determinism_same_seed():
     fn = lambda z: (z - 0.3) * (z + 0.4j) * z
     t = disc_trace(128, fn)
-    a = locate_zeros(t, Disc(), ZeroSearchOptions(seed=11))
-    b = locate_zeros(t, Disc(), ZeroSearchOptions(seed=11))
+    a = locate_zeros(t, Disc())
+    b = locate_zeros(t, Disc())
     assert a == b
 
 
