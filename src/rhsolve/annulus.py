@@ -8,10 +8,10 @@ boundary once the windings are balanced by a monomial twist). Newton
 iteration on the Laurent coefficients then removes the gluing error.
 
 The linearized equations are solved by the collar right inverse: the
-per-boundary explicit inverses are blended with radial cutoffs across
-the transition band and repaired to an honest holomorphic function with
-the area transform. A Neumann series absorbs the remaining coupling; if
-it stalls, a dense least-squares solve takes over and is flagged.
+per-boundary explicit inverses are projected onto one Laurent series,
+which cancels the dbar defect of their cutoff blend exactly (its area
+transform has no mode the projection keeps). A Neumann series absorbs the
+remaining coupling; if it stalls, a dense least-squares solve takes over.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,7 @@ from .newton import (
     certify,
     iterate,
 )
-from .pompeiu import AreaCharge, RadialCutoff, radial_quadrature
+from .pompeiu import RadialCutoff, radial_quadrature
 
 _polyval = np.polynomial.polynomial.polyval
 
@@ -80,9 +80,13 @@ class CollarBand:
     chi_inner: RadialCutoff
 
 
-def make_collar_band(q: float) -> CollarBand:
+def _check_modulus(q: float) -> None:
     if not 0.0 < q < 1.0:
         raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
+
+
+def make_collar_band(q: float) -> CollarBand:
+    _check_modulus(q)
     s_inner = q ** (2.0 / 3.0)
     s_outer = q ** (1.0 / 3.0)
     return CollarBand(
@@ -229,6 +233,14 @@ def _rho_scale(family: CurveFamily, theta) -> float:
     return float(np.max(ray) * np.max(slope))
 
 
+def _boundary_residuals(outer_family, inner_family, theta, t0, t1) -> tuple:
+    """Sup of rho on each boundary circle, in curve-relative units."""
+    return (
+        float(np.max(np.abs(outer_family.rho(theta, t0)))) / _rho_scale(outer_family, theta),
+        float(np.max(np.abs(inner_family.rho(theta, t1)))) / _rho_scale(inner_family, theta),
+    )
+
+
 # --------------------------------------------------------------------------
 # glue construction
 # --------------------------------------------------------------------------
@@ -266,11 +278,12 @@ def _glue_coefficients(
     The windings are balanced by the twist z^sigma so that each collar
     piece carries half the zero count as a divisor at its own boundary;
     the pieces then decay like q^{m/2} across the annulus and their sum
-    is the telescoped initial iterate. Returns (coefficients, report)
-    where the coefficients describe the twisted iterate h = f / z^sigma
-    and the report residual is measured against the twisted families.
-    Raises GlueTooCoarse when that residual exceeds the threshold (the
-    windings are too small for this modulus).
+    is the telescoped initial iterate. Returns (coefficients, report,
+    (twisted outer family, twisted inner family)): the coefficients
+    describe the twisted iterate h = f / z^sigma and the report residual
+    is measured against the twisted families. Raises GlueTooCoarse when
+    that residual exceeds the threshold (the windings are too small for
+    this modulus).
     """
     opts = options if options is not None else AnnulusSolveOptions()
     n0, n1 = int(windings[0]), int(windings[1])
@@ -326,17 +339,13 @@ def _glue_coefficients(
 
     t0, t1 = laurent_traces(grid, q, coeffs)
     theta = grid.theta
-    pre = max(
-        float(np.max(np.abs(fam0t.rho(theta, t0)))) / _rho_scale(fam0t, theta),
-        float(np.max(np.abs(fam1t.rho(theta, t1)))) / _rho_scale(fam1t, theta),
-    )
+    pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1))
 
-    # defect the cutoff blend would hand to the area transform
+    # diagnostic only: no stage consumes the blend's dbar defect, which the
+    # Laurent projection of the collar right inverse cancels
     s, _ = radial_quadrature(band.s_inner, band.s_outer)
     zb = s[:, None] * np.exp(1j * theta)[None, :]
-    defect = band.chi_outer.derivative(s)[:, None] * (zb / (2.0 * s[:, None])) * (
-        _polyval(zb, a) - _polyval(q / zb, b)
-    )
+    defect = band.chi_outer.dbar(zb) * (_polyval(zb, a) - _polyval(q / zb, b))
     collar = float(np.max(np.abs(defect)))
 
     report = GlueReport(
@@ -352,7 +361,7 @@ def _glue_coefficients(
             f"(threshold {opts.glue_threshold}); windings {windings} are too "
             f"small for modulus {q}"
         )
-    return coeffs, report
+    return coeffs, report, (fam0t, fam1t)
 
 
 def glue_construct(
@@ -369,11 +378,12 @@ def glue_construct(
     q^n across the annulus and their sum is holomorphic, so the only
     defects are the cross terms each piece leaves on the other boundary.
     Returns ((outer trace, inner trace), report); the report carries the
-    pre-Newton boundary residual in curve-relative units and the sup of
-    the dbar defect a cutoff blend would hand to the area correction.
+    pre-Newton boundary residual in curve-relative units and, as a
+    diagnostic no solver stage consumes, the sup of the dbar defect of a
+    cutoff blend of the pieces (the Laurent projection cancels it).
     """
     opts = options if options is not None else AnnulusSolveOptions()
-    coeffs, report = _glue_coefficients(
+    coeffs, report, _ = _glue_coefficients(
         outer_family, inner_family, (int(n), -int(n)), q, opts
     )
     grid = BoundaryGrid(opts.grid_n)
@@ -405,18 +415,12 @@ def _annulus_problem(
     inner_family: CurveFamily,
     q: float,
     grid: BoundaryGrid,
-    band: CollarBand,
     state: dict,
 ) -> NewtonProblem:
     theta = grid.theta
     n = grid.n
     kmax = n // 2 - 1
     fam1p = pullback_family(inner_family)
-    outer_circle = np.exp(1j * theta)
-    inner_circle = q * outer_circle
-    s_nodes, _ = radial_quadrature(band.s_inner, band.s_outer)
-    zband = s_nodes[:, None] * outer_circle[None, :]
-    dbar_chi = band.chi_outer.dbar(zband)
     # residual rows in curve-relative units, one fixed scale per boundary
     unit0 = _rho_scale(outer_family, theta)
     unit1 = _rho_scale(inner_family, theta)
@@ -444,8 +448,6 @@ def _annulus_problem(
         t0, t1 = traces(c)
         dec0 = eta_decompose(outer_family, BoundaryTrace(grid, t0))
         dec1 = eta_decompose(fam1p, BoundaryTrace(grid, _reindex(t1)))
-        f_band = laurent_evaluate(c, zband)
-        base = dbar_chi * f_band
         cache = {"svd": None, "stalled": False}
 
         def collar_apply(r):
@@ -454,15 +456,7 @@ def _annulus_problem(
             # the explicit inverses work in raw rho units
             k0 = right_inverse_apply(dec0, r[:n] * unit0)
             k1t = right_inverse_apply(dec1, _reindex(r[n:] * unit1))
-            a = np.fft.fft(k0)[: kmax + 1] / n
-            b = np.fft.fft(k1t)[: kmax + 1] / n
-            blend_gap = _polyval(zband, a) - _polyval(q / zband, b)
-            charge = AreaCharge(band.s_inner, band.s_outer, grid, base * blend_gap)
-            u0 = charge.evaluate(outer_circle)
-            u1 = charge.evaluate(inner_circle)
-            cand0 = t0 * k0 - u0
-            cand1 = t1 * _reindex(k1t) - u1
-            return laurent_from_traces(grid, q, cand0, cand1)
+            return laurent_from_traces(grid, q, t0 * k0, t1 * _reindex(k1t))
 
         # graded basis: a unit negative mode is q^{-|k|} on the inner circle,
         # so the dense solve works in coordinates scaled to trace size
@@ -622,20 +616,20 @@ def solve_annulus(
     opts = options if options is not None else AnnulusSolveOptions()
     grid = BoundaryGrid(opts.grid_n)
     kmax = grid.n // 2 - 1
+    _check_modulus(q)
     if kmax * abs(np.log(q)) > 600.0:
         raise ConfigError(f"modulus {q} is too extreme for a {grid.n}-point grid")
-    band = make_collar_band(q)
     n0 = int(windings[0])
     n1 = -int(windings[1])  # disc convention used internally
 
-    h0, glue = _glue_coefficients(outer_family, inner_family, (n0, n1), q, opts)
     # Newton runs in the twisted gauge (balanced windings, unit-scale inner
     # family); the monomial factor is restored afterwards
+    h0, glue, (fam0t, fam1t) = _glue_coefficients(
+        outer_family, inner_family, (n0, n1), q, opts
+    )
     sigma = glue.sigma
-    fam0t = _twisted(outer_family, sigma, 1.0)
-    fam1t = _twisted(inner_family, sigma, q ** float(sigma))
     state = {"fallback": False}
-    problem = _annulus_problem(fam0t, fam1t, q, grid, band, state)
+    problem = _annulus_problem(fam0t, fam1t, q, grid, state)
     cert = (
         certify(problem, h0, CertifyOptions(seed=opts.seed))
         if opts.certify
@@ -658,10 +652,8 @@ def solve_annulus(
             f"converged trace windings {got} (coherent) != prescribed "
             f"{(int(windings[0]), int(windings[1]))}"
         )
-    theta = grid.theta
-    residual_by_boundary = (
-        float(np.max(np.abs(outer_family.rho(theta, t0)))) / _rho_scale(outer_family, theta),
-        float(np.max(np.abs(inner_family.rho(theta, t1)))) / _rho_scale(inner_family, theta),
+    residual_by_boundary = _boundary_residuals(
+        outer_family, inner_family, grid.theta, t0, t1
     )
     zeros = ()
     if n0 - n1 > 0:
@@ -710,8 +702,7 @@ def harmonic_extend_annulus(
     flux through the annulus; the rest is the real part of a single-valued
     Laurent series solved mode by mode.
     """
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
+    _check_modulus(q)
     if q * q > 1.0 - 1e-6:
         raise ModeConditioning("mode solve degenerates as the annulus thins")
     d0 = np.asarray(outer_values, dtype=float)
@@ -840,10 +831,7 @@ def solve_annulus_radial(
         float(np.max(np.abs(np.abs(f0) - r0))),
         float(np.max(np.abs(np.abs(f1) - r1))),
     )
-    residual_by_boundary = (
-        float(np.max(np.abs(outer_family.rho(theta, f0)))) / _rho_scale(outer_family, theta),
-        float(np.max(np.abs(inner_family.rho(theta, f1)))) / _rho_scale(inner_family, theta),
-    )
+    residual_by_boundary = _boundary_residuals(outer_family, inner_family, theta, f0, f1)
     zeros = ()
     if zero is not None:
         zeros = tuple(locate_zeros((tr0, tr1), Annulus(q)))

@@ -175,11 +175,11 @@ def iterate(
     damping budget or the iteration budget is exhausted.
     """
     x = x0
+    r = problem.residual(x)
+    rn = problem.residual_norm(r)
     history = []
     damped = False
     for it in range(options.max_iter):
-        r = problem.residual(x)
-        rn = problem.residual_norm(r)
         history.append(float(rn))
         if rn < options.tol:
             return NewtonRun(
@@ -196,13 +196,15 @@ def iterate(
         step = problem.right_inverse(x)(r)
         lam = 1.0
         trial = x - lam * step
-        trial_norm = problem.residual_norm(problem.residual(trial))
+        trial_r = problem.residual(trial)
+        trial_norm = problem.residual_norm(trial_r)
         halvings = 0
         while trial_norm >= rn and options.allow_damping and halvings < _MAX_HALVINGS:
             lam *= 0.5
             halvings += 1
             trial = x - lam * step
-            trial_norm = problem.residual_norm(problem.residual(trial))
+            trial_r = problem.residual(trial)
+            trial_norm = problem.residual_norm(trial_r)
         if trial_norm >= rn and rn > options.tol:
             raise NoConvergence(
                 f"residual stagnated at {rn:.3e} after {halvings} halvings",
@@ -210,7 +212,7 @@ def iterate(
             )
         if halvings > 0:
             damped = True
-        x = trial
+        x, r, rn = trial, trial_r, trial_norm
     raise NoConvergence(
         f"no convergence within {options.max_iter} iterations", history=tuple(history)
     )

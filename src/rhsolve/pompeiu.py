@@ -1,15 +1,17 @@
-"""Smooth radial cutoffs and the Cauchy area transform on annular bands.
+"""Smooth radial cutoffs and the reference Cauchy area transform on bands.
 
-The gluing construction multiplies holomorphic pieces by radial cutoffs,
-which concentrates the dbar defect in thin annular bands; the area transform
+A cutoff blend of holomorphic pieces has its dbar defect in the band; the
+area transform
 
     T(phi)(z) = -(1/pi) integral over the band of phi(zeta)/(zeta - z) dA
 
-removes that defect since dbar T(phi) = phi. Charges are stored by angular
-Fourier mode on a Gauss-Legendre radial grid, which turns the kernel into
-geometric series: for |z| outside the band radii only modes m <= 0 reach z,
-inside only m >= 1, and points inside the band split the radial integral at
-s = |z| with barycentric interpolation onto fresh sub-quadratures.
+satisfies dbar T(phi) = phi. No solver stage uses it: the annulus Laurent
+projection already cancels it exactly, which the tests check against this
+reference operator. Charges are stored by angular Fourier mode on a
+Gauss-Legendre radial grid, which turns the kernel into geometric series:
+for |z| outside the band radii only modes m <= 0 reach z, inside only
+m >= 1, and points inside the band split the radial integral at s = |z|
+with barycentric interpolation onto fresh sub-quadratures.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class AreaCharge:
     samples[i, j] = phi(s_i exp(i theta_j)) on the Gauss-Legendre radii s_i
     and the grid angles theta_j. evaluate() applies the area transform T
     with dbar T(phi) = phi; direct_evaluate() is the same integral done as a
-    raw tensor-product sum, kept separate as a cross-check.
+    raw tensor-product sum, kept separate as a cross-check. Acceptance
+    criterion 10 checks that it inverts dbar.
     """
 
     def __init__(self, lo: float, hi: float, grid: BoundaryGrid, samples):

@@ -165,21 +165,29 @@ def test_glue_residual_oracle_and_decay():
 
 
 def test_glue_area_correction_small_on_boundary_circles():
-    # the dbar defect of a cutoff blend integrates to O(q^n) on the circles
-    n = 20
+    # the area transform of a cutoff blend's dbar defect has only negative
+    # modes on |z| = 1 and only nonnegative ones on |z| = q, so the Laurent
+    # projection of the collar right inverse cancels it to roundoff; for
+    # large windings it is also O(q^n) on the circles
     band = make_collar_band(Q)
     grid = BoundaryGrid(256)
-
-    def defect(z):
-        s = np.abs(z)
-        return band.chi_outer.derivative(s) * (z / (2.0 * s)) * (
-            z ** n - (Q / z) ** n
-        )
-
-    charge = AreaCharge.from_function(band.s_inner, band.s_outer, grid, defect)
     circle = np.exp(1j * grid.theta)
-    u = charge.evaluate(np.concatenate([circle, Q * circle]))
-    assert np.max(np.abs(u)) < 1e-5
+    for n in (2, 20):
+
+        def defect(z):
+            s = np.abs(z)
+            return band.chi_outer.derivative(s) * (z / (2.0 * s)) * (
+                z ** n - (Q / z) ** n
+            )
+
+        charge = AreaCharge.from_function(band.s_inner, band.s_outer, grid, defect)
+        u0 = charge.evaluate(circle)
+        u1 = charge.evaluate(Q * circle)
+        sup = max(np.max(np.abs(u0)), np.max(np.abs(u1)))
+        assert sup > 0.0
+        assert np.max(np.abs(laurent_from_traces(grid, Q, u0, u1))) <= 1e-14 * sup
+        if n == 20:
+            assert sup < 1e-5
 
 
 def test_glue_rejects_coarse_windings():
@@ -196,6 +204,9 @@ def test_negative_zero_count_rejected():
         solve_annulus(fam, fam, (2, -5), Q)
     with pytest.raises(ConfigError):
         glue_construct(fam, fam, -2, Q)
+    for q in (0.0, -0.5):
+        with pytest.raises(ConfigError, match=r"must lie in \(0, 1\)"):
+            solve_annulus(fam, fam, (6, 6), q)
 
 
 def test_collar_band_partition_of_unity():

@@ -1,5 +1,7 @@
 """Certified Newton engine against exact scalar arithmetic."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -64,6 +66,39 @@ def test_histories_are_bit_identical():
     b = iterate(prob, 1.3)
     assert a.residual_norms == b.residual_norms
     assert a.x == b.x
+
+
+def _count_residuals(prob):
+    values = []
+
+    def residual(x):
+        values.append(prob.residual(x))
+        return values[-1]
+
+    return dataclasses.replace(prob, residual=residual), values
+
+
+def test_accepted_trial_residual_is_reused():
+    # one residual at x0, then one per trial step and one per halving
+    prob, values = _count_residuals(quadratic_problem())
+    run = iterate(prob, 1.3, IterateOptions(allow_damping=False))
+    assert run.converged and run.iterations >= 3
+    assert len(values) == run.iterations + 1
+
+    prob, values = _count_residuals(
+        NewtonProblem(
+            residual=np.arctan,
+            right_inverse=lambda x: (lambda r: r * (1.0 + x * x)),
+            iterate_norm=abs,
+            residual_norm=abs,
+        )
+    )
+    run = iterate(prob, 2.0, IterateOptions(tol=1e-12, max_iter=60))
+    assert run.converged and run.damped
+    # a rejected trial leaves a residual that is not in the accepted history
+    halvings = sum(abs(v) not in run.residual_norms for v in values)
+    assert halvings > 0
+    assert len(values) == run.iterations + 1 + halvings
 
 
 def test_damping_rescues_overshoot_and_voids_certificate():
