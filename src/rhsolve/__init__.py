@@ -1,10 +1,14 @@
-"""Nonlinear boundary-value solver for holomorphic functions on disc and annulus."""
+"""Nonlinear boundary-value solver for holomorphic functions on disc and annulus.
+
+The command-line front end, rhsolve.cli, is not imported here: importing it
+with the package would make `python -m rhsolve.cli` find it already loaded
+and warn.
+"""
 
 from . import (
     analysis,
     annulus,
     boundary,
-    cli,
     curves,
     disc,
     domains,
@@ -19,7 +23,6 @@ __all__ = [
     "analysis",
     "annulus",
     "boundary",
-    "cli",
     "curves",
     "disc",
     "domains",

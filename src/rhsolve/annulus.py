@@ -27,7 +27,7 @@ from .boundary import (
     holder_residual_norm,
     winding_number,
 )
-from .curves import CurveFamily, divisor_transform, eta_decompose
+from .curves import CurveFamily, eta_decompose, monomial_transform
 from .disc import DiscSolveOptions, right_inverse_apply, solve_disc
 from .domains import Annulus, locate_zeros
 from .errors import (
@@ -57,6 +57,10 @@ _NEUMANN_MAX_TERMS = 20
 _NEUMANN_TOL = 1e-11
 _NEUMANN_STALL_RATIO = 0.9
 _NEUMANN_PLATEAU = 1e-4
+
+# largest log of q^-k that laurent_traces forms directly, with a margin below
+# the float64 overflow at about 709.8
+_LOG_POWER_MAX = 700.0
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +139,14 @@ def laurent_traces(grid: BoundaryGrid, q: float, coeffs):
     buf0 = np.zeros(n, dtype=complex)
     buf0[modes % n] = coeffs
     buf1 = np.zeros(n, dtype=complex)
-    buf1[modes % n] = coeffs * q ** modes.astype(float)
+    if -k * np.log(q) < _LOG_POWER_MAX:
+        buf1[modes % n] = coeffs * q ** modes.astype(float)
+    else:
+        # q^-k overflows on this grid although each product, that mode's
+        # coefficient on |z| = q, is of ordinary size: form it from logs
+        with np.errstate(divide="ignore"):
+            log_c = np.log(np.asarray(coeffs, dtype=complex))
+        buf1[modes % n] = np.exp(log_c + modes * np.log(q))
     outer = np.fft.ifft(buf0) * n
     inner = np.fft.ifft(buf1) * n
     return outer, inner
@@ -194,29 +205,16 @@ def pullback_family(family: CurveFamily) -> CurveFamily:
     """Reparametrize theta -> -theta for the collar map zeta -> q/zeta.
 
     The map reverses the boundary orientation, so the curve index runs
-    backwards and the theta-derivative flips sign.
+    backwards.
     """
     return CurveFamily(
         rho=lambda theta, w: family.rho(-np.asarray(theta), w),
-        d_w=lambda theta, w: family.d_w(-np.asarray(theta), w),
         dbar_w=lambda theta, w: family.dbar_w(-np.asarray(theta), w),
-        d_theta=lambda theta, w: -family.d_theta(-np.asarray(theta), w),
         ray_radius=lambda theta, psi: family.ray_radius(-np.asarray(theta), psi),
-        label=family.label + "/pullback",
         radial_profile=None
         if family.radial_profile is None
         else (lambda theta: family.radial_profile(-np.asarray(theta))),
-        spec=None,
     )
-
-
-def _twisted(family: CurveFamily, sigma: int, scale: float) -> CurveFamily:
-    # divide out the trace of scale * z^sigma along the boundary circle
-    if sigma == 0 and scale == 1.0:
-        return family
-    g = lambda theta: scale * np.exp(1j * sigma * np.asarray(theta))
-    gp = lambda theta: 1j * sigma * scale * np.exp(1j * sigma * np.asarray(theta))
-    return divisor_transform(family, g, gp)
 
 
 def _rho_scale(family: CurveFamily, theta) -> float:
@@ -304,8 +302,8 @@ def _glue_coefficients(
     sigma = n1 + m // 2
     w_out = n0 - sigma
     w_in = sigma - n1
-    fam0t = _twisted(outer_family, sigma, 1.0)
-    fam1t = _twisted(inner_family, sigma, q ** float(sigma))
+    fam0t = monomial_transform(outer_family, sigma)
+    fam1t = monomial_transform(inner_family, sigma, q ** float(sigma))
     fam1p = pullback_family(fam1t)
 
     disc_opts = DiscSolveOptions(
@@ -818,8 +816,7 @@ def solve_annulus_radial(
             f"flux {flat.c_log:.3e} left after removing divisor contributions"
         )
 
-    g0 = laurent_evaluate(flat.coeffs, outer_circle)
-    g1 = laurent_evaluate(flat.coeffs, inner_circle)
+    g0, g1 = laurent_traces(grid, q, flat.coeffs)
     f0 = outer_circle ** k1 * np.exp(g0)
     f1 = inner_circle ** k1 * np.exp(g1)
     if zero is not None:

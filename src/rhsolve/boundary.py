@@ -21,17 +21,21 @@ from .errors import UnresolvedPhase, ZeroOnBoundary
 
 _TWO_PI = 2.0 * np.pi
 
+# the certificate builds N x N Holder pair matrices, so memory and time grow
+# like N^2; no test, bench case or README example goes above N = 1024
+_MAX_GRID = 4096
+
 
 @dataclass(frozen=True)
 class BoundaryGrid:
-    """Uniform periodic grid with N a power of two, N >= 16."""
+    """Uniform periodic grid with N a power of two, 16 <= N <= 4096."""
 
     n: int
 
     def __post_init__(self):
         n = self.n
-        if n < 16 or (n & (n - 1)) != 0:
-            raise ValueError(f"grid size must be a power of two >= 16, got {n}")
+        if n < 16 or n > _MAX_GRID or (n & (n - 1)) != 0:
+            raise ValueError(f"grid size must be a power of two in [16, {_MAX_GRID}], got {n}")
 
     @property
     def theta(self) -> np.ndarray:

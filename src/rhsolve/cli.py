@@ -20,6 +20,7 @@ from .annulus import (
     solve_annulus,
     solve_annulus_radial,
 )
+from .boundary import BoundaryGrid
 from .curves import family_from_spec
 from .disc import DiscSolveOptions, solve_disc
 from .errors import ConfigError, NotRadialFamily, SolverError
@@ -71,8 +72,10 @@ def _as_int(value, where):
 # both paths check them here
 def _as_grid(value):
     n = _as_int(value, "grid")
-    if n < 16 or (n & (n - 1)) != 0:
-        raise ConfigError(f"grid must be a power of two >= 16, got {n}")
+    try:
+        BoundaryGrid(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     return n
 
 

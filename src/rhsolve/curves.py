@@ -1,14 +1,16 @@
 """Families of Jordan curves prescribing boundary moduli.
 
 A family assigns to each boundary angle theta a closed curve
-gamma_theta = {w : rho(theta, w) = 0}, star-shaped about the origin. The
-solvers only interact with families through this interface: the defining
-function rho, its Wirtinger and angular partials, and the ray radius
-r(theta, psi) at which the ray arg w = psi meets gamma_theta.
+gamma_theta = {w : rho(theta, w) = 0}, star-shaped about the origin. A
+family is three callables, which is all a solve reads: the real defining
+function rho, its partial d rho / d w-bar (rho is real, so d rho / d w is
+its conjugate), and the ray radius r(theta, psi) at which the ray
+arg w = psi meets gamma_theta.
 
 eta_decompose supplies the multiplicative splitting of the linearized
 boundary operator along a trace, and divisor_transform rescales a family by
-a nonvanishing multiplier, which is how prescribed windings are divided out.
+a nonvanishing multiplier. Its case g = scale * exp(i sigma theta),
+monomial_transform, is how prescribed windings are divided out.
 """
 
 from __future__ import annotations
@@ -34,21 +36,21 @@ _FINE = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
 
 @dataclass(frozen=True)
 class CurveFamily:
-    """Callable bundle defining the curves and their partial derivatives.
+    """A curve family: rho, d rho / d w-bar and the ray radius.
 
-    All callables accept broadcastable arrays (theta real, w complex).
-    radial_profile is set when every curve is a circle centered at the
-    origin; it maps theta to the radius.
+    rho(theta, w) is real and vanishes exactly on gamma_theta; dbar_w is
+    d rho / d w-bar, whose conjugate is d rho / d w because rho is real; it
+    gives the multiplier eta = w conj(dbar_w) of the linearized operator.
+    ray_radius(theta, psi) is where the ray arg w = psi meets gamma_theta,
+    which seeds the initial guess. All callables accept broadcastable arrays
+    (theta real, w complex). radial_profile is set when every curve is a
+    circle centered at the origin; it maps theta to the radius.
     """
 
     rho: Callable
-    d_w: Callable
     dbar_w: Callable
-    d_theta: Callable
     ray_radius: Callable
-    label: str = "custom"
     radial_profile: Optional[Callable] = None
-    spec: Optional[dict] = None
 
 
 def _is_zero_poly(p: TrigPolynomial) -> bool:
@@ -63,7 +65,6 @@ def builtin_circle_family(radius, center=0.0) -> CurveFamily:
     """
     R = as_trig_polynomial(radius)
     c = as_trig_polynomial(center)
-    Rp, cp = R.derivative(), c.derivative()
     if np.min(R(_FINE) - np.abs(c(_FINE))) <= 0.0:
         raise ZeroNotEnclosed("some curve in the family does not enclose the origin")
 
@@ -71,30 +72,15 @@ def builtin_circle_family(radius, center=0.0) -> CurveFamily:
         d = w - c(theta)
         return (d * np.conj(d)).real - R(theta) ** 2
 
-    def d_w(theta, w):
-        return np.conj(w - c(theta))
-
     def dbar_w(theta, w):
         return w - c(theta)
-
-    def d_theta(theta, w):
-        return -2.0 * (np.conj(w - c(theta)) * cp(theta)).real - 2.0 * R(theta) * Rp(theta)
 
     def ray_radius(theta, psi):
         cv, rv = c(theta), R(theta)
         a = cv * np.cos(psi)
         return a + np.sqrt(a * a + rv * rv - cv * cv)
 
-    return CurveFamily(
-        rho=rho,
-        d_w=d_w,
-        dbar_w=dbar_w,
-        d_theta=d_theta,
-        ray_radius=ray_radius,
-        label="circle",
-        radial_profile=R if _is_zero_poly(c) else None,
-        spec={"type": "circle", "fourier": {"R": list(R.coefficients), "c": list(c.coefficients)}},
-    )
+    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=R if _is_zero_poly(c) else None)
 
 
 def builtin_ellipse_family(p, q, phi=0.0) -> CurveFamily:
@@ -106,7 +92,6 @@ def builtin_ellipse_family(p, q, phi=0.0) -> CurveFamily:
     P = as_trig_polynomial(p)
     Q = as_trig_polynomial(q)
     Phi = as_trig_polynomial(phi)
-    Pp, Qp, Phip = P.derivative(), Q.derivative(), Phi.derivative()
     if min(np.min(P(_FINE)), np.min(Q(_FINE))) <= 0.0:
         raise DegenerateAxis("ellipse axis profile must be strictly positive")
 
@@ -118,55 +103,28 @@ def builtin_ellipse_family(p, q, phi=0.0) -> CurveFamily:
         x, y = _hat(theta, w)
         return (x / P(theta)) ** 2 + (y / Q(theta)) ** 2 - 1.0
 
-    def d_w(theta, w):
-        x, y = _hat(theta, w)
-        return np.exp(-1j * Phi(theta)) * (x / P(theta) ** 2 - 1j * y / Q(theta) ** 2)
-
     def dbar_w(theta, w):
         x, y = _hat(theta, w)
         return np.exp(1j * Phi(theta)) * (x / P(theta) ** 2 + 1j * y / Q(theta) ** 2)
-
-    def d_theta(theta, w):
-        x, y = _hat(theta, w)
-        pv, qv = P(theta), Q(theta)
-        return (
-            -2.0 * x * x * Pp(theta) / pv**3
-            - 2.0 * y * y * Qp(theta) / qv**3
-            + 2.0 * Phip(theta) * x * y * (1.0 / pv**2 - 1.0 / qv**2)
-        )
 
     def ray_radius(theta, psi):
         ang = psi - Phi(theta)
         return 1.0 / np.sqrt((np.cos(ang) / P(theta)) ** 2 + (np.sin(ang) / Q(theta)) ** 2)
 
     radial = P if P.coefficients == Q.coefficients else None
-    return CurveFamily(
-        rho=rho,
-        d_w=d_w,
-        dbar_w=dbar_w,
-        d_theta=d_theta,
-        ray_radius=ray_radius,
-        label="ellipse",
-        radial_profile=radial,
-        spec={
-            "type": "ellipse",
-            "fourier": {
-                "p": list(P.coefficients),
-                "q": list(Q.coefficients),
-                "phi": list(Phi.coefficients),
-            },
-        },
-    )
+    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=radial)
 
 
-def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative) -> CurveFamily:
+def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative=None) -> CurveFamily:
     """Family of the curves rho(theta, g(theta) w) = 0 for nonvanishing g.
 
     If f solves the transformed problem then g(theta) f solves the original
     one on the boundary; dividing out a prescribed winding uses
-    g(theta) = exp(i n theta).
+    g(theta) = exp(i n theta). multiplier_derivative is not read: a family
+    carries no theta-partial, so g' is never needed. The parameter is kept
+    for callers that pass it.
     """
-    g, gp = multiplier, multiplier_derivative
+    g = multiplier
     gv = np.asarray(g(_FINE), dtype=complex)
     if np.min(np.abs(gv)) <= 1e-14 * max(1.0, np.max(np.abs(gv))):
         raise MultiplierVanishes("divisor multiplier vanishes on the circle")
@@ -174,15 +132,8 @@ def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative) ->
     def rho(theta, w):
         return family.rho(theta, g(theta) * w)
 
-    def d_w(theta, w):
-        return family.d_w(theta, g(theta) * w) * g(theta)
-
     def dbar_w(theta, w):
         return family.dbar_w(theta, g(theta) * w) * np.conj(g(theta))
-
-    def d_theta(theta, w):
-        zeta = g(theta) * w
-        return family.d_theta(theta, zeta) + 2.0 * (family.d_w(theta, zeta) * gp(theta) * w).real
 
     def ray_radius(theta, psi):
         gt = g(theta)
@@ -192,29 +143,18 @@ def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative) ->
     if family.radial_profile is not None:
         parent = family.radial_profile
         radial = lambda theta: parent(theta) / np.abs(g(theta))
-    return CurveFamily(
-        rho=rho,
-        d_w=d_w,
-        dbar_w=dbar_w,
-        d_theta=d_theta,
-        ray_radius=ray_radius,
-        label=family.label + "/divisor",
-        radial_profile=radial,
-        spec=None,
-    )
+    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=radial)
 
 
-def curvature_floor_check(family: CurveFamily, samples: int = 256) -> float:
-    """Minimum of |dbar rho| over the curves: the transversality margin.
+def monomial_transform(family: CurveFamily, sigma: int, scale: float = 1.0) -> CurveFamily:
+    """Divide out the boundary trace scale * exp(i sigma theta) of scale * z^sigma.
 
-    The linearized boundary operator degenerates where this vanishes, so a
-    small floor warns that Newton corrections are ill-conditioned.
+    This is divisor_transform with that multiplier; the identity multiplier
+    returns the family itself.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    psi = theta.copy()
-    tt, pp = np.meshgrid(theta, psi, indexing="ij")
-    w = family.ray_radius(tt, pp) * np.exp(1j * pp)
-    return float(np.min(np.abs(family.dbar_w(tt, w))))
+    if sigma == 0 and scale == 1.0:
+        return family
+    return divisor_transform(family, lambda theta: scale * np.exp(1j * sigma * np.asarray(theta)))
 
 
 # --------------------------------------------------------------------------
@@ -303,9 +243,3 @@ def family_from_spec(data: dict) -> CurveFamily:
     if kind == "circle":
         return builtin_circle_family(poly("R", 1.0), poly("c", 0.0))
     return builtin_ellipse_family(poly("p", 1.0), poly("q", 1.0), poly("phi", 0.0))
-
-
-def family_to_spec(family: CurveFamily) -> dict:
-    if family.spec is None:
-        raise ValueError("only builtin families have a serializable spec")
-    return family.spec

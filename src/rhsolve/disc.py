@@ -30,7 +30,7 @@ from .boundary import (
     holder_iterate_norm,
     holder_residual_norm,
 )
-from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, divisor_transform, eta_decompose
+from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, eta_decompose, monomial_transform
 from .errors import NoConvergence
 from .newton import CertifyOptions, IterateOptions, NewtonProblem, NewtonRun, certify, iterate
 from .trig import as_trig_polynomial
@@ -63,19 +63,6 @@ def right_inverse_apply(eta: EtaDecomposition, rhs: np.ndarray) -> np.ndarray:
     phi = np.exp(-eta.a - eta.b_tilde) * np.asarray(rhs, dtype=float)
     analytic = analytic_completion(BoundaryTrace(grid, phi)).values
     return 0.5 * np.exp(eta.b_tilde - 1j * eta.b) * analytic
-
-
-def _winding_multiplier(winding: int):
-    g = lambda theta: np.exp(1j * winding * theta)
-    gp = lambda theta: 1j * winding * np.exp(1j * winding * theta)
-    return g, gp
-
-
-def _transformed_family(family: CurveFamily, winding: int) -> CurveFamily:
-    if winding == 0:
-        return family
-    g, gp = _winding_multiplier(winding)
-    return divisor_transform(family, g, gp)
 
 
 def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:
@@ -141,7 +128,7 @@ def solve_disc(family: CurveFamily, winding: int, options: DiscSolveOptions = Di
     if winding < 0:
         raise ValueError("a holomorphic solution cannot have negative boundary winding")
     grid = BoundaryGrid(options.grid_n)
-    fam_t = _transformed_family(family, winding)
+    fam_t = monomial_transform(family, winding)
     problem = _g_space_problem(fam_t, grid)
     g0 = _initial_log_trace(fam_t, grid)
     it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter, allow_damping=options.damping)
@@ -159,11 +146,8 @@ def _blend_families(circle: CurveFamily, target: CurveFamily, t: float) -> Curve
     mix = lambda fa, fb: (lambda theta, w: (1.0 - t) * fa(theta, w) + t * fb(theta, w))
     return CurveFamily(
         rho=mix(circle.rho, target.rho),
-        d_w=mix(circle.d_w, target.d_w),
         dbar_w=mix(circle.dbar_w, target.dbar_w),
-        d_theta=mix(circle.d_theta, target.d_theta),
         ray_radius=circle.ray_radius,  # only used to seed the t = 0 stage
-        label="blend",
     )
 
 
@@ -171,12 +155,12 @@ def _homotopy_run(family: CurveFamily, winding: int, grid: BoundaryGrid, options
     theta = grid.theta
     r_bar = float(np.mean(family.ray_radius(theta, winding * theta)))
     circle = builtin_circle_family(as_trig_polynomial(r_bar))
-    g = _initial_log_trace(_transformed_family(circle, winding), grid)
+    g = _initial_log_trace(monomial_transform(circle, winding), grid)
     it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter, allow_damping=options.damping)
     run = None
     for t in (0.25, 0.5, 0.75, 1.0):
         blend = _blend_families(circle, family, t)
-        problem = _g_space_problem(_transformed_family(blend, winding), grid)
+        problem = _g_space_problem(monomial_transform(blend, winding), grid)
         run = iterate(problem, g, it_opts)
         g = run.x
     return run

@@ -22,6 +22,7 @@ from rhsolve.annulus import (
 )
 from rhsolve.boundary import BoundaryGrid, winding_number
 from rhsolve.curves import (
+    CurveFamily,
     builtin_circle_family,
     builtin_ellipse_family,
     divisor_transform,
@@ -304,6 +305,27 @@ def test_transformed_circles_match_radial_closed_form():
     assert sol.residual_sup < 1e-10
 
 
+def test_three_callable_family_runs_annulus_pipeline():
+    # a family is rho, dbar_w and ray_radius; a hand-written circle family
+    # must reproduce the builtin one through glue, Newton and zero location
+    R0 = TrigPolynomial((1.0, 0.02, -0.01, 0.0, 0.015))
+    R1 = TrigPolynomial((1.0, -0.01, 0.02))
+
+    def bare(R):
+        return CurveFamily(
+            rho=lambda th, w: (w * np.conj(w)).real - R(th) ** 2,
+            dbar_w=lambda th, w: np.asarray(w, dtype=complex),
+            ray_radius=lambda th, psi: R(th) * np.ones_like(np.asarray(psi, dtype=float)),
+        )
+
+    opts = AnnulusSolveOptions(certify=False)
+    got = solve_annulus(bare(R0), bare(R1), (4, 4), 0.5, opts)
+    want = solve_annulus(builtin_circle_family(R0), builtin_circle_family(R1), (4, 4), 0.5, opts)
+    npt.assert_allclose(got.outer_trace.values, want.outer_trace.values, rtol=0, atol=1e-13)
+    npt.assert_allclose(got.inner_trace.values, want.inner_trace.values, rtol=0, atol=1e-13)
+    assert sum(z.multiplicity for z in got.zeros) == 8
+
+
 def test_mixed_ellipse_circle_converges_to_grid_floor():
     # at this grid the Laurent truncation floor sits near 7e-7, above the
     # default tolerance; the looser tolerance accepts the floor
@@ -379,6 +401,24 @@ def test_harmonic_extension_stable_at_extreme_modes():
     npt.assert_allclose(ext.evaluate(q * circle), d1, atol=1e-10)
 
 
+def test_laurent_traces_stable_at_extreme_modes():
+    # q^-k overflows for the top negative modes of this grid, while the
+    # inner-circle coefficients it multiplies stay of ordinary size
+    grid = BoundaryGrid(1024)
+    q = 0.04
+    ext = harmonic_extend_annulus(grid, q, np.cos(grid.theta), np.sin(2 * grid.theta))
+    outer, inner = laurent_traces(grid, q, ext.coeffs)
+    circle = np.exp(1j * grid.theta)
+    npt.assert_allclose(outer, laurent_evaluate(ext.coeffs, circle), atol=1e-12)
+    npt.assert_allclose(inner, laurent_evaluate(ext.coeffs, q * circle), atol=1e-12)
+    # the radial solver evaluates its Laurent series the same way
+    sol = solve_annulus_radial(
+        scaled_circle(1.0, [0.0, 0.1, 0.0]), scaled_circle(q ** 2, [0.0, 0.0, 0.05]), q, grid_n=1024
+    )
+    assert sol.k1 == 2 and sol.zero is None
+    assert sol.residual_sup < 1e-13
+
+
 def test_radial_integer_flux_is_pure_power():
     sol = solve_annulus_radial(
         builtin_circle_family(1.0), builtin_circle_family(0.5), 0.5
@@ -443,4 +483,4 @@ def test_pullback_family_reverses_parameter():
     )
     w = 0.9 * np.exp(1j * theta)
     npt.assert_allclose(pulled.rho(theta, w), fam.rho(-theta, w), rtol=1e-14)
-    npt.assert_allclose(pulled.d_theta(theta, w), -fam.d_theta(-theta, w), rtol=1e-13)
+    npt.assert_allclose(pulled.dbar_w(theta, w), fam.dbar_w(-theta, w), rtol=1e-14)

@@ -32,11 +32,12 @@ def trace_of(n, fn):
 
 
 def test_grid_rejects_bad_sizes():
-    for n in (0, 1, 8, 12, 17, 24, 100):
+    for n in (0, 1, 8, 12, 17, 24, 100, 8192):
         with pytest.raises(ValueError):
             BoundaryGrid(n)
     BoundaryGrid(16)
     BoundaryGrid(1024)
+    BoundaryGrid(4096)
 
 
 def test_trace_shape_and_finiteness_checks():

@@ -1,11 +1,18 @@
 """Command-line front end: dispatch, artifacts, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rhsolve.cli import main
+from rhsolve.cli import main, validate_config
+from rhsolve.errors import ConfigError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CIRCLE_UNIT = {"type": "circle", "fourier": {"R": [1.0]}}
 CIRCLE_HALF_ROOT = {"type": "circle", "fourier": {"R": [0.70710678118654752]}}
@@ -230,8 +237,27 @@ def test_grid_and_tol_flags_validated(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, "cfg.json", annulus_config(out))
     assert main(["solve", "--config", cfg, "--grid", "100"]) == 1
+    assert main(["solve", "--config", cfg, "--grid", "8192"]) == 1
+    with pytest.raises(ConfigError):
+        validate_config({"grid": 2 ** 26})
+    huge = write_config(tmp_path, "huge.json", annulus_config(out, grid=8192))
+    assert main(["solve", "--config", huge]) == 1
     assert main(["solve", "--config", cfg, "--tol", "-1"]) == 1
     assert main(["solve", "--config", cfg, "--tol", "inf"]) == 1
     assert main(["solve", "--config", cfg, "--tol", "nan"]) == 1
     infinite = write_config(tmp_path, "inf.json", annulus_config(out, newton={"tol": float("inf")}))
     assert main(["solve", "--config", infinite]) == 1
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m rhsolve.cli` must not find rhsolve.cli already imported by
+    # the package, which makes runpy warn
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rhsolve.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: rhsolve" in proc.stdout
