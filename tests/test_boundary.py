@@ -1,25 +1,33 @@
 """Grid calculus: conjugation, differentiation, unwrapping, Holder norms."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhsolve import boundary
 from rhsolve.boundary import (
+    _CERTIFY_ALPHA,
     BoundaryGrid,
     BoundaryTrace,
     analytic_completion,
     coefficient_modes,
     evaluate_trace,
     hilbert_transform,
+    holder_iterate_norm,
     holder_norms,
+    holder_residual_norm,
     spectral_derivative,
     trig_coefficients,
     unwrapped_phase,
     values_from_coefficients,
     winding_number,
 )
+from rhsolve.curves import builtin_ellipse_family
+from rhsolve.disc import DiscSolveOptions, solve_disc
 from rhsolve.errors import UnresolvedPhase, ZeroOnBoundary
 from rhsolve.trig import TrigPolynomial, as_trig_polynomial
 
@@ -200,20 +208,124 @@ def test_winding_with_modulus_wobble(k, eps):
 # -------------------------------------------------------------- Holder norms
 
 
+def dense_pair_seminorm(values, alpha):
+    # reference: every node pair at once, with N x N difference and chord matrices.
+    # The node angles are taken in (-pi, pi]: near 2 pi their rounding alone
+    # moves an N = 1024 neighbour chord by up to 1.3e-13 relative
+    n = len(values)
+    j = np.arange(n)
+    theta = 2.0 * np.pi * np.where(j > n // 2, j - n, j) / n
+    diffs = np.abs(values[:, None] - values[None, :])
+    chord = np.abs(np.exp(1j * theta)[:, None] - np.exp(1j * theta)[None, :])
+    mask = chord > 0
+    ratios = np.zeros_like(diffs)
+    ratios[mask] = diffs[mask] / chord[mask] ** alpha
+    return float(np.max(ratios))
+
+
 def test_holder_of_cosine_is_sqrt_two():
     # |cos a - cos b| / |e^{ia} - e^{ib}|^{1/2} peaks at sqrt(2) (antipodes)
     t = trace_of(256, np.cos)
     rep = holder_norms(t, alpha=0.5)
     npt.assert_allclose(rep.c_alpha, np.sqrt(2.0), atol=1e-12)
     npt.assert_allclose(rep.sup_norm, 1.0, atol=1e-12)
-    assert rep.c1_alpha > rep.sup_norm
+    assert holder_iterate_norm(t.grid, (t.values,)) > rep.sup_norm
 
 
 def test_holder_of_constant_is_zero():
     t = trace_of(32, lambda th: np.full_like(th, 2.5))
     rep = holder_norms(t, alpha=0.5)
     assert rep.c_alpha == 0.0
-    assert rep.c1_alpha == pytest.approx(rep.sup_norm, abs=1e-12)
+    assert holder_iterate_norm(t.grid, (t.values,)) == pytest.approx(rep.sup_norm, abs=1e-12)
+
+
+def holder_test_trace(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    th = BoundaryGrid(n).theta
+    smooth = np.exp(np.cos(th - rng.uniform(0, 2 * np.pi))) + rng.normal() * np.sin(3 * th)
+    if kind == "smooth":
+        return smooth
+    if kind == "rough":
+        return smooth + 0.1 * rng.normal(size=n)
+    if kind == "complex":
+        return smooth * np.exp(1j * (th + 0.3 * np.sin(5 * th))) + 0.01 * rng.normal(size=n)
+    if kind == "constant":
+        return np.full(n, rng.normal() + 1j * rng.normal())
+    if kind == "spike":
+        u = np.zeros(n)
+        u[rng.integers(n)] = rng.normal()
+        return u
+    # cos peaks at antipodal pairs, the last separation the scan reaches
+    return np.cos(th - rng.uniform(0, 2 * np.pi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["smooth", "rough", "complex", "constant", "spike", "cos"]),
+    st.sampled_from([16, 32, 64, 128, 256, 512, 1024]),
+    st.floats(0.1, 0.9),
+    st.integers(0, 2**32 - 1),
+)
+def test_holder_seminorm_matches_dense_pairs(kind, n, alpha, seed):
+    values = holder_test_trace(kind, n, seed)
+    rep = holder_norms(BoundaryTrace(BoundaryGrid(n), values), alpha)
+    npt.assert_allclose(rep.c_alpha, dense_pair_seminorm(values.astype(complex), alpha), rtol=1e-13)
+
+
+def test_holder_seminorm_memory_is_linear_in_grid():
+    # the dense pair matrices would take several 134 MB arrays at N = 4096
+    rng = np.random.default_rng(11)
+    trace = BoundaryTrace(BoundaryGrid(4096), rng.normal(size=4096) + 1j * rng.normal(size=4096))
+    tracemalloc.start()
+    try:
+        holder_norms(trace, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def certificate_parts(n):
+    th = BoundaryGrid(n).theta
+    rng = np.random.default_rng(5)
+    return (np.cos(2 * th) + 0.05 * rng.normal(size=n), np.exp(np.sin(th)) + 1j * np.cos(3 * th))
+
+
+def test_certificate_norms_are_their_definitions():
+    grid = BoundaryGrid(128)
+    parts = certificate_parts(128)
+    sup = lambda v: float(np.max(np.abs(v)))
+    c_alpha = lambda v: dense_pair_seminorm(np.asarray(v, dtype=complex), _CERTIFY_ALPHA)
+    derivative = lambda p: spectral_derivative(BoundaryTrace(grid, p)).values
+    npt.assert_allclose(holder_residual_norm(grid, parts), max(sup(p) + c_alpha(p) for p in parts), rtol=1e-13)
+    npt.assert_allclose(
+        holder_iterate_norm(grid, parts), max(sup(p) + c_alpha(derivative(p)) for p in parts), rtol=1e-13
+    )
+
+
+def test_certificate_norms_compute_one_seminorm_per_part(monkeypatch):
+    calls = []
+    scan = boundary._pair_seminorm
+    monkeypatch.setattr(boundary, "_pair_seminorm", lambda values, alpha: calls.append(1) or scan(values, alpha))
+    grid = BoundaryGrid(64)
+    parts = certificate_parts(64)
+    holder_residual_norm(grid, parts)
+    assert len(calls) == 2
+    holder_iterate_norm(grid, parts)
+    assert len(calls) == 4
+    holder_iterate_norm(grid, parts[:1])
+    assert len(calls) == 5
+
+
+def test_disc_certificate_matches_dense_pairs(monkeypatch):
+    fam = builtin_ellipse_family([1.5, 0.2, 0.0], 1.0)
+    options = DiscSolveOptions(grid_n=512)
+    scanned = solve_disc(fam, 2, options).run.certificate
+    monkeypatch.setattr(boundary, "_pair_seminorm", dense_pair_seminorm)
+    dense = solve_disc(fam, 2, options).run.certificate
+    for name in ("omega1", "omega2", "omega3", "product"):
+        npt.assert_allclose(getattr(scanned, name), getattr(dense, name), rtol=1e-12)
+    assert scanned.certified == dense.certified
 
 
 @settings(max_examples=20, deadline=None)
