@@ -10,8 +10,10 @@ iteration on the Laurent coefficients then removes the gluing error.
 The linearized equations are solved by the collar right inverse: the
 per-boundary explicit inverses are projected onto one Laurent series,
 which cancels the dbar defect of their cutoff blend exactly (its area
-transform has no mode the projection keeps). A Neumann series absorbs the
-remaining coupling; if it stalls, a dense least-squares solve takes over.
+transform has no mode the projection keeps). Right-preconditioned GMRES,
+with this collar inverse as the preconditioner, absorbs the remaining
+coupling. A step is accepted by an inexact-Newton forcing test; a residual
+it cannot invert raises NeumannDiverges (there is no dense fallback).
 """
 
 from dataclasses import dataclass
@@ -49,14 +51,17 @@ from .pompeiu import RadialCutoff, radial_quadrature
 
 _polyval = np.polynomial.polynomial.polyval
 
-# collar Neumann series: term budget, relative convergence tolerance, the
-# per-term contraction below which the series counts as stalled, and the
-# relative defect a stalled series must have reached to keep its best iterate
-# instead of falling back to the dense solve
-_NEUMANN_MAX_TERMS = 20
-_NEUMANN_TOL = 1e-11
-_NEUMANN_STALL_RATIO = 0.9
-_NEUMANN_PLATEAU = 1e-4
+# collar GMRES: iteration budget, relative 2-norm tolerance, and the stall
+# rule (stop once the 2-norm defect fell by less than the ratio over the
+# window; GMRES can plateau for a few iterations and then drop again)
+_GMRES_MAX_ITER = 20
+_GMRES_TOL = 1e-11
+_GMRES_STALL_RATIO = 0.9
+_GMRES_STALL_WINDOW = 5
+# inexact-Newton forcing term: a step is accepted when its sup-norm defect is
+# at most max(_FORCING * |r|, tol / 2) (Dembo, Eisenstat and Steihaug 1982;
+# leaving less than half the Newton tolerance is as good as exact)
+_FORCING = 0.1
 
 # largest log of q^-k that laurent_traces forms directly, with a margin below
 # the float64 overflow at about 709.8
@@ -271,7 +276,7 @@ def _glue_coefficients(
     q: float,
     options: Optional[AnnulusSolveOptions] = None,
 ):
-    """Build the glued Laurent iterate for disc-convention windings.
+    """Build the glued Laurent iterate for coherent windings (n0, n1).
 
     The windings are balanced by the twist z^sigma so that each collar
     piece carries half the zero count as a divisor at its own boundary;
@@ -284,12 +289,13 @@ def _glue_coefficients(
     this modulus).
     """
     opts = options if options is not None else AnnulusSolveOptions()
-    n0, n1 = int(windings[0]), int(windings[1])
+    coherent = (int(windings[0]), int(windings[1]))
+    n0, n1 = coherent[0], -coherent[1]  # disc convention used internally
     m = n0 - n1
     if m < 0:
         raise ConfigError(
-            f"prescribed zero count {m} is negative; the outer disc-convention "
-            f"winding must not be smaller than the inner one, got {windings}"
+            f"prescribed zero count {m} is negative; the coherent windings "
+            f"must have a nonnegative sum, got {coherent}"
         )
     grid = BoundaryGrid(opts.grid_n)
     n = grid.n
@@ -356,7 +362,7 @@ def _glue_coefficients(
     if pre > opts.glue_threshold:
         raise GlueTooCoarse(
             f"glued iterate has boundary residual {pre:.3e} "
-            f"(threshold {opts.glue_threshold}); windings {windings} are too "
+            f"(threshold {opts.glue_threshold}); windings {coherent} are too "
             f"small for modulus {q}"
         )
     return coeffs, report, (fam0t, fam1t)
@@ -381,9 +387,7 @@ def glue_construct(
     cutoff blend of the pieces (the Laurent projection cancels it).
     """
     opts = options if options is not None else AnnulusSolveOptions()
-    coeffs, report, _ = _glue_coefficients(
-        outer_family, inner_family, (int(n), -int(n)), q, opts
-    )
+    coeffs, report, _ = _glue_coefficients(outer_family, inner_family, (int(n), int(n)), q, opts)
     grid = BoundaryGrid(opts.grid_n)
     t0, t1 = laurent_traces(grid, q, coeffs)
     return (BoundaryTrace(grid, t0), BoundaryTrace(grid, t1)), report
@@ -408,12 +412,53 @@ def _laurent_sampler(grid: BoundaryGrid, q: float):
     return sample
 
 
+def _gmres(act, precondition, r):
+    """Right-preconditioned GMRES for act(precondition(y)) = r, in real arithmetic.
+
+    The k-th iterate minimizes the 2-norm defect |r - act(x)| over
+    x = precondition(y), y in the k-th Krylov space of act o precondition,
+    which holds the first k Neumann partial sums (Saad and Schultz 1986).
+    Stops at the iteration budget, at a relative defect of _GMRES_TOL, or
+    once the defect fell by less than _GMRES_STALL_RATIO over the last
+    _GMRES_STALL_WINDOW iterations. Returns the best iterate and the defect
+    2-norms of iterates 0..k. r must be nonzero.
+    """
+    beta = float(np.linalg.norm(r))
+    basis = [r / beta]
+    images = []
+    hess = np.zeros((_GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
+    norms = [beta]
+    for k in range(_GMRES_MAX_ITER):
+        images.append(precondition(basis[k]))
+        w = act(images[k])
+        for i, v in enumerate(basis):  # modified Gram-Schmidt
+            hess[i, k] = v @ w
+            w = w - hess[i, k] * v
+        hess[k + 1, k] = np.linalg.norm(w)
+        # the defect of min |beta e1 - H y| is the part of beta e1 along the
+        # last column of the complete Q of H
+        q_full, _ = np.linalg.qr(hess[: k + 2, : k + 1], mode="complete")
+        norms.append(beta * abs(float(q_full[0, k + 1])))
+        window = norms[-1 - _GMRES_STALL_WINDOW :]
+        stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
+        if norms[-1] <= _GMRES_TOL * beta or stalled:
+            break
+        basis.append(w / hess[k + 1, k])
+    # a stalled stretch lowered the defect by less than the stall ratio; at a
+    # grid's truncation floor it does so by growing the step along
+    # near-kernel directions, so the iterate before it is the better step
+    keep = max(1, len(images) - _GMRES_STALL_WINDOW) if stalled else len(images)
+    q_red, tri = np.linalg.qr(hess[: keep + 1, :keep])
+    y = np.linalg.solve(tri, beta * q_red[0])
+    return np.asarray(images[:keep]).T @ y, norms
+
+
 def _annulus_problem(
     outer_family: CurveFamily,
     inner_family: CurveFamily,
     q: float,
     grid: BoundaryGrid,
-    state: dict,
+    tol: float,
 ) -> NewtonProblem:
     theta = grid.theta
     n = grid.n
@@ -435,18 +480,24 @@ def _annulus_problem(
             ]
         )
 
-    def derivative_action(c, dc):
+    def linearization(c):
         t0, t1 = traces(c)
-        d0, d1 = traces(dc)
-        e0 = 2.0 * (np.conj(outer_family.dbar_w(theta, t0)) * d0).real / unit0
-        e1 = 2.0 * (np.conj(inner_family.dbar_w(theta, t1)) * d1).real / unit1
-        return np.concatenate([e0, e1])
+        g0 = np.conj(outer_family.dbar_w(theta, t0))
+        g1 = np.conj(inner_family.dbar_w(theta, t1))
+
+        def act(dc):
+            d0, d1 = traces(dc)
+            return np.concatenate(
+                [2.0 * (g0 * d0).real / unit0, 2.0 * (g1 * d1).real / unit1]
+            )
+
+        return act
 
     def right_inverse(c):
         t0, t1 = traces(c)
         dec0 = eta_decompose(outer_family, BoundaryTrace(grid, t0))
         dec1 = eta_decompose(fam1p, BoundaryTrace(grid, _reindex(t1)))
-        cache = {"svd": None, "stalled": False}
+        act = linearization(c)
 
         def collar_apply(r):
             # per-boundary explicit inverses, multiplied back onto the
@@ -456,88 +507,21 @@ def _annulus_problem(
             k1t = right_inverse_apply(dec1, _reindex(r[n:] * unit1))
             return laurent_from_traces(grid, q, t0 * k0, t1 * _reindex(k1t))
 
-        # graded basis: a unit negative mode is q^{-|k|} on the inner circle,
-        # so the dense solve works in coordinates scaled to trace size
-        grade = np.where(
-            laurent_modes(n) < 0,
-            q ** np.abs(laurent_modes(n)).astype(float),
-            1.0,
-        )
-
-        def dense_solve(r):
-            if cache["svd"] is None:
-                cols = np.empty((2 * n, 2 * (2 * kmax + 1)))
-                basis = np.zeros(2 * kmax + 1, dtype=complex)
-                for i in range(2 * kmax + 1):
-                    basis[i] = grade[i]
-                    cols[:, 2 * i] = derivative_action(c, basis)
-                    basis[i] = 1.0j * grade[i]
-                    cols[:, 2 * i + 1] = derivative_action(c, basis)
-                    basis[i] = 0.0
-                cache["svd"] = np.linalg.svd(cols, full_matrices=False)
-            u, s, vt = cache["svd"]
-            state["fallback"] = True
-            # truncated pseudo-inverse with a deterministic damping ladder:
-            # exact gauge kernels (the phase direction when the windings
-            # cancel) are always cut; the undamped step is tried first so
-            # quadratic convergence is untouched, and each damped variant
-            # is scored by the residual it actually leaves, which guards
-            # against overshooting the basin far from the solution
-            cut = 1e-10 * s[0]
-            keep = s > cut
-            rhs = u.T @ r
-            rsup = float(np.max(np.abs(r)))
-            best_dc = None
-            best_val = np.inf
-            for lam in (0.0, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
-                lam = lam * s[0]
-                if lam == 0.0:
-                    weight = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-                else:
-                    weight = np.where(keep, s / (s * s + lam * lam), 0.0)
-                sol = vt.T @ (weight * rhs)
-                dc = (sol[0::2] + 1j * sol[1::2]) * grade
-                if not np.all(np.isfinite(dc)):
-                    continue
-                val = float(np.max(np.abs(residual(c - dc))))
-                if val < best_val:
-                    best_val = val
-                    best_dc = dc
-                if val <= 0.3 * rsup:
-                    break
-            if best_dc is None:
-                raise NeumannDiverges("least-squares fallback produced non-finite step")
-            return best_dc
-
         def apply(r):
-            if cache["stalled"]:
-                return dense_solve(r)
             scale = float(np.max(np.abs(r)))
             if scale == 0.0:
                 return np.zeros(2 * kmax + 1, dtype=complex)
-            x = np.zeros(2 * kmax + 1, dtype=complex)
-            err = r
-            prev = scale
-            best = scale
-            best_x = x
-            for _ in range(_NEUMANN_MAX_TERMS):
-                x = x + collar_apply(err)
-                err = r - derivative_action(c, x)
-                cur = float(np.max(np.abs(err)))
-                if cur < best:
-                    best = cur
-                    best_x = x
-                if cur <= _NEUMANN_TOL * scale or cur <= 1e-15:
-                    return x
-                if cur > _NEUMANN_STALL_RATIO * prev:
-                    break
-                prev = cur
-            if best <= _NEUMANN_PLATEAU * scale:
-                # roundoff plateau, not a genuine stall; the step is still
-                # far more accurate than Newton needs
-                return best_x
-            cache["stalled"] = True
-            return dense_solve(r)
+            x, norms = _gmres(act, collar_apply, r)
+            defect = float(np.max(np.abs(r - act(x))))
+            bound = max(_FORCING * scale, 0.5 * tol)
+            if defect > bound:
+                raise NeumannDiverges(
+                    f"collar GMRES left defect {defect:.3e} > {bound:.3e} on a residual "
+                    f"of size {scale:.3e} after {len(norms) - 1} iterations",
+                    defect / scale,
+                    len(norms) - 1,
+                )
+            return x
 
         return apply
 
@@ -555,7 +539,7 @@ def _annulus_problem(
         right_inverse=right_inverse,
         iterate_norm=iterate_norm,
         residual_norm=residual_norm,
-        derivative_action=derivative_action,
+        derivative_action=lambda c, dc: linearization(c)(dc),
         iterate_sampler=_laurent_sampler(grid, q),
         residual_sampler=lambda rng: np.concatenate([probe(rng), probe(rng)]),
         certify_iterate_norm=lambda dc: holder_iterate_norm(grid, traces(dc)),
@@ -576,7 +560,11 @@ class AnnulusSolution:
     zeros: tuple
     glue: GlueReport
     run: Optional[NewtonRun]
-    fallback_used: bool
+
+    @property
+    def fallback_used(self) -> bool:
+        """Always False: no dense least-squares path exists (result.json keeps the key)."""
+        return False
 
     @property
     def winding_inner_coherent(self) -> int:
@@ -617,17 +605,15 @@ def solve_annulus(
     _check_modulus(q)
     if kmax * abs(np.log(q)) > 600.0:
         raise ConfigError(f"modulus {q} is too extreme for a {grid.n}-point grid")
-    n0 = int(windings[0])
-    n1 = -int(windings[1])  # disc convention used internally
+    windings = (int(windings[0]), int(windings[1]))
 
     # Newton runs in the twisted gauge (balanced windings, unit-scale inner
     # family); the monomial factor is restored afterwards
     h0, glue, (fam0t, fam1t) = _glue_coefficients(
-        outer_family, inner_family, (n0, n1), q, opts
+        outer_family, inner_family, windings, q, opts
     )
     sigma = glue.sigma
-    state = {"fallback": False}
-    problem = _annulus_problem(fam0t, fam1t, q, grid, state)
+    problem = _annulus_problem(fam0t, fam1t, q, grid, opts.tol)
     cert = (
         certify(problem, h0, CertifyOptions(seed=opts.seed))
         if opts.certify
@@ -645,21 +631,20 @@ def solve_annulus(
     tr0 = BoundaryTrace(grid, t0)
     tr1 = BoundaryTrace(grid, t1)
     got = (winding_number(tr0), -winding_number(tr1))
-    if got != (int(windings[0]), int(windings[1])):
+    if got != windings:
         raise CountMismatch(
-            f"converged trace windings {got} (coherent) != prescribed "
-            f"{(int(windings[0]), int(windings[1]))}"
+            f"converged trace windings {got} (coherent) != prescribed {windings}"
         )
     residual_by_boundary = _boundary_residuals(
         outer_family, inner_family, grid.theta, t0, t1
     )
     zeros = ()
-    if n0 - n1 > 0:
+    if sum(windings) > 0:
         zeros = tuple(locate_zeros((tr0, tr1), Annulus(q)))
     return AnnulusSolution(
         grid=grid,
         q=q,
-        windings=(int(windings[0]), int(windings[1])),
+        windings=windings,
         coefficients=coeffs,
         outer_trace=tr0,
         inner_trace=tr1,
@@ -668,7 +653,6 @@ def solve_annulus(
         zeros=zeros,
         glue=glue,
         run=run,
-        fallback_used=state["fallback"],
     )
 
 

@@ -58,7 +58,16 @@ class GlueTooCoarse(SolverError):
 
 
 class NeumannDiverges(SolverError):
-    """Neumann correction series for the glued right inverse stopped contracting."""
+    """The collar right inverse left a defect above its acceptance bound.
+
+    defect is the relative sup-norm defect |r - DA x| / |r| of the best
+    Krylov iterate x, iterations the number of Krylov iterations run.
+    """
+
+    def __init__(self, message, defect, iterations):
+        super().__init__(message)
+        self.defect = float(defect)
+        self.iterations = int(iterations)
 
 
 class SamplingFailed(SolverError):

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoConvergence, SamplingFailed
+from .errors import NeumannDiverges, NoConvergence, SamplingFailed
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,13 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
         rn = res_norm(r)
         if rn == 0.0 or not np.isfinite(rn):
             raise SamplingFailed("residual probe has degenerate norm")
-        step = inverse(r)
+        try:
+            step = inverse(r)
+        except NeumannDiverges as exc:
+            # a probe the right inverse cannot reach fails the identity
+            # check and has no step to bound omega1 with
+            identity_defect = max(identity_defect, exc.defect)
+            continue
         omega1 = max(omega1, it_norm(step) / rn)
         recovered = _derivative_action(problem, x0, step)
         identity_defect = max(identity_defect, res_norm(recovered - r) / rn)

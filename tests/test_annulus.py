@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhsolve import annulus
 from rhsolve.annulus import (
     AnnulusSolveOptions,
     glue_construct,
@@ -29,7 +30,12 @@ from rhsolve.curves import (
 )
 from rhsolve.disc import gauge_align
 from rhsolve.domains import Annulus, cauchy_extend
-from rhsolve.errors import ConfigError, GlueTooCoarse, NotRadialFamily
+from rhsolve.errors import (
+    ConfigError,
+    GlueTooCoarse,
+    NeumannDiverges,
+    NotRadialFamily,
+)
 from rhsolve.pompeiu import AreaCharge
 from rhsolve.trig import TrigPolynomial
 
@@ -210,6 +216,16 @@ def test_negative_zero_count_rejected():
             solve_annulus(fam, fam, (6, 6), q)
 
 
+def test_errors_name_the_coherent_windings():
+    # the solver works in the disc convention internally; its messages must
+    # echo the pair the caller passed
+    fam = builtin_circle_family(1.0)
+    with pytest.raises(ConfigError, match=r"got \(3, -5\)"):
+        solve_annulus(fam, fam, (3, -5), Q)
+    with pytest.raises(GlueTooCoarse, match=r"windings \(7, -7\)"):
+        solve_annulus(fam, fam, (7, -7), Q)
+
+
 def test_collar_band_partition_of_unity():
     band = make_collar_band(Q)
     npt.assert_allclose((band.s_inner, band.s_outer), (Q ** (2 / 3), Q ** (1 / 3)), rtol=1e-12)
@@ -342,6 +358,142 @@ def test_mixed_ellipse_circle_converges_to_grid_floor():
     assert sum(z.multiplicity for z in sol.zeros) == 12
     assert all(0.4 < abs(z.position) < 1.0 for z in sol.zeros)
     assert sol.run.certificate is not None
+
+
+def test_solves_run_without_svd(monkeypatch):
+    # the collar right inverse has no dense least-squares path: the README
+    # case and criterion 8's zero-free circles converge with svd disabled,
+    # certificate probes included
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    readme = solve_annulus(
+        ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9)
+    )
+    assert readme.run.converged and readme.residual_sup < 1e-9
+    assert readme.run.iterations == 3 and not readme.run.damped
+    assert readme.run.certificate is not None
+    zero_free = solve_annulus(
+        builtin_circle_family(1.0), builtin_circle_family(0.5 ** 8), (8, -8), 0.5
+    )
+    assert zero_free.run.converged and zero_free.residual_sup < 1e-14
+    # probes off the range of the linearization are recorded, not raised
+    assert zero_free.run.certificate.identity_defect > 0.1
+    assert readme.fallback_used is False and zero_free.fallback_used is False
+
+
+def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
+    # the k-th GMRES iterate minimizes the defect over a space holding the
+    # k-th Neumann partial sum of the same collar preconditioner
+    captured = []
+    original = annulus._gmres
+
+    def spy(act, precondition, r):
+        captured.append((act, precondition, r))
+        return original(act, precondition, r)
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    solve_annulus(
+        ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(tol=5e-6, certify=False)
+    )
+    act, precondition, r = captured[0]
+    monkeypatch.setattr(annulus, "_GMRES_TOL", 0.0)
+    monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 10 ** 6)
+    x = np.zeros_like(precondition(r))
+    for k in range(1, 9):
+        x = x + precondition(r - act(x))
+        neumann = np.linalg.norm(r - act(x))
+        monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
+        xg, norms = original(act, precondition, r)
+        assert len(norms) == k + 1
+        assert np.linalg.norm(r - act(xg)) <= neumann * (1.0 + 1e-8)
+
+
+def test_gmres_drops_a_stalled_stretch(monkeypatch):
+    # at the grid's truncation floor a stalled GMRES stretch lowers the
+    # defect by a few percent only by growing the step along near-kernel
+    # directions (on the README case's last step from 1e-9 to 6e-3); the
+    # returned steps stay of the size of the residual
+    calls = []
+    original = annulus._gmres
+
+    def spy(act, precondition, r):
+        x, norms = original(act, precondition, r)
+        calls.append((r, x))
+        return x, norms
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    opts = AnnulusSolveOptions(grid_n=512, tol=1e-9, certify=False)
+    solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, opts)
+    for r, x in calls:
+        step = max(np.max(np.abs(t)) for t in laurent_traces(BoundaryGrid(512), 0.4, x))
+        assert step <= 100.0 * np.max(np.abs(r))
+
+
+def test_right_inverse_accepts_defects_below_half_the_tolerance():
+    # a probe off the range of the zero-free linearization cannot be
+    # inverted; scaled below tol / 2 it needs no inversion and is accepted
+    opts = AnnulusSolveOptions(grid_n=64, tol=1e-2)
+    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(
+        builtin_circle_family(1.0), builtin_circle_family(Q ** 8), (8, -8), Q, opts
+    )
+    problem = annulus._annulus_problem(fam0t, fam1t, Q, BoundaryGrid(64), opts.tol)
+    r = problem.residual_sampler(np.random.default_rng(1))
+    with pytest.raises(NeumannDiverges):
+        problem.right_inverse(h0)(r)
+    small = 1e-3 * r / np.max(np.abs(r))
+    x = problem.right_inverse(h0)(small)
+    assert np.max(np.abs(small - problem.derivative_action(h0, x))) <= 0.5 * opts.tol
+
+
+@given(
+    case=st.sampled_from(
+        [((8, -8), 0.5 ** 8), ((6, -6), 0.5 ** 6), ((6, 4), 1.0), ((4, 6), 1.0), ((5, 7), 0.7)]
+    ),
+    wobble=st.lists(st.floats(min_value=-0.05, max_value=0.05), min_size=4, max_size=4),
+    probe_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 16)),
+)
+@settings(max_examples=25, deadline=None)
+def test_right_inverse_meets_bound_or_raises(case, wobble, probe_seed):
+    # zero-free (m = 0) and mixed windings, on the Newton residual at the
+    # glued iterate or on a random band-limited probe: every application
+    # either meets the forcing bound or raises, never returns a worse step
+    windings, r1 = case
+    opts = AnnulusSolveOptions(grid_n=64)
+    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(
+        scaled_circle(1.0, [0.0, wobble[0], wobble[1]]),
+        scaled_circle(r1, [0.0, wobble[2], wobble[3]]),
+        windings,
+        Q,
+        opts,
+    )
+    problem = annulus._annulus_problem(fam0t, fam1t, Q, BoundaryGrid(64), opts.tol)
+    if probe_seed is None:
+        r = problem.residual(h0)
+    else:
+        r = problem.residual_sampler(np.random.default_rng(probe_seed))
+    scale = np.max(np.abs(r))
+    bound = max(0.1 * scale, 0.5 * opts.tol)
+    try:
+        x = problem.right_inverse(h0)(r)
+    except NeumannDiverges as exc:
+        assert exc.defect * scale > bound
+        assert 1 <= exc.iterations <= 20
+    else:
+        assert np.max(np.abs(r - problem.derivative_action(h0, x))) <= bound
+
+
+def test_zero_free_data_off_integer_flux_raises():
+    # circles of radius 1 and q^7.5 have flux 7.5: no zero-free solution with
+    # windings (8, -8) exists, and the first Newton step says so
+    with pytest.raises(NeumannDiverges) as info:
+        solve_annulus(builtin_circle_family(1.0), builtin_circle_family(0.5 ** 7.5), (8, -8), 0.5)
+    assert info.value.defect > 0.1
+    assert info.value.iterations >= 1
 
 
 # --------------------------------------------------------------------------

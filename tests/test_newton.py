@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve.errors import NoConvergence, SamplingFailed
+from rhsolve.errors import NeumannDiverges, NoConvergence, SamplingFailed
 from rhsolve.newton import (
     CertifyOptions,
     IterateOptions,
@@ -173,6 +173,24 @@ def test_sampling_failure_on_degenerate_norm():
     )
     with pytest.raises(SamplingFailed):
         certify(prob, 1.01)
+
+
+def test_certify_records_probes_the_inverse_cannot_reach():
+    # the right inverse reaches only positive residuals: the others count
+    # against the identity check and do not enter omega1
+    def right_inverse(x):
+        def apply(r):
+            if r < 0.0:
+                raise NeumannDiverges("off the range", defect=0.75, iterations=3)
+            return r / (2.0 * x)
+
+        return apply
+
+    prob = dataclasses.replace(quadratic_problem(), right_inverse=right_inverse)
+    cert = certify(prob, 1.01)
+    npt.assert_allclose(cert.omega1, certify(quadratic_problem(), 1.01).omega1, rtol=1e-12)
+    assert cert.identity_defect == 0.75
+    assert not cert.certified
 
 
 def test_certify_norm_overrides():
