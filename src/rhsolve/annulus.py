@@ -31,7 +31,7 @@ from .boundary import (
 )
 from .curves import CurveFamily, eta_decompose, monomial_transform
 from .disc import DiscSolveOptions, right_inverse_apply, solve_disc
-from .domains import Annulus, locate_zeros
+from .domains import Annulus, laurent_derivative, laurent_evaluate, laurent_from_traces, locate_zeros
 from .errors import (
     ConfigError,
     GlueTooCoarse,
@@ -48,8 +48,6 @@ from .newton import (
     iterate,
 )
 from .pompeiu import RadialCutoff, radial_quadrature
-
-_polyval = np.polynomial.polynomial.polyval
 
 # collar GMRES: iteration budget, relative 2-norm tolerance, and the stall
 # rule (stop once the 2-norm defect fell by less than the ratio over the
@@ -118,24 +116,6 @@ def laurent_modes(n: int) -> np.ndarray:
     return np.arange(-k, k + 1)
 
 
-def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarray:
-    """Coefficients of the holomorphic function with the given traces.
-
-    Nonnegative modes are read off the outer circle, negative modes off
-    the inner one (where they are O(1) rather than O(q^|k|)); this keeps
-    the roundoff of every coefficient at its own scale.
-    """
-    n = grid.n
-    k = n // 2 - 1
-    f0 = np.fft.fft(np.asarray(outer, dtype=complex)) / n
-    f1 = np.fft.fft(np.asarray(inner, dtype=complex)) / n
-    c = np.zeros(2 * k + 1, dtype=complex)
-    c[k:] = f0[: k + 1]
-    neg = np.arange(-k, 0)
-    c[:k] = f1[neg % n] * q ** (-neg.astype(float))
-    return c
-
-
 def laurent_traces(grid: BoundaryGrid, q: float, coeffs):
     """Boundary values on |z| = 1 and |z| = q."""
     n = grid.n
@@ -155,32 +135,6 @@ def laurent_traces(grid: BoundaryGrid, q: float, coeffs):
     outer = np.fft.ifft(buf0) * n
     inner = np.fft.ifft(buf1) * n
     return outer, inner
-
-
-def laurent_evaluate(coeffs, z) -> np.ndarray:
-    """Evaluate the Laurent series at points of the annulus."""
-    c = np.asarray(coeffs, dtype=complex)
-    k = (len(c) - 1) // 2
-    z = np.asarray(z, dtype=complex)
-    out = _polyval(z, c[k:])
-    if k:
-        inv = 1.0 / z
-        out = out + inv * _polyval(inv, c[:k][::-1])
-    return out
-
-
-def laurent_derivative(coeffs, z) -> np.ndarray:
-    """Evaluate the derivative of the Laurent series."""
-    c = np.asarray(coeffs, dtype=complex)
-    k = (len(c) - 1) // 2
-    z = np.asarray(z, dtype=complex)
-    pos = c[k + 1 :] * np.arange(1, k + 1)
-    out = _polyval(z, pos)
-    if k:
-        inv = 1.0 / z
-        neg = c[:k][::-1] * -np.arange(1, k + 1)
-        out = out + inv * inv * _polyval(inv, neg)
-    return out
 
 
 def _shift_modes(coeffs: np.ndarray, sigma: int) -> np.ndarray:
@@ -336,20 +290,25 @@ def _glue_coefficients(
         a[0] = shared
         b[0] = 0.0
 
+    k = np.arange(kmax + 1)
     coeffs = np.zeros(2 * kmax + 1, dtype=complex)
     coeffs[kmax:] = a
-    j = np.arange(1, kmax + 1)
-    coeffs[:kmax] = (b[1:] * q ** j.astype(float))[::-1]
+    coeffs[:kmax] = (b[1:] * q ** k[1:].astype(float))[::-1]
 
     t0, t1 = laurent_traces(grid, q, coeffs)
     theta = grid.theta
     pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1))
 
     # diagnostic only: no stage consumes the blend's dbar defect, which the
-    # Laurent projection of the collar right inverse cancels
+    # Laurent projection of the collar right inverse cancels. On the band
+    # circle |z| = s the difference a(z) - b(q/z) of the pieces has mode k
+    # a_k s^k and mode -k -b_k (q/s)^k: one inverse FFT per circle
     s, _ = radial_quadrature(band.s_inner, band.s_outer)
+    spectra = np.zeros((len(s), n), dtype=complex)
+    spectra[:, k] = a * s[:, None] ** k
+    spectra[:, -k % n] -= b * (q / s[:, None]) ** k
     zb = s[:, None] * np.exp(1j * theta)[None, :]
-    defect = band.chi_outer.dbar(zb) * (_polyval(zb, a) - _polyval(q / zb, b))
+    defect = band.chi_outer.dbar(zb) * np.fft.ifft(spectra, axis=1) * n
     collar = float(np.max(np.abs(defect)))
 
     report = GlueReport(
@@ -638,9 +597,7 @@ def solve_annulus(
     residual_by_boundary = _boundary_residuals(
         outer_family, inner_family, grid.theta, t0, t1
     )
-    zeros = ()
-    if sum(windings) > 0:
-        zeros = tuple(locate_zeros((tr0, tr1), Annulus(q)))
+    zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if sum(windings) > 0 else ()
     return AnnulusSolution(
         grid=grid,
         q=q,
@@ -813,9 +770,7 @@ def solve_annulus_radial(
         float(np.max(np.abs(np.abs(f1) - r1))),
     )
     residual_by_boundary = _boundary_residuals(outer_family, inner_family, theta, f0, f1)
-    zeros = ()
-    if zero is not None:
-        zeros = tuple(locate_zeros((tr0, tr1), Annulus(q)))
+    zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if zero is not None else ()
     return RadialSolution(
         grid=grid,
         q=q,

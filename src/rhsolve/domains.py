@@ -1,12 +1,14 @@
-"""Interior evaluation and zero location from boundary traces.
+"""Laurent series, zero location and interior evaluation from boundary traces.
 
 A holomorphic function on the unit disc, or on the annulus q < |z| < 1, is
 represented by its boundary traces sampled counterclockwise at radius *
-exp(i theta_j). cauchy_extend evaluates the function (or its derivative) at
-interior points by the discretized Cauchy integral; the quadrature error
-decays like dist(point, boundary)^N, so a margin precondition keeps requests
-away from the boundary. locate_zeros finds all interior zeros with
-multiplicities by certified contour counting on a shrinking cell tree.
+exp(i theta_j); laurent_from_traces reads off its Laurent coefficients.
+locate_zeros finds all interior zeros with multiplicities from the
+argument-principle moments of the traces (Kravanja and Van Barel 2000;
+Austin, Kravanja and Trefethen 2014) and certifies each by a winding count.
+cauchy_extend, the discretized Cauchy integral, is the reference quadrature
+the Laurent evaluation is tested against; its error decays like
+dist(point, boundary)^N, so a margin precondition guards the boundary.
 """
 
 from __future__ import annotations
@@ -15,8 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _TWO_PI, BoundaryTrace, winding_number
-from .errors import CountMismatch, PointTooCloseToBoundary
+from .boundary import (
+    _TWO_PI,
+    BoundaryGrid,
+    BoundaryTrace,
+    _same_grid,
+    spectral_derivative,
+    winding_number,
+)
+from .errors import CountMismatch, PointTooCloseToBoundary, UnresolvedPhase, ZeroOnBoundary
+
+_polyval = np.polynomial.polynomial.polyval
 
 
 @dataclass(frozen=True)
@@ -85,21 +96,70 @@ def cauchy_extend(traces, domain, points, *, margin=None, derivative=False):
 
 
 # --------------------------------------------------------------------------
+# Laurent series
+# --------------------------------------------------------------------------
+
+
+def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarray:
+    """Coefficients of the holomorphic function with the given traces.
+
+    Nonnegative modes are read off the outer circle, negative modes off
+    the inner one (where they are O(1) rather than O(q^|k|)); this keeps
+    the roundoff of every coefficient at its own scale.
+    """
+    n = grid.n
+    k = n // 2 - 1
+    f0 = np.fft.fft(np.asarray(outer, dtype=complex)) / n
+    f1 = np.fft.fft(np.asarray(inner, dtype=complex)) / n
+    c = np.zeros(2 * k + 1, dtype=complex)
+    c[k:] = f0[: k + 1]
+    neg = np.arange(-k, 0)
+    c[:k] = f1[neg % n] * q ** (-neg.astype(float))
+    return c
+
+
+def laurent_evaluate(coeffs, z) -> np.ndarray:
+    """Evaluate the Laurent series with modes -K..K at the points z.
+
+    A series without negative modes is a Taylor series and is defined at
+    z = 0 as well.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    k = (len(c) - 1) // 2
+    z = np.asarray(z, dtype=complex)
+    out = _polyval(z, c[k:])
+    if np.any(c[:k]):
+        inv = 1.0 / z
+        out = out + inv * _polyval(inv, c[:k][::-1])
+    return out
+
+
+def laurent_derivative(coeffs, z) -> np.ndarray:
+    """Evaluate the derivative of the Laurent series (at z = 0 too for a Taylor series)."""
+    c = np.asarray(coeffs, dtype=complex)
+    k = (len(c) - 1) // 2
+    z = np.asarray(z, dtype=complex)
+    pos = c[k + 1 :] * np.arange(1, k + 1)
+    out = _polyval(z, pos)
+    if np.any(c[:k]):
+        inv = 1.0 / z
+        neg = c[:k][::-1] * -np.arange(1, k + 1)
+        out = out + inv * inv * _polyval(inv, neg)
+    return out
+
+
+# --------------------------------------------------------------------------
 # zero location
 # --------------------------------------------------------------------------
 
 
-# zero search: contour sampling starts at _CONTOUR_POINTS and doubles until two
-# counts agree; cells below _POLISH_DIAMETER are polished by Newton and accepted
-# with residual below _POLISH_TOL * scale; _MIN_CELL is the subdivision floor
-_SEED = 0
-_CONTOUR_POINTS = 24
-_MAX_CONTOUR_POINTS = 768
-_POLISH_DIAMETER = 0.05
-_MIN_CELL = 1e-6
-_JITTER_RETRIES = 8
-_MARGIN_RETRIES = 3
-_POLISH_TOL = 1e-8
+# diagonal entries of the Hankel QR factor below _RANK_TOL times the first
+# end the numerical rank (the number of distinct zeros); Newton polish takes at
+# most _POLISH_STEPS steps; each multiplicity is certified by the winding
+# on a _CIRCLE_POINTS-point circle around its zero
+_RANK_TOL = 1e-11
+_POLISH_STEPS = 50
+_CIRCLE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -109,246 +169,110 @@ class LocatedZero:
     residual: float
 
 
-def _arc(radius, t0, t1, m):
-    t = t0 + (t1 - t0) * np.arange(m) / m
-    return radius * np.exp(1j * t)
+def _moments(traces, domain, count) -> np.ndarray:
+    """s_k = (1/2 pi i) * contour integral of z^k f'/f dz, k < count.
 
-
-def _segment(a, b, m):
-    return a + (b - a) * np.arange(m) / m
-
-
-class _DiskCell:
-    """Disk |z| <= r centered at the origin."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def loops(self, m):
-        return [_arc(self.r, 0.0, _TWO_PI, m)]
-
-    def split(self, rng, jitter):
-        s = rng.uniform(0.35, 0.65) if jitter else 0.5
-        return [_DiskCell(s * self.r), _RingCell(np.log(s * self.r), np.log(self.r))]
-
-    def diameter(self):
-        return 2.0 * self.r
-
-    def center(self):
-        return 0.0 + 0.0j
-
-    def contains(self, z, slack):
-        return abs(z) <= self.r * (1.0 + slack)
-
-
-class _RingCell:
-    """Ring exp(lr0) <= |z| <= exp(lr1)."""
-
-    def __init__(self, lr0, lr1):
-        self.lr0, self.lr1 = lr0, lr1
-
-    def loops(self, m):
-        # outer counterclockwise, inner clockwise: together they bound the ring
-        return [_arc(np.exp(self.lr1), 0.0, _TWO_PI, m), _arc(np.exp(self.lr0), _TWO_PI, 0.0, m)]
-
-    def split(self, rng, jitter):
-        t = rng.uniform(0.0, _TWO_PI)
-        return [
-            _BoxCell(self.lr0, self.lr1, t, t + np.pi),
-            _BoxCell(self.lr0, self.lr1, t + np.pi, t + _TWO_PI),
-        ]
-
-    def diameter(self):
-        return 2.0 * np.exp(self.lr1)
-
-    def center(self):
-        return np.exp(0.5 * (self.lr0 + self.lr1))
-
-    def contains(self, z, slack):
-        if z == 0:
-            return False
-        pad = slack * (self.lr1 - self.lr0)
-        return self.lr0 - pad <= np.log(abs(z)) <= self.lr1 + pad
-
-
-class _BoxCell:
-    """Annular box in (log r, theta): [lr0, lr1] x [t0, t1]."""
-
-    def __init__(self, lr0, lr1, t0, t1):
-        self.lr0, self.lr1, self.t0, self.t1 = lr0, lr1, t0, t1
-
-    def loops(self, m):
-        r0, r1 = np.exp(self.lr0), np.exp(self.lr1)
-        dt = self.t1 - self.t0
-        lengths = np.array([r1 * dt, r1 - r0, r0 * dt, r1 - r0])
-        ks = np.maximum((m * lengths / lengths.sum()).astype(int), 4)
-        e0, e1 = np.exp(1j * self.t0), np.exp(1j * self.t1)
-        loop = np.concatenate(
-            [
-                _arc(r1, self.t0, self.t1, ks[0]),
-                _segment(r1 * e1, r0 * e1, ks[1]),
-                _arc(r0, self.t1, self.t0, ks[2]),
-                _segment(r0 * e0, r1 * e0, ks[3]),
-            ]
-        )
-        return [loop]
-
-    def split(self, rng, jitter):
-        s = rng.uniform(0.35, 0.65) if jitter else 0.5
-        if self.t1 - self.t0 >= self.lr1 - self.lr0:
-            tm = self.t0 + s * (self.t1 - self.t0)
-            return [
-                _BoxCell(self.lr0, self.lr1, self.t0, tm),
-                _BoxCell(self.lr0, self.lr1, tm, self.t1),
-            ]
-        lm = self.lr0 + s * (self.lr1 - self.lr0)
-        return [_BoxCell(self.lr0, lm, self.t0, self.t1), _BoxCell(lm, self.lr1, self.t0, self.t1)]
-
-    def diameter(self):
-        return np.exp(self.lr1) * float(np.hypot(self.lr1 - self.lr0, self.t1 - self.t0))
-
-    def center(self):
-        return np.exp(0.5 * (self.lr0 + self.lr1) + 0.5j * (self.t0 + self.t1))
-
-    def contains(self, z, slack):
-        if z == 0:
-            return False
-        dlr, dt = self.lr1 - self.lr0, self.t1 - self.t0
-        if not self.lr0 - slack * dlr <= np.log(abs(z)) <= self.lr1 + slack * dlr:
-            return False
-        a = (np.angle(z) - self.t0 + slack * dt) % _TWO_PI
-        return a <= dt * (1.0 + 2.0 * slack)
-
-
-def _loop_winding(cell, m, evalf, floor):
-    """Winding of f along the cell boundary sampled at ~m points, or None."""
-    total = 0
-    for loop in cell.loops(m):
-        vals = evalf(loop)
-        if np.min(np.abs(vals)) <= floor:
-            return None
-        steps = np.angle(np.roll(vals, -1) / vals)
-        if np.max(np.abs(steps)) >= 0.8 * np.pi:
-            return None
-        t = float(np.sum(steps)) / _TWO_PI
-        w = int(np.round(t))
-        if abs(t - w) >= 0.1:
-            return None
-        total += w
-    return total
-
-
-def _count_in_cell(cell, evalf, floor):
-    """Zeros enclosed by the cell boundary, or None when the contour cannot
-    certify the count (near-zero on the cut or unresolved phase).
-
-    Small phase steps only certify the sampled polyline, which can lose a
-    full turn between samples, so a count is accepted only when it agrees
-    with the count at twice the sampling density.
+    On the circle z = R exp(i theta), f' dz = (df/dtheta) dtheta, so s_k is
+    R^k / i times mode -k of f_theta / f, which one inverse FFT yields; the
+    inner circle enters with a minus sign.
     """
-    m = _CONTOUR_POINTS
-    prev = _loop_winding(cell, m, evalf, floor)
-    while 2 * m <= _MAX_CONTOUR_POINTS:
-        m *= 2
-        cur = _loop_winding(cell, m, evalf, floor)
-        if cur is not None and cur == prev:
-            return cur
-        prev = cur
-    return None
+    k = np.arange(count)
+    s = np.zeros(count, dtype=complex)
+    for sign, radius, trace in zip((1.0, -1.0), _boundary_radii(domain), traces):
+        log_derivative = spectral_derivative(trace).values / trace.values
+        s += sign * -1j * radius ** k * np.fft.ifft(log_derivative)[:count]
+    return s
 
 
-def _polish(cell, mult, evalf, evald, scale):
-    diam = max(cell.diameter(), _MIN_CELL)
-    z = cell.center()
-    try:
-        for _ in range(60):
-            fz = evalf(np.array([z]))[0]
-            if abs(fz) < 1e-15 * scale:
+def _hankel_zeros(s, p):
+    """Distinct zeros and multiplicities from the moments s_0..s_{2p-1}.
+
+    H = [s_{i+j}] is V^T D V (V Vandermonde in the r distinct zeros, D their
+    multiplicities), so its first r columns span its range and an unpivoted
+    QR reveals r. The zeros are the eigenvalues of the pencil (H_>, H),
+    H_> = [s_{i+j+1}], on those columns; sum_j m_j z_j^k = s_k, k < r, gives
+    the multiplicities.
+    """
+    idx = np.add.outer(np.arange(p), np.arange(p))
+    basis, tri = np.linalg.qr(s[idx])
+    diag = np.abs(np.diag(tri))
+    small = diag <= _RANK_TOL * diag[0]
+    r = int(np.argmax(small)) if small.any() else p
+    reduced = basis[:, :r].conj().T @ s[idx[:, :r] + 1]
+    nodes = np.linalg.eigvals(np.linalg.solve(tri[:r, :r], reduced))
+    vandermonde = nodes[None, :] ** np.arange(r)[:, None]
+    mult = np.rint(np.linalg.solve(vandermonde, s[:r]).real).astype(int)
+    return nodes, mult
+
+
+def _polish(coeffs, z, mult):
+    """Newton steps z <- z - m f/f' on the Laurent series, all zeros at once.
+
+    A zero keeps a step only while |f| decreases: at the roundoff floor, and
+    around a multiple zero where f is flat, further steps only wander.
+    """
+    fz = laurent_evaluate(coeffs, z)
+    moving = fz != 0
+    with np.errstate(all="ignore"):
+        for _ in range(_POLISH_STEPS):
+            trial = z - mult * fz / laurent_derivative(coeffs, z)
+            f_trial = laurent_evaluate(coeffs, trial)
+            moving &= np.abs(f_trial) < np.abs(fz)
+            if not moving.any():
                 break
-            dfz = evald(np.array([z]))[0]
-            if dfz == 0:
-                return None
-            step = mult * fz / dfz
-            if abs(step) > diam:
-                step *= diam / abs(step)
-            z = z - step
-            if abs(step) < 1e-15 * max(1.0, abs(z)):
-                break
-        residual = abs(evalf(np.array([z]))[0])
-    except PointTooCloseToBoundary:
-        return None
-    if residual < _POLISH_TOL * scale and cell.contains(z, 0.75):
-        return LocatedZero(position=complex(z), multiplicity=mult, residual=float(residual))
-    return None
+            z = np.where(moving, trial, z)
+            fz = np.where(moving, f_trial, fz)
+    return z, np.abs(fz)
 
 
 def locate_zeros(traces, domain):
     """Find all zeros of the holomorphic extension, with multiplicities.
 
-    The expected total comes from the boundary winding numbers; the search
-    then splits the domain into cells whose contour counts always sum to that
-    total, so the result is certified against the boundary data. Raises
-    CountMismatch when counts cannot be reconciled.
+    The expected total p comes from the boundary winding numbers. The zeros
+    are the eigenvalues of the Hankel pencil of the boundary moments of
+    f'/f, polished by Newton's method on the Laurent series; a winding
+    count on a small circle around each zero, inside the domain and apart
+    from the other zeros, must confirm its multiplicity, and the
+    multiplicities must sum to p. Raises CountMismatch otherwise.
     """
     traces = _trace_tuple(traces, domain)
-    rng = np.random.default_rng(_SEED)
-
-    expected = winding_number(traces[0])
-    if isinstance(domain, Annulus):
-        expected -= winding_number(traces[1])
-    if expected < 0:
-        raise CountMismatch(f"boundary windings predict {expected} zeros")
+    grid = _same_grid(*traces)
+    expected = sum(sign * winding_number(t) for sign, t in zip((1, -1), traces))
+    if not 0 <= 2 * expected <= grid.n:
+        raise CountMismatch(f"boundary windings predict {expected} zeros on a {grid.n}-point grid")
     if expected == 0:
         return []
 
-    scale = max(t.sup() for t in traces)
-    floor = 1e-13 * scale
-    base_margin = _TWO_PI / min(t.grid.n for t in traces)
-
-    root = None
-    for attempt in range(_MARGIN_RETRIES):
-        margin = base_margin / 2.0**attempt
-        eval_margin = 0.5 * margin
-
-        def evalf(pts, m=eval_margin):
-            return cauchy_extend(traces, domain, pts, margin=m)
-
-        def evald(pts, m=eval_margin):
-            return cauchy_extend(traces, domain, pts, margin=m, derivative=True)
-
-        if isinstance(domain, Disc):
-            candidate = _DiskCell(1.0 - margin)
-        else:
-            candidate = _RingCell(np.log(domain.q + margin), np.log(1.0 - margin))
-        if _count_in_cell(candidate, evalf, floor) == expected:
-            root = candidate
-            break
-    if root is None:
+    nodes, mult = _hankel_zeros(_moments(traces, domain, 2 * expected), expected)
+    if np.any(mult < 1) or mult.sum() != expected:
         raise CountMismatch(
-            f"interior contour count does not reach the boundary count {expected}"
+            f"moment multiplicities {mult.tolist()} do not sum to the boundary count {expected}"
         )
+    if isinstance(domain, Annulus):
+        coeffs = laurent_from_traces(grid, domain.q, traces[0].values, traces[1].values)
+    else:
+        # the Taylor half only: unlike the full series it is defined at 0
+        coeffs = laurent_from_traces(grid, 1.0, traces[0].values, np.zeros(grid.n))
+    z, residuals = _polish(coeffs, nodes, mult)
 
+    # disjoint circles inside the domain: half the distance to the nearest
+    # other zero and to the boundary
+    r = np.abs(z)
+    room = 1.0 - r if isinstance(domain, Disc) else np.minimum(1.0 - r, r - domain.q)
+    gaps = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(z), np.inf))
+    radii = 0.5 * np.minimum(room, gaps.min(axis=1))
+    if not np.all(radii > 0.0):
+        raise CountMismatch("polished zeros left the domain or merged")
+
+    circle = BoundaryGrid(_CIRCLE_POINTS)
     zeros = []
-    stack = [(root, expected)]
-    while stack:
-        cell, count = stack.pop()
-        if cell.diameter() <= _POLISH_DIAMETER:
-            hit = _polish(cell, count, evalf, evald, scale)
-            if hit is not None:
-                zeros.append(hit)
-                continue
-            if cell.diameter() <= _MIN_CELL:
-                raise CountMismatch("zero cluster failed to polish at the cell-size floor")
-        for attempt in range(_JITTER_RETRIES):
-            children = cell.split(rng, jitter=attempt > 0)
-            counts = [_count_in_cell(ch, evalf, floor) for ch in children]
-            if None not in counts and sum(counts) == count:
-                stack.extend((ch, c) for ch, c in zip(children, counts) if c > 0)
-                break
-        else:
-            raise CountMismatch("subdivision could not separate zeros cleanly")
-
-    total = sum(z.multiplicity for z in zeros)
-    if total != expected:
-        raise CountMismatch(f"located {total} zeros, boundary predicts {expected}")
+    for zj, mj, rj, res in zip(z, mult, radii, residuals):
+        values = laurent_evaluate(coeffs, zj + rj * np.exp(1j * circle.theta))
+        try:
+            counted = winding_number(BoundaryTrace(circle, values))
+        except (ZeroOnBoundary, UnresolvedPhase) as exc:
+            raise CountMismatch(f"cannot count the zeros near {zj:.6g}: {exc}") from exc
+        if counted != mj:
+            raise CountMismatch(f"{counted} zeros near {zj:.6g}, the moments predict {mj}")
+        zeros.append(LocatedZero(position=complex(zj), multiplicity=int(mj), residual=float(res)))
     return sorted(zeros, key=lambda z: (round(abs(z.position), 9), np.angle(z.position)))

@@ -176,6 +176,17 @@ def test_surjectivity_targets_realized():
     assert cases[5].realized == pytest.approx(0.5, abs=1e-8)
 
 
+def test_surjectivity_zero_near_a_boundary_circle():
+    # targets near 0 and 1 put the zero near the outer and the inner circle,
+    # inside the 2 pi / N margin a Cauchy quadrature would need
+    cases = surjectivity_demo([0.02, 0.93, 0.97], 0.5, grid_n=256)
+    assert [c.zero_count for c in cases] == [1, 1, 1]
+    assert cases[1].deviation < 1e-6
+    (fine,) = surjectivity_demo([0.97], 0.5, grid_n=1024)
+    assert fine.zero_count == 1
+    assert fine.deviation < 1e-6
+
+
 def test_surjectivity_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         surjectivity_demo([0.2], 1.2)

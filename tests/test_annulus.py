@@ -36,7 +36,7 @@ from rhsolve.errors import (
     NeumannDiverges,
     NotRadialFamily,
 )
-from rhsolve.pompeiu import AreaCharge
+from rhsolve.pompeiu import AreaCharge, radial_quadrature
 from rhsolve.trig import TrigPolynomial
 
 Q = 0.5
@@ -195,6 +195,31 @@ def test_glue_area_correction_small_on_boundary_circles():
         assert np.max(np.abs(laurent_from_traces(grid, Q, u0, u1))) <= 1e-14 * sup
         if n == 20:
             assert sup < 1e-5
+
+
+def test_glue_dbar_norm_matches_band_point_evaluation(monkeypatch):
+    # the diagnostic sums each band circle by one inverse FFT; the reference
+    # evaluates both collar pieces at every band point
+    solved = []
+    original = annulus.solve_disc
+
+    def spy(*args, **kwargs):
+        solved.append(original(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(annulus, "solve_disc", spy)
+    q, n = 0.4, 512
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    _, report, _ = annulus._glue_coefficients(
+        ell, builtin_circle_family(0.3), (6, 6), q, AnnulusSolveOptions(grid_n=n)
+    )
+    a, b = (np.fft.fft(sol.f_trace.values)[: n // 2] / n for sol in solved)
+    band = make_collar_band(q)
+    s, _ = radial_quadrature(band.s_inner, band.s_outer)
+    zb = s[:, None] * np.exp(1j * BoundaryGrid(n).theta)[None, :]
+    polyval = np.polynomial.polynomial.polyval
+    defect = band.chi_outer.dbar(zb) * (polyval(zb, a) - polyval(q / zb, b))
+    assert report.dbar_norm == pytest.approx(np.max(np.abs(defect)), rel=1e-12)
 
 
 def test_glue_rejects_coarse_windings():

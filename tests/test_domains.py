@@ -112,13 +112,21 @@ def test_locate_no_zeros():
 
 
 def test_locate_annulus_zeros():
-    q = 0.25
-    a, b = 0.5j, -0.7
-    fn = lambda z: (z - a) * (z - b) / z
-    found = locate_zeros(annulus_traces(256, q, fn), Annulus(q))
-    assert [z.multiplicity for z in found] == [1, 1]
-    got = sorted((z.position for z in found), key=lambda w: (w.real, w.imag))
-    npt.assert_allclose(got, sorted([a, b], key=lambda w: (w.real, w.imag)), atol=1e-9)
+    # (q, zeros with multiplicities, position tolerance): two simple zeros;
+    # one zero inside the 2 pi / N margin of the outer circle; a double zero,
+    # whose position is conditioned like the square root of roundoff
+    inputs = [
+        (0.25, {0.5j: 1, -0.7: 1}, 1e-9),
+        (0.5, {0.99 * np.exp(0.3j): 1, -0.6 + 0.2j: 1}, 1e-9),
+        (0.25, {0.45 - 0.3j: 2, 0.8j: 1}, 1e-7),
+    ]
+    for q, roots, atol in inputs:
+        fn = lambda z: np.prod([(z - a) ** m for a, m in roots.items()], axis=0) / z
+        found = locate_zeros(annulus_traces(256, q, fn), Annulus(q))
+        assert len(found) == len(roots)
+        for a, m in roots.items():
+            (hit,) = [z for z in found if abs(z.position - a) < atol]
+            assert hit.multiplicity == m
 
 
 def test_locate_annulus_no_zero_pure_power():
@@ -141,3 +149,13 @@ def test_count_mismatch_on_hidden_pole():
     t = disc_trace(64, lambda z: 1.0 / z)
     with pytest.raises(CountMismatch):
         locate_zeros(t, Disc())
+
+
+def test_count_mismatch_when_grid_too_coarse_for_the_moments():
+    # 40 zeros need moments s_0..s_79, which a 64-point grid aliases; a
+    # 128-point grid resolves them
+    fn = lambda z: z**20 + 0.01 * z**-20
+    with pytest.raises(CountMismatch, match="64-point grid"):
+        locate_zeros(annulus_traces(64, 0.5, fn), Annulus(0.5))
+    found = locate_zeros(annulus_traces(128, 0.5, fn), Annulus(0.5))
+    npt.assert_allclose([abs(z.position) for z in found], [0.01 ** (1 / 40)] * 40, atol=1e-10)
