@@ -14,6 +14,10 @@ transform has no mode the projection keeps). Right-preconditioned GMRES,
 with this collar inverse as the preconditioner, absorbs the remaining
 coupling. A step is accepted by an inexact-Newton forcing test; a residual
 it cannot invert raises NeumannDiverges (there is no dense fallback).
+The GMRES runs a stack of residuals in lockstep, one Krylov recurrence per
+row and one collar inverse and linearization application per iteration for
+the whole stack; the certificate's probes share it, and a Newton step is
+its one-row case.
 """
 
 from dataclasses import dataclass
@@ -117,21 +121,23 @@ def laurent_modes(n: int) -> np.ndarray:
 
 
 def laurent_traces(grid: BoundaryGrid, q: float, coeffs):
-    """Boundary values on |z| = 1 and |z| = q."""
+    """Boundary values on |z| = 1 and |z| = q (for stacked coefficients, per row)."""
     n = grid.n
     k = n // 2 - 1
     modes = laurent_modes(n)
-    buf0 = np.zeros(n, dtype=complex)
-    buf0[modes % n] = coeffs
-    buf1 = np.zeros(n, dtype=complex)
+    coeffs = np.asarray(coeffs)
+    shape = coeffs.shape[:-1] + (n,)
+    buf0 = np.zeros(shape, dtype=complex)
+    buf0[..., modes % n] = coeffs
+    buf1 = np.zeros(shape, dtype=complex)
     if -k * np.log(q) < _LOG_POWER_MAX:
-        buf1[modes % n] = coeffs * q ** modes.astype(float)
+        buf1[..., modes % n] = coeffs * q ** modes.astype(float)
     else:
         # q^-k overflows on this grid although each product, that mode's
         # coefficient on |z| = q, is of ordinary size: form it from logs
         with np.errstate(divide="ignore"):
             log_c = np.log(np.asarray(coeffs, dtype=complex))
-        buf1[modes % n] = np.exp(log_c + modes * np.log(q))
+        buf1[..., modes % n] = np.exp(log_c + modes * np.log(q))
     outer = np.fft.ifft(buf0) * n
     inner = np.fft.ifft(buf1) * n
     return outer, inner
@@ -150,9 +156,9 @@ def _shift_modes(coeffs: np.ndarray, sigma: int) -> np.ndarray:
 
 
 def _reindex(values: np.ndarray) -> np.ndarray:
-    """Trace of v(1/zeta)-type pullbacks: sample j goes to -j mod n."""
-    n = len(values)
-    return values[(-np.arange(n)) % n]
+    """Trace of v(1/zeta)-type pullbacks: sample j goes to -j mod n (along the last axis)."""
+    n = values.shape[-1]
+    return values[..., (-np.arange(n)) % n]
 
 
 # --------------------------------------------------------------------------
@@ -374,42 +380,64 @@ def _laurent_sampler(grid: BoundaryGrid, q: float):
 def _gmres(act, precondition, r):
     """Right-preconditioned GMRES for act(precondition(y)) = r, in real arithmetic.
 
-    The k-th iterate minimizes the 2-norm defect |r - act(x)| over
+    r is one residual or a stack of residuals along a leading axis. Each row
+    runs its own GMRES, and the rows run in lockstep: an iteration applies
+    precondition and act once, to the stack of the rows still running. The
+    k-th iterate of a row minimizes its 2-norm defect |r - act(x)| over
     x = precondition(y), y in the k-th Krylov space of act o precondition,
     which holds the first k Neumann partial sums (Saad and Schultz 1986).
-    Stops at the iteration budget, at a relative defect of _GMRES_TOL, or
-    once the defect fell by less than _GMRES_STALL_RATIO over the last
-    _GMRES_STALL_WINDOW iterations. Returns the best iterate and the defect
-    2-norms of iterates 0..k. r must be nonzero.
+    A row stops at the iteration budget, at a relative defect of _GMRES_TOL,
+    or once its defect fell by less than _GMRES_STALL_RATIO over its last
+    _GMRES_STALL_WINDOW iterations, and then leaves the stack. Returns the
+    best iterates, one per row, and the defect 2-norms of iterates 0..k: a
+    list for one residual, one list per row for a stack. No row may be zero.
     """
-    beta = float(np.linalg.norm(r))
-    basis = [r / beta]
+    rows = np.atleast_2d(r)
+    beta = np.linalg.norm(rows, axis=1)
+    norms = [[float(b)] for b in beta]
+    steps = [None] * len(rows)
+    running = np.arange(len(rows))  # the row of r behind each running row
+    basis = [rows / beta[:, None]]  # one stack of Krylov vectors per iteration
     images = []
-    hess = np.zeros((_GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
-    norms = [beta]
+    hess = np.zeros((len(rows), _GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
     for k in range(_GMRES_MAX_ITER):
         images.append(precondition(basis[k]))
         w = act(images[k])
         for i, v in enumerate(basis):  # modified Gram-Schmidt
-            hess[i, k] = v @ w
-            w = w - hess[i, k] * v
-        hess[k + 1, k] = np.linalg.norm(w)
+            hess[:, i, k] = np.einsum("pj,pj->p", v, w)
+            w = w - hess[:, i, k, None] * v
+        hess[:, k + 1, k] = np.linalg.norm(w, axis=1)
         # the defect of min |beta e1 - H y| is the part of beta e1 along the
         # last column of the complete Q of H
-        q_full, _ = np.linalg.qr(hess[: k + 2, : k + 1], mode="complete")
-        norms.append(beta * abs(float(q_full[0, k + 1])))
-        window = norms[-1 - _GMRES_STALL_WINDOW :]
-        stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
-        if norms[-1] <= _GMRES_TOL * beta or stalled:
+        q_full, _ = np.linalg.qr(hess[:, : k + 2, : k + 1], mode="complete")
+        done = np.zeros(len(running), dtype=bool)
+        for j, row in enumerate(running):
+            history = norms[row]
+            history.append(float(beta[j] * abs(q_full[j, 0, k + 1])))
+            window = history[-1 - _GMRES_STALL_WINDOW :]
+            stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
+            if not (history[-1] <= _GMRES_TOL * beta[j] or stalled or k + 1 == _GMRES_MAX_ITER):
+                continue
+            # a stalled stretch lowered the defect by less than the stall
+            # ratio; at a grid's truncation floor it does so by growing the
+            # step along near-kernel directions, so the iterate before it is
+            # the better step
+            keep = max(1, k + 1 - _GMRES_STALL_WINDOW) if stalled else k + 1
+            q_red, tri = np.linalg.qr(hess[j, : keep + 1, :keep])
+            y = np.linalg.solve(tri, beta[j] * q_red[0])
+            steps[row] = np.asarray([z[j] for z in images[:keep]]).T @ y
+            done[j] = True
+        if done.all():
             break
-        basis.append(w / hess[k + 1, k])
-    # a stalled stretch lowered the defect by less than the stall ratio; at a
-    # grid's truncation floor it does so by growing the step along
-    # near-kernel directions, so the iterate before it is the better step
-    keep = max(1, len(images) - _GMRES_STALL_WINDOW) if stalled else len(images)
-    q_red, tri = np.linalg.qr(hess[: keep + 1, :keep])
-    y = np.linalg.solve(tri, beta * q_red[0])
-    return np.asarray(images[:keep]).T @ y, norms
+        if done.any():
+            go = ~done
+            basis = [v[go] for v in basis]
+            images = [z[go] for z in images]
+            hess, beta, running, w = hess[go], beta[go], running[go], w[go]
+        basis.append(w / hess[:, k + 1, k, None])
+    if np.ndim(r) == 1:
+        return steps[0], norms[0]
+    return np.asarray(steps), norms
 
 
 def _annulus_problem(
@@ -436,7 +464,8 @@ def _annulus_problem(
             [
                 np.asarray(outer_family.rho(theta, t0), dtype=float) / unit0,
                 np.asarray(inner_family.rho(theta, t1), dtype=float) / unit1,
-            ]
+            ],
+            axis=-1,
         )
 
     def linearization(c):
@@ -447,7 +476,7 @@ def _annulus_problem(
         def act(dc):
             d0, d1 = traces(dc)
             return np.concatenate(
-                [2.0 * (g0 * d0).real / unit0, 2.0 * (g1 * d1).real / unit1]
+                [2.0 * (g0 * d0).real / unit0, 2.0 * (g1 * d1).real / unit1], axis=-1
             )
 
         return act
@@ -462,34 +491,54 @@ def _annulus_problem(
             # per-boundary explicit inverses, multiplied back onto the
             # iterate so each correction carries the iterate's divisor;
             # the explicit inverses work in raw rho units
-            k0 = right_inverse_apply(dec0, r[:n] * unit0)
-            k1t = right_inverse_apply(dec1, _reindex(r[n:] * unit1))
+            k0 = right_inverse_apply(dec0, r[..., :n] * unit0)
+            k1t = right_inverse_apply(dec1, _reindex(r[..., n:] * unit1))
             return laurent_from_traces(grid, q, t0 * k0, t1 * _reindex(k1t))
 
         def apply(r):
-            scale = float(np.max(np.abs(r)))
-            if scale == 0.0:
-                return np.zeros(2 * kmax + 1, dtype=complex)
-            x, norms = _gmres(act, collar_apply, r)
-            defect = float(np.max(np.abs(r - act(x))))
-            bound = max(_FORCING * scale, 0.5 * tol)
-            if defect > bound:
+            r = np.asarray(r, dtype=float)
+            rows = r.reshape(-1, 2 * n)
+            scale = np.max(np.abs(rows), axis=1)
+            live = scale > 0.0
+            steps = np.zeros((len(rows), 2 * kmax + 1), dtype=complex)
+            iterations = np.zeros(len(rows), dtype=int)
+            if live.any():
+                # one residual is the one-row case of the lockstep GMRES
+                x, norms = _gmres(act, collar_apply, r if r.ndim == 1 else rows[live])
+                steps[live] = x
+                iterations[live] = [len(norms) - 1] if r.ndim == 1 else [len(h) - 1 for h in norms]
+            defect = np.max(np.abs(rows - act(steps)), axis=1)
+            bound = np.maximum(_FORCING * scale, 0.5 * tol)
+            missed = defect > bound
+            if r.ndim == 1 and missed[0]:
                 raise NeumannDiverges(
-                    f"collar GMRES left defect {defect:.3e} > {bound:.3e} on a residual "
-                    f"of size {scale:.3e} after {len(norms) - 1} iterations",
-                    defect / scale,
-                    len(norms) - 1,
+                    f"collar GMRES left defect {defect[0]:.3e} > {bound[0]:.3e} on a residual "
+                    f"of size {scale[0]:.3e} after {iterations[0]} iterations",
+                    defect[0] / scale[0],
+                    iterations[0],
                 )
-            return x
+            lead = r.shape[:-1]
+            steps = steps.reshape(lead + (2 * kmax + 1,))
+            if missed.any():
+                relative = np.full(len(rows), np.nan)
+                relative[missed] = defect[missed] / scale[missed]
+                raise NeumannDiverges(
+                    f"collar GMRES left {int(missed.sum())} of {len(rows)} residuals above "
+                    f"the forcing bound, worst relative defect {np.max(relative[missed]):.3e}",
+                    relative.reshape(lead),
+                    iterations.reshape(lead),
+                    steps,
+                )
+            return steps
 
         return apply
 
     def iterate_norm(dc):
         d0, d1 = traces(dc)
-        return max(float(np.max(np.abs(d0))), float(np.max(np.abs(d1))))
+        return np.maximum(np.max(np.abs(d0), axis=-1), np.max(np.abs(d1), axis=-1))
 
     def residual_norm(r):
-        return float(np.max(np.abs(r)))
+        return np.max(np.abs(r), axis=-1)
 
     probe = band_limited_sampler(grid)
 
@@ -502,7 +551,7 @@ def _annulus_problem(
         iterate_sampler=_laurent_sampler(grid, q),
         residual_sampler=lambda rng: np.concatenate([probe(rng), probe(rng)]),
         certify_iterate_norm=lambda dc: holder_iterate_norm(grid, traces(dc)),
-        certify_residual_norm=lambda r: holder_residual_norm(grid, (r[:n], r[n:])),
+        certify_residual_norm=lambda r: holder_residual_norm(grid, (r[..., :n], r[..., n:])),
     )
 
 

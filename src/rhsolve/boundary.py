@@ -14,6 +14,7 @@ samples to zero on this grid and keeping it would make T(u) complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,18 +52,33 @@ class BoundaryGrid:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Samples of a boundary function on a BoundaryGrid (stored complex)."""
+    """Samples of a boundary function on a BoundaryGrid (stored complex).
+
+    The values are read-only, on a copy when the caller's array would be
+    aliased, so the phase increments a trace memoizes for winding_number and
+    unwrapped_phase cannot go stale.
+    """
 
     grid: BoundaryGrid
     values: np.ndarray
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
+        if values is self.values:
+            values = values.copy()
         if values.shape != (self.grid.n,):
             raise ValueError("trace length does not match its grid")
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("trace values must be finite")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @cached_property
+    def _increments(self) -> np.ndarray:
+        """Phase increments at the default zero floor, unwrapped once per trace."""
+        increments = _interval_increments(self, _ZERO_FLOOR)
+        increments.flags.writeable = False
+        return increments
 
     @classmethod
     def from_function(cls, grid: BoundaryGrid, fn) -> "BoundaryTrace":
@@ -125,27 +141,27 @@ def spectral_derivative(trace: BoundaryTrace) -> BoundaryTrace:
     return BoundaryTrace(trace.grid, np.fft.ifft(1j * k * c))
 
 
-def hilbert_transform(trace: BoundaryTrace) -> BoundaryTrace:
-    """Periodic Hilbert transform of a real trace.
+def conjugate_samples(grid: BoundaryGrid, u: np.ndarray) -> np.ndarray:
+    """T(u) for real samples u on the grid, along the last axis of a stack.
 
     Mode k is multiplied by -i sign(k); the mean and the Nyquist mode are
     dropped, so the output is real with zero mean and T(cos k.) = sin k. for
     0 < k < N/2.
     """
-    values = trace.real_values()
-    n = trace.grid.n
-    c = np.fft.fft(values)
-    mult = -1j * np.sign(trace.grid.modes()).astype(complex)
-    mult[n // 2] = 0.0
-    out = np.fft.ifft(c * mult)
-    return BoundaryTrace(trace.grid, out.real.astype(complex))
+    mult = -1j * np.sign(grid.modes()).astype(complex)
+    mult[grid.n // 2] = 0.0
+    return np.fft.ifft(np.fft.fft(u) * mult).real
+
+
+def hilbert_transform(trace: BoundaryTrace) -> BoundaryTrace:
+    """Periodic Hilbert transform of a real trace (conjugate_samples on a trace)."""
+    return BoundaryTrace(trace.grid, conjugate_samples(trace.grid, trace.real_values()).astype(complex))
 
 
 def analytic_completion(trace: BoundaryTrace) -> BoundaryTrace:
     """u + i T(u): the trace of the holomorphic extension with Re = u, Im(0) = 0."""
     u = trace.real_values()
-    t = hilbert_transform(trace).values.real
-    return BoundaryTrace(trace.grid, u + 1j * t)
+    return BoundaryTrace(trace.grid, u + 1j * conjugate_samples(trace.grid, u))
 
 
 # --------------------------------------------------------------------------
@@ -153,6 +169,9 @@ def analytic_completion(trace: BoundaryTrace) -> BoundaryTrace:
 # --------------------------------------------------------------------------
 
 _REFINE = 8
+# modulus floor, relative to the trace's maximum, below which a trace counts
+# as vanishing; the traces memoize their increments at this floor
+_ZERO_FLOOR = 1e-12
 
 
 def _refined_samples(values: np.ndarray, factor: int) -> np.ndarray:
@@ -191,9 +210,13 @@ def _interval_increments(trace: BoundaryTrace, floor: float) -> np.ndarray:
     return increments
 
 
-def winding_number(trace: BoundaryTrace, floor: float = 1e-12) -> int:
+def _increments_at(trace: BoundaryTrace, floor: float) -> np.ndarray:
+    return trace._increments if floor == _ZERO_FLOOR else _interval_increments(trace, floor)
+
+
+def winding_number(trace: BoundaryTrace, floor: float = _ZERO_FLOOR) -> int:
     """Winding of a nonvanishing trace around 0, by certified phase unwrapping."""
-    increments = _interval_increments(trace, floor)
+    increments = _increments_at(trace, floor)
     total = float(np.sum(increments)) / _TWO_PI
     w = int(np.round(total))
     residue = abs(total - w)
@@ -202,13 +225,13 @@ def winding_number(trace: BoundaryTrace, floor: float = 1e-12) -> int:
     return w
 
 
-def unwrapped_phase(trace: BoundaryTrace, floor: float = 1e-12) -> np.ndarray:
+def unwrapped_phase(trace: BoundaryTrace, floor: float = _ZERO_FLOOR) -> np.ndarray:
     """Continuous argument along the trace, anchored in (-pi, pi] at node 0.
 
     Each value is re-snapped to agree with the principal argument modulo 2 pi,
     so exp(i b_j) reproduces values_j / |values_j| to roundoff.
     """
-    increments = _interval_increments(trace, floor)
+    increments = _increments_at(trace, floor)
     b = np.empty(trace.grid.n)
     b[0] = np.angle(trace.values[0])
     b[1:] = b[0] + np.cumsum(increments[:-1])
@@ -283,16 +306,44 @@ def holder_norms(trace: BoundaryTrace, alpha: float = 0.5) -> HolderNormReport:
 _CERTIFY_ALPHA = 0.5
 
 
-def holder_residual_norm(grid: BoundaryGrid, parts) -> float:
-    """Certificate norm of a residual: max of sup + C^alpha over its boundary parts."""
-    reports = [holder_norms(BoundaryTrace(grid, part), _CERTIFY_ALPHA) for part in parts]
-    return max(rep.sup_norm + rep.c_alpha for rep in reports)
+def _stacked_norm(grid: BoundaryGrid, parts, norm):
+    """max over the boundary parts of norm(trace), one value per row of a stack.
+
+    Each part is one trace's samples or a stack of them along the last axis;
+    a single trace per part gives a float.
+    """
+    parts = [np.asarray(part) for part in parts]
+    lead = parts[0].shape[:-1]
+    rows = [part.reshape(-1, grid.n) for part in parts]
+    out = np.array([max(norm(BoundaryTrace(grid, part[i])) for part in rows) for i in range(len(rows[0]))])
+    return out.reshape(lead) if lead else float(out[0])
 
 
-def holder_iterate_norm(grid: BoundaryGrid, parts) -> float:
-    """Certificate norm of an iterate: max of sup + C^alpha of d/dtheta over its boundary parts."""
-    traces = [BoundaryTrace(grid, part) for part in parts]
-    return max(t.sup() + holder_norms(spectral_derivative(t), _CERTIFY_ALPHA).c_alpha for t in traces)
+def _sup_plus_seminorm(trace: BoundaryTrace) -> float:
+    rep = holder_norms(trace, _CERTIFY_ALPHA)
+    return rep.sup_norm + rep.c_alpha
+
+
+def _sup_plus_derivative_seminorm(trace: BoundaryTrace) -> float:
+    return trace.sup() + holder_norms(spectral_derivative(trace), _CERTIFY_ALPHA).c_alpha
+
+
+def holder_residual_norm(grid: BoundaryGrid, parts):
+    """Certificate norm of a residual: max of sup + C^alpha over its boundary parts.
+
+    Parts may be stacks of residuals along the last axis; the norm is then
+    one value per row.
+    """
+    return _stacked_norm(grid, parts, _sup_plus_seminorm)
+
+
+def holder_iterate_norm(grid: BoundaryGrid, parts):
+    """Certificate norm of an iterate: max of sup + C^alpha of d/dtheta over its boundary parts.
+
+    Parts may be stacks of iterates along the last axis; the norm is then
+    one value per row.
+    """
+    return _stacked_norm(grid, parts, _sup_plus_derivative_seminorm)
 
 
 def band_limited_sampler(grid: BoundaryGrid):

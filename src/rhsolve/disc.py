@@ -27,6 +27,7 @@ from .boundary import (
     BoundaryTrace,
     analytic_completion,
     band_limited_sampler,
+    conjugate_samples,
     holder_iterate_norm,
     holder_residual_norm,
 )
@@ -58,10 +59,12 @@ class DiscSolution:
 
 
 def right_inverse_apply(eta: EtaDecomposition, rhs: np.ndarray) -> np.ndarray:
-    """Solve 2 Re(eta k) = rhs with k in the holomorphic class."""
-    grid = eta.grid
+    """Solve 2 Re(eta k) = rhs with k in the holomorphic class.
+
+    rhs is one real trace or a stack of them along the last axis.
+    """
     phi = np.exp(-eta.a - eta.b_tilde) * np.asarray(rhs, dtype=float)
-    analytic = analytic_completion(BoundaryTrace(grid, phi)).values
+    analytic = phi + 1j * conjugate_samples(eta.grid, phi)
     return 0.5 * np.exp(eta.b_tilde - 1j * eta.b) * analytic
 
 
@@ -72,8 +75,9 @@ def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:
     return analytic_completion(BoundaryTrace(grid, u)).values
 
 
-def _sup(v) -> float:
-    return float(np.max(np.abs(v)))
+def _sup(v):
+    """Sup norm, one value per row of a stack."""
+    return np.max(np.abs(v), axis=-1)
 
 
 def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
@@ -108,7 +112,7 @@ def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
 def _finish(family: CurveFamily, winding: int, grid: BoundaryGrid, g, run) -> DiscSolution:
     f_vals = np.exp(1j * winding * grid.theta) * np.exp(g)
     f_trace = BoundaryTrace(grid, f_vals)
-    residual_sup = _sup(family.rho(grid.theta, f_vals))
+    residual_sup = float(_sup(family.rho(grid.theta, f_vals)))
     return DiscSolution(
         grid=grid,
         winding=winding,

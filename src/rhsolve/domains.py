@@ -111,16 +111,17 @@ def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarra
 
     Nonnegative modes are read off the outer circle, negative modes off
     the inner one (where they are O(1) rather than O(q^|k|)); this keeps
-    the roundoff of every coefficient at its own scale.
+    the roundoff of every coefficient at its own scale. The traces may be
+    stacks along the last axis, giving one coefficient row per trace pair.
     """
     n = grid.n
     k = n // 2 - 1
     f0 = np.fft.fft(np.asarray(outer, dtype=complex)) / n
     f1 = np.fft.fft(np.asarray(inner, dtype=complex)) / n
-    c = np.zeros(2 * k + 1, dtype=complex)
-    c[k:] = f0[: k + 1]
+    c = np.zeros(f0.shape[:-1] + (2 * k + 1,), dtype=complex)
+    c[..., k:] = f0[..., : k + 1]
     neg = np.arange(-k, 0)
-    c[:k] = f1[neg % n] * q ** (-neg.astype(float))
+    c[..., :k] = f1[..., neg % n] * q ** (-neg.astype(float))
     return c
 
 

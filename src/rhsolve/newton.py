@@ -10,8 +10,11 @@ and certifies convergence of the undamped iteration x <- x - B(x) A(x) when
 
     4 * omega1 * (omega1 + 1) * (omega2 + 1) * omega3 < 1.
 
-The iteration itself optionally damps steps that increase the residual;
-damping is recorded because it voids the certificate's applicability.
+The certificate draws all its probes first and then calls each callback
+once per stack of probes, not once per probe; the iteration passes single
+vectors. The iteration itself optionally damps steps that increase the
+residual; damping is recorded because it voids the certificate's
+applicability.
 """
 
 from __future__ import annotations
@@ -33,6 +36,20 @@ class NewtonProblem:
     directions in each space (defaults: Gaussian arrays shaped like the
     example vectors). certify_* norms, when given, replace the iteration
     norms inside the certificate only.
+
+    Stacks: certify passes arrays with a leading probe axis, one probe per
+    row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
+    the finite difference only) act row by row, broadcasting one point
+    against a stack of directions, and every norm returns one value per
+    row. iterate passes single vectors only.
+
+    Unreachable rows: a right inverse that cannot meet its own acceptance
+    bound on a single residual raises NeumannDiverges with that residual's
+    relative defect. On a stack it raises once for the whole stack, with a
+    per-row defect that is NaN in every reached row and with the steps of
+    the stack, valid in the reached rows. certify counts the defects of the
+    missed rows in identity_defect and leaves those rows out of omega1; an
+    exception whose defect is one number misses every row.
     """
 
     residual: Callable
@@ -103,14 +120,28 @@ def _gaussian_like(example):
     return sample
 
 
+def _per_row(values, stack):
+    """Per-row values shaped to broadcast against the rows of a stack."""
+    values = np.asarray(values)
+    return values.reshape(values.shape + (1,) * (np.ndim(stack) - values.ndim))
+
+
 def _derivative_action(problem: NewtonProblem, x, d):
     if problem.derivative_action is not None:
         return problem.derivative_action(x, d)
     scale = problem.iterate_norm(d)
-    if scale == 0.0 or not np.isfinite(scale):
+    if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
         raise SamplingFailed("degenerate direction for the finite-difference derivative")
-    h = _FD_STEP / scale
+    h = _per_row(_FD_STEP / scale, d)
     return (problem.residual(x + h * d) - problem.residual(x - h * d)) / (2.0 * h)
+
+
+def _reach(inverse, probes):
+    """Steps of the probes and a per-row defect, NaN where the inverse reached the probe."""
+    try:
+        return inverse(probes), np.full(len(probes), np.nan)
+    except NeumannDiverges as exc:
+        return exc.steps, np.broadcast_to(np.asarray(exc.defect, dtype=float), (len(probes),))
 
 
 def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions()) -> NewtonCertificate:
@@ -125,37 +156,45 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
     sample_r = problem.residual_sampler or _gaussian_like(r0)
     sample_x = problem.iterate_sampler or _gaussian_like(x0)
 
-    omega1 = 0.0
-    identity_defect = 0.0
-    for _ in range(_RESIDUAL_SAMPLES):
-        r = sample_r(rng)
-        rn = res_norm(r)
-        if rn == 0.0 or not np.isfinite(rn):
-            raise SamplingFailed("residual probe has degenerate norm")
-        try:
-            step = inverse(r)
-        except NeumannDiverges as exc:
-            # a probe the right inverse cannot reach fails the identity
-            # check and has no step to bound omega1 with
-            identity_defect = max(identity_defect, exc.defect)
-            continue
-        omega1 = max(omega1, it_norm(step) / rn)
-        recovered = _derivative_action(problem, x0, step)
-        identity_defect = max(identity_defect, res_norm(recovered - r) / rn)
-
-    omega2 = 0.0
+    # every probe is drawn before any is used, in the order of one probe
+    # after the other: residual probes, then per pair du, dv, d and two radii
+    probes = np.stack([sample_r(rng) for _ in range(_RESIDUAL_SAMPLES)])
+    triples, radii = [], []
     for _ in range(_LIPSCHITZ_PAIRS):
-        du, dv, d = sample_x(rng), sample_x(rng), sample_x(rng)
-        nu, nv, nd = problem.iterate_norm(du), problem.iterate_norm(dv), problem.iterate_norm(d)
-        if min(nu, nv, nd) == 0.0 or not all(np.isfinite(v) for v in (nu, nv, nd)):
-            raise SamplingFailed("iterate probe has degenerate norm")
-        u = x0 + (_BALL_RADIUS * rng.uniform(0.1, 1.0) / nu) * du
-        v = x0 + (_BALL_RADIUS * rng.uniform(0.1, 1.0) / nv) * dv
-        gap = problem.iterate_norm(u - v)
-        if gap == 0.0:
-            continue
-        diff = _derivative_action(problem, u, d) - _derivative_action(problem, v, d)
-        omega2 = max(omega2, res_norm(diff) / (gap * nd))
+        triples.append([sample_x(rng) for _ in range(3)])
+        radii.append([rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
+
+    rn = res_norm(probes)
+    if np.any(rn == 0.0) or not np.all(np.isfinite(rn)):
+        raise SamplingFailed("residual probe has degenerate norm")
+    steps, missed_defect = _reach(inverse, probes)
+    missed = ~np.isnan(missed_defect)
+    # a probe the right inverse cannot reach fails the identity check and
+    # has no step to bound omega1 with
+    identity_defect = float(np.max(missed_defect[missed])) if missed.any() else 0.0
+    omega1 = 0.0
+    reached = ~missed
+    if reached.any():
+        step, r, scale = steps[reached], probes[reached], rn[reached]
+        omega1 = float(np.max(it_norm(step) / scale))
+        recovered = _derivative_action(problem, x0, step)
+        identity_defect = max(identity_defect, float(np.max(res_norm(recovered - r) / scale)))
+
+    du, dv, d = (np.stack(column) for column in zip(*triples))
+    nu, nv, nd = problem.iterate_norm(du), problem.iterate_norm(dv), problem.iterate_norm(d)
+    norms = np.stack([nu, nv, nd])
+    if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
+        raise SamplingFailed("iterate probe has degenerate norm")
+    radius_u, radius_v = np.asarray(radii).T
+    u = x0 + _per_row(_BALL_RADIUS * radius_u / nu, du) * du
+    v = x0 + _per_row(_BALL_RADIUS * radius_v / nv, dv) * dv
+    gap = problem.iterate_norm(u - v)
+    omega2 = 0.0
+    apart = gap != 0.0
+    if apart.any():
+        d = d[apart]
+        diff = _derivative_action(problem, u[apart], d) - _derivative_action(problem, v[apart], d)
+        omega2 = float(np.max(res_norm(diff) / (gap[apart] * nd[apart])))
 
     product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3
     certified = bool(product < 1.0 and identity_defect <= _CHECK_TOL)

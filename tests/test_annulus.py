@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import annulus
+from rhsolve import annulus, boundary
+from rhsolve.analysis import check_identity
 from rhsolve.annulus import (
     AnnulusSolveOptions,
     glue_construct,
@@ -37,6 +38,7 @@ from rhsolve.errors import (
     NotRadialFamily,
 )
 from rhsolve.pompeiu import AreaCharge, radial_quadrature
+from rhsolve.serialize import annulus_result_dict
 from rhsolve.trig import TrigPolynomial
 
 Q = 0.5
@@ -409,6 +411,23 @@ def test_solves_run_without_svd(monkeypatch):
     assert readme.fallback_used is False and zero_free.fallback_used is False
 
 
+def test_solution_traces_are_unwrapped_once(monkeypatch):
+    # the winding check, zero location, flux identity and result summary
+    # share one phase unwrap per boundary trace
+    calls = []
+    original = boundary._interval_increments
+    monkeypatch.setattr(
+        boundary, "_interval_increments", lambda trace, floor: calls.append(trace) or original(trace, floor)
+    )
+    fam = builtin_circle_family([1.0, 0.02, -0.01])
+    sol = solve_annulus(fam, builtin_circle_family([0.5, 0.01]), (6, 6), Q, AnnulusSolveOptions(certify=False))
+    check_identity(sol)
+    annulus_result_dict(sol)
+    # the traces are kept alive in calls, so identity is not reused
+    assert sum(t is sol.outer_trace for t in calls) == 1
+    assert sum(t is sol.inner_trace for t in calls) == 1
+
+
 def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
     # the k-th GMRES iterate minimizes the defect over a space holding the
     # k-th Neumann partial sum of the same collar preconditioner
@@ -457,6 +476,126 @@ def test_gmres_drops_a_stalled_stretch(monkeypatch):
     for r, x in calls:
         step = max(np.max(np.abs(t)) for t in laurent_traces(BoundaryGrid(512), 0.4, x))
         assert step <= 100.0 * np.max(np.abs(r))
+
+
+def _first_gmres(monkeypatch, solve, which=0):
+    # (act, precondition, r) of one collar GMRES run inside solve()
+    captured = []
+    original = annulus._gmres
+
+    def spy(act, precondition, r):
+        captured.append((act, precondition, r))
+        return original(act, precondition, r)
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    solve()
+    monkeypatch.setattr(annulus, "_gmres", original)
+    return captured[which]
+
+
+def _zero_free_at_glue(n):
+    opts = AnnulusSolveOptions(grid_n=n)
+    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(
+        scaled_circle(1.0, [0.0, 0.06, -0.03, 0.02, 0.015]),
+        scaled_circle(Q ** 8, [0.0, -0.04, 0.05, 0.01, -0.02]),
+        (8, -8),
+        Q,
+        opts,
+    )
+    return annulus._annulus_problem(fam0t, fam1t, Q, BoundaryGrid(n), opts.tol), h0
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("np.linalg.svd called")
+
+
+def test_gmres_rows_run_independently(monkeypatch):
+    # three rows that stop differently: the README grid-floor residual
+    # stalls and rolls back, a wobbly residual converges, and a zero-free
+    # probe stalls far above the forcing bound. The problems differ, so the
+    # stack runs on their block-diagonal sum, each row nonzero in its own
+    # block; each row must match its one-row run
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    floor = _first_gmres(
+        monkeypatch,
+        lambda: solve_annulus(
+            ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9, certify=False)
+        ),
+        which=-1,
+    )
+    wobbly = _first_gmres(
+        monkeypatch,
+        lambda: solve_annulus(
+            scaled_circle(1.0, [0.0, 0.02, -0.01]), scaled_circle(1.0, [0.0, -0.01, 0.02]), (4, 4), Q,
+            AnnulusSolveOptions(certify=False),
+        ),
+    )
+    problem, h0 = _zero_free_at_glue(256)
+    probe = problem.residual_sampler(np.random.default_rng(0))
+    act_z, pre_z, _ = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
+    blocks = [floor[:2], wobbly[:2], (act_z, pre_z)]
+    res = np.cumsum([0] + [len(floor[2]), len(wobbly[2]), len(probe)])
+    its = np.cumsum([0] + [len(pre(r)) for pre, r in zip((floor[1], wobbly[1], pre_z), (floor[2], wobbly[2], probe))])
+
+    def act(x):
+        return np.concatenate([a(x[..., its[i] : its[i + 1]]) for i, (a, _) in enumerate(blocks)], axis=-1)
+
+    def precondition(r):
+        return np.concatenate([p(r[..., res[i] : res[i + 1]]) for i, (_, p) in enumerate(blocks)], axis=-1)
+
+    rows = np.zeros((3, res[-1]))
+    for i, r in enumerate((floor[2], wobbly[2], probe)):
+        rows[i, res[i] : res[i + 1]] = r
+    stacked, histories = annulus._gmres(act, precondition, rows)
+    for row, x, history in zip(rows, stacked, histories):
+        alone, norms = annulus._gmres(act, precondition, row)
+        assert len(history) == len(norms)
+        npt.assert_allclose(history, norms, rtol=1e-13)
+        assert np.linalg.norm(x - alone) <= 1e-13 * np.linalg.norm(alone)
+    # the rows stop at different iterations, so the stack shrinks as it runs
+    assert len({len(h) for h in histories}) == 3
+    # the floor row stalled and rolled back to the iterate before the
+    # stalled stretch, which a run with that many iterations returns
+    window = annulus._GMRES_STALL_WINDOW
+    floor_history = histories[0]
+    assert floor_history[-1] > annulus._GMRES_STALL_RATIO * floor_history[-1 - window]
+    keep = len(floor_history) - 1 - window
+    monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", keep)
+    before_stall, _ = annulus._gmres(act, precondition, rows[0])
+    assert np.linalg.norm(stacked[0] - before_stall) <= 1e-13 * np.linalg.norm(before_stall)
+    # the wobbly row converged and the zero-free probe missed the forcing bound
+    assert histories[1][-1] <= annulus._GMRES_TOL * histories[1][0]
+    sup_defect = np.max(np.abs(rows - act(stacked)), axis=1) / np.max(np.abs(rows), axis=1)
+    assert sup_defect[0] <= 0.1 and sup_defect[1] <= 0.1 < sup_defect[2]
+
+
+def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch):
+    # the zero-free Newton residual is reached, a band-limited probe is off
+    # the range, and a zero row needs no inversion: one exception for the
+    # stack names only the probe, and the reached steps are those of
+    # single-vector applications
+    monkeypatch.setattr(np.linalg, "svd", _no_svd)
+    problem, h0 = _zero_free_at_glue(64)
+    apply = problem.right_inverse(h0)
+    r0 = problem.residual(h0)
+    probe = problem.residual_sampler(np.random.default_rng(0))
+    stack = np.stack([r0, probe, np.zeros_like(r0)])
+    with pytest.raises(NeumannDiverges) as info:
+        apply(stack)
+    exc = info.value
+    assert np.isnan(exc.defect[0]) and np.isnan(exc.defect[2]) and exc.defect[1] > 0.1
+    assert exc.iterations[0] >= 1 and exc.iterations[1] >= 1 and exc.iterations[2] == 0
+    alone = apply(r0)
+    assert np.linalg.norm(exc.steps[0] - alone) <= 1e-13 * np.linalg.norm(alone)
+    assert not exc.steps[2].any()
+    with pytest.raises(NeumannDiverges, match="collar GMRES left defect") as single:
+        apply(probe)
+    npt.assert_allclose(single.value.defect, exc.defect[1], rtol=1e-13)
+    assert single.value.iterations == exc.iterations[1]
+    # a stack the inverse reaches entirely comes back as steps
+    steps = apply(np.stack([r0, 2.0 * r0]))
+    assert np.linalg.norm(steps[1] - 2.0 * alone) <= 1e-12 * np.linalg.norm(steps[1])
 
 
 def test_right_inverse_accepts_defects_below_half_the_tolerance():

@@ -198,6 +198,47 @@ def test_unwrapped_phase_consistency():
     assert abs(inc / (2 * np.pi) - 3) < 0.2
 
 
+def test_trace_values_are_read_only_and_never_alias_the_caller():
+    grid = BoundaryGrid(32)
+    data = np.exp(1j * grid.theta)
+    trace = BoundaryTrace(grid, data)
+    assert not trace.values.flags.writeable
+    assert not np.shares_memory(trace.values, data)
+    with pytest.raises(ValueError):
+        trace.values[0] = 2.0
+    # the caller's array stays writable and the trace does not follow it
+    data[0] = 5.0
+    assert trace.values[0] == 1.0
+
+
+def _count_unwraps(monkeypatch):
+    calls = []
+    original = boundary._interval_increments
+
+    def counted(trace, floor):
+        calls.append((trace, floor))
+        return original(trace, floor)
+
+    monkeypatch.setattr(boundary, "_interval_increments", counted)
+    return calls
+
+
+def test_winding_and_phase_share_one_unwrap(monkeypatch):
+    fn = lambda th: np.exp(3j * th) * (2.0 + np.cos(th))
+    fresh_winding = winding_number(trace_of(64, fn))
+    fresh_phase = unwrapped_phase(trace_of(64, fn))
+    calls = _count_unwraps(monkeypatch)
+    t = trace_of(64, fn)
+    assert winding_number(t) == fresh_winding
+    assert np.array_equal(unwrapped_phase(t), fresh_phase)
+    assert winding_number(t) == fresh_winding
+    assert len(calls) == 1
+    # another floor is another unwrap, and is not memoized
+    assert winding_number(t, floor=1e-8) == fresh_winding
+    assert winding_number(t, floor=1e-8) == fresh_winding
+    assert len(calls) == 3
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(-4, 4), st.floats(0.0, 0.45))
 def test_winding_with_modulus_wobble(k, eps):

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from rhsolve import boundary
 from rhsolve.boundary import BoundaryGrid, BoundaryTrace
 from rhsolve.curves import (
     builtin_circle_family,
@@ -197,3 +198,15 @@ def test_spec_validation():
         family_from_spec({"type": "circle", "fourier": {"R": "big"}})
     with pytest.raises(ValueError):
         family_from_spec({"type": "circle"})
+
+
+def test_eta_decompose_unwraps_eta_once(monkeypatch):
+    calls = []
+    original = boundary._interval_increments
+    monkeypatch.setattr(boundary, "_interval_increments", lambda trace, floor: calls.append(1) or original(trace, floor))
+    fam = builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0])
+    grid = BoundaryGrid(128)
+    dec = eta_decompose(fam, BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta)))
+    assert len(calls) == 1
+    assert dec.winding == 0
+    npt.assert_allclose(np.exp(dec.a + 1j * dec.b), dec.eta.values, rtol=1e-12)

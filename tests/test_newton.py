@@ -8,6 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhsolve import annulus, disc
+from rhsolve.annulus import AnnulusSolveOptions
+from rhsolve.boundary import BoundaryGrid
+from rhsolve.curves import builtin_circle_family, builtin_ellipse_family, divisor_transform, monomial_transform
 from rhsolve.errors import NeumannDiverges, NoConvergence, SamplingFailed
 from rhsolve.newton import (
     CertifyOptions,
@@ -16,6 +20,7 @@ from rhsolve.newton import (
     certify,
     iterate,
 )
+from rhsolve.trig import TrigPolynomial
 
 
 def quadratic_problem():
@@ -133,26 +138,28 @@ def test_no_convergence_reports_history():
 
 
 def test_vector_problem_with_explicit_derivative():
-    # A(x) = (x0^2 - x1, x1 - 2) on R^2, root (sqrt 2, 2)
+    # A(x) = (x0^2 - x1, x1 - 2) on R^2, root (sqrt 2, 2); the certificate
+    # passes stacks of probes, so components are x[..., i] and norms act
+    # along the last axis
     def residual(x):
-        return np.array([x[0] ** 2 - x[1], x[1] - 2.0])
+        return np.stack([x[..., 0] ** 2 - x[..., 1], x[..., 1] - 2.0], axis=-1)
 
     def derivative(x, d):
-        return np.array([2 * x[0] * d[0] - d[1], d[1]])
+        return np.stack([2 * x[..., 0] * d[..., 0] - d[..., 1], d[..., 1]], axis=-1)
 
     def right_inverse(x):
         def apply(r):
-            d1 = r[1]
-            d0 = (r[0] + d1) / (2 * x[0])
-            return np.array([d0, d1])
+            d1 = r[..., 1]
+            d0 = (r[..., 0] + d1) / (2 * x[..., 0])
+            return np.stack([d0, d1], axis=-1)
 
         return apply
 
     prob = NewtonProblem(
         residual=residual,
         right_inverse=right_inverse,
-        iterate_norm=lambda v: float(np.max(np.abs(v))),
-        residual_norm=lambda v: float(np.max(np.abs(v))),
+        iterate_norm=lambda v: np.max(np.abs(v), axis=-1),
+        residual_norm=lambda v: np.max(np.abs(v), axis=-1),
         derivative_action=derivative,
     )
     x0 = np.array([1.5, 2.1])
@@ -177,11 +184,18 @@ def test_sampling_failure_on_degenerate_norm():
 
 def test_certify_records_probes_the_inverse_cannot_reach():
     # the right inverse reaches only positive residuals: the others count
-    # against the identity check and do not enter omega1
+    # against the identity check and do not enter omega1. The probes come
+    # as one stack, so the miss is reported per row
     def right_inverse(x):
         def apply(r):
-            if r < 0.0:
-                raise NeumannDiverges("off the range", defect=0.75, iterations=3)
+            missed = np.asarray(r) < 0.0
+            if missed.any():
+                raise NeumannDiverges(
+                    "off the range",
+                    defect=np.where(missed, 0.75, np.nan),
+                    iterations=np.full(missed.shape, 3),
+                    steps=r / (2.0 * x),
+                )
             return r / (2.0 * x)
 
         return apply
@@ -227,3 +241,99 @@ def test_certified_implies_undamped_convergence(root, offset):
         run = iterate(prob, x0, IterateOptions(allow_damping=False), certificate=cert)
         assert run.converged and run.iterations <= 40
         assert run.certificate_applicable
+
+
+# --------------------------------------------------------------------------
+# the stacked certificate against the per-probe loop it replaced
+# --------------------------------------------------------------------------
+
+
+def _per_probe_certify(problem, x0, seed=0):
+    # reference: one probe at a time, every callback on single vectors
+    rng = np.random.default_rng(seed)
+    res_norm = problem.certify_residual_norm or problem.residual_norm
+    it_norm = problem.certify_iterate_norm or problem.iterate_norm
+    omega3 = res_norm(problem.residual(x0))
+    inverse = problem.right_inverse(x0)
+    omega1 = identity_defect = 0.0
+    for _ in range(16):
+        r = problem.residual_sampler(rng)
+        rn = res_norm(r)
+        try:
+            step = inverse(r)
+        except NeumannDiverges as exc:
+            identity_defect = max(identity_defect, exc.defect)
+            continue
+        omega1 = max(omega1, it_norm(step) / rn)
+        identity_defect = max(identity_defect, res_norm(problem.derivative_action(x0, step) - r) / rn)
+    omega2 = 0.0
+    for _ in range(8):
+        du, dv, d = (problem.iterate_sampler(rng) for _ in range(3))
+        u = x0 + (0.1 * rng.uniform(0.1, 1.0) / problem.iterate_norm(du)) * du
+        v = x0 + (0.1 * rng.uniform(0.1, 1.0) / problem.iterate_norm(dv)) * dv
+        gap = problem.iterate_norm(u - v)
+        diff = problem.derivative_action(u, d) - problem.derivative_action(v, d)
+        omega2 = max(omega2, res_norm(diff) / (gap * problem.iterate_norm(d)))
+    product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3
+    certified = bool(product < 1.0 and identity_defect <= 1e-6)
+    return omega1, omega2, omega3, identity_defect, certified
+
+
+_DISC_FAMILIES = {
+    "ellipse": ([2.0, 0.15, -0.1], [1.0, 0.04, 0.03], [0.0]),
+    "tilted": ([2.4, 0.1, 0.05], [1.0, 0.0, 0.06], [0.2, 0.15, -0.1]),
+}
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024])
+@pytest.mark.parametrize("kind", ["ellipse", "tilted", "circle"])
+def test_stacked_disc_certificate_is_bit_identical_to_per_probe(kind, n):
+    if kind == "circle":
+        family = builtin_circle_family([2.0, 0.2, -0.1, 0.05, 0.03])
+    else:
+        family = builtin_ellipse_family(*_DISC_FAMILIES[kind])
+    grid = BoundaryGrid(n)
+    fam_t = monomial_transform(family, 2)
+    problem = disc._g_space_problem(fam_t, grid)
+    g0 = disc._initial_log_trace(fam_t, grid)
+    cert = certify(problem, g0, CertifyOptions(seed=3))
+    omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(problem, g0, seed=3)
+    assert (cert.omega1, cert.omega2, cert.omega3) == (omega1, omega2, omega3)
+    assert cert.identity_defect == identity_defect
+    assert cert.certified == certified
+
+
+def _scaled_circle(base, coeffs):
+    a = TrigPolynomial(tuple(coeffs))
+    return divisor_transform(builtin_circle_family(base), lambda th: np.exp(-a(th)) + 0j)
+
+
+def _annulus_at_glue(name):
+    if name == "readme":
+        outer = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+        inner, windings, q, opts = builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9)
+    elif name == "wobbly":
+        outer = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01])
+        inner = builtin_circle_family([1.0, -0.01, 0.02, 0.0, -0.015])
+        windings, q, opts = (4, 4), 0.5, AnnulusSolveOptions()
+    else:
+        # |f| = base * exp(zero-mean trig): the flux is the inner winding
+        outer = _scaled_circle(1.0, [0.0, 0.06, -0.03, 0.02, 0.015])
+        inner = _scaled_circle(0.5 ** 8, [0.0, -0.04, 0.05, 0.01, -0.02])
+        windings, q, opts = (8, -8), 0.5, AnnulusSolveOptions()
+    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(outer, inner, windings, q, opts)
+    return annulus._annulus_problem(fam0t, fam1t, q, BoundaryGrid(opts.grid_n), opts.tol), h0
+
+
+@pytest.mark.parametrize("name", ["readme", "wobbly", "zero-free"])
+def test_stacked_annulus_certificate_matches_per_probe(name):
+    problem, h0 = _annulus_at_glue(name)
+    cert = certify(problem, h0, CertifyOptions(seed=0))
+    omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(problem, h0, seed=0)
+    assert (cert.omega2, cert.omega3) == (omega2, omega3)
+    npt.assert_allclose(cert.omega1, omega1, rtol=1e-12)
+    npt.assert_allclose(cert.identity_defect, identity_defect, rtol=0.0, atol=1e-12)
+    assert cert.certified == certified
+    if name == "zero-free":
+        # some probes are off the range and count only against the identity
+        assert cert.identity_defect > 0.1 and cert.omega1 > 0.0
