@@ -377,26 +377,26 @@ def _laurent_sampler(grid: BoundaryGrid, q: float):
     return sample
 
 
-def _gmres(act, precondition, r):
+def _gmres(act, precondition, rows):
     """Right-preconditioned GMRES for act(precondition(y)) = r, in real arithmetic.
 
-    r is one residual or a stack of residuals along a leading axis. Each row
-    runs its own GMRES, and the rows run in lockstep: an iteration applies
-    precondition and act once, to the stack of the rows still running. The
-    k-th iterate of a row minimizes its 2-norm defect |r - act(x)| over
-    x = precondition(y), y in the k-th Krylov space of act o precondition,
-    which holds the first k Neumann partial sums (Saad and Schultz 1986).
+    rows is a stack of residuals r along a leading axis; a Newton step is a
+    one-row stack. Each row runs its own GMRES, and the rows run in
+    lockstep: an iteration applies precondition and act once, to the stack
+    of the rows still running. The k-th iterate of a row minimizes its
+    2-norm defect |r - act(x)| over x = precondition(y), y in the k-th
+    Krylov space of act o precondition, which holds the first k Neumann
+    partial sums (Saad and Schultz 1986).
     A row stops at the iteration budget, at a relative defect of _GMRES_TOL,
     or once its defect fell by less than _GMRES_STALL_RATIO over its last
     _GMRES_STALL_WINDOW iterations, and then leaves the stack. Returns the
-    best iterates, one per row, and the defect 2-norms of iterates 0..k: a
-    list for one residual, one list per row for a stack. No row may be zero.
+    stack of best iterates and, per row, the list of defect 2-norms of
+    iterates 0..k. No row may be zero.
     """
-    rows = np.atleast_2d(r)
     beta = np.linalg.norm(rows, axis=1)
     norms = [[float(b)] for b in beta]
     steps = [None] * len(rows)
-    running = np.arange(len(rows))  # the row of r behind each running row
+    running = np.arange(len(rows))  # the input row behind each running row
     basis = [rows / beta[:, None]]  # one stack of Krylov vectors per iteration
     images = []
     hess = np.zeros((len(rows), _GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
@@ -435,8 +435,6 @@ def _gmres(act, precondition, r):
             images = [z[go] for z in images]
             hess, beta, running, w = hess[go], beta[go], running[go], w[go]
         basis.append(w / hess[:, k + 1, k, None])
-    if np.ndim(r) == 1:
-        return steps[0], norms[0]
     return np.asarray(steps), norms
 
 
@@ -504,9 +502,8 @@ def _annulus_problem(
             iterations = np.zeros(len(rows), dtype=int)
             if live.any():
                 # one residual is the one-row case of the lockstep GMRES
-                x, norms = _gmres(act, collar_apply, r if r.ndim == 1 else rows[live])
-                steps[live] = x
-                iterations[live] = [len(norms) - 1] if r.ndim == 1 else [len(h) - 1 for h in norms]
+                steps[live], norms = _gmres(act, collar_apply, rows[live])
+                iterations[live] = [len(h) - 1 for h in norms]
             defect = np.max(np.abs(rows - act(steps)), axis=1)
             bound = np.maximum(_FORCING * scale, 0.5 * tol)
             missed = defect > bound

@@ -75,8 +75,8 @@ class BoundaryTrace:
 
     @cached_property
     def _increments(self) -> np.ndarray:
-        """Phase increments at the default zero floor, unwrapped once per trace."""
-        increments = _interval_increments(self, _ZERO_FLOOR)
+        """Phase increments, unwrapped once per trace."""
+        increments = _interval_increments(self)
         increments.flags.writeable = False
         return increments
 
@@ -170,7 +170,7 @@ def analytic_completion(trace: BoundaryTrace) -> BoundaryTrace:
 
 _REFINE = 8
 # modulus floor, relative to the trace's maximum, below which a trace counts
-# as vanishing; the traces memoize their increments at this floor
+# as vanishing
 _ZERO_FLOOR = 1e-12
 
 
@@ -187,19 +187,19 @@ def _refined_samples(values: np.ndarray, factor: int) -> np.ndarray:
     return np.fft.ifft(padded) * factor
 
 
-def _interval_increments(trace: BoundaryTrace, floor: float) -> np.ndarray:
+def _interval_increments(trace: BoundaryTrace) -> np.ndarray:
     """Continuous-phase increment of the interpolant across each grid interval.
 
     Raises ZeroOnBoundary when the (refined) trace modulus drops below the
-    floor, and UnresolvedPhase when an increment reaches pi or a refined step
-    is nearly antipodal (the grid cannot certify the unwrapping).
+    zero floor, and UnresolvedPhase when an increment reaches pi or a refined
+    step is nearly antipodal (the grid cannot certify the unwrapping).
     """
     values = trace.values
     scale = float(np.max(np.abs(values)))
-    if scale == 0.0 or np.min(np.abs(values)) <= floor * scale:
+    if scale == 0.0 or np.min(np.abs(values)) <= _ZERO_FLOOR * scale:
         raise ZeroOnBoundary("trace modulus at or below the zero floor")
     fine = _refined_samples(values, _REFINE)
-    if np.min(np.abs(fine)) <= floor * scale:
+    if np.min(np.abs(fine)) <= _ZERO_FLOOR * scale:
         raise ZeroOnBoundary("interpolated trace modulus at or below the zero floor")
     steps = np.angle(np.roll(fine, -1) / fine)
     if np.max(np.abs(steps)) >= 0.9 * np.pi:
@@ -210,13 +210,9 @@ def _interval_increments(trace: BoundaryTrace, floor: float) -> np.ndarray:
     return increments
 
 
-def _increments_at(trace: BoundaryTrace, floor: float) -> np.ndarray:
-    return trace._increments if floor == _ZERO_FLOOR else _interval_increments(trace, floor)
-
-
-def winding_number(trace: BoundaryTrace, floor: float = _ZERO_FLOOR) -> int:
+def winding_number(trace: BoundaryTrace) -> int:
     """Winding of a nonvanishing trace around 0, by certified phase unwrapping."""
-    increments = _increments_at(trace, floor)
+    increments = trace._increments
     total = float(np.sum(increments)) / _TWO_PI
     w = int(np.round(total))
     residue = abs(total - w)
@@ -225,13 +221,13 @@ def winding_number(trace: BoundaryTrace, floor: float = _ZERO_FLOOR) -> int:
     return w
 
 
-def unwrapped_phase(trace: BoundaryTrace, floor: float = _ZERO_FLOOR) -> np.ndarray:
+def unwrapped_phase(trace: BoundaryTrace) -> np.ndarray:
     """Continuous argument along the trace, anchored in (-pi, pi] at node 0.
 
     Each value is re-snapped to agree with the principal argument modulo 2 pi,
     so exp(i b_j) reproduces values_j / |values_j| to roundoff.
     """
-    increments = _increments_at(trace, floor)
+    increments = trace._increments
     b = np.empty(trace.grid.n)
     b[0] = np.angle(trace.values[0])
     b[1:] = b[0] + np.cumsum(increments[:-1])

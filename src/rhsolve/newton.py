@@ -41,7 +41,8 @@ class NewtonProblem:
     row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
     the finite difference only) act row by row, broadcasting one point
     against a stack of directions, and every norm returns one value per
-    row. iterate passes single vectors only.
+    row (certify raises TypeError on a norm that does not). iterate passes
+    single vectors only.
 
     Unreachable rows: a right inverse that cannot meet its own acceptance
     bound on a single residual raises NeumannDiverges with that residual's
@@ -126,10 +127,21 @@ def _per_row(values, stack):
     return values.reshape(values.shape + (1,) * (np.ndim(stack) - values.ndim))
 
 
+def _row_norms(norm, stack):
+    """The norm of each row of a stack; a norm must return one value per row."""
+    values = np.asarray(norm(stack), dtype=float)
+    if values.shape != (len(stack),):
+        raise TypeError(
+            f"a norm of a stack of {len(stack)} probes returned shape {values.shape}; "
+            "NewtonProblem norms must return one value per row of a stack"
+        )
+    return values
+
+
 def _derivative_action(problem: NewtonProblem, x, d):
     if problem.derivative_action is not None:
         return problem.derivative_action(x, d)
-    scale = problem.iterate_norm(d)
+    scale = _row_norms(problem.iterate_norm, d)
     if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
         raise SamplingFailed("degenerate direction for the finite-difference derivative")
     h = _per_row(_FD_STEP / scale, d)
@@ -164,7 +176,7 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
         triples.append([sample_x(rng) for _ in range(3)])
         radii.append([rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
 
-    rn = res_norm(probes)
+    rn = _row_norms(res_norm, probes)
     if np.any(rn == 0.0) or not np.all(np.isfinite(rn)):
         raise SamplingFailed("residual probe has degenerate norm")
     steps, missed_defect = _reach(inverse, probes)
@@ -176,25 +188,25 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
     reached = ~missed
     if reached.any():
         step, r, scale = steps[reached], probes[reached], rn[reached]
-        omega1 = float(np.max(it_norm(step) / scale))
+        omega1 = float(np.max(_row_norms(it_norm, step) / scale))
         recovered = _derivative_action(problem, x0, step)
-        identity_defect = max(identity_defect, float(np.max(res_norm(recovered - r) / scale)))
+        identity_defect = max(identity_defect, float(np.max(_row_norms(res_norm, recovered - r) / scale)))
 
     du, dv, d = (np.stack(column) for column in zip(*triples))
-    nu, nv, nd = problem.iterate_norm(du), problem.iterate_norm(dv), problem.iterate_norm(d)
+    nu, nv, nd = (_row_norms(problem.iterate_norm, stack) for stack in (du, dv, d))
     norms = np.stack([nu, nv, nd])
     if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
         raise SamplingFailed("iterate probe has degenerate norm")
     radius_u, radius_v = np.asarray(radii).T
     u = x0 + _per_row(_BALL_RADIUS * radius_u / nu, du) * du
     v = x0 + _per_row(_BALL_RADIUS * radius_v / nv, dv) * dv
-    gap = problem.iterate_norm(u - v)
+    gap = _row_norms(problem.iterate_norm, u - v)
     omega2 = 0.0
     apart = gap != 0.0
     if apart.any():
         d = d[apart]
         diff = _derivative_action(problem, u[apart], d) - _derivative_action(problem, v[apart], d)
-        omega2 = float(np.max(res_norm(diff) / (gap[apart] * nd[apart])))
+        omega2 = float(np.max(_row_norms(res_norm, diff) / (gap[apart] * nd[apart])))
 
     product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3
     certified = bool(product < 1.0 and identity_defect <= _CHECK_TOL)

@@ -417,7 +417,7 @@ def test_solution_traces_are_unwrapped_once(monkeypatch):
     calls = []
     original = boundary._interval_increments
     monkeypatch.setattr(
-        boundary, "_interval_increments", lambda trace, floor: calls.append(trace) or original(trace, floor)
+        boundary, "_interval_increments", lambda trace: calls.append(trace) or original(trace)
     )
     fam = builtin_circle_family([1.0, 0.02, -0.01])
     sol = solve_annulus(fam, builtin_circle_family([0.5, 0.01]), (6, 6), Q, AnnulusSolveOptions(certify=False))
@@ -443,7 +443,8 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
     solve_annulus(
         ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(tol=5e-6, certify=False)
     )
-    act, precondition, r = captured[0]
+    # a Newton step runs GMRES on a one-row stack
+    act, precondition, (r,) = captured[0]
     monkeypatch.setattr(annulus, "_GMRES_TOL", 0.0)
     monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 10 ** 6)
     x = np.zeros_like(precondition(r))
@@ -451,7 +452,7 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
         x = x + precondition(r - act(x))
         neumann = np.linalg.norm(r - act(x))
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
-        xg, norms = original(act, precondition, r)
+        (xg,), (norms,) = original(act, precondition, r[None])
         assert len(norms) == k + 1
         assert np.linalg.norm(r - act(xg)) <= neumann * (1.0 + 1e-8)
 
@@ -490,7 +491,8 @@ def _first_gmres(monkeypatch, solve, which=0):
     monkeypatch.setattr(annulus, "_gmres", spy)
     solve()
     monkeypatch.setattr(annulus, "_gmres", original)
-    return captured[which]
+    act, precondition, (r,) = captured[which]  # a one-row stack
+    return act, precondition, r
 
 
 def _zero_free_at_glue(n):
@@ -549,7 +551,7 @@ def test_gmres_rows_run_independently(monkeypatch):
         rows[i, res[i] : res[i + 1]] = r
     stacked, histories = annulus._gmres(act, precondition, rows)
     for row, x, history in zip(rows, stacked, histories):
-        alone, norms = annulus._gmres(act, precondition, row)
+        (alone,), (norms,) = annulus._gmres(act, precondition, row[None])
         assert len(history) == len(norms)
         npt.assert_allclose(history, norms, rtol=1e-13)
         assert np.linalg.norm(x - alone) <= 1e-13 * np.linalg.norm(alone)
@@ -562,7 +564,7 @@ def test_gmres_rows_run_independently(monkeypatch):
     assert floor_history[-1] > annulus._GMRES_STALL_RATIO * floor_history[-1 - window]
     keep = len(floor_history) - 1 - window
     monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", keep)
-    before_stall, _ = annulus._gmres(act, precondition, rows[0])
+    (before_stall,), _ = annulus._gmres(act, precondition, rows[:1])
     assert np.linalg.norm(stacked[0] - before_stall) <= 1e-13 * np.linalg.norm(before_stall)
     # the wobbly row converged and the zero-free probe missed the forcing bound
     assert histories[1][-1] <= annulus._GMRES_TOL * histories[1][0]

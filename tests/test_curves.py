@@ -203,7 +203,7 @@ def test_spec_validation():
 def test_eta_decompose_unwraps_eta_once(monkeypatch):
     calls = []
     original = boundary._interval_increments
-    monkeypatch.setattr(boundary, "_interval_increments", lambda trace, floor: calls.append(1) or original(trace, floor))
+    monkeypatch.setattr(boundary, "_interval_increments", lambda trace: calls.append(1) or original(trace))
     fam = builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0])
     grid = BoundaryGrid(128)
     dec = eta_decompose(fam, BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta)))

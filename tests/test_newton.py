@@ -137,7 +137,7 @@ def test_no_convergence_reports_history():
     assert len(err.value.history) >= 1
 
 
-def test_vector_problem_with_explicit_derivative():
+def vector_problem():
     # A(x) = (x0^2 - x1, x1 - 2) on R^2, root (sqrt 2, 2); the certificate
     # passes stacks of probes, so components are x[..., i] and norms act
     # along the last axis
@@ -155,19 +155,37 @@ def test_vector_problem_with_explicit_derivative():
 
         return apply
 
-    prob = NewtonProblem(
+    return NewtonProblem(
         residual=residual,
         right_inverse=right_inverse,
         iterate_norm=lambda v: np.max(np.abs(v), axis=-1),
         residual_norm=lambda v: np.max(np.abs(v), axis=-1),
         derivative_action=derivative,
     )
+
+
+def test_vector_problem_with_explicit_derivative():
+    prob = vector_problem()
     x0 = np.array([1.5, 2.1])
     cert = certify(prob, x0)
     assert cert.identity_defect < 1e-12
     run = iterate(prob, x0, certificate=cert)
     assert run.converged
     npt.assert_allclose(run.x, [np.sqrt(2.0), 2.0], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "field", ["iterate_norm", "residual_norm", "certify_iterate_norm", "certify_residual_norm"]
+)
+@pytest.mark.parametrize("explicit_derivative", [True, False])
+def test_certify_rejects_a_norm_with_one_value_per_stack(field, explicit_derivative):
+    # a norm written for single vectors returns one number for a whole stack;
+    # max|s| / max|r| over the stack would understate omega1
+    prob = dataclasses.replace(vector_problem(), **{field: lambda v: float(np.max(np.abs(v)))})
+    if not explicit_derivative:
+        prob = dataclasses.replace(prob, derivative_action=None)
+    with pytest.raises(TypeError, match="one value per row"):
+        certify(prob, np.array([1.5, 2.1]))
 
 
 def test_sampling_failure_on_degenerate_norm():
