@@ -14,7 +14,7 @@ samples to zero on this grid and keeping it would make T(u) complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .errors import UnresolvedPhase, ZeroOnBoundary
 
 _TWO_PI = 2.0 * np.pi
 
-# the certificate's Holder scan takes O(N) memory but up to N^2 / 2 pair
-# differences per seminorm; no test, bench case or README example goes above
-# N = 1024
+# the certificate's Holder scan holds at most _SCAN_BLOCK x N differences at a
+# time but forms up to N^2 / 2 of them per row; no bench case or README example
+# goes above N = 1024, and only the Holder memory test reaches N = 4096
 _MAX_GRID = 4096
 
 
@@ -132,13 +132,17 @@ def evaluate_trace(trace: BoundaryTrace, theta) -> np.ndarray:
     return np.exp(1j * np.outer(theta, k)) @ c
 
 
+def _derivative_samples(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
+    """d/dtheta of the interpolant of samples on the grid, along the last axis of a stack."""
+    c = np.fft.fft(np.asarray(values, dtype=complex))
+    k = grid.modes().astype(float)
+    k[grid.n // 2] = 0.0  # the Nyquist derivative is pure-imaginary noise on this grid
+    return np.fft.ifft(1j * k * c)
+
+
 def spectral_derivative(trace: BoundaryTrace) -> BoundaryTrace:
     """d/dtheta of the interpolant, sampled back on the grid."""
-    n = trace.grid.n
-    c = np.fft.fft(trace.values)
-    k = trace.grid.modes().astype(float)
-    k[n // 2] = 0.0  # the Nyquist derivative is pure-imaginary noise on this grid
-    return BoundaryTrace(trace.grid, np.fft.ifft(1j * k * c))
+    return BoundaryTrace(trace.grid, _derivative_samples(trace.grid, trace.values))
 
 
 def conjugate_samples(grid: BoundaryGrid, u: np.ndarray) -> np.ndarray:
@@ -243,11 +247,12 @@ def unwrapped_phase(trace: BoundaryTrace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HolderNormReport:
-    """Discrete C^alpha surrogates of one trace measured on the grid.
+    """Discrete C^alpha surrogates of one trace, or of each row of a stack, on the grid.
 
     alpha is the Holder exponent and sup_norm is max |u_i|. c_alpha is the
     exact maximum of |u_i - u_j| / d_ij^alpha over all node pairs, with
     d_ij = 2 sin(pi |i - j| / N) the chord between e^{i theta_i} and e^{i theta_j}.
+    Of a stack, sup_norm and c_alpha hold one value per row.
     """
 
     alpha: float
@@ -255,43 +260,101 @@ class HolderNormReport:
     c_alpha: float
 
 
-# separations scanned per block: the scan holds _SCAN_BLOCK x N differences
+# the scan takes separations in blocks of 8, 8, 16, 32 and then _SCAN_BLOCK,
+# each block as many rows at a time as keep a step within _SCAN_BLOCK x N
+# differences
+_FIRST_BLOCK = 8
 _SCAN_BLOCK = 64
 
 
-def _pair_seminorm(values: np.ndarray, alpha: float) -> float:
-    """max over node pairs of |u_i - u_j| / chord_ij^alpha, scanned by separation.
+@lru_cache(maxsize=64)
+def _chord_weights(n: int, alpha: float) -> np.ndarray:
+    """chord(k)^-alpha for separations k = 1 .. N/2, chord(k) = 2 sin(pi k / N)."""
+    weights = (2.0 * np.sin(np.pi * np.arange(1, n // 2 + 1) / n)) ** -alpha
+    weights.flags.writeable = False
+    return weights
+
+
+def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Per row of a (rows, N) stack: max over node pairs of |u_i - u_j| / chord_ij^alpha.
 
     The chord between nodes i and j depends only on k = |i - j| mod N, and
     separations k and N - k have the same chord, so the pair maximum is the
     maximum over k = 1..N/2 of max_i |u_i - u_{i+k}| * chord(k)^-alpha. The
-    weight decreases with k, so the scan stops once a bound on the diameter
-    of the values times the next block's first weight cannot beat the best
-    ratio found.
+    weight decreases with k, so a row leaves the scan once a bound on the
+    diameter of its values times the next block's first weight cannot beat
+    the best ratio found for it.
     """
     if not values.imag.any():
         values = values.real
-    n = len(values)
+    rows, n = values.shape
     half = n // 2
-    weights = (2.0 * np.sin(np.pi * np.arange(1, half + 1) / n)) ** -alpha
+    weights = _chord_weights(n, alpha)
     # a true upper bound on max |u_i - u_j|, widened to cover its own rounding
-    spread = np.hypot(np.ptp(values.real), np.ptp(values.imag)) * (1.0 + 1e-12)
-    # row k - 1 of the windows is u shifted by k: windows[k - 1, i] = u_{(i + k) mod N}
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([values, values[:half]]), n)[1:]
-    best = 0.0
-    for start in range(0, half, _SCAN_BLOCK):
-        if spread * weights[start] <= best:
+    spread = np.hypot(np.ptp(values.real, axis=1), np.ptp(values.imag, axis=1)) * (1.0 + 1e-12)
+    best = np.zeros(rows)
+    # the rows still in the scan, and each row followed by its first half:
+    # extended[r, k + i] = u_{(i + k) mod N}
+    active = np.arange(rows)
+    extended = np.concatenate([values, values[:, :half]], axis=1)
+    # the differences of a step, then (for complex rows) their moduli: one
+    # float per difference, or three
+    floats = 3 if np.iscomplexobj(values) else 1
+    buffer = np.empty(0)
+    start, block = 0, _FIRST_BLOCK
+    while start < half:
+        keep = spread[active] * weights[start] > best[active]
+        if not keep.all():
+            active, extended = active[keep], extended[keep]
+        if not len(active):
             break
-        stop = min(start + _SCAN_BLOCK, half)
-        gaps = np.abs(windows[start:stop] - values).max(axis=1)
-        best = max(best, float(np.max(gaps * weights[start:stop])))
+        stop = min(start + block, half)
+        width = stop - start
+        # windows[r, j, i] = u_{(i + start + 1 + j) mod N} for the active row r
+        windows = np.lib.stride_tricks.sliding_window_view(extended[:, start + 1 : stop + n], n, axis=1)
+        per_step = min(max(1, _SCAN_BLOCK // width), len(active))
+        count = per_step * width * n
+        if buffer.size < floats * count:
+            buffer = np.empty(floats * count)
+        if floats == 3:
+            diffs = buffer[: 2 * count].view(complex).reshape(per_step, width, n)
+            moduli = buffer[2 * count : 3 * count].reshape(per_step, width, n)
+        else:
+            diffs = moduli = buffer[:count].reshape(per_step, width, n)
+        gaps = np.empty((len(active), width))
+        for first in range(0, len(active), per_step):
+            last = min(first + per_step, len(active))
+            diff, modulus = diffs[: last - first], moduli[: last - first]
+            # copying the windows and subtracting in place is faster than
+            # subtracting from the overlapping window view
+            np.copyto(diff, windows[first:last])
+            np.subtract(diff, extended[first:last, None, :n], out=diff)
+            np.abs(diff, out=modulus)
+            np.max(modulus, axis=2, out=gaps[first:last])
+        best[active] = np.maximum(best[active], np.max(gaps * weights[start:stop], axis=1))
+        start, block = stop, min(stop, _SCAN_BLOCK)
     return best
 
 
-def holder_norms(trace: BoundaryTrace, alpha: float = 0.5) -> HolderNormReport:
+def holder_norms(samples, alpha: float = 0.5) -> HolderNormReport:
+    """sup and C^alpha seminorm of a BoundaryTrace, or of each row of a stack of samples.
+
+    A stack is an array whose last axis holds samples on a BoundaryGrid; the
+    report's fields then have its leading shape (floats for one row).
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    return HolderNormReport(alpha=alpha, sup_norm=trace.sup(), c_alpha=_pair_seminorm(trace.values, alpha))
+    values = samples.values if isinstance(samples, BoundaryTrace) else np.asarray(samples)
+    n = BoundaryGrid(values.shape[-1]).n
+    if not np.all(np.isfinite(values)):
+        raise ValueError("trace values must be finite")
+    lead = values.shape[:-1]
+    stack = values.reshape(-1, n)
+    sup_norm = np.max(np.abs(stack), axis=1).reshape(lead)
+    c_alpha = _pair_seminorm(stack, alpha).reshape(lead)
+    if not lead:
+        sup_norm, c_alpha = float(sup_norm), float(c_alpha)
+    return HolderNormReport(alpha=alpha, sup_norm=sup_norm, c_alpha=c_alpha)
 
 
 # --------------------------------------------------------------------------
@@ -302,44 +365,50 @@ def holder_norms(trace: BoundaryTrace, alpha: float = 0.5) -> HolderNormReport:
 _CERTIFY_ALPHA = 0.5
 
 
-def _stacked_norm(grid: BoundaryGrid, parts, norm):
-    """max over the boundary parts of norm(trace), one value per row of a stack.
+def _parts_max(grid: BoundaryGrid, parts, norm):
+    """max over the boundary parts of norm(part), one value per row of a stack.
 
     Each part is one trace's samples or a stack of them along the last axis;
-    a single trace per part gives a float.
+    a single trace per part gives a float. Parts are checked as a
+    BoundaryTrace checks its values.
     """
-    parts = [np.asarray(part) for part in parts]
-    lead = parts[0].shape[:-1]
-    rows = [part.reshape(-1, grid.n) for part in parts]
-    out = np.array([max(norm(BoundaryTrace(grid, part[i])) for part in rows) for i in range(len(rows[0]))])
-    return out.reshape(lead) if lead else float(out[0])
-
-
-def _sup_plus_seminorm(trace: BoundaryTrace) -> float:
-    rep = holder_norms(trace, _CERTIFY_ALPHA)
-    return rep.sup_norm + rep.c_alpha
-
-
-def _sup_plus_derivative_seminorm(trace: BoundaryTrace) -> float:
-    return trace.sup() + holder_norms(spectral_derivative(trace), _CERTIFY_ALPHA).c_alpha
+    best = None
+    for part in parts:
+        part = np.asarray(part)
+        if part.shape[-1:] != (grid.n,):
+            raise ValueError("trace length does not match its grid")
+        if not np.all(np.isfinite(part)):
+            raise ValueError("trace values must be finite")
+        value = norm(part)
+        best = value if best is None else np.maximum(best, value)
+    return best if np.ndim(best) else float(best)
 
 
 def holder_residual_norm(grid: BoundaryGrid, parts):
     """Certificate norm of a residual: max of sup + C^alpha over its boundary parts.
 
     Parts may be stacks of residuals along the last axis; the norm is then
-    one value per row.
+    one value per row, from one seminorm scan per part.
     """
-    return _stacked_norm(grid, parts, _sup_plus_seminorm)
+
+    def norm(part):
+        rep = holder_norms(part, _CERTIFY_ALPHA)
+        return rep.sup_norm + rep.c_alpha
+
+    return _parts_max(grid, parts, norm)
 
 
 def holder_iterate_norm(grid: BoundaryGrid, parts):
     """Certificate norm of an iterate: max of sup + C^alpha of d/dtheta over its boundary parts.
 
     Parts may be stacks of iterates along the last axis; the norm is then
-    one value per row.
+    one value per row, from one FFT pair and one seminorm scan per part.
     """
-    return _stacked_norm(grid, parts, _sup_plus_derivative_seminorm)
+
+    def norm(part):
+        return np.max(np.abs(part), axis=-1) + holder_norms(_derivative_samples(grid, part), _CERTIFY_ALPHA).c_alpha
+
+    return _parts_max(grid, parts, norm)
 
 
 def band_limited_sampler(grid: BoundaryGrid):

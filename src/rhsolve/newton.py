@@ -50,7 +50,8 @@ class NewtonProblem:
     per-row defect that is NaN in every reached row and with the steps of
     the stack, valid in the reached rows. certify counts the defects of the
     missed rows in identity_defect and leaves those rows out of omega1; an
-    exception whose defect is one number misses every row.
+    exception whose defect is one number misses every row. With every row
+    missed, omega1 and the product are inf.
     """
 
     residual: Callable
@@ -184,7 +185,8 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
     # a probe the right inverse cannot reach fails the identity check and
     # has no step to bound omega1 with
     identity_defect = float(np.max(missed_defect[missed])) if missed.any() else 0.0
-    omega1 = 0.0
+    # with every probe missed nothing bounds the right inverse
+    omega1 = np.inf
     reached = ~missed
     if reached.any():
         step, r, scale = steps[reached], probes[reached], rn[reached]
@@ -208,7 +210,7 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
         diff = _derivative_action(problem, u[apart], d) - _derivative_action(problem, v[apart], d)
         omega2 = float(np.max(_row_norms(res_norm, diff) / (gap[apart] * nd[apart])))
 
-    product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3
+    product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3 if reached.any() else np.inf
     certified = bool(product < 1.0 and identity_defect <= _CHECK_TOL)
     return NewtonCertificate(
         omega1=float(omega1),

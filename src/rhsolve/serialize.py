@@ -36,15 +36,22 @@ def history_csv(run) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_none(value):
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
 def certificate_dict(certificate, fallback: bool):
-    """Certificate block embedded in solution summaries."""
+    """Certificate block embedded in solution summaries; a non-finite constant is null."""
     if certificate is None:
         return None
     return {
-        "omega1": float(certificate.omega1),
-        "omega2": float(certificate.omega2),
-        "omega3": float(certificate.omega3),
-        "product": float(certificate.product),
+        "omega1": _finite_or_none(certificate.omega1),
+        "omega2": _finite_or_none(certificate.omega2),
+        "omega3": _finite_or_none(certificate.omega3),
+        "product": _finite_or_none(certificate.product),
+        "identity_defect": _finite_or_none(certificate.identity_defect),
+        "certified": bool(certificate.certified),
         "fallback": bool(fallback),
     }
 

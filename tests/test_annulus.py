@@ -460,23 +460,33 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
 def test_gmres_drops_a_stalled_stretch(monkeypatch):
     # at the grid's truncation floor a stalled GMRES stretch lowers the
     # defect by a few percent only by growing the step along near-kernel
-    # directions (on the README case's last step from 1e-9 to 6e-3); the
-    # returned steps stay of the size of the residual
+    # directions (on the README case's last step from 1e-9 to 6e-3). Each
+    # step must equal the run capped at the iterations it kept: all of them,
+    # or those before its stalled stretch; the steps stay of the size of
+    # the residual
     calls = []
     original = annulus._gmres
 
-    def spy(act, precondition, r):
-        x, norms = original(act, precondition, r)
-        calls.append((r, x))
-        return x, norms
+    def spy(act, precondition, rows):
+        steps, histories = original(act, precondition, rows)
+        calls.append((act, precondition, rows, steps, histories))
+        return steps, histories
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
     opts = AnnulusSolveOptions(grid_n=512, tol=1e-9, certify=False)
     solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, opts)
-    for r, x in calls:
-        step = max(np.max(np.abs(t)) for t in laurent_traces(BoundaryGrid(512), 0.4, x))
-        assert step <= 100.0 * np.max(np.abs(r))
+    window, stalls = annulus._GMRES_STALL_WINDOW, 0
+    for act, precondition, rows, steps, (history,) in calls:
+        stalled = len(history) > window and history[-1] > annulus._GMRES_STALL_RATIO * history[-1 - window]
+        stalls += stalled
+        kept = max(1, len(history) - 1 - window) if stalled else len(history) - 1
+        monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", kept)
+        capped, _ = original(act, precondition, rows)
+        assert np.linalg.norm(steps - capped) <= 1e-13 * np.linalg.norm(capped)
+        step = max(np.max(np.abs(t)) for t in laurent_traces(BoundaryGrid(512), 0.4, steps[0]))
+        assert step <= 100.0 * np.max(np.abs(rows))
+    assert stalls >= 1
 
 
 def _first_gmres(monkeypatch, solve, which=0):

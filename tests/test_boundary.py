@@ -246,9 +246,13 @@ def test_winding_with_modulus_wobble(k, eps):
 
 
 def dense_pair_seminorm(values, alpha):
-    # reference: every node pair at once, with N x N difference and chord matrices.
-    # The node angles are taken in (-pi, pi]: near 2 pi their rounding alone
-    # moves an N = 1024 neighbour chord by up to 1.3e-13 relative
+    # reference: every node pair at once, with N x N difference and chord matrices,
+    # one row of a stack at a time. The node angles are taken in (-pi, pi]: near
+    # 2 pi their rounding alone moves an N = 1024 neighbour chord by up to 1.3e-13
+    # relative
+    values = np.asarray(values)
+    if values.ndim > 1:
+        return np.array([dense_pair_seminorm(row, alpha) for row in values])
     n = len(values)
     j = np.arange(n)
     theta = 2.0 * np.pi * np.where(j > n // 2, j - n, j) / n
@@ -296,9 +300,12 @@ def holder_test_trace(kind, n, seed):
     return np.cos(th - rng.uniform(0, 2 * np.pi))
 
 
+HOLDER_KINDS = ("smooth", "rough", "complex", "constant", "spike", "cos")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from(["smooth", "rough", "complex", "constant", "spike", "cos"]),
+    st.sampled_from(HOLDER_KINDS),
     st.sampled_from([16, 32, 64, 128, 256, 512, 1024]),
     st.floats(0.1, 0.9),
     st.integers(0, 2**32 - 1),
@@ -309,17 +316,78 @@ def test_holder_seminorm_matches_dense_pairs(kind, n, alpha, seed):
     npt.assert_allclose(rep.c_alpha, dense_pair_seminorm(values.astype(complex), alpha), rtol=1e-13)
 
 
+def holder_test_stack(kinds, n, seed, real=False):
+    # one row per kind; a real stack takes the real part of the complex kinds
+    rows = [holder_test_trace(kind, n, seed + i) for i, kind in enumerate(kinds)]
+    return np.array([np.real(row) for row in rows]) if real else np.array(rows, dtype=complex)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from(HOLDER_KINDS), min_size=1, max_size=6),
+    st.sampled_from([16, 64, 256, 512]),
+    st.floats(0.1, 0.9),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_holder_stack_matches_dense_pairs_row_by_row(kinds, n, alpha, seed, real):
+    stack = holder_test_stack(kinds, n, seed, real)
+    rep = holder_norms(stack, alpha)
+    assert rep.c_alpha.shape == rep.sup_norm.shape == (len(kinds),)
+    npt.assert_allclose(rep.c_alpha, dense_pair_seminorm(stack, alpha), rtol=1e-13)
+    npt.assert_array_equal(rep.sup_norm, np.max(np.abs(stack), axis=1))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("real", [False, True])
+def test_holder_stack_of_every_kind_matches_dense_pairs_at_extreme_scales(scale, real):
+    # at N = 256 the constant rows leave the scan before its first block, the
+    # spikes after it, the rough rows at separation 64 and the cos rows only
+    # at N/2, so rows of one stack leave at four different blocks
+    stack = scale * holder_test_stack(HOLDER_KINDS * 3, 256, 7, real)
+    c_alpha = holder_norms(stack, 0.5).c_alpha
+    npt.assert_allclose(c_alpha, dense_pair_seminorm(stack, 0.5), rtol=1e-13)
+    assert np.all(c_alpha[HOLDER_KINDS.index("constant") :: len(HOLDER_KINDS)] == 0.0)
+    # a row's norm does not depend on the rows stacked with it
+    for row, value in zip(stack, c_alpha):
+        assert holder_norms(BoundaryTrace(BoundaryGrid(256), row), 0.5).c_alpha == value
+
+
+def test_holder_stack_rejects_non_finite_rows_and_bad_exponents():
+    grid = BoundaryGrid(64)
+    stack = holder_test_stack(HOLDER_KINDS, 64, 3)
+    norms = (
+        lambda s: holder_norms(s, 0.5),
+        lambda s: holder_residual_norm(grid, (s,)),
+        lambda s: holder_iterate_norm(grid, (stack, s)),
+    )
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        broken = stack.copy()
+        broken[2, 5] = bad
+        for norm in norms:
+            with pytest.raises(ValueError):
+                norm(broken)
+    for alpha in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError):
+            holder_norms(stack, alpha)
+    with pytest.raises(ValueError):
+        holder_residual_norm(BoundaryGrid(32), (stack,))
+
+
 def test_holder_seminorm_memory_is_linear_in_grid():
-    # the dense pair matrices would take several 134 MB arrays at N = 4096
+    # the dense pair matrices would take several 134 MB arrays at N = 4096,
+    # per row of a stack
     rng = np.random.default_rng(11)
     trace = BoundaryTrace(BoundaryGrid(4096), rng.normal(size=4096) + 1j * rng.normal(size=4096))
-    tracemalloc.start()
-    try:
-        holder_norms(trace, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    stack = rng.normal(size=(16, 4096)) + 1j * rng.normal(size=(16, 4096))
+    for samples in (trace, stack, stack.real.copy()):
+        tracemalloc.start()
+        try:
+            holder_norms(samples, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def certificate_parts(n):
@@ -352,6 +420,12 @@ def test_certificate_norms_compute_one_seminorm_per_part(monkeypatch):
     assert len(calls) == 4
     holder_iterate_norm(grid, parts[:1])
     assert len(calls) == 5
+    # a stack of 16 rows per part still takes one scan per part
+    stacks = tuple(np.stack([(1.0 + 0.1 * i) * part for i in range(16)]) for part in parts)
+    assert holder_residual_norm(grid, stacks).shape == (16,)
+    assert len(calls) == 7
+    assert holder_iterate_norm(grid, stacks).shape == (16,)
+    assert len(calls) == 9
 
 
 def test_disc_certificate_matches_dense_pairs(monkeypatch):

@@ -20,6 +20,7 @@ from rhsolve.newton import (
     certify,
     iterate,
 )
+from rhsolve.serialize import certificate_dict, dump_json
 from rhsolve.trig import TrigPolynomial
 
 
@@ -355,3 +356,35 @@ def test_stacked_annulus_certificate_matches_per_probe(name):
     if name == "zero-free":
         # some probes are off the range and count only against the identity
         assert cert.identity_defect > 0.1 and cert.omega1 > 0.0
+
+
+def test_certificate_with_every_probe_missed_reports_no_contraction():
+    # on the zero-free circles every seed-3 residual probe is off the range of
+    # the linearization: nothing bounds the right inverse, so omega1 and the
+    # product are inf rather than a perfect-looking 0, and result files say null
+    problem, h0 = _annulus_at_glue("zero-free")
+    cert = certify(problem, h0, CertifyOptions(seed=3))
+    assert cert.omega1 == cert.product == np.inf
+    assert cert.identity_defect > 0.1 and not cert.certified
+    block = certificate_dict(cert, fallback=False)
+    assert block["omega1"] is None and block["product"] is None
+    assert block["omega3"] == cert.omega3 and block["identity_defect"] == cert.identity_defect
+    assert block["certified"] is False
+    text = dump_json(block)
+    assert '"product": null' in text and "Infinity" not in text
+    assert dump_json(certificate_dict(certify(problem, h0, CertifyOptions(seed=3)), False)) == text
+
+
+def test_certificate_with_every_probe_missed_keeps_inf_at_an_exact_start():
+    # omega3 = 0 must not turn inf * 0 into a NaN product
+    def unreachable(x):
+        def apply(r):
+            raise NeumannDiverges("no step", 1.0, 1)
+
+        return apply
+
+    problem = dataclasses.replace(quadratic_problem(), right_inverse=unreachable)
+    cert = certify(problem, 1.0)
+    assert cert.omega3 == 0.0
+    assert cert.omega1 == cert.product == np.inf
+    assert cert.identity_defect == 1.0 and not cert.certified
