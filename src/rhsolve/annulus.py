@@ -33,7 +33,7 @@ from .boundary import (
     holder_residual_norm,
     winding_number,
 )
-from .curves import CurveFamily, eta_decompose, monomial_transform
+from .curves import CurveFamily, eta_decompose, monomial_transform, on_grid
 from .disc import DiscSolveOptions, right_inverse_apply, solve_disc
 from .domains import Annulus, laurent_derivative, laurent_evaluate, laurent_from_traces, locate_zeros
 from .errors import (
@@ -172,13 +172,30 @@ def pullback_family(family: CurveFamily) -> CurveFamily:
     The map reverses the boundary orientation, so the curve index runs
     backwards.
     """
+    return _pulled_back(family, _reversed)
+
+
+def _reversed(theta) -> np.ndarray:
+    # read-only, so that a parent bound at -theta accepts it
+    angles = -np.asarray(theta)
+    angles.flags.writeable = False
+    return angles
+
+
+def _pulled_back(family: CurveFamily, flip) -> CurveFamily:
+    def bind(theta):
+        # the parent is bound at -theta, and the bound flip hands back that one array
+        angles = flip(theta)
+        return _pulled_back(on_grid(family, angles), lambda t: angles if t is theta else flip(t))
+
     return CurveFamily(
-        rho=lambda theta, w: family.rho(-np.asarray(theta), w),
-        dbar_w=lambda theta, w: family.dbar_w(-np.asarray(theta), w),
-        ray_radius=lambda theta, psi: family.ray_radius(-np.asarray(theta), psi),
+        rho=lambda theta, w: family.rho(flip(theta), w),
+        dbar_w=lambda theta, w: family.dbar_w(flip(theta), w),
+        ray_radius=lambda theta, psi: family.ray_radius(flip(theta), psi),
         radial_profile=None
         if family.radial_profile is None
-        else (lambda theta: family.radial_profile(-np.asarray(theta))),
+        else (lambda theta: family.radial_profile(flip(theta))),
+        bind=bind,
     )
 
 
@@ -268,9 +285,10 @@ def _glue_coefficients(
     sigma = n1 + m // 2
     w_out = n0 - sigma
     w_in = sigma - n1
-    fam0t = monomial_transform(outer_family, sigma)
-    fam1t = monomial_transform(inner_family, sigma, q ** float(sigma))
-    fam1p = pullback_family(fam1t)
+    theta = grid.theta
+    fam0t = on_grid(monomial_transform(outer_family, sigma), theta)
+    fam1t = on_grid(monomial_transform(inner_family, sigma, q ** float(sigma)), theta)
+    fam1p = on_grid(pullback_family(fam1t), theta)
 
     disc_opts = DiscSolveOptions(
         grid_n=n,
@@ -302,7 +320,6 @@ def _glue_coefficients(
     coeffs[:kmax] = (b[1:] * q ** k[1:].astype(float))[::-1]
 
     t0, t1 = laurent_traces(grid, q, coeffs)
-    theta = grid.theta
     pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1))
 
     # diagnostic only: no stage consumes the blend's dbar defect, which the
@@ -448,7 +465,9 @@ def _annulus_problem(
     theta = grid.theta
     n = grid.n
     kmax = n // 2 - 1
-    fam1p = pullback_family(inner_family)
+    outer_family = on_grid(outer_family, theta)
+    inner_family = on_grid(inner_family, theta)
+    fam1p = on_grid(pullback_family(inner_family), theta)
     # residual rows in curve-relative units, one fixed scale per boundary
     unit0 = _rho_scale(outer_family, theta)
     unit1 = _rho_scale(inner_family, theta)
@@ -611,6 +630,8 @@ def solve_annulus(
     if kmax * abs(np.log(q)) > 600.0:
         raise ConfigError(f"modulus {q} is too extreme for a {grid.n}-point grid")
     windings = (int(windings[0]), int(windings[1]))
+    outer_family = on_grid(outer_family, grid.theta)
+    inner_family = on_grid(inner_family, grid.theta)
 
     # Newton runs in the twisted gauge (balanced windings, unit-scale inner
     # family); the monomial factor is restored afterwards
@@ -774,6 +795,8 @@ def solve_annulus_radial(
         raise NotRadialFamily("both families must be circles centered at the origin")
     grid = BoundaryGrid(grid_n)
     theta = grid.theta
+    outer_family = on_grid(outer_family, theta)
+    inner_family = on_grid(inner_family, theta)
     r0 = np.asarray(outer_family.radial_profile(theta), dtype=float)
     r1 = np.asarray(inner_family.radial_profile(theta), dtype=float)
     if np.min(r0) <= 0.0 or np.min(r1) <= 0.0:

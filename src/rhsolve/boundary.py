@@ -41,13 +41,46 @@ class BoundaryGrid:
 
     @property
     def theta(self) -> np.ndarray:
-        return _TWO_PI * np.arange(self.n) / self.n
+        """The nodes, one read-only array per grid size: its identity names the grid."""
+        return _nodes(self.n)
 
     def modes(self) -> np.ndarray:
         """Mode numbers in FFT storage order, with the Nyquist mode at +N/2."""
         k = np.arange(self.n)
         k = np.where(k > self.n // 2, k - self.n, k)
         return k
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+@lru_cache(maxsize=None)
+def _nodes(n: int) -> np.ndarray:
+    return _read_only(_TWO_PI * np.arange(n) / n)
+
+
+@lru_cache(maxsize=None)
+def _derivative_multiplier(n: int) -> np.ndarray:
+    """i k per mode; the Nyquist derivative is pure-imaginary noise on the grid, so it is dropped."""
+    k = BoundaryGrid(n).modes().astype(float)
+    k[n // 2] = 0.0
+    return _read_only(1j * k)
+
+
+@lru_cache(maxsize=None)
+def _conjugate_multiplier(n: int) -> np.ndarray:
+    """-i sign(k) per mode, with the mean and the Nyquist mode dropped."""
+    mult = -1j * np.sign(BoundaryGrid(n).modes()).astype(complex)
+    mult[n // 2] = 0.0
+    return _read_only(mult)
+
+
+@lru_cache(maxsize=None)
+def _abs_modes(n: int) -> np.ndarray:
+    """|k| per mode; the Nyquist mode's two split halves weigh N/2 together."""
+    return _read_only(np.abs(BoundaryGrid(n).modes()).astype(float))
 
 
 @dataclass(frozen=True)
@@ -135,9 +168,7 @@ def evaluate_trace(trace: BoundaryTrace, theta) -> np.ndarray:
 def _derivative_samples(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
     """d/dtheta of the interpolant of samples on the grid, along the last axis of a stack."""
     c = np.fft.fft(np.asarray(values, dtype=complex))
-    k = grid.modes().astype(float)
-    k[grid.n // 2] = 0.0  # the Nyquist derivative is pure-imaginary noise on this grid
-    return np.fft.ifft(1j * k * c)
+    return np.fft.ifft(_derivative_multiplier(grid.n) * c)
 
 
 def spectral_derivative(trace: BoundaryTrace) -> BoundaryTrace:
@@ -152,9 +183,7 @@ def conjugate_samples(grid: BoundaryGrid, u: np.ndarray) -> np.ndarray:
     dropped, so the output is real with zero mean and T(cos k.) = sin k. for
     0 < k < N/2.
     """
-    mult = -1j * np.sign(grid.modes()).astype(complex)
-    mult[grid.n // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(u) * mult).real
+    return np.fft.ifft(np.fft.fft(u) * _conjugate_multiplier(grid.n)).real
 
 
 def hilbert_transform(trace: BoundaryTrace) -> BoundaryTrace:
@@ -176,6 +205,9 @@ _REFINE = 8
 # modulus floor, relative to the trace's maximum, below which a trace counts
 # as vanishing
 _ZERO_FLOOR = 1e-12
+# relative to the trace's maximum, covers the rounding of the refined samples
+# and of the spectral bound in the certified unwrap; far above both
+_ROUNDOFF_MARGIN = 1e-9
 
 
 def _refined_samples(values: np.ndarray, factor: int) -> np.ndarray:
@@ -197,11 +229,24 @@ def _interval_increments(trace: BoundaryTrace) -> np.ndarray:
     Raises ZeroOnBoundary when the (refined) trace modulus drops below the
     zero floor, and UnresolvedPhase when an increment reaches pi or a refined
     step is nearly antipodal (the grid cannot certify the unwrapping).
+
+    The spectrum decides first. L = sum |k| |c_k| bounds |u'| on the
+    interpolant, so between nodes the modulus stays above
+    m = min |u_j| - L pi / N and the phase turns by at most L (2 pi / N) / m
+    per interval. When m clears the zero floor and that turn is below
+    0.9 pi, every check of the refinement would pass and each increment is
+    the principal angle of u_{j+1} / u_j; otherwise the refinement runs.
     """
     values = trace.values
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0 or np.min(np.abs(values)) <= _ZERO_FLOOR * scale:
+    modulus = np.abs(values)
+    scale, low = float(np.max(modulus)), float(np.min(modulus))
+    if scale == 0.0 or low <= _ZERO_FLOOR * scale:
         raise ZeroOnBoundary("trace modulus at or below the zero floor")
+    n = trace.grid.n
+    lipschitz = float(_abs_modes(n) @ np.abs(np.fft.fft(values))) / n
+    floor = low - lipschitz * np.pi / n - _ROUNDOFF_MARGIN * scale
+    if floor > _ZERO_FLOOR * scale and lipschitz * _TWO_PI / n < 0.9 * np.pi * floor:
+        return np.angle(np.roll(values, -1) / values)
     fine = _refined_samples(values, _REFINE)
     if np.min(np.abs(fine)) <= _ZERO_FLOOR * scale:
         raise ZeroOnBoundary("interpolated trace modulus at or below the zero floor")

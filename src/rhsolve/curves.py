@@ -11,11 +11,15 @@ eta_decompose supplies the multiplicative splitting of the linearized
 boundary operator along a trace, and divisor_transform rescales a family by
 a nonvanishing multiplier. Its case g = scale * exp(i sigma theta),
 monomial_transform, is how prescribed windings are divided out.
+
+on_grid binds a builtin or transformed family to a solve's grid nodes, so
+its theta-profiles (radii, axes, tilts, multipliers) are evaluated once per
+solve instead of once per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,12 +49,38 @@ class CurveFamily:
     which seeds the initial guess. All callables accept broadcastable arrays
     (theta real, w complex). radial_profile is set when every curve is a
     circle centered at the origin; it maps theta to the radius.
+
+    bind, set by the builtin families and the transforms, maps grid nodes
+    to the same family with its theta-profiles evaluated there; solvers
+    reach it through on_grid.
     """
 
     rho: Callable
     dbar_w: Callable
     ray_radius: Callable
     radial_profile: Optional[Callable] = None
+    bind: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+
+def on_grid(family: CurveFamily, theta) -> CurveFamily:
+    """The family with its theta-profiles evaluated once at the nodes theta.
+
+    The bound callables reuse those values when they are called with this
+    very array, and evaluate afresh at any other angles, so the bound family
+    equals the family everywhere. theta must be read-only (a BoundaryGrid's
+    nodes are), or the family comes back unchanged, as does a family built
+    from plain callables. Solvers bind once per solve and drop the bound
+    family with it, so no evaluated profile outlives a solve.
+    """
+    if family.bind is None or not isinstance(theta, np.ndarray) or theta.flags.writeable:
+        return family
+    return family.bind(theta)
+
+
+def _evaluated_at(profile: Callable, theta: np.ndarray) -> Callable:
+    """profile, with its value at the nodes theta computed once."""
+    values = profile(theta)
+    return lambda angles: values if angles is theta else profile(angles)
 
 
 def _is_zero_poly(p: TrigPolynomial) -> bool:
@@ -67,7 +97,10 @@ def builtin_circle_family(radius, center=0.0) -> CurveFamily:
     c = as_trig_polynomial(center)
     if np.min(R(_FINE) - np.abs(c(_FINE))) <= 0.0:
         raise ZeroNotEnclosed("some curve in the family does not enclose the origin")
+    return _circle_family(R, c, _is_zero_poly(c))
 
+
+def _circle_family(R: Callable, c: Callable, centered: bool) -> CurveFamily:
     def rho(theta, w):
         d = w - c(theta)
         return (d * np.conj(d)).real - R(theta) ** 2
@@ -80,7 +113,10 @@ def builtin_circle_family(radius, center=0.0) -> CurveFamily:
         a = cv * np.cos(psi)
         return a + np.sqrt(a * a + rv * rv - cv * cv)
 
-    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=R if _is_zero_poly(c) else None)
+    def bind(theta):
+        return _circle_family(_evaluated_at(R, theta), _evaluated_at(c, theta), centered)
+
+    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=R if centered else None, bind=bind)
 
 
 def builtin_ellipse_family(p, q, phi=0.0) -> CurveFamily:
@@ -94,9 +130,19 @@ def builtin_ellipse_family(p, q, phi=0.0) -> CurveFamily:
     Phi = as_trig_polynomial(phi)
     if min(np.min(P(_FINE)), np.min(Q(_FINE))) <= 0.0:
         raise DegenerateAxis("ellipse axis profile must be strictly positive")
+    return _ellipse_family(P, Q, Phi, P.coefficients == Q.coefficients, _turns(Phi))
+
+
+def _turns(Phi: Callable) -> tuple:
+    """The profiles exp(-i Phi) and exp(i Phi)."""
+    return (lambda theta: np.exp(-1j * Phi(theta)), lambda theta: np.exp(1j * Phi(theta)))
+
+
+def _ellipse_family(P: Callable, Q: Callable, Phi: Callable, circular: bool, turns: tuple) -> CurveFamily:
+    turn, unturn = turns
 
     def _hat(theta, w):
-        u = np.exp(-1j * Phi(theta)) * w
+        u = turn(theta) * w
         return u.real, u.imag
 
     def rho(theta, w):
@@ -105,14 +151,18 @@ def builtin_ellipse_family(p, q, phi=0.0) -> CurveFamily:
 
     def dbar_w(theta, w):
         x, y = _hat(theta, w)
-        return np.exp(1j * Phi(theta)) * (x / P(theta) ** 2 + 1j * y / Q(theta) ** 2)
+        return unturn(theta) * (x / P(theta) ** 2 + 1j * y / Q(theta) ** 2)
 
     def ray_radius(theta, psi):
         ang = psi - Phi(theta)
         return 1.0 / np.sqrt((np.cos(ang) / P(theta)) ** 2 + (np.sin(ang) / Q(theta)) ** 2)
 
-    radial = P if P.coefficients == Q.coefficients else None
-    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=radial)
+    def bind(theta):
+        phi = _evaluated_at(Phi, theta)
+        turns = tuple(_evaluated_at(t, theta) for t in _turns(phi))
+        return _ellipse_family(_evaluated_at(P, theta), _evaluated_at(Q, theta), phi, circular, turns)
+
+    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=P if circular else None, bind=bind)
 
 
 def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative=None) -> CurveFamily:
@@ -124,16 +174,19 @@ def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative=Non
     carries no theta-partial, so g' is never needed. The parameter is kept
     for callers that pass it.
     """
-    g = multiplier
-    gv = np.asarray(g(_FINE), dtype=complex)
+    gv = np.asarray(multiplier(_FINE), dtype=complex)
     if np.min(np.abs(gv)) <= 1e-14 * max(1.0, np.max(np.abs(gv))):
         raise MultiplierVanishes("divisor multiplier vanishes on the circle")
+    return _divided_family(family, multiplier)
 
+
+def _divided_family(family: CurveFamily, g: Callable) -> CurveFamily:
     def rho(theta, w):
         return family.rho(theta, g(theta) * w)
 
     def dbar_w(theta, w):
-        return family.dbar_w(theta, g(theta) * w) * np.conj(g(theta))
+        gt = g(theta)
+        return family.dbar_w(theta, gt * w) * np.conj(gt)
 
     def ray_radius(theta, psi):
         gt = g(theta)
@@ -143,7 +196,11 @@ def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative=Non
     if family.radial_profile is not None:
         parent = family.radial_profile
         radial = lambda theta: parent(theta) / np.abs(g(theta))
-    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=radial)
+
+    def bind(theta):
+        return _divided_family(on_grid(family, theta), _evaluated_at(g, theta))
+
+    return CurveFamily(rho, dbar_w, ray_radius, radial_profile=radial, bind=bind)
 
 
 def monomial_transform(family: CurveFamily, sigma: int, scale: float = 1.0) -> CurveFamily:

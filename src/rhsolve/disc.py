@@ -31,7 +31,7 @@ from .boundary import (
     holder_iterate_norm,
     holder_residual_norm,
 )
-from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, eta_decompose, monomial_transform
+from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, eta_decompose, monomial_transform, on_grid
 from .errors import NoConvergence
 from .newton import CertifyOptions, IterateOptions, NewtonProblem, NewtonRun, certify, iterate
 from .trig import as_trig_polynomial
@@ -82,6 +82,7 @@ def _sup(v):
 
 def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
     theta = grid.theta
+    fam_t = on_grid(fam_t, theta)
     probe = band_limited_sampler(grid)
 
     def residual(g):
@@ -132,7 +133,8 @@ def solve_disc(family: CurveFamily, winding: int, options: DiscSolveOptions = Di
     if winding < 0:
         raise ValueError("a holomorphic solution cannot have negative boundary winding")
     grid = BoundaryGrid(options.grid_n)
-    fam_t = monomial_transform(family, winding)
+    family = on_grid(family, grid.theta)
+    fam_t = on_grid(monomial_transform(family, winding), grid.theta)
     problem = _g_space_problem(fam_t, grid)
     g0 = _initial_log_trace(fam_t, grid)
     it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter, allow_damping=options.damping)
@@ -152,6 +154,7 @@ def _blend_families(circle: CurveFamily, target: CurveFamily, t: float) -> Curve
         rho=mix(circle.rho, target.rho),
         dbar_w=mix(circle.dbar_w, target.dbar_w),
         ray_radius=circle.ray_radius,  # only used to seed the t = 0 stage
+        bind=lambda theta: _blend_families(on_grid(circle, theta), on_grid(target, theta), t),
     )
 
 

@@ -146,7 +146,9 @@ def _power_series(z, c):
     if nblocks == 0:
         return np.zeros(np.shape(z), dtype=complex)
     width = min(len(c), _BLOCK)
-    blocks = np.pad(c, (0, nblocks * _BLOCK - len(c))).reshape(nblocks, _BLOCK)[:, :width].T
+    padded = np.zeros(nblocks * _BLOCK, dtype=complex)
+    padded[: len(c)] = c
+    blocks = padded.reshape(nblocks, _BLOCK)[:, :width].T
     powers = np.empty((flat.size, width + 1), dtype=complex)
     powers[:, 0] = 1.0
     powers[:, 1:] = flat[:, None]

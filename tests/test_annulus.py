@@ -28,6 +28,7 @@ from rhsolve.curves import (
     builtin_circle_family,
     builtin_ellipse_family,
     divisor_transform,
+    on_grid,
 )
 from rhsolve.disc import gauge_align
 from rhsolve.domains import Annulus, cauchy_extend
@@ -812,3 +813,24 @@ def test_pullback_family_reverses_parameter():
     w = 0.9 * np.exp(1j * theta)
     npt.assert_allclose(pulled.rho(theta, w), fam.rho(-theta, w), rtol=1e-14)
     npt.assert_allclose(pulled.dbar_w(theta, w), fam.dbar_w(-theta, w), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [scaled_circle(1.0, [0.0, 0.3, 0.0, 0.0, 0.1]), builtin_ellipse_family([1.0, 0.1], [0.8, 0.0, 0.05], [0.2, 0.1])],
+    ids=["scaled", "ellipse"],
+)
+def test_bound_pullback_equals_pullback_bitwise(family):
+    # the pullback binds its parent at -theta
+    grid = BoundaryGrid(64)
+    pulled = pullback_family(family)
+    bound = on_grid(pulled, grid.theta)
+    assert bound is not pulled
+    rng = np.random.default_rng(2)
+    for theta in (grid.theta, rng.uniform(0.0, 2.0 * np.pi, 64)):
+        w = 0.9 * np.exp(1j * (theta + rng.uniform(0.0, 0.3, 64)))
+        assert np.array_equal(bound.rho(theta, w), pulled.rho(theta, w))
+        assert np.array_equal(bound.dbar_w(theta, w), pulled.dbar_w(theta, w))
+        assert np.array_equal(bound.ray_radius(theta, theta), pulled.ray_radius(theta, theta))
+        if pulled.radial_profile is not None:
+            assert np.array_equal(bound.radial_profile(theta), pulled.radial_profile(theta))

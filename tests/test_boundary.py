@@ -242,6 +242,110 @@ def test_winding_with_modulus_wobble(k, eps):
     assert winding_number(t) == k
 
 
+def refined_increments(trace):
+    # reference: the phase increments from the 8x refined interpolant alone,
+    # with every check of the refinement
+    values = trace.values
+    scale = float(np.max(np.abs(values)))
+    if scale == 0.0 or np.min(np.abs(values)) <= boundary._ZERO_FLOOR * scale:
+        raise ZeroOnBoundary("trace modulus at or below the zero floor")
+    fine = boundary._refined_samples(values, boundary._REFINE)
+    if np.min(np.abs(fine)) <= boundary._ZERO_FLOOR * scale:
+        raise ZeroOnBoundary("interpolated trace modulus at or below the zero floor")
+    steps = np.angle(np.roll(fine, -1) / fine)
+    if np.max(np.abs(steps)) >= 0.9 * np.pi:
+        raise UnresolvedPhase("near-antipodal phase step after refinement")
+    increments = steps.reshape(trace.grid.n, boundary._REFINE).sum(axis=1)
+    if np.max(np.abs(increments)) >= np.pi:
+        raise UnresolvedPhase("adjacent-node phase jump reaches pi; grid too coarse")
+    return increments
+
+
+def _unwrap(values):
+    """(increments, winding, phase) of fresh traces, or the error each raises."""
+    grid = BoundaryGrid(len(values))
+    outcomes = []
+    for fn in (lambda t: boundary._interval_increments(t), winding_number, unwrapped_phase):
+        try:
+            outcomes.append(fn(BoundaryTrace(grid, values)))
+        except (ZeroOnBoundary, UnresolvedPhase) as exc:
+            outcomes.append(type(exc))
+    return tuple(outcomes)
+
+
+def _band_limited(rng, n, winding):
+    # e^{i k theta} exp(p), p a random complex trig polynomial with modes -12..12
+    th = BoundaryGrid(n).theta
+    degree = int(rng.integers(1, 13))
+    k = np.arange(1, degree + 1)
+    size = rng.uniform(0.05, 0.6) / k**1.5
+    p = sum(
+        (size * (rng.standard_normal(degree) + 1j * rng.standard_normal(degree))) @ np.exp(sign * 1j * np.outer(k, th))
+        for sign in (1, -1)
+    )
+    return np.exp(1j * winding * th + p)
+
+
+def _dipped(rng, n, winding):
+    # e^{i k theta} (1 - r e^{i (theta - theta*)}): modulus dips to 1 - r at a
+    # point theta* between nodes
+    th = BoundaryGrid(n).theta
+    centre = (rng.integers(n) + rng.uniform(0.2, 0.8)) * 2.0 * np.pi / n
+    r = 1.0 - 10.0 ** rng.uniform(-6, -1)
+    return np.exp(1j * winding * th) * (1.0 - r * np.exp(1j * (th - centre)))
+
+
+@pytest.mark.parametrize("kind", ["band-limited", "dipped"])
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_unwrap_matches_refinement(kind, seed, monkeypatch):
+    rng = np.random.default_rng([seed, kind == "dipped"])
+    make = _band_limited if kind == "band-limited" else _dipped
+    certified = 0
+    for winding in range(-10, 11):
+        n = int(rng.choice([64, 128, 256, 512]))
+        values = make(rng, n, winding)
+        refinements = []
+        original = boundary._refined_samples
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "_refined_samples", lambda v, f: refinements.append(f) or original(v, f))
+            got = _unwrap(values)
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "_interval_increments", refined_increments)
+            want = _unwrap(values)
+        certified += not refinements
+        if isinstance(want[0], type):
+            # every error comes from the refinement, unchanged
+            assert refinements and got == want
+            continue
+        npt.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+        assert got[1] == want[1]
+        assert np.array_equal(got[2], want[2])
+    # both paths run: the spectral bound settles part of the smooth traces,
+    # and the dips go to the refinement
+    if kind == "band-limited":
+        assert certified >= 5
+    else:
+        assert certified <= 5
+
+
+def test_certified_unwrap_keeps_the_refinement_errors():
+    n = 64
+    th = BoundaryGrid(n).theta
+    # an exact zero midway between two nodes, where the refinement samples
+    centre = 10.5 * 2.0 * np.pi / n
+    zero = BoundaryTrace(BoundaryGrid(n), np.exp(1j * th) - np.exp(1j * centre))
+    with pytest.raises(ZeroOnBoundary):
+        winding_number(zero)
+    # a zero 1e-6 off the circle between two refined samples: the modulus
+    # stays above the floor but the refined phase turns by nearly pi
+    centre = (10.5 + 0.5 / boundary._REFINE) * 2.0 * np.pi / n
+    near = BoundaryTrace(BoundaryGrid(n), np.exp(1j * th) - (1.0 - 1e-6) * np.exp(1j * centre))
+    with pytest.raises(UnresolvedPhase, match="near-antipodal"):
+        winding_number(near)
+    with pytest.raises(UnresolvedPhase, match="near-antipodal"):
+        refined_increments(near)
+
+
 # -------------------------------------------------------------- Holder norms
 
 

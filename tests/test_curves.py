@@ -1,18 +1,26 @@
-"""Curve families: partials, ray radii, eta splitting, divisor transforms."""
+"""Curve families: partials, ray radii, eta splitting, divisor transforms, grid binding."""
+
+import dataclasses
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from rhsolve import boundary
+from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
 from rhsolve.boundary import BoundaryGrid, BoundaryTrace
 from rhsolve.curves import (
+    CurveFamily,
     builtin_circle_family,
     builtin_ellipse_family,
     divisor_transform,
     eta_decompose,
     family_from_spec,
+    monomial_transform,
+    on_grid,
 )
+from rhsolve.disc import DiscSolveOptions, _blend_families, solve_disc
 from rhsolve.errors import (
     DegenerateAxis,
     EtaWindingNonzero,
@@ -210,3 +218,131 @@ def test_eta_decompose_unwraps_eta_once(monkeypatch):
     assert len(calls) == 1
     assert dec.winding == 0
     npt.assert_allclose(np.exp(dec.a + 1j * dec.b), dec.eta.values, rtol=1e-12)
+
+
+# ----------------------------------------------------------- grid binding
+
+
+def scaled_circle(base, coeffs, calls=None):
+    # |w| = base * exp(a(theta)) as a divisor transform; calls counts the
+    # multiplier's evaluations
+    a = TrigPolynomial.from_list(coeffs)
+
+    def g(th):
+        if calls is not None:
+            calls.append(len(np.atleast_1d(th)))
+        return np.exp(-a(th)) + 0j
+
+    return divisor_transform(builtin_circle_family(float(base)), g)
+
+
+TILTED = ([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], [0.3, 0.2, 0.0])
+BINDABLE = {
+    "circle": lambda: builtin_circle_family([1.5, 0.2, -0.1]),
+    "offset-circle": lambda: builtin_circle_family([1.5, 0.0, 0.3], center=[0.2, 0.1, 0.0]),
+    "ellipse": lambda: builtin_ellipse_family(*TILTED),
+    "round-ellipse": lambda: builtin_ellipse_family([1.5, 0.1], [1.5, 0.1], phi=0.2),
+    "divisor": lambda: divisor_transform(
+        builtin_ellipse_family(*TILTED), lambda th: np.exp(1j * th) * (1.0 + 0.3 * np.cos(th))
+    ),
+    "scaled": lambda: scaled_circle(0.7, [0.0, 0.12, -0.05, 0.08, 0.02]),
+    "monomial": lambda: monomial_transform(builtin_ellipse_family(*TILTED), 3, 0.5),
+    "blend": lambda: _blend_families(builtin_circle_family(1.4), builtin_ellipse_family(*TILTED), 0.3),
+}
+
+
+@pytest.mark.parametrize("name", BINDABLE)
+def test_bound_family_equals_the_family_bitwise(name):
+    family = BINDABLE[name]()
+    grid = BoundaryGrid(64)
+    bound = on_grid(family, grid.theta)
+    assert bound is not family
+    assert (bound.radial_profile is None) == (family.radial_profile is None)
+    rng = np.random.default_rng(5)
+    # the bound nodes, other angles of the same length, another grid
+    for theta in (grid.theta, rng.uniform(0.0, 2.0 * np.pi, 64), BoundaryGrid(128).theta):
+        # one point per node, and a stack of them as the certificate passes
+        w = (1.0 + 0.3 * rng.standard_normal((3, len(theta)))) * np.exp(2j * np.pi * rng.uniform(size=(3, len(theta))))
+        psi = rng.uniform(0.0, 2.0 * np.pi, len(theta))
+        for points in (w[0], w):
+            assert np.array_equal(bound.rho(theta, points), family.rho(theta, points))
+            assert np.array_equal(bound.dbar_w(theta, points), family.dbar_w(theta, points))
+        assert np.array_equal(bound.ray_radius(theta, psi), family.ray_radius(theta, psi))
+        if family.radial_profile is not None:
+            assert np.array_equal(bound.radial_profile(theta), family.radial_profile(theta))
+
+
+def test_binding_needs_read_only_nodes_and_a_builtin_family():
+    grid = BoundaryGrid(64)
+    family = builtin_circle_family([1.5, 0.2, -0.1])
+    assert on_grid(family, np.array(grid.theta)) is family
+    plain = CurveFamily(family.rho, family.dbar_w, family.ray_radius)
+    assert on_grid(plain, grid.theta) is plain
+
+
+def test_radial_solve_evaluates_each_multiplier_once():
+    outer_calls, inner_calls = [], []
+    outer = scaled_circle(1.0, [0.0, 0.1, -0.05, 0.04, 0.02], outer_calls)
+    inner = scaled_circle(0.5**1.4, [0.0, -0.06, 0.03], inner_calls)
+    del outer_calls[:], inner_calls[:]  # the vanishing check at construction
+    sol = solve_annulus_radial(outer, inner, 0.5, grid_n=256)
+    assert sol.zero is not None
+    assert outer_calls == [256] and inner_calls == [256]
+
+
+def test_disc_solve_evaluates_ellipse_profiles_once_per_solve(monkeypatch):
+    P, Q, Phi = (TrigPolynomial(tuple(c)) for c in TILTED)
+    family = builtin_ellipse_family(P, Q, Phi)
+    calls = []
+    original = TrigPolynomial.__call__
+    monkeypatch.setattr(TrigPolynomial, "__call__", lambda self, th: calls.append(self) or original(self, th))
+
+    def profile_calls(tol):
+        del calls[:]
+        sol = solve_disc(family, 1, DiscSolveOptions(tol=tol))
+        return sol.run.iterations, sum(any(c is p for p in (P, Q, Phi)) for c in calls)
+
+    few, loose = profile_calls(1e-3)
+    many, tight = profile_calls(1e-12)
+    assert few < many
+    # one evaluation per profile, certificate included
+    assert loose == tight == 3
+
+
+def _recording(family, bound):
+    # the family, with every family its bind returns kept as a weak reference
+    def bind(theta):
+        result = family.bind(theta)
+        bound.append(weakref.ref(result))
+        return result
+
+    return dataclasses.replace(family, bind=bind)
+
+
+def test_bound_families_do_not_outlive_their_solve():
+    bound = []
+    ellipse = _recording(builtin_ellipse_family(*TILTED), bound)
+    solve_disc(ellipse, 1)
+    outer = _recording(builtin_circle_family([1.0, 0.02, -0.01]), bound)
+    inner = _recording(builtin_circle_family([0.5, 0.01]), bound)
+    solve_annulus(outer, inner, (6, 6), 0.5, AnnulusSolveOptions(certify=False))
+    solve_annulus_radial(
+        _recording(scaled_circle(1.0, [0.0, 0.1]), bound), _recording(scaled_circle(0.5**0.5, [0.0, 0.05]), bound), 0.5
+    )
+    assert len(bound) >= 5
+    assert all(ref() is None for ref in bound)
+
+
+def test_plain_callable_family_solves_as_before():
+    # the README family: four plain callables, called as given
+    R = lambda theta: np.exp(np.cos(theta))
+    family = CurveFamily(
+        rho=lambda theta, w: (w * np.conj(w)).real - R(theta) ** 2,
+        dbar_w=lambda theta, w: np.asarray(w, dtype=complex),
+        ray_radius=lambda theta, psi: R(theta) * np.ones_like(np.asarray(psi, dtype=float)),
+        radial_profile=R,
+    )
+    sol = solve_disc(family, winding=1)
+    z = np.exp(1j * sol.grid.theta)
+    npt.assert_allclose(sol.f_trace.values, z * np.exp(z), atol=1e-12)
+    assert sol.run.certificate is not None
