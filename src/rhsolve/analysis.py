@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .annulus import _split_flux, harmonic_extend_annulus, solve_annulus_radial
+from .annulus import _check_modulus, _split_flux, harmonic_extend_annulus, solve_annulus_radial
 from .boundary import winding_number
 from .curves import CurveFamily, builtin_circle_family
 from .errors import ConfigError, NotRadialFamily
@@ -28,8 +28,7 @@ def harmonic_measure(q: float, index: int = 1):
     circle and h = 0 on the other one. Index 1 is the inner circle |z| = q,
     giving h1(z) = log|z| / log q; index 0 is the outer unit circle.
     """
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
+    _check_modulus(q)
     if index not in (0, 1):
         raise ConfigError(f"boundary index must be 0 or 1, got {index}")
     log_q = np.log(q)
@@ -80,11 +79,6 @@ class IdentityReport:
     k1: int
     zeros_used: tuple
     h1_values: tuple
-
-    @property
-    def k1_coherent(self) -> int:
-        """Inner winding with the boundary traversed clockwise."""
-        return -self.k1
 
 
 def check_identity(
@@ -167,9 +161,7 @@ def surjectivity_demo(targets: Sequence[float], q: float, grid_n: int = 256):
     the zero positions rather than against its own bookkeeping. Each case
     needs at most one zero.
     """
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
-    h1 = harmonic_measure(q, 1)
+    h1 = harmonic_measure(q, 1)  # checks the modulus
     outer = builtin_circle_family(1.0)
     cases = []
     for target in targets:

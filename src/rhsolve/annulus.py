@@ -8,9 +8,10 @@ boundary once the windings are balanced by a monomial twist). Newton
 iteration on the Laurent coefficients then removes the gluing error.
 
 The linearized equations are solved by the collar right inverse: the
-per-boundary explicit inverses are projected onto one Laurent series,
-which cancels the dbar defect of their cutoff blend exactly (its area
-transform has no mode the projection keeps). Right-preconditioned GMRES,
+per-boundary explicit inverses are projected onto one Laurent series.
+The paper blends its collar pieces with a cutoff and removes the blend's
+dbar defect by an area transform; the projection needs no such term, since
+that transform has no mode the projection keeps. Right-preconditioned GMRES,
 with this collar inverse as the preconditioner, absorbs the remaining
 coupling. A step is accepted by an inexact-Newton forcing test; a residual
 it cannot invert raises NeumannDiverges (there is no dense fallback).
@@ -51,7 +52,6 @@ from .newton import (
     certify,
     iterate,
 )
-from .pompeiu import RadialCutoff, radial_quadrature
 
 # collar GMRES: iteration budget, relative 2-norm tolerance, and the stall
 # rule (stop once the 2-norm defect fell by less than the ratio over the
@@ -70,43 +70,9 @@ _FORCING = 0.1
 _LOG_POWER_MAX = 700.0
 
 
-# --------------------------------------------------------------------------
-# collar geometry
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollarBand:
-    """Transition band q^{2/3} < |z| < q^{1/3} with its partition of unity.
-
-    chi_outer rises to 1 at the outer edge, chi_inner = 1 - chi_outer.
-    The exponents balance the two collar divisors: a piece with winding n
-    at its own boundary is of size q^{n/3} at the far edge of the band.
-    """
-
-    q: float
-    s_inner: float
-    s_outer: float
-    chi_outer: RadialCutoff
-    chi_inner: RadialCutoff
-
-
 def _check_modulus(q: float) -> None:
     if not 0.0 < q < 1.0:
         raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
-
-
-def make_collar_band(q: float) -> CollarBand:
-    _check_modulus(q)
-    s_inner = q ** (2.0 / 3.0)
-    s_outer = q ** (1.0 / 3.0)
-    return CollarBand(
-        q=q,
-        s_inner=s_inner,
-        s_outer=s_outer,
-        chi_outer=RadialCutoff(s_inner, s_outer, rising=True),
-        chi_inner=RadialCutoff(s_inner, s_outer, rising=False),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -230,9 +196,7 @@ def _boundary_residuals(outer_family, inner_family, theta, t0, t1) -> tuple:
 class GlueReport:
     windings: tuple
     sigma: int
-    band: tuple
     pre_newton_residual: float
-    dbar_norm: float
 
 
 @dataclass(frozen=True)
@@ -259,9 +223,10 @@ def _glue_coefficients(
     piece carries half the zero count as a divisor at its own boundary;
     the pieces then decay like q^{m/2} across the annulus and their sum
     is the telescoped initial iterate. Returns (coefficients, report,
-    (twisted outer family, twisted inner family)): the coefficients
-    describe the twisted iterate h = f / z^sigma and the report residual
-    is measured against the twisted families. Raises GlueTooCoarse when
+    (twisted outer family, twisted inner family, its pullback)), the
+    families bound to the grid: the coefficients describe the twisted
+    iterate h = f / z^sigma and the report residual is measured against
+    the twisted families. Raises GlueTooCoarse when
     that residual exceeds the threshold (the windings are too small for
     this modulus).
     """
@@ -277,7 +242,7 @@ def _glue_coefficients(
     grid = BoundaryGrid(opts.grid_n)
     n = grid.n
     kmax = n // 2 - 1
-    band = make_collar_band(q)
+    _check_modulus(q)
 
     # everything runs in the twisted gauge h = f / z^sigma: the windings are
     # balanced and the inner family is rescaled by q^-sigma to unit size, so
@@ -322,32 +287,14 @@ def _glue_coefficients(
     t0, t1 = laurent_traces(grid, q, coeffs)
     pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1))
 
-    # diagnostic only: no stage consumes the blend's dbar defect, which the
-    # Laurent projection of the collar right inverse cancels. On the band
-    # circle |z| = s the difference a(z) - b(q/z) of the pieces has mode k
-    # a_k s^k and mode -k -b_k (q/s)^k: one inverse FFT per circle
-    s, _ = radial_quadrature(band.s_inner, band.s_outer)
-    spectra = np.zeros((len(s), n), dtype=complex)
-    spectra[:, k] = a * s[:, None] ** k
-    spectra[:, -k % n] -= b * (q / s[:, None]) ** k
-    zb = s[:, None] * np.exp(1j * theta)[None, :]
-    defect = band.chi_outer.dbar(zb) * np.fft.ifft(spectra, axis=1) * n
-    collar = float(np.max(np.abs(defect)))
-
-    report = GlueReport(
-        windings=(n0, n1),
-        sigma=sigma,
-        band=(band.s_inner, band.s_outer),
-        pre_newton_residual=pre,
-        dbar_norm=collar,
-    )
+    report = GlueReport(windings=(n0, n1), sigma=sigma, pre_newton_residual=pre)
     if pre > opts.glue_threshold:
         raise GlueTooCoarse(
             f"glued iterate has boundary residual {pre:.3e} "
             f"(threshold {opts.glue_threshold}); windings {coherent} are too "
             f"small for modulus {q}"
         )
-    return coeffs, report, (fam0t, fam1t)
+    return coeffs, report, (fam0t, fam1t, fam1p)
 
 
 def glue_construct(
@@ -364,9 +311,7 @@ def glue_construct(
     q^n across the annulus and their sum is holomorphic, so the only
     defects are the cross terms each piece leaves on the other boundary.
     Returns ((outer trace, inner trace), report); the report carries the
-    pre-Newton boundary residual in curve-relative units and, as a
-    diagnostic no solver stage consumes, the sup of the dbar defect of a
-    cutoff blend of the pieces (the Laurent projection cancels it).
+    pre-Newton boundary residual in curve-relative units.
     """
     opts = options if options is not None else AnnulusSolveOptions()
     coeffs, report, _ = _glue_coefficients(outer_family, inner_family, (int(n), int(n)), q, opts)
@@ -458,16 +403,15 @@ def _gmres(act, precondition, rows):
 def _annulus_problem(
     outer_family: CurveFamily,
     inner_family: CurveFamily,
+    fam1p: CurveFamily,
     q: float,
     grid: BoundaryGrid,
     tol: float,
 ) -> NewtonProblem:
+    """Newton problem on the Laurent coefficients, for the families the glue returns."""
     theta = grid.theta
     n = grid.n
     kmax = n // 2 - 1
-    outer_family = on_grid(outer_family, theta)
-    inner_family = on_grid(inner_family, theta)
-    fam1p = on_grid(pullback_family(inner_family), theta)
     # residual rows in curve-relative units, one fixed scale per boundary
     unit0 = _rho_scale(outer_family, theta)
     unit1 = _rho_scale(inner_family, theta)
@@ -590,15 +534,6 @@ class AnnulusSolution:
         """Always False: no dense least-squares path exists (result.json keeps the key)."""
         return False
 
-    @property
-    def winding_inner_coherent(self) -> int:
-        return int(self.windings[1])
-
-    @property
-    def winding_inner_disc(self) -> int:
-        # inner boundary traversed counterclockwise instead of coherently
-        return -int(self.windings[1])
-
     def evaluate(self, z):
         return laurent_evaluate(self.coefficients, z)
 
@@ -635,11 +570,9 @@ def solve_annulus(
 
     # Newton runs in the twisted gauge (balanced windings, unit-scale inner
     # family); the monomial factor is restored afterwards
-    h0, glue, (fam0t, fam1t) = _glue_coefficients(
-        outer_family, inner_family, windings, q, opts
-    )
+    h0, glue, families = _glue_coefficients(outer_family, inner_family, windings, q, opts)
     sigma = glue.sigma
-    problem = _annulus_problem(fam0t, fam1t, q, grid, opts.tol)
+    problem = _annulus_problem(*families, q, grid, opts.tol)
     cert = (
         certify(problem, h0, CertifyOptions(seed=opts.seed))
         if opts.certify

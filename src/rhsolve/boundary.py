@@ -136,10 +136,7 @@ def _same_grid(*traces: BoundaryTrace) -> BoundaryGrid:
 
 
 def trig_coefficients(trace: BoundaryTrace) -> np.ndarray:
-    """Trig coefficients in ascending order, k = -N/2+1 .. N/2.
-
-    The inverse, values_from_coefficients, reproduces the samples to roundoff.
-    """
+    """Trig coefficients in ascending order, k = -N/2+1 .. N/2."""
     n = trace.grid.n
     c = np.fft.fft(trace.values) / n
     return np.roll(c, n // 2 - 1)
@@ -149,20 +146,6 @@ def coefficient_modes(grid: BoundaryGrid) -> np.ndarray:
     """Mode numbers matching the trig_coefficients layout."""
     n = grid.n
     return np.arange(-(n // 2) + 1, n // 2 + 1)
-
-
-def values_from_coefficients(grid: BoundaryGrid, coefficients: np.ndarray) -> BoundaryTrace:
-    n = grid.n
-    c = np.roll(np.asarray(coefficients, dtype=complex), -(n // 2 - 1))
-    return BoundaryTrace(grid, np.fft.ifft(c * n))
-
-
-def evaluate_trace(trace: BoundaryTrace, theta) -> np.ndarray:
-    """Evaluate the trigonometric interpolant at arbitrary angles."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    c = trig_coefficients(trace)
-    k = coefficient_modes(trace.grid)
-    return np.exp(1j * np.outer(theta, k)) @ c
 
 
 def _derivative_samples(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:

@@ -392,7 +392,7 @@ def cmd_sweep(args) -> int:
     rows = []
     for n in ns:
         _, report = glue_construct(outer, inner, int(n), q, options)
-        rows.append((int(n), report.pre_newton_residual, report.dbar_norm))
+        rows.append((int(n), report.pre_newton_residual))
     slope = None
     if len(rows) >= 2:
         xs = np.array([r[0] for r in rows], dtype=float)

@@ -1,89 +1,26 @@
-"""Smooth radial cutoffs and the reference Cauchy area transform on bands.
+"""The reference Cauchy area transform on bands, which only the tests call.
 
-A cutoff blend of holomorphic pieces has its dbar defect in the band; the
-area transform
+The paper removes the dbar defect of a cutoff blend of holomorphic pieces
+with the area transform
 
-    T(phi)(z) = -(1/pi) integral over the band of phi(zeta)/(zeta - z) dA
+    T(phi)(z) = -(1/pi) integral over the band of phi(zeta)/(zeta - z) dA,
 
-satisfies dbar T(phi) = phi. No solver stage uses it: the annulus Laurent
-projection already cancels it exactly, which the tests check against this
-reference operator. Charges are stored by angular Fourier mode on a
-Gauss-Legendre radial grid, which turns the kernel into geometric series:
-for |z| outside the band radii only modes m <= 0 reach z, inside only
-m >= 1, and points inside the band split the radial integral at s = |z|
-with barycentric interpolation onto fresh sub-quadratures.
+which satisfies dbar T(phi) = phi. No solver stage uses it: the annulus
+Laurent projection already cancels it exactly, which the tests check
+against this reference operator. Charges are stored by angular Fourier mode
+on a Gauss-Legendre radial grid, which turns the kernel into geometric
+series: for |z| outside the band radii only modes m <= 0 reach z, inside
+only m >= 1, and points inside the band split the radial integral at
+s = |z| with barycentric interpolation onto fresh sub-quadratures.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import _TWO_PI, BoundaryGrid
 
-_GL_POINTS = 64  # enough for machine-precision integrals of the flat-ended cutoffs
-
-
-def _psi(x):
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
-
-
-def smoothstep(x):
-    """C-infinity monotone step: 0 for x <= 0, 1 for x >= 1."""
-    x = np.asarray(x, dtype=float)
-    a = _psi(x)
-    b = _psi(1.0 - x)
-    return a / (a + b)
-
-
-def smoothstep_derivative(x):
-    """Derivative of smoothstep; its maximum is 2 at x = 1/2."""
-    x = np.asarray(x, dtype=float)
-    a = _psi(x)
-    b = _psi(1.0 - x)
-    da = np.zeros_like(x)
-    db = np.zeros_like(x)
-    pos = x > 0
-    da[pos] = a[pos] / x[pos] ** 2
-    neg = (1.0 - x) > 0
-    db[neg] = b[neg] / (1.0 - x[neg]) ** 2
-    return (da * b + a * db) / (a + b) ** 2
-
-
-@dataclass(frozen=True)
-class RadialCutoff:
-    """chi(|z|) transitioning smoothly across the band [lo, hi].
-
-    rising: 0 below lo, 1 above hi; falling: 1 below lo, 0 above hi.
-    """
-
-    lo: float
-    hi: float
-    rising: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.lo < self.hi:
-            raise ValueError("cutoff band must satisfy 0 < lo < hi")
-
-    def value(self, r):
-        u = (np.asarray(r, dtype=float) - self.lo) / (self.hi - self.lo)
-        s = smoothstep(u)
-        return s if self.rising else 1.0 - s
-
-    def derivative(self, r):
-        u = (np.asarray(r, dtype=float) - self.lo) / (self.hi - self.lo)
-        d = smoothstep_derivative(u) / (self.hi - self.lo)
-        return d if self.rising else -d
-
-    def dbar(self, z):
-        """dbar of chi(|z|): chi'(r) z / (2r)."""
-        z = np.asarray(z, dtype=complex)
-        r = np.abs(z)
-        return self.derivative(r) * z / (2.0 * r)
+_GL_POINTS = 64  # enough for machine-precision integrals of flat-ended C-infinity cutoffs
 
 
 def radial_quadrature(lo: float, hi: float, points: int = _GL_POINTS):
@@ -154,10 +91,6 @@ class AreaCharge:
         s, _ = radial_quadrature(lo, hi)
         z = s[:, None] * np.exp(1j * grid.theta)[None, :]
         return cls(lo, hi, grid, fn(z))
-
-    def area(self) -> float:
-        """Total weight of the quadrature, exactly pi (hi^2 - lo^2)."""
-        return float(_TWO_PI * np.sum(self.w * self.s))
 
     def _evaluate_outside(self, z):
         p = z[:, None] ** (self._m_neg[None, :] - 1.0)

@@ -97,10 +97,7 @@ def annulus_result_dict(solution) -> dict:
         "residuals": {"gamma0": float(r0), "gamma1": float(r1)},
         "glue": None
         if glue is None
-        else {
-            "pre_newton_residual": float(glue.pre_newton_residual),
-            "dbar_norm": float(glue.dbar_norm),
-        },
+        else {"pre_newton_residual": float(glue.pre_newton_residual)},
         "certificate": certificate_dict(
             None if run is None else run.certificate, fallback
         ),
@@ -144,12 +141,12 @@ def surjectivity_dict(cases) -> dict:
 
 
 def sweep_csv(rows, fitted_slope=None) -> str:
-    """Decay table: n, pre-Newton residual, collar defect, fit footer row."""
-    lines = ["n,pre_newton_residual,collar_norm,fitted_slope"]
-    for n, pre, collar in rows:
-        lines.append(f"{int(n)},{float(pre):.17g},{float(collar):.17g},")
+    """Decay table: n and the pre-Newton residual, then a fit footer row."""
+    lines = ["n,pre_newton_residual,fitted_slope"]
+    for n, pre in rows:
+        lines.append(f"{int(n)},{float(pre):.17g},")
     if fitted_slope is not None:
-        lines.append(f"fit,,,{float(fitted_slope):.17g}")
+        lines.append(f"fit,,{float(fitted_slope):.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -58,10 +58,6 @@ class TrigPolynomial:
             coeffs.extend([k * b, -k * a])
         return TrigPolynomial(tuple(coeffs))
 
-    def min_value(self, samples: int = 4096) -> float:
-        theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-        return float(np.min(self(theta)))
-
 
 def as_trig_polynomial(value) -> TrigPolynomial:
     """Coerce a float, coefficient list, or TrigPolynomial to a TrigPolynomial."""

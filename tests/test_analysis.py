@@ -89,7 +89,6 @@ def test_identity_on_radial_solution_both_data_paths():
     for report in (from_traces, from_families):
         assert report.diff < 1e-10
         assert report.k1 == 0
-        assert report.k1_coherent == 0
         assert len(report.zeros_used) == 1
         assert report.h1_values[0] == pytest.approx(0.37, abs=1e-8)
     assert from_traces.lhs == pytest.approx(0.37, abs=1e-10)
@@ -101,7 +100,6 @@ def test_identity_on_glued_many_zero_solution():
     report = check_identity(sol)
     # twelve zeros at the middle ring balance the winding debt exactly
     assert report.k1 == -6
-    assert report.k1_coherent == 6
     assert len(report.zeros_used) == 12
     npt.assert_allclose(report.h1_values, 0.5, atol=1e-7)
     assert report.lhs == pytest.approx(0.0, abs=1e-10)

@@ -17,7 +17,6 @@ from rhsolve.annulus import (
     laurent_from_traces,
     laurent_modes,
     laurent_traces,
-    make_collar_band,
     pullback_family,
     solve_annulus,
     solve_annulus_radial,
@@ -38,7 +37,7 @@ from rhsolve.errors import (
     NeumannDiverges,
     NotRadialFamily,
 )
-from rhsolve.pompeiu import AreaCharge, radial_quadrature
+from rhsolve.pompeiu import AreaCharge
 from rhsolve.serialize import annulus_result_dict
 from rhsolve.trig import TrigPolynomial
 
@@ -152,7 +151,6 @@ def test_glue_unit_circles_traces_are_symmetric_pair():
     )
     assert report.sigma == 0
     assert report.windings == (6, -6)
-    npt.assert_allclose(report.band, (Q ** (2 / 3), Q ** (1 / 3)), rtol=1e-12)
 
 
 def test_glue_residual_oracle_and_decay():
@@ -174,23 +172,20 @@ def test_glue_residual_oracle_and_decay():
     assert r_squared >= 0.98
 
 
-def test_glue_area_correction_small_on_boundary_circles():
+def test_glue_area_correction_small_on_boundary_circles(cutoff_dbar):
     # the area transform of a cutoff blend's dbar defect has only negative
     # modes on |z| = 1 and only nonnegative ones on |z| = q, so the Laurent
     # projection of the collar right inverse cancels it to roundoff; for
-    # large windings it is also O(q^n) on the circles
-    band = make_collar_band(Q)
+    # large windings it is also O(q^n) on the circles. The band
+    # q^{2/3} < |z| < q^{1/3} balances the two collar divisors
+    lo, hi = Q ** (2 / 3), Q ** (1 / 3)
+    rising = cutoff_dbar(lo, hi)
     grid = BoundaryGrid(256)
     circle = np.exp(1j * grid.theta)
     for n in (2, 20):
-
-        def defect(z):
-            s = np.abs(z)
-            return band.chi_outer.derivative(s) * (z / (2.0 * s)) * (
-                z ** n - (Q / z) ** n
-            )
-
-        charge = AreaCharge.from_function(band.s_inner, band.s_outer, grid, defect)
+        charge = AreaCharge.from_function(
+            lo, hi, grid, lambda z, n=n: rising(z) * (z ** n - (Q / z) ** n)
+        )
         u0 = charge.evaluate(circle)
         u1 = charge.evaluate(Q * circle)
         sup = max(np.max(np.abs(u0)), np.max(np.abs(u1)))
@@ -198,31 +193,6 @@ def test_glue_area_correction_small_on_boundary_circles():
         assert np.max(np.abs(laurent_from_traces(grid, Q, u0, u1))) <= 1e-14 * sup
         if n == 20:
             assert sup < 1e-5
-
-
-def test_glue_dbar_norm_matches_band_point_evaluation(monkeypatch):
-    # the diagnostic sums each band circle by one inverse FFT; the reference
-    # evaluates both collar pieces at every band point
-    solved = []
-    original = annulus.solve_disc
-
-    def spy(*args, **kwargs):
-        solved.append(original(*args, **kwargs))
-        return solved[-1]
-
-    monkeypatch.setattr(annulus, "solve_disc", spy)
-    q, n = 0.4, 512
-    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
-    _, report, _ = annulus._glue_coefficients(
-        ell, builtin_circle_family(0.3), (6, 6), q, AnnulusSolveOptions(grid_n=n)
-    )
-    a, b = (np.fft.fft(sol.f_trace.values)[: n // 2] / n for sol in solved)
-    band = make_collar_band(q)
-    s, _ = radial_quadrature(band.s_inner, band.s_outer)
-    zb = s[:, None] * np.exp(1j * BoundaryGrid(n).theta)[None, :]
-    polyval = np.polynomial.polynomial.polyval
-    defect = band.chi_outer.dbar(zb) * (polyval(zb, a) - polyval(q / zb, b))
-    assert report.dbar_norm == pytest.approx(np.max(np.abs(defect)), rel=1e-12)
 
 
 def test_glue_rejects_coarse_windings():
@@ -254,16 +224,6 @@ def test_errors_name_the_coherent_windings():
         solve_annulus(fam, fam, (7, -7), Q)
 
 
-def test_collar_band_partition_of_unity():
-    band = make_collar_band(Q)
-    npt.assert_allclose((band.s_inner, band.s_outer), (Q ** (2 / 3), Q ** (1 / 3)), rtol=1e-12)
-    s = np.linspace(Q, 1.0, 200)
-    total = band.chi_outer.value(s) + band.chi_inner.value(s)
-    npt.assert_allclose(total, 1.0, atol=1e-12)
-    assert band.chi_outer.value(np.array([Q])) == 0.0
-    assert band.chi_outer.value(np.array([1.0])) == 1.0
-
-
 # --------------------------------------------------------------------------
 # full solves
 # --------------------------------------------------------------------------
@@ -278,8 +238,6 @@ def test_unit_circles_solution_modulus_and_windings(unit_solution):
     npt.assert_allclose(np.abs(sol.inner_trace.values), 1.0, atol=1e-10)
     assert winding_number(sol.outer_trace) == 6
     assert winding_number(sol.inner_trace) == -6
-    assert sol.winding_inner_coherent == 6
-    assert sol.winding_inner_disc == -6
 
 
 def test_unit_circles_zeros_on_middle_ring(unit_solution):
@@ -319,7 +277,6 @@ def test_argument_principle_count(unit_solution, power_solution):
         w0 = winding_number(sol.outer_trace)
         w1_coherent = -winding_number(sol.inner_trace)
         assert counted == w0 + w1_coherent
-        assert sol.winding_inner_coherent == -sol.winding_inner_disc
 
 
 def test_pure_power_matches_radial_closed_form(power_solution):
@@ -508,14 +465,14 @@ def _first_gmres(monkeypatch, solve, which=0):
 
 def _zero_free_at_glue(n):
     opts = AnnulusSolveOptions(grid_n=n)
-    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(
+    h0, _, families = annulus._glue_coefficients(
         scaled_circle(1.0, [0.0, 0.06, -0.03, 0.02, 0.015]),
         scaled_circle(Q ** 8, [0.0, -0.04, 0.05, 0.01, -0.02]),
         (8, -8),
         Q,
         opts,
     )
-    return annulus._annulus_problem(fam0t, fam1t, Q, BoundaryGrid(n), opts.tol), h0
+    return annulus._annulus_problem(*families, Q, BoundaryGrid(n), opts.tol), h0
 
 
 def _no_svd(*args, **kwargs):
@@ -615,10 +572,10 @@ def test_right_inverse_accepts_defects_below_half_the_tolerance():
     # a probe off the range of the zero-free linearization cannot be
     # inverted; scaled below tol / 2 it needs no inversion and is accepted
     opts = AnnulusSolveOptions(grid_n=64, tol=1e-2)
-    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(
+    h0, _, families = annulus._glue_coefficients(
         builtin_circle_family(1.0), builtin_circle_family(Q ** 8), (8, -8), Q, opts
     )
-    problem = annulus._annulus_problem(fam0t, fam1t, Q, BoundaryGrid(64), opts.tol)
+    problem = annulus._annulus_problem(*families, Q, BoundaryGrid(64), opts.tol)
     r = problem.residual_sampler(np.random.default_rng(1))
     with pytest.raises(NeumannDiverges):
         problem.right_inverse(h0)(r)
@@ -641,14 +598,14 @@ def test_right_inverse_meets_bound_or_raises(case, wobble, probe_seed):
     # either meets the forcing bound or raises, never returns a worse step
     windings, r1 = case
     opts = AnnulusSolveOptions(grid_n=64)
-    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(
+    h0, _, families = annulus._glue_coefficients(
         scaled_circle(1.0, [0.0, wobble[0], wobble[1]]),
         scaled_circle(r1, [0.0, wobble[2], wobble[3]]),
         windings,
         Q,
         opts,
     )
-    problem = annulus._annulus_problem(fam0t, fam1t, Q, BoundaryGrid(64), opts.tol)
+    problem = annulus._annulus_problem(*families, Q, BoundaryGrid(64), opts.tol)
     if probe_seed is None:
         r = problem.residual(h0)
     else:
@@ -834,3 +791,24 @@ def test_bound_pullback_equals_pullback_bitwise(family):
         assert np.array_equal(bound.ray_radius(theta, theta), pulled.ray_radius(theta, theta))
         if pulled.radial_profile is not None:
             assert np.array_equal(bound.radial_profile(theta), pulled.radial_profile(theta))
+
+
+def test_solve_binds_the_inner_pullback_once(monkeypatch):
+    # the README annulus: the glue binds the pulled-back inner circle once,
+    # at -theta, and the Newton problem reuses it, so each of its two
+    # profiles R and c is evaluated there once per solve
+    theta = BoundaryGrid(512).theta
+    reversed_calls = []
+    original = TrigPolynomial.__call__
+
+    def spy(self, th):
+        if np.shape(th) == theta.shape and np.array_equal(th, -theta):
+            reversed_calls.append(self)
+        return original(self, th)
+
+    monkeypatch.setattr(TrigPolynomial, "__call__", spy)
+    outer = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    options = AnnulusSolveOptions(grid_n=512, tol=1e-9, certify=False)
+    sol = solve_annulus(outer, builtin_circle_family(0.3), (6, 6), 0.4, options)
+    assert sol.run.converged
+    assert len(reversed_calls) == 2

@@ -144,9 +144,9 @@ def test_sweep_table_and_fit(tmp_path):
     )
     assert main(["sweep", "--config", cfg]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "n,pre_newton_residual,collar_norm,fitted_slope"
+    assert lines[0] == "n,pre_newton_residual,fitted_slope"
     assert len(lines) == 11
-    slope = float(lines[-1].split(",")[3])
+    slope = float(lines[-1].split(",")[2])
     assert slope <= np.log(0.5 ** (1 / 3)) + 0.1
     pre = [float(line.split(",")[1]) for line in lines[1:-1]]
     for n, value in zip(range(4, 13), pre):

@@ -340,8 +340,8 @@ def _annulus_at_glue(name):
         outer = _scaled_circle(1.0, [0.0, 0.06, -0.03, 0.02, 0.015])
         inner = _scaled_circle(0.5 ** 8, [0.0, -0.04, 0.05, 0.01, -0.02])
         windings, q, opts = (8, -8), 0.5, AnnulusSolveOptions()
-    h0, _, (fam0t, fam1t) = annulus._glue_coefficients(outer, inner, windings, q, opts)
-    return annulus._annulus_problem(fam0t, fam1t, q, BoundaryGrid(opts.grid_n), opts.tol), h0
+    h0, _, families = annulus._glue_coefficients(outer, inner, windings, q, opts)
+    return annulus._annulus_problem(*families, q, BoundaryGrid(opts.grid_n), opts.tol), h0
 
 
 @pytest.mark.parametrize("name", ["readme", "wobbly", "zero-free"])

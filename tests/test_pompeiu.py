@@ -1,92 +1,22 @@
-"""Tests for the area-charge transform and radial cutoffs.
+"""Tests for the area-charge transform.
 
 The transform is checked two independent ways: mode-wise evaluation
 against raw tensor quadrature, and the d-bar reproduction identity
-verified by central finite differences.
+verified by central finite differences. The telescoping checks use a
+C-infinity cutoff defined in conftest.py.
 """
 
 import numpy as np
 import pytest
 
 from rhsolve.boundary import BoundaryGrid
-from rhsolve.pompeiu import (
-    AreaCharge,
-    RadialCutoff,
-    radial_quadrature,
-    smoothstep,
-    smoothstep_derivative,
-)
+from rhsolve.pompeiu import AreaCharge, radial_quadrature
 
 
 def _fd_dbar(fn, z, h=1e-5):
     dx = (fn(z + h) - fn(z - h)) / (2.0 * h)
     dy = (fn(z + 1j * h) - fn(z - 1j * h)) / (2.0 * h)
     return 0.5 * (dx + 1j * dy)
-
-
-class TestSmoothstep:
-    def test_endpoints_and_clamping(self):
-        assert smoothstep(0.0) == 0.0
-        assert smoothstep(1.0) == 1.0
-        assert smoothstep(-3.0) == 0.0
-        assert smoothstep(4.0) == 1.0
-        assert smoothstep(0.5) == pytest.approx(0.5, abs=1e-15)
-
-    def test_monotone(self):
-        x = np.linspace(-0.2, 1.2, 801)
-        s = smoothstep(x)
-        assert np.all(np.diff(s) >= 0.0)
-        assert np.all(s >= 0.0) and np.all(s <= 1.0)
-
-    def test_derivative_peak_is_two(self):
-        # the symmetric bump chi' peaks at the midpoint with value exactly 2
-        assert smoothstep_derivative(0.5) == pytest.approx(2.0, abs=1e-14)
-        x = np.linspace(0.0, 1.0, 4001)
-        d = smoothstep_derivative(x)
-        assert d.max() <= 2.0 + 1e-12
-        assert x[np.argmax(d)] == pytest.approx(0.5, abs=1e-3)
-
-    def test_derivative_vanishes_flat(self):
-        assert smoothstep_derivative(0.0) == 0.0
-        assert smoothstep_derivative(1.0) == 0.0
-        assert smoothstep_derivative(-1.0) == 0.0
-        assert smoothstep_derivative(2.0) == 0.0
-
-    def test_derivative_matches_fd(self):
-        x = np.linspace(0.1, 0.9, 17)
-        h = 1e-6
-        fd = (smoothstep(x + h) - smoothstep(x - h)) / (2.0 * h)
-        np.testing.assert_allclose(smoothstep_derivative(x), fd, atol=1e-7)
-
-
-class TestRadialCutoff:
-    def test_rising_values(self):
-        cut = RadialCutoff(0.5, 0.8, rising=True)
-        assert cut.value(0.3) == 0.0
-        assert cut.value(0.5) == 0.0
-        assert cut.value(0.8) == 1.0
-        assert cut.value(0.95) == 1.0
-        assert 0.0 < cut.value(0.65) < 1.0
-
-    def test_falling_complements_rising(self):
-        rise = RadialCutoff(0.5, 0.8, rising=True)
-        fall = RadialCutoff(0.5, 0.8, rising=False)
-        r = np.linspace(0.4, 0.9, 101)
-        np.testing.assert_allclose(rise.value(r) + fall.value(r), 1.0, atol=1e-15)
-        np.testing.assert_allclose(rise.derivative(r) + fall.derivative(r), 0.0,
-                                   atol=1e-12)
-
-    def test_dbar_matches_fd(self):
-        cut = RadialCutoff(0.5, 0.8, rising=True)
-        rng = np.random.default_rng(0)
-        z = rng.uniform(0.55, 0.75, 8) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
-        fd = _fd_dbar(lambda w: cut.value(np.abs(w)), z)
-        np.testing.assert_allclose(cut.dbar(z), fd, atol=1e-7)
-
-    def test_dbar_zero_outside_band(self):
-        cut = RadialCutoff(0.5, 0.8, rising=True)
-        z = np.array([0.2 + 0.1j, 0.95j, -1.3])
-        np.testing.assert_allclose(cut.dbar(z), 0.0, atol=1e-300)
 
 
 class TestRadialQuadrature:
@@ -96,59 +26,53 @@ class TestRadialQuadrature:
             exact = (0.9 ** (k + 1) - 0.3 ** (k + 1)) / (k + 1)
             assert np.sum(w * s ** k) == pytest.approx(exact, rel=1e-14)
 
-    def test_cutoff_derivative_integral(self):
-        # integral of chi' across its band is exactly 1; the default node
-        # count must resolve the flat-ended bump to near machine precision
-        cut = RadialCutoff(0.55, 0.8, rising=True)
-        s, w = radial_quadrature(0.55, 0.8)
-        assert np.sum(w * cut.derivative(s)) == pytest.approx(1.0, abs=1e-13)
-
 
 class TestAreaCharge:
     def test_area_exact(self):
         grid = BoundaryGrid(64)
         charge = AreaCharge.from_function(0.25, 0.65, grid, lambda z: np.ones_like(z))
-        assert charge.area() == pytest.approx(np.pi * (0.65 ** 2 - 0.25 ** 2),
-                                              rel=1e-13)
+        # the radial weights times 2 pi s integrate dA over the band exactly
+        area = 2.0 * np.pi * np.sum(charge.w * charge.s)
+        assert area == pytest.approx(np.pi * (0.65 ** 2 - 0.25 ** 2), rel=1e-13)
 
-    def test_telescoping_negative_powers(self):
+    def test_telescoping_negative_powers(self, cutoff_dbar):
         # T(dbar(chi z^p)) reproduces z^p beyond the band and vanishes inside
         # it, for p <= -1 (angular mode p+1 <= 0 rides the outside branch)
         grid = BoundaryGrid(256)
-        cut = RadialCutoff(0.55, 0.8, rising=True)
+        dbar = cutoff_dbar(0.55, 0.8)
         rng = np.random.default_rng(1)
         z_out = 0.93 * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         z_in = 0.4 * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         for p in (-4, -2, -1):
             charge = AreaCharge.from_function(
-                cut.lo, cut.hi, grid, lambda z, p=p: cut.dbar(z) * z ** p)
+                0.55, 0.8, grid, lambda z, p=p: dbar(z) * z ** p)
             scale = float(np.abs(z_out ** p).max())
             np.testing.assert_allclose(charge.evaluate(z_out), z_out ** p,
                                        atol=1e-12 * scale)
             np.testing.assert_allclose(charge.evaluate(z_in), 0.0, atol=1e-12 * scale)
 
-    def test_telescoping_nonnegative_powers(self):
+    def test_telescoping_nonnegative_powers(self, cutoff_dbar):
         # for p >= 0 (mode p+1 >= 1) the transform is -z^p inside the band's
         # hole and 0 outside
         grid = BoundaryGrid(256)
-        cut = RadialCutoff(0.55, 0.8, rising=True)
+        dbar = cutoff_dbar(0.55, 0.8)
         rng = np.random.default_rng(2)
         z_out = 0.93 * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         z_in = 0.4 * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
         for p in (0, 1, 3):
             charge = AreaCharge.from_function(
-                cut.lo, cut.hi, grid, lambda z, p=p: cut.dbar(z) * z ** p)
+                0.55, 0.8, grid, lambda z, p=p: dbar(z) * z ** p)
             np.testing.assert_allclose(charge.evaluate(z_in), -(z_in ** p),
                                        atol=1e-12)
             np.testing.assert_allclose(charge.evaluate(z_out), 0.0, atol=1e-12)
 
-    def test_telescoping_falling_cutoff(self):
+    def test_telescoping_falling_cutoff(self, cutoff_dbar):
         # falling cutoff keeps z^p on the hole side: T(dbar(chi z^p)) = +z^p
         # there, matching the sign used when gluing holomorphic pieces
         grid = BoundaryGrid(256)
-        cut = RadialCutoff(0.55, 0.8, rising=False)
+        dbar = cutoff_dbar(0.55, 0.8, rising=False)
         charge = AreaCharge.from_function(
-            cut.lo, cut.hi, grid, lambda z: cut.dbar(z) * z ** 2)
+            0.55, 0.8, grid, lambda z: dbar(z) * z ** 2)
         z_in = 0.4 * np.exp(1j * np.array([0.3, 1.7, 4.4]))
         z_out = 0.93 * np.exp(1j * np.array([0.9, 2.8, 5.1]))
         np.testing.assert_allclose(charge.evaluate(z_in), z_in ** 2, atol=1e-12)
