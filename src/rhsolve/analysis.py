@@ -3,7 +3,7 @@
 For a function f holomorphic on A(q, 1) with nonvanishing boundary values,
 the logarithmic flux of the harmonic extension of log|f| splits into an
 integer winding contribution from the inner boundary and one harmonic
-measure weight per zero. This module evaluates the harmonic measures,
+measure weight per zero. This module evaluates the inner harmonic measure,
 checks the identity on computed solutions, demonstrates that the
 fractional part of the flux sweeps the full circle as the boundary data
 varies, and selects the zero configuration of minimal count for a given
@@ -17,32 +17,27 @@ import numpy as np
 
 from .annulus import _check_modulus, _split_flux, harmonic_extend_annulus, solve_annulus_radial
 from .boundary import winding_number
-from .curves import CurveFamily, builtin_circle_family
-from .errors import ConfigError, NotRadialFamily
+from .curves import builtin_circle_family
+from .errors import ConfigError
 
 
-def harmonic_measure(q: float, index: int = 1):
-    """Harmonic measure of one boundary circle of A(q, 1).
+def harmonic_measure(q: float):
+    """Harmonic measure h1(z) = log|z| / log q of the inner circle of A(q, 1).
 
-    Returns an evaluator z -> h(z) with h harmonic, h = 1 on the chosen
-    circle and h = 0 on the other one. Index 1 is the inner circle |z| = q,
-    giving h1(z) = log|z| / log q; index 0 is the outer unit circle.
+    Returns an evaluator z -> h1(z), harmonic, 1 on the inner circle |z| = q
+    and 0 on the outer unit circle.
     """
     _check_modulus(q)
-    if index not in (0, 1):
-        raise ConfigError(f"boundary index must be 0 or 1, got {index}")
     log_q = np.log(q)
 
-    def inner(z):
+    def h1(z):
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         if np.any(r <= 0.0):
             raise ConfigError("harmonic measure is undefined at the origin")
         return np.log(r) / log_q
 
-    if index == 1:
-        return inner
-    return lambda z: 1.0 - inner(z)
+    return h1
 
 
 class ZeroSelection(NamedTuple):
@@ -81,40 +76,21 @@ class IdentityReport:
     h1_values: tuple
 
 
-def check_identity(
-    solution,
-    outer_family: Optional[CurveFamily] = None,
-    inner_family: Optional[CurveFamily] = None,
-) -> IdentityReport:
+def check_identity(solution) -> IdentityReport:
     """Evaluate the flux identity on a computed annulus solution.
 
-    By default the left side extends the log-modulus of the computed
-    boundary traces. When both families are supplied they must be circles
-    centered at the origin and the prescribed radial profiles are extended
-    instead, so the check also covers how well the traces attain them.
+    The left side extends the log-modulus of the computed boundary traces.
     The zero list of the solution must be complete: its total multiplicity
     has to match the count implied by the trace windings.
     """
-    if (outer_family is None) != (inner_family is None):
-        raise ConfigError("supply both families or neither")
     grid = solution.grid
     q = solution.q
-    theta = grid.theta
+    d0 = np.abs(solution.outer_trace.values)
+    d1 = np.abs(solution.inner_trace.values)
+    if np.min(d0) <= 0.0 or np.min(d1) <= 0.0:
+        raise ConfigError("boundary trace vanishes; log-modulus is undefined")
 
-    if outer_family is not None:
-        if outer_family.radial_profile is None or inner_family.radial_profile is None:
-            raise NotRadialFamily("prescribed-data check needs circles centered at 0")
-        d0 = np.asarray(outer_family.radial_profile(theta), dtype=float)
-        d1 = np.asarray(inner_family.radial_profile(theta), dtype=float)
-        if np.min(d0) <= 0.0 or np.min(d1) <= 0.0:
-            raise ConfigError("radial profiles must be positive")
-    else:
-        d0 = np.abs(solution.outer_trace.values)
-        d1 = np.abs(solution.inner_trace.values)
-        if np.min(d0) <= 0.0 or np.min(d1) <= 0.0:
-            raise ConfigError("boundary trace vanishes; log-modulus is undefined")
-
-    lhs = harmonic_extend_annulus(grid, q, np.log(d0), np.log(d1)).c_log
+    lhs, _ = harmonic_extend_annulus(grid, q, np.log(d0), np.log(d1))
 
     w0 = winding_number(solution.outer_trace)
     k1 = winding_number(solution.inner_trace)
@@ -127,7 +103,7 @@ def check_identity(
             f"imply {expected}; locate zeros before checking the identity"
         )
 
-    h1 = harmonic_measure(q, 1)
+    h1 = harmonic_measure(q)
     h1_values = tuple(float(h1(z.position)) for z in zeros)
     rhs = float(k1) + sum(m * v for m, v in zip((z.multiplicity for z in zeros), h1_values))
     return IdentityReport(
@@ -161,7 +137,7 @@ def surjectivity_demo(targets: Sequence[float], q: float, grid_n: int = 256):
     the zero positions rather than against its own bookkeeping. Each case
     needs at most one zero.
     """
-    h1 = harmonic_measure(q, 1)  # checks the modulus
+    h1 = harmonic_measure(q)  # checks the modulus
     outer = builtin_circle_family(1.0)
     cases = []
     for target in targets:

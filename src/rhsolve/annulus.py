@@ -36,7 +36,7 @@ from .boundary import (
 )
 from .curves import CurveFamily, eta_decompose, monomial_transform, on_grid
 from .disc import DiscSolveOptions, right_inverse_apply, solve_disc
-from .domains import Annulus, laurent_derivative, laurent_evaluate, laurent_from_traces, locate_zeros
+from .domains import Annulus, laurent_evaluate, laurent_from_traces, locate_zeros
 from .errors import (
     ConfigError,
     GlueTooCoarse,
@@ -179,11 +179,16 @@ def _rho_scale(family: CurveFamily, theta) -> float:
     return float(np.max(ray) * np.max(slope))
 
 
-def _boundary_residuals(outer_family, inner_family, theta, t0, t1) -> tuple:
-    """Sup of rho on each boundary circle, in curve-relative units."""
+def _rho_units(outer_family, inner_family, theta) -> tuple:
+    """The _rho_scale of each boundary's family."""
+    return _rho_scale(outer_family, theta), _rho_scale(inner_family, theta)
+
+
+def _boundary_residuals(outer_family, inner_family, theta, t0, t1, units) -> tuple:
+    """Sup of rho on each boundary circle, divided by that boundary's unit."""
     return (
-        float(np.max(np.abs(outer_family.rho(theta, t0)))) / _rho_scale(outer_family, theta),
-        float(np.max(np.abs(inner_family.rho(theta, t1)))) / _rho_scale(inner_family, theta),
+        float(np.max(np.abs(outer_family.rho(theta, t0)))) / units[0],
+        float(np.max(np.abs(inner_family.rho(theta, t1)))) / units[1],
     )
 
 
@@ -194,7 +199,6 @@ def _boundary_residuals(outer_family, inner_family, theta, t0, t1) -> tuple:
 
 @dataclass(frozen=True)
 class GlueReport:
-    windings: tuple
     sigma: int
     pre_newton_residual: float
 
@@ -204,7 +208,6 @@ class AnnulusSolveOptions:
     grid_n: int = 256
     tol: float = 1e-10
     max_iter: int = 40
-    damping: bool = True
     certify: bool = True
     seed: int = 0
     glue_threshold: float = 0.5
@@ -223,10 +226,11 @@ def _glue_coefficients(
     piece carries half the zero count as a divisor at its own boundary;
     the pieces then decay like q^{m/2} across the annulus and their sum
     is the telescoped initial iterate. Returns (coefficients, report,
-    (twisted outer family, twisted inner family, its pullback)), the
-    families bound to the grid: the coefficients describe the twisted
-    iterate h = f / z^sigma and the report residual is measured against
-    the twisted families. Raises GlueTooCoarse when
+    (twisted outer family, twisted inner family, its pullback, outer unit,
+    inner unit)), the families bound to the grid and the units their
+    _rho_scale: the coefficients describe the twisted iterate h = f / z^sigma
+    and the report residual is measured against the twisted families in
+    those units. Raises GlueTooCoarse when
     that residual exceeds the threshold (the windings are too small for
     this modulus).
     """
@@ -255,13 +259,7 @@ def _glue_coefficients(
     fam1t = on_grid(monomial_transform(inner_family, sigma, q ** float(sigma)), theta)
     fam1p = on_grid(pullback_family(fam1t), theta)
 
-    disc_opts = DiscSolveOptions(
-        grid_n=n,
-        tol=min(opts.tol, 1e-11),
-        homotopy=True,
-        certify=False,
-        seed=opts.seed,
-    )
+    disc_opts = DiscSolveOptions(grid_n=n, tol=min(opts.tol, 1e-11), certify=False)
     sol0 = solve_disc(fam0t, w_out, disc_opts)
     sol1 = solve_disc(fam1p, w_in, disc_opts)
     a = np.fft.fft(sol0.f_trace.values)[: kmax + 1] / n
@@ -285,16 +283,17 @@ def _glue_coefficients(
     coeffs[:kmax] = (b[1:] * q ** k[1:].astype(float))[::-1]
 
     t0, t1 = laurent_traces(grid, q, coeffs)
-    pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1))
+    units = _rho_units(fam0t, fam1t, theta)
+    pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1, units))
 
-    report = GlueReport(windings=(n0, n1), sigma=sigma, pre_newton_residual=pre)
+    report = GlueReport(sigma=sigma, pre_newton_residual=pre)
     if pre > opts.glue_threshold:
         raise GlueTooCoarse(
             f"glued iterate has boundary residual {pre:.3e} "
             f"(threshold {opts.glue_threshold}); windings {coherent} are too "
             f"small for modulus {q}"
         )
-    return coeffs, report, (fam0t, fam1t, fam1p)
+    return coeffs, report, (fam0t, fam1t, fam1p, *units)
 
 
 def glue_construct(
@@ -404,17 +403,19 @@ def _annulus_problem(
     outer_family: CurveFamily,
     inner_family: CurveFamily,
     fam1p: CurveFamily,
+    unit0: float,
+    unit1: float,
     q: float,
     grid: BoundaryGrid,
     tol: float,
 ) -> NewtonProblem:
-    """Newton problem on the Laurent coefficients, for the families the glue returns."""
+    """Newton problem on the Laurent coefficients, for the families and units the glue returns.
+
+    The residual rows are in curve-relative units, one fixed scale per boundary.
+    """
     theta = grid.theta
     n = grid.n
     kmax = n // 2 - 1
-    # residual rows in curve-relative units, one fixed scale per boundary
-    unit0 = _rho_scale(outer_family, theta)
-    unit1 = _rho_scale(inner_family, theta)
 
     def traces(c):
         return laurent_traces(grid, q, c)
@@ -537,9 +538,6 @@ class AnnulusSolution:
     def evaluate(self, z):
         return laurent_evaluate(self.coefficients, z)
 
-    def derivative(self, z):
-        return laurent_derivative(self.coefficients, z)
-
 
 def solve_annulus(
     outer_family: CurveFamily,
@@ -581,7 +579,7 @@ def solve_annulus(
     run = iterate(
         problem,
         h0,
-        IterateOptions(tol=opts.tol, max_iter=opts.max_iter, allow_damping=opts.damping),
+        IterateOptions(tol=opts.tol, max_iter=opts.max_iter),
         certificate=cert,
     )
 
@@ -595,7 +593,7 @@ def solve_annulus(
             f"converged trace windings {got} (coherent) != prescribed {windings}"
         )
     residual_by_boundary = _boundary_residuals(
-        outer_family, inner_family, grid.theta, t0, t1
+        outer_family, inner_family, grid.theta, t0, t1, _rho_units(outer_family, inner_family, grid.theta)
     )
     zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if sum(windings) > 0 else ()
     return AnnulusSolution(
@@ -618,28 +616,12 @@ def solve_annulus(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentHarmonic:
-    """Harmonic extension u = c_log log|z| + Re G with Laurent G."""
+def harmonic_extend_annulus(grid: BoundaryGrid, q: float, outer_values, inner_values) -> tuple:
+    """Harmonic function u = c_log log|z| + Re G on the annulus with the given real boundary data.
 
-    grid: BoundaryGrid
-    q: float
-    c_log: float
-    coeffs: np.ndarray
-
-    def evaluate(self, z):
-        z = np.asarray(z, dtype=complex)
-        return self.c_log * np.log(np.abs(z)) + laurent_evaluate(self.coeffs, z).real
-
-
-def harmonic_extend_annulus(
-    grid: BoundaryGrid, q: float, outer_values, inner_values
-) -> LaurentHarmonic:
-    """Harmonic function on the annulus with the given real boundary data.
-
-    The log coefficient c_log = (inner mean - outer mean) / log q is the
-    flux through the annulus; the rest is the real part of a single-valued
-    Laurent series solved mode by mode.
+    Returns (c_log, coefficients of the Laurent series G, modes -K..K). The
+    log coefficient c_log = (inner mean - outer mean) / log q is the flux
+    through the annulus; G is single-valued and solved mode by mode.
     """
     _check_modulus(q)
     if q * q > 1.0 - 1e-6:
@@ -663,7 +645,7 @@ def harmonic_extend_annulus(
     gk = 2.0 * qk * (f1[1 : kmax + 1] - f0[1 : kmax + 1] * qk) / denom
     coeffs[kmax + 1 :] = fk
     coeffs[:kmax] = np.conj(gk)[::-1]
-    return LaurentHarmonic(grid=grid, q=q, c_log=c_log, coeffs=coeffs)
+    return c_log, coeffs
 
 
 def _split_flux(s: float):
@@ -735,8 +717,7 @@ def solve_annulus_radial(
     if np.min(r0) <= 0.0 or np.min(r1) <= 0.0:
         raise ConfigError("radial profiles must be positive")
 
-    extension = harmonic_extend_annulus(grid, q, np.log(r0), np.log(r1))
-    s = extension.c_log
+    s, _ = harmonic_extend_annulus(grid, q, np.log(r0), np.log(r1))
     k1, t = _split_flux(s)
     zero = None if t is None else q ** t * np.exp(1j * zero_phase)
 
@@ -753,13 +734,13 @@ def solve_annulus_radial(
         lg1 = np.log(np.abs(inner_circle - zero))
         w0 = w0 - (lg0 - float(np.mean(lg0)))
         w1 = w1 - (lg1 - float(np.mean(lg1))) - np.log(np.abs(zero))
-    flat = harmonic_extend_annulus(grid, q, w0, w1)
-    if abs(flat.c_log) > 1e-6:
+    flux_left, g_coeffs = harmonic_extend_annulus(grid, q, w0, w1)
+    if abs(flux_left) > 1e-6:
         raise ModeConditioning(
-            f"flux {flat.c_log:.3e} left after removing divisor contributions"
+            f"flux {flux_left:.3e} left after removing divisor contributions"
         )
 
-    g0, g1 = laurent_traces(grid, q, flat.coeffs)
+    g0, g1 = laurent_traces(grid, q, g_coeffs)
     f0 = outer_circle ** k1 * np.exp(g0)
     f1 = inner_circle ** k1 * np.exp(g1)
     if zero is not None:
@@ -771,7 +752,9 @@ def solve_annulus_radial(
         float(np.max(np.abs(np.abs(f0) - r0))),
         float(np.max(np.abs(np.abs(f1) - r1))),
     )
-    residual_by_boundary = _boundary_residuals(outer_family, inner_family, theta, f0, f1)
+    residual_by_boundary = _boundary_residuals(
+        outer_family, inner_family, theta, f0, f1, _rho_units(outer_family, inner_family, theta)
+    )
     zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if zero is not None else ()
     return RadialSolution(
         grid=grid,
@@ -779,7 +762,7 @@ def solve_annulus_radial(
         k1=k1,
         zero=zero,
         flux=s,
-        g_coeffs=flat.coeffs,
+        g_coeffs=g_coeffs,
         outer_trace=tr0,
         inner_trace=tr1,
         residual_sup=max(residual_by_boundary),

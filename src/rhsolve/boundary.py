@@ -113,10 +113,6 @@ class BoundaryTrace:
         increments.flags.writeable = False
         return increments
 
-    @classmethod
-    def from_function(cls, grid: BoundaryGrid, fn) -> "BoundaryTrace":
-        return cls(grid, np.asarray(fn(grid.theta), dtype=complex))
-
     def real_values(self, tol: float = 1e-11) -> np.ndarray:
         scale = max(1.0, float(np.max(np.abs(self.values))))
         if np.max(np.abs(self.values.imag)) > tol * scale:

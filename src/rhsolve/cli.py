@@ -16,6 +16,7 @@ from . import serialize
 from .analysis import check_identity, surjectivity_demo
 from .annulus import (
     AnnulusSolveOptions,
+    _check_modulus,
     glue_construct,
     solve_annulus,
     solve_annulus_radial,
@@ -113,9 +114,7 @@ def validate_config(config):
         if kind not in ("disc", "annulus"):
             raise ConfigError(f"domain type must be disc or annulus, got {kind!r}")
         if kind == "annulus":
-            q = _as_float(domain.get("q"), "domain q")
-            if not 0.0 < q < 1.0:
-                raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
+            _check_modulus(_as_float(domain.get("q"), "domain q"))
         elif "q" in domain:
             raise ConfigError("disc domain takes no modulus q")
 
@@ -138,15 +137,13 @@ def validate_config(config):
 
     newton = config.get("newton")
     if newton is not None:
-        _check_keys(newton, {"tol", "max_iter", "damping"}, "newton")
+        _check_keys(newton, {"tol", "max_iter"}, "newton")
         if "tol" in newton:
             _as_tol(newton["tol"])
         if "max_iter" in newton:
             iters = _as_int(newton["max_iter"], "newton max_iter")
             if iters <= 0:
                 raise ConfigError("newton max_iter must be positive")
-        if "damping" in newton and not isinstance(newton["damping"], bool):
-            raise ConfigError("newton damping must be a boolean")
 
     outputs = config.get("outputs")
     if outputs is not None:
@@ -251,7 +248,6 @@ def _annulus_options(run: Run) -> AnnulusSolveOptions:
         grid_n=run.grid,
         tol=run.tol,
         max_iter=int(newton.get("max_iter", 40)),
-        damping=bool(newton.get("damping", True)),
         seed=run.seed,
     )
 
@@ -298,7 +294,6 @@ def _solve_disc_configured(run: Run):
             grid_n=run.grid,
             tol=run.tol,
             max_iter=int(newton.get("max_iter", 30)),
-            damping=bool(newton.get("damping", True)),
             seed=run.seed,
         ),
     )

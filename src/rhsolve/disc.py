@@ -42,8 +42,6 @@ class DiscSolveOptions:
     grid_n: int = 256
     tol: float = 1e-10
     max_iter: int = 30
-    damping: bool = True
-    homotopy: bool = False
     certify: bool = True
     seed: int = 0
 
@@ -127,8 +125,8 @@ def _finish(family: CurveFamily, winding: int, grid: BoundaryGrid, g, run) -> Di
 def solve_disc(family: CurveFamily, winding: int, options: DiscSolveOptions = DiscSolveOptions()) -> DiscSolution:
     """Solve the disc problem with the prescribed boundary winding.
 
-    With homotopy enabled, a failed direct solve is retried along a linear
-    blend from a fitted circle family to the target, warm-starting each stage.
+    A failed direct solve is retried along a linear blend from a fitted
+    circle family to the target, warm-starting each stage.
     """
     if winding < 0:
         raise ValueError("a holomorphic solution cannot have negative boundary winding")
@@ -137,14 +135,12 @@ def solve_disc(family: CurveFamily, winding: int, options: DiscSolveOptions = Di
     fam_t = on_grid(monomial_transform(family, winding), grid.theta)
     problem = _g_space_problem(fam_t, grid)
     g0 = _initial_log_trace(fam_t, grid)
-    it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter, allow_damping=options.damping)
+    it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter)
     cert = certify(problem, g0, CertifyOptions(seed=options.seed)) if options.certify else None
     try:
         run = iterate(problem, g0, it_opts, certificate=cert)
     except NoConvergence:
-        if not options.homotopy:
-            raise
-        run = _homotopy_run(family, winding, grid, options)
+        run = _homotopy_run(family, winding, grid, it_opts)
     return _finish(family, winding, grid, run.x, run)
 
 
@@ -158,12 +154,11 @@ def _blend_families(circle: CurveFamily, target: CurveFamily, t: float) -> Curve
     )
 
 
-def _homotopy_run(family: CurveFamily, winding: int, grid: BoundaryGrid, options: DiscSolveOptions):
+def _homotopy_run(family: CurveFamily, winding: int, grid: BoundaryGrid, it_opts: IterateOptions):
     theta = grid.theta
     r_bar = float(np.mean(family.ray_radius(theta, winding * theta)))
     circle = builtin_circle_family(as_trig_polynomial(r_bar))
     g = _initial_log_trace(monomial_transform(circle, winding), grid)
-    it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter, allow_damping=options.damping)
     run = None
     for t in (0.25, 0.5, 0.75, 1.0):
         blend = _blend_families(circle, family, t)

@@ -1,8 +1,9 @@
 """Laurent series, zero location and interior evaluation from boundary traces.
 
-A holomorphic function on the unit disc, or on the annulus q < |z| < 1, is
-represented by its boundary traces sampled counterclockwise at radius *
-exp(i theta_j); laurent_from_traces reads off its Laurent coefficients.
+A holomorphic function on the annulus q < |z| < 1 is represented by its
+boundary traces sampled counterclockwise at radius * exp(i theta_j);
+laurent_from_traces reads off its Laurent coefficients. (A disc solution
+z^n exp(g) needs no zero search: its n zeros sit at the origin.)
 laurent_evaluate and laurent_derivative sum the series as two power series,
 in z and in 1/z, each by Horner's rule in z^32 over blocks of 32
 coefficients: one matrix product with the table z^0..z^31 and K/32 Python
@@ -37,11 +38,6 @@ from .errors import CountMismatch, PointTooCloseToBoundary, UnresolvedPhase, Zer
 
 
 @dataclass(frozen=True)
-class Disc:
-    """The open unit disc."""
-
-
-@dataclass(frozen=True)
 class Annulus:
     """The annulus q < |z| < 1."""
 
@@ -52,32 +48,24 @@ class Annulus:
             raise ValueError(f"annulus modulus must lie in (0, 1), got {self.q}")
 
 
-def _trace_tuple(traces, domain):
-    if isinstance(traces, BoundaryTrace):
-        traces = (traces,)
-    traces = tuple(traces)
-    want = 1 if isinstance(domain, Disc) else 2
-    if len(traces) != want:
-        raise ValueError(f"domain needs {want} boundary trace(s), got {len(traces)}")
+def _trace_pair(traces):
+    traces = (traces,) if isinstance(traces, BoundaryTrace) else tuple(traces)
+    if len(traces) != 2:
+        raise ValueError(f"an annulus needs 2 boundary traces (outer, inner), got {len(traces)}")
     return traces
 
 
-def _boundary_radii(domain):
-    return (1.0,) if isinstance(domain, Disc) else (1.0, domain.q)
-
-
-def cauchy_extend(traces, domain, points, *, margin=None, derivative=False):
+def cauchy_extend(traces, domain: Annulus, points, *, margin=None, derivative=False):
     """Evaluate the holomorphic extension of boundary traces at interior points.
 
-    For an annulus, traces = (outer, inner), both sampled counterclockwise;
-    the inner-circle integral enters with a minus sign. With derivative=True
-    the kernel z/(z-w) is replaced by z/(z-w)^2.
+    traces = (outer, inner), both sampled counterclockwise; the inner-circle
+    integral enters with a minus sign. With derivative=True the kernel
+    z/(z-w) is replaced by z/(z-w)^2.
 
     Raises PointTooCloseToBoundary when any point is within margin (default
     2 pi / N) of a boundary circle, where the quadrature degrades.
     """
-    traces = _trace_tuple(traces, domain)
-    radii = _boundary_radii(domain)
+    traces = _trace_pair(traces)
     if margin is None:
         margin = _TWO_PI / min(t.grid.n for t in traces)
     points = np.asarray(points, dtype=complex)
@@ -85,11 +73,11 @@ def cauchy_extend(traces, domain, points, *, margin=None, derivative=False):
     r = np.abs(flat)
     if np.any(r > 1.0 - margin):
         raise PointTooCloseToBoundary(f"point within {margin:.3g} of the outer circle")
-    if isinstance(domain, Annulus) and np.any(r < domain.q + margin):
+    if np.any(r < domain.q + margin):
         raise PointTooCloseToBoundary(f"point within {margin:.3g} of the inner circle")
 
     out = np.zeros(flat.shape, dtype=complex)
-    for sign, radius, trace in zip((1.0, -1.0), radii, traces):
+    for sign, radius, trace in zip((1.0, -1.0), (1.0, domain.q), traces):
         z = radius * np.exp(1j * trace.grid.theta)
         f = trace.values
         n = trace.grid.n
@@ -211,7 +199,7 @@ class LocatedZero:
     residual: float
 
 
-def _moments(traces, domain, count) -> np.ndarray:
+def _moments(traces, domain: Annulus, count) -> np.ndarray:
     """s_k = (1/2 pi i) * contour integral of z^k f'/f dz, k < count.
 
     On the circle z = R exp(i theta), f' dz = (df/dtheta) dtheta, so s_k is
@@ -220,7 +208,7 @@ def _moments(traces, domain, count) -> np.ndarray:
     """
     k = np.arange(count)
     s = np.zeros(count, dtype=complex)
-    for sign, radius, trace in zip((1.0, -1.0), _boundary_radii(domain), traces):
+    for sign, radius, trace in zip((1.0, -1.0), (1.0, domain.q), traces):
         log_derivative = spectral_derivative(trace).values / trace.values
         s += sign * -1j * radius ** k * np.fft.ifft(log_derivative)[:count]
     return s
@@ -267,7 +255,7 @@ def _polish(coeffs, z, mult):
     return z, np.abs(fz)
 
 
-def locate_zeros(traces, domain):
+def locate_zeros(traces, domain: Annulus):
     """Find all zeros of the holomorphic extension, with multiplicities.
 
     The expected total p comes from the boundary winding numbers. The zeros
@@ -277,7 +265,7 @@ def locate_zeros(traces, domain):
     from the other zeros, must confirm its multiplicity, and the
     multiplicities must sum to p. Raises CountMismatch otherwise.
     """
-    traces = _trace_tuple(traces, domain)
+    traces = _trace_pair(traces)
     grid = _same_grid(*traces)
     expected = sum(sign * winding_number(t) for sign, t in zip((1, -1), traces))
     if not 0 <= 2 * expected <= grid.n:
@@ -290,17 +278,13 @@ def locate_zeros(traces, domain):
         raise CountMismatch(
             f"moment multiplicities {mult.tolist()} do not sum to the boundary count {expected}"
         )
-    if isinstance(domain, Annulus):
-        coeffs = laurent_from_traces(grid, domain.q, traces[0].values, traces[1].values)
-    else:
-        # the Taylor half only: unlike the full series it is defined at 0
-        coeffs = laurent_from_traces(grid, 1.0, traces[0].values, np.zeros(grid.n))
+    coeffs = laurent_from_traces(grid, domain.q, traces[0].values, traces[1].values)
     z, residuals = _polish(coeffs, nodes, mult)
 
-    # disjoint circles inside the domain: half the distance to the nearest
+    # disjoint circles inside the annulus: half the distance to the nearest
     # other zero and to the boundary
     r = np.abs(z)
-    room = 1.0 - r if isinstance(domain, Disc) else np.minimum(1.0 - r, r - domain.q)
+    room = np.minimum(1.0 - r, r - domain.q)
     gaps = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(z), np.inf))
     radii = 0.5 * np.minimum(room, gaps.min(axis=1))
     if not np.all(radii > 0.0):

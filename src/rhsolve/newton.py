@@ -12,9 +12,8 @@ and certifies convergence of the undamped iteration x <- x - B(x) A(x) when
 
 The certificate draws all its probes first and then calls each callback
 once per stack of probes, not once per probe; the iteration passes single
-vectors. The iteration itself optionally damps steps that increase the
-residual; damping is recorded because it voids the certificate's
-applicability.
+vectors. The iteration itself damps steps that increase the residual;
+damping is recorded because it voids the certificate's applicability.
 """
 
 from __future__ import annotations
@@ -96,7 +95,6 @@ class NewtonCertificate:
 class IterateOptions:
     tol: float = 1e-12
     max_iter: int = 40
-    allow_damping: bool = True
 
 
 @dataclass(frozen=True)
@@ -258,7 +256,7 @@ def iterate(
         trial_r = problem.residual(trial)
         trial_norm = problem.residual_norm(trial_r)
         halvings = 0
-        while trial_norm >= rn and options.allow_damping and halvings < _MAX_HALVINGS:
+        while trial_norm >= rn and halvings < _MAX_HALVINGS:
             lam *= 0.5
             halvings += 1
             trial = x - lam * step

@@ -31,7 +31,8 @@ from rhsolve.trig import TrigPolynomial, as_trig_polynomial
 
 
 def trace_of(n, fn):
-    return BoundaryTrace.from_function(BoundaryGrid(n), fn)
+    grid = BoundaryGrid(n)
+    return BoundaryTrace(grid, fn(grid.theta))
 
 
 # ---------------------------------------------------------------- grid basics

@@ -201,6 +201,11 @@ def test_unknown_config_key_rejected(tmp_path):
     config["surprise"] = 1
     cfg = write_config(tmp_path, "cfg.json", config)
     assert main(["solve", "--config", cfg]) == 1
+    # Newton always damps: there is no damping switch to set
+    cfg = write_config(tmp_path, "damping.json", annulus_config(out, newton={"damping": False}))
+    assert main(["solve", "--config", cfg]) == 1
+    with pytest.raises(ConfigError, match=r"unknown keys \['damping'\] in newton"):
+        validate_config({"newton": {"tol": 1e-9, "damping": True}})
 
 
 def test_missing_config_and_bad_json(tmp_path):
@@ -247,6 +252,10 @@ def test_grid_and_tol_flags_validated(tmp_path):
     assert main(["solve", "--config", cfg, "--tol", "nan"]) == 1
     infinite = write_config(tmp_path, "inf.json", annulus_config(out, newton={"tol": float("inf")}))
     assert main(["solve", "--config", infinite]) == 1
+    # the config's annulus modulus is checked like the solver's
+    for q in (0.0, 1.0, 1.5):
+        with pytest.raises(ConfigError, match=r"annulus modulus must lie in \(0, 1\)"):
+            validate_config({"domain": {"type": "annulus", "q": q}})
 
 
 def test_module_entry_point_runs_without_warnings():

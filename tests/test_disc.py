@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhsolve import disc
 from rhsolve.boundary import (
     BoundaryGrid,
     BoundaryTrace,
@@ -21,7 +22,6 @@ from rhsolve.disc import (
     solve_disc,
     solve_disc_circle_closed_form,
 )
-from rhsolve.errors import NoConvergence
 
 FAST = DiscSolveOptions(certify=False)
 
@@ -109,12 +109,20 @@ def test_right_inverse_solves_linear_equation():
         assert np.max(np.abs(c[modes < 0])) < 1e-10
 
 
-def test_homotopy_rescues_tight_budget():
+def test_homotopy_rescues_tight_budget(monkeypatch):
+    # the direct run cannot converge in 7 iterations, so the homotopy
+    # fallback runs, and it can
     fam = builtin_ellipse_family([3.0, 0.4, 0.0], [1.0, 0.0, 0.2], phi=[0.0, 0.5, 0.0])
-    tight = DiscSolveOptions(max_iter=7, certify=False)
-    with pytest.raises(NoConvergence):
-        solve_disc(fam, 3, tight)
-    rescued = solve_disc(fam, 3, DiscSolveOptions(max_iter=7, certify=False, homotopy=True))
+    original = disc._homotopy_run
+    runs = []
+
+    def homotopy_run(*args):
+        runs.append(original(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(disc, "_homotopy_run", homotopy_run)
+    rescued = solve_disc(fam, 3, DiscSolveOptions(max_iter=7, certify=False))
+    assert len(runs) == 1 and rescued.run is runs[0]
     assert rescued.residual_sup < 1e-10
     assert winding_number(rescued.f_trace) == 3
 

@@ -12,7 +12,6 @@ from rhsolve.boundary import BoundaryGrid, BoundaryTrace
 from rhsolve.curves import builtin_circle_family, builtin_ellipse_family
 from rhsolve.domains import (
     Annulus,
-    Disc,
     LocatedZero,
     cauchy_extend,
     laurent_derivative,
@@ -21,11 +20,6 @@ from rhsolve.domains import (
     locate_zeros,
 )
 from rhsolve.errors import CountMismatch, PointTooCloseToBoundary
-
-
-def disc_trace(n, fn):
-    grid = BoundaryGrid(n)
-    return BoundaryTrace(grid, fn(np.exp(1j * grid.theta)))
 
 
 def annulus_traces(n, q, fn):
@@ -79,14 +73,16 @@ def test_annulus_validates_modulus():
 
 
 def test_cauchy_extend_disc_polynomial():
-    # quadrature error decays like r^N, so points stay inside 0.85 at N=256
+    # a polynomial extends to the whole disc, so its inner-circle integral
+    # must vanish; quadrature error decays like (q/|z|)^N and |z|^N, so the
+    # points stay between 0.5 and 0.85 at N=256
     fn = lambda z: 2.0 + z - 0.5 * z**3
-    trace = disc_trace(256, fn)
-    pts = np.array([0.0, 0.3 + 0.4j, -0.7j, 0.85])
-    npt.assert_allclose(cauchy_extend(trace, Disc(), pts), fn(pts), atol=1e-12)
+    traces = annulus_traces(256, 0.4, fn)
+    pts = np.array([0.5, 0.3 + 0.4j, -0.7j, 0.85])
+    npt.assert_allclose(cauchy_extend(traces, Annulus(0.4), pts), fn(pts), atol=1e-12)
     dfn = lambda z: 1.0 - 1.5 * z**2
     npt.assert_allclose(
-        cauchy_extend(trace, Disc(), pts, derivative=True), dfn(pts), atol=1e-11
+        cauchy_extend(traces, Annulus(0.4), pts, derivative=True), dfn(pts), atol=1e-11
     )
 
 
@@ -103,23 +99,20 @@ def test_cauchy_extend_annulus_laurent():
 
 
 def test_margin_guard():
-    trace = disc_trace(256, lambda z: z)
-    with pytest.raises(PointTooCloseToBoundary):
-        cauchy_extend(trace, Disc(), np.array([0.99]))
+    traces = annulus_traces(256, 0.5, lambda z: z)
+    for point in (0.99, 0.51):
+        with pytest.raises(PointTooCloseToBoundary):
+            cauchy_extend(traces, Annulus(0.5), np.array([point]))
     # explicit margin overrides the default guard
-    out = cauchy_extend(trace, Disc(), np.array([0.95]), margin=0.01)
+    out = cauchy_extend(traces, Annulus(0.5), np.array([0.95]), margin=0.01)
     npt.assert_allclose(out, 0.95, rtol=1e-4)
-    traces = annulus_traces(64, 0.5, lambda z: z)
-    with pytest.raises(PointTooCloseToBoundary):
-        cauchy_extend(traces, Annulus(0.5), np.array([0.51]))
 
 
 def test_trace_count_checked_against_domain():
-    trace = disc_trace(64, lambda z: z)
-    with pytest.raises(ValueError):
-        cauchy_extend((trace, trace), Disc(), np.array([0.0]))
-    with pytest.raises(ValueError):
-        cauchy_extend(trace, Annulus(0.5), np.array([0.7]))
+    outer, inner = annulus_traces(64, 0.5, lambda z: z)
+    for traces in (outer, (outer,), (outer, inner, inner)):
+        with pytest.raises(ValueError):
+            cauchy_extend(traces, Annulus(0.5), np.array([0.7]))
 
 
 # ----------------------------------------------------------- Laurent series
@@ -161,10 +154,10 @@ def test_laurent_evaluation_finite_where_q_to_the_minus_k_overflows(n, q):
 # ------------------------------------------------------------- zero location
 
 
-def test_locate_simple_disc_zeros():
+def test_locate_simple_zeros():
     roots = np.array([0.3 + 0.2j, -0.5j, -0.62])
     fn = lambda z: (z - roots[0]) * (z - roots[1]) * (z - roots[2])
-    found = locate_zeros(disc_trace(128, fn), Disc())
+    found = locate_zeros(annulus_traces(128, 0.25, fn), Annulus(0.25))
     assert [z.multiplicity for z in found] == [1, 1, 1]
     got = sorted((z.position for z in found), key=lambda w: (w.real, w.imag))
     want = sorted(roots.tolist(), key=lambda w: (w.real, w.imag))
@@ -172,24 +165,24 @@ def test_locate_simple_disc_zeros():
     assert all(z.residual < 1e-10 for z in found)
 
 
-def test_locate_multiple_zero_at_origin():
-    fn = lambda z: z**3 * np.exp(z)
-    found = locate_zeros(disc_trace(128, fn), Disc())
+def test_locate_triple_zero():
+    fn = lambda z: (z - 0.5j) ** 3 * np.exp(z)
+    found = locate_zeros(annulus_traces(128, 0.25, fn), Annulus(0.25))
     assert len(found) == 1
     assert found[0].multiplicity == 3
-    assert abs(found[0].position) < 1e-8
+    assert abs(found[0].position - 0.5j) < 1e-8
 
 
 def test_locate_double_zero_off_center():
     a = 0.4 + 0.1j
     fn = lambda z: (z - a) ** 2 * (2.0 + z)
-    found = locate_zeros(disc_trace(128, fn), Disc())
+    found = locate_zeros(annulus_traces(128, 0.25, fn), Annulus(0.25))
     assert [z.multiplicity for z in found] == [2]
     npt.assert_allclose(found[0].position, a, atol=1e-7)
 
 
 def test_locate_no_zeros():
-    assert locate_zeros(disc_trace(64, lambda z: 2.0 + z), Disc()) == []
+    assert locate_zeros(annulus_traces(64, 0.5, lambda z: 2.0 + z), Annulus(0.5)) == []
 
 
 def test_locate_annulus_zeros():
@@ -221,18 +214,19 @@ def test_locate_annulus_no_zero_pure_power():
 
 def test_determinism_same_seed():
     fn = lambda z: (z - 0.3) * (z + 0.4j) * z
-    t = disc_trace(128, fn)
-    a = locate_zeros(t, Disc())
-    b = locate_zeros(t, Disc())
+    t = annulus_traces(128, 0.2, fn)
+    a = locate_zeros(t, Annulus(0.2))
+    b = locate_zeros(t, Annulus(0.2))
+    assert len(a) == 2
     assert a == b
 
 
 def test_count_mismatch_on_hidden_pole():
-    # trace of 1/z on the unit circle: the "extension" is not holomorphic,
-    # boundary winding is negative and the search must refuse
-    t = disc_trace(64, lambda z: 1.0 / z)
+    # traces of 1/(z - 0.6): the "extension" has a pole in the annulus, the
+    # boundary windings predict a negative count and the search must refuse
+    t = annulus_traces(64, 0.3, lambda z: 1.0 / (z - 0.6))
     with pytest.raises(CountMismatch):
-        locate_zeros(t, Disc())
+        locate_zeros(t, Annulus(0.3))
 
 
 def test_count_mismatch_when_grid_too_coarse_for_the_moments():
@@ -258,8 +252,8 @@ def test_cluster_of_zeros_is_not_a_multiple_zero():
 
 
 def test_locate_zeros_matches_horner_evaluation(monkeypatch):
-    # the README annulus (12 simple zeros), a radial zero and a disc triple
-    # zero locate the same with the series summed by Horner's loop
+    # the README annulus (12 simple zeros) and a radial zero locate the same
+    # with the series summed by Horner's loop
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
     opts = AnnulusSolveOptions(grid_n=512, tol=1e-9, certify=False)
     readme = solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, opts)
@@ -267,10 +261,9 @@ def test_locate_zeros_matches_horner_evaluation(monkeypatch):
     cases = [
         ((readme.outer_trace, readme.inner_trace), Annulus(0.4)),
         ((radial.outer_trace, radial.inner_trace), Annulus(0.5)),
-        (disc_trace(128, lambda z: z**3 * np.exp(z)), Disc()),
     ]
     blocked = [locate_zeros(traces, domain) for traces, domain in cases]
-    assert [len(found) for found in blocked] == [12, 1, 1]
+    assert [len(found) for found in blocked] == [12, 1]
     monkeypatch.setattr(domains, "_power_series", horner)
     for (traces, domain), want in zip(cases, blocked):
         got = locate_zeros(traces, domain)

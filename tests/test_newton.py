@@ -54,7 +54,7 @@ def test_certificate_fails_farther_out():
 def test_certified_run_converges_fast_undamped():
     prob = quadratic_problem()
     cert = certify(prob, 1.01)
-    run = iterate(prob, 1.01, IterateOptions(allow_damping=False), certificate=cert)
+    run = iterate(prob, 1.01, certificate=cert)
     assert run.converged
     assert run.iterations <= 6
     assert not run.damped
@@ -87,8 +87,8 @@ def _count_residuals(prob):
 def test_accepted_trial_residual_is_reused():
     # one residual at x0, then one per trial step and one per halving
     prob, values = _count_residuals(quadratic_problem())
-    run = iterate(prob, 1.3, IterateOptions(allow_damping=False))
-    assert run.converged and run.iterations >= 3
+    run = iterate(prob, 1.3)
+    assert run.converged and run.iterations >= 3 and not run.damped
     assert len(values) == run.iterations + 1
 
     prob, values = _count_residuals(
@@ -121,9 +121,6 @@ def test_damping_rescues_overshoot_and_voids_certificate():
     assert run.damped
     assert not run.certificate_applicable
     npt.assert_allclose(run.x, 0.0, atol=1e-10)
-    with pytest.raises(NoConvergence) as err:
-        iterate(prob, 2.0, IterateOptions(allow_damping=False))
-    assert err.value.history is not None
 
 
 def test_no_convergence_reports_history():
@@ -257,8 +254,8 @@ def test_certified_implies_undamped_convergence(root, offset):
     x0 = root + offset
     cert = certify(prob, x0)
     if cert.certified:
-        run = iterate(prob, x0, IterateOptions(allow_damping=False), certificate=cert)
-        assert run.converged and run.iterations <= 40
+        run = iterate(prob, x0, certificate=cert)
+        assert run.converged and run.iterations <= 40 and not run.damped
         assert run.certificate_applicable
 
 
