@@ -11,7 +11,7 @@ flux.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,22 +40,15 @@ def harmonic_measure(q: float):
     return h1
 
 
-class ZeroSelection(NamedTuple):
-    """Minimal zero data realizing a given flux: winding plus one exponent."""
-
-    k1: int
-    exponent: Optional[float]
-
-
-def minimal_zero_selector(s: float) -> ZeroSelection:
-    """Smallest zero configuration whose flux equals s.
+def minimal_zero_selector(s: float):
+    """Smallest zero configuration whose flux equals s, as (k1, t).
 
     The inner winding absorbs the integer part k1 = floor(s); a fractional
     remainder t forces exactly one zero, at radius q**t once a modulus q is
-    chosen. Fluxes within 1e-12 of an integer are snapped and need no zero.
+    chosen, and t is None when there is none. Fluxes within 1e-12 of an
+    integer are snapped and need no zero.
     """
-    k1, t = _split_flux(float(s))
-    return ZeroSelection(k1, t)
+    return _split_flux(float(s))
 
 
 @dataclass(frozen=True)

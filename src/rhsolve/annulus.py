@@ -30,8 +30,7 @@ from .boundary import (
     BoundaryGrid,
     BoundaryTrace,
     band_limited_sampler,
-    holder_iterate_norm,
-    holder_residual_norm,
+    holder_norms,
     winding_number,
 )
 from .curves import CurveFamily, eta_decompose, monomial_transform, on_grid
@@ -511,8 +510,8 @@ def _annulus_problem(
         derivative_action=lambda c, dc: linearization(c)(dc),
         iterate_sampler=_laurent_sampler(grid, q),
         residual_sampler=lambda rng: np.concatenate([probe(rng), probe(rng)]),
-        certify_iterate_norm=lambda dc: holder_iterate_norm(grid, traces(dc)),
-        certify_residual_norm=lambda r: holder_residual_norm(grid, (r[..., :n], r[..., n:])),
+        certify_iterate_norm=lambda dc: holder_norms(grid, traces(dc), derivative=True),
+        certify_residual_norm=lambda r: holder_norms(grid, (r[..., :n], r[..., n:])),
     )
 
 

@@ -170,12 +170,6 @@ def hilbert_transform(trace: BoundaryTrace) -> BoundaryTrace:
     return BoundaryTrace(trace.grid, conjugate_samples(trace.grid, trace.real_values()).astype(complex))
 
 
-def analytic_completion(trace: BoundaryTrace) -> BoundaryTrace:
-    """u + i T(u): the trace of the holomorphic extension with Re = u, Im(0) = 0."""
-    u = trace.real_values()
-    return BoundaryTrace(trace.grid, u + 1j * conjugate_samples(trace.grid, u))
-
-
 # --------------------------------------------------------------------------
 # phase unwrapping and winding numbers
 # --------------------------------------------------------------------------
@@ -268,22 +262,6 @@ def unwrapped_phase(trace: BoundaryTrace) -> np.ndarray:
 # discrete Holder norms
 # --------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class HolderNormReport:
-    """Discrete C^alpha surrogates of one trace, or of each row of a stack, on the grid.
-
-    alpha is the Holder exponent and sup_norm is max |u_i|. c_alpha is the
-    exact maximum of |u_i - u_j| / d_ij^alpha over all node pairs, with
-    d_ij = 2 sin(pi |i - j| / N) the chord between e^{i theta_i} and e^{i theta_j}.
-    Of a stack, sup_norm and c_alpha hold one value per row.
-    """
-
-    alpha: float
-    sup_norm: float
-    c_alpha: float
-
-
 # the scan takes separations in blocks of 8, 8, 16, 32 and then _SCAN_BLOCK,
 # each block as many rows at a time as keep a step within _SCAN_BLOCK x N
 # differences
@@ -360,41 +338,20 @@ def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
     return best
 
 
-def holder_norms(samples, alpha: float = 0.5) -> HolderNormReport:
-    """sup and C^alpha seminorm of a BoundaryTrace, or of each row of a stack of samples.
-
-    A stack is an array whose last axis holds samples on a BoundaryGrid; the
-    report's fields then have its leading shape (floats for one row).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    values = samples.values if isinstance(samples, BoundaryTrace) else np.asarray(samples)
-    n = BoundaryGrid(values.shape[-1]).n
-    if not np.all(np.isfinite(values)):
-        raise ValueError("trace values must be finite")
-    lead = values.shape[:-1]
-    stack = values.reshape(-1, n)
-    sup_norm = np.max(np.abs(stack), axis=1).reshape(lead)
-    c_alpha = _pair_seminorm(stack, alpha).reshape(lead)
-    if not lead:
-        sup_norm, c_alpha = float(sup_norm), float(c_alpha)
-    return HolderNormReport(alpha=alpha, sup_norm=sup_norm, c_alpha=c_alpha)
-
-
-# --------------------------------------------------------------------------
-# certificate norms and probes
-# --------------------------------------------------------------------------
-
-# Holder exponent of the certificate norms
+# Holder exponent of the certificate norm
 _CERTIFY_ALPHA = 0.5
 
 
-def _parts_max(grid: BoundaryGrid, parts, norm):
-    """max over the boundary parts of norm(part), one value per row of a stack.
+def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False):
+    """Certificate norm: max over the boundary parts of sup|u| + C^alpha(u), alpha = 1/2.
 
-    Each part is one trace's samples or a stack of them along the last axis;
-    a single trace per part gives a float. Parts are checked as a
-    BoundaryTrace checks its values.
+    With derivative=True the seminorm is that of du/dtheta instead of u. The
+    C^alpha seminorm is the exact maximum of |u_i - u_j| / d_ij^alpha over all
+    node pairs, with d_ij = 2 sin(pi |i - j| / N) the chord between
+    e^{i theta_i} and e^{i theta_j}. Each part is one trace's samples or a
+    stack of them along the last axis; the norm is then one value per row,
+    from one seminorm scan per part, and a float for single traces. Parts
+    are checked as a BoundaryTrace checks its values.
     """
     best = None
     for part in parts:
@@ -403,36 +360,17 @@ def _parts_max(grid: BoundaryGrid, parts, norm):
             raise ValueError("trace length does not match its grid")
         if not np.all(np.isfinite(part)):
             raise ValueError("trace values must be finite")
-        value = norm(part)
+        stack = part.reshape(-1, grid.n)
+        varied = _derivative_samples(grid, stack) if derivative else stack
+        sup = np.max(np.abs(stack), axis=1)
+        value = (sup + _pair_seminorm(varied, _CERTIFY_ALPHA)).reshape(part.shape[:-1])
         best = value if best is None else np.maximum(best, value)
     return best if np.ndim(best) else float(best)
 
 
-def holder_residual_norm(grid: BoundaryGrid, parts):
-    """Certificate norm of a residual: max of sup + C^alpha over its boundary parts.
-
-    Parts may be stacks of residuals along the last axis; the norm is then
-    one value per row, from one seminorm scan per part.
-    """
-
-    def norm(part):
-        rep = holder_norms(part, _CERTIFY_ALPHA)
-        return rep.sup_norm + rep.c_alpha
-
-    return _parts_max(grid, parts, norm)
-
-
-def holder_iterate_norm(grid: BoundaryGrid, parts):
-    """Certificate norm of an iterate: max of sup + C^alpha of d/dtheta over its boundary parts.
-
-    Parts may be stacks of iterates along the last axis; the norm is then
-    one value per row, from one FFT pair and one seminorm scan per part.
-    """
-
-    def norm(part):
-        return np.max(np.abs(part), axis=-1) + holder_norms(_derivative_samples(grid, part), _CERTIFY_ALPHA).c_alpha
-
-    return _parts_max(grid, parts, norm)
+# --------------------------------------------------------------------------
+# certificate probes
+# --------------------------------------------------------------------------
 
 
 def band_limited_sampler(grid: BoundaryGrid):

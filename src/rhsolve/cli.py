@@ -205,6 +205,12 @@ class Run:
     def wants_csv(self):
         return "csv" in self.formats
 
+    @property
+    def iteration_limit(self) -> dict:
+        """newton.max_iter as a keyword; without it each solver keeps its own default."""
+        newton = self.config.get("newton", {})
+        return {"max_iter": int(newton["max_iter"])} if "max_iter" in newton else {}
+
 
 def _merge(args, config) -> Run:
     outputs = config.get("outputs", {})
@@ -243,13 +249,7 @@ def _domain(config):
 
 
 def _annulus_options(run: Run) -> AnnulusSolveOptions:
-    newton = run.config.get("newton", {})
-    return AnnulusSolveOptions(
-        grid_n=run.grid,
-        tol=run.tol,
-        max_iter=int(newton.get("max_iter", 40)),
-        seed=run.seed,
-    )
+    return AnnulusSolveOptions(grid_n=run.grid, tol=run.tol, seed=run.seed, **run.iteration_limit)
 
 
 def _solve_configured(run: Run):
@@ -286,16 +286,8 @@ def _solve_disc_configured(run: Run):
         raise ConfigError("disc windings must be a single integer")
     if winding < 0:
         raise ConfigError("disc winding must be nonnegative")
-    newton = run.config.get("newton", {})
     return solve_disc(
-        family,
-        winding,
-        DiscSolveOptions(
-            grid_n=run.grid,
-            tol=run.tol,
-            max_iter=int(newton.get("max_iter", 30)),
-            seed=run.seed,
-        ),
+        family, winding, DiscSolveOptions(grid_n=run.grid, tol=run.tol, seed=run.seed, **run.iteration_limit)
     )
 
 

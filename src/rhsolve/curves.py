@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boundary import BoundaryGrid, BoundaryTrace, hilbert_transform, unwrapped_phase, winding_number
+from .boundary import BoundaryGrid, BoundaryTrace, conjugate_samples, unwrapped_phase, winding_number
 from .errors import (
     DegenerateAxis,
     EtaWindingNonzero,
@@ -233,7 +233,6 @@ class EtaDecomposition:
     a: np.ndarray
     b: np.ndarray
     b_tilde: np.ndarray
-    winding: int
 
 
 def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition:
@@ -256,8 +255,8 @@ def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition
     if wind != 0:
         raise EtaWindingNonzero(f"eta has winding {wind}, expected 0")
     a = np.log(np.abs(eta_vals))
-    b_tilde = hilbert_transform(BoundaryTrace(trace.grid, b)).values.real
-    return EtaDecomposition(grid=trace.grid, eta=eta, a=a, b=b, b_tilde=b_tilde, winding=wind)
+    b_tilde = conjugate_samples(trace.grid, b)
+    return EtaDecomposition(grid=trace.grid, eta=eta, a=a, b=b, b_tilde=b_tilde)
 
 
 # --------------------------------------------------------------------------

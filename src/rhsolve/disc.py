@@ -25,11 +25,9 @@ import numpy as np
 from .boundary import (
     BoundaryGrid,
     BoundaryTrace,
-    analytic_completion,
     band_limited_sampler,
     conjugate_samples,
-    holder_iterate_norm,
-    holder_residual_norm,
+    holder_norms,
 )
 from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, eta_decompose, monomial_transform, on_grid
 from .errors import NoConvergence
@@ -70,7 +68,7 @@ def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:
     # radius guess along the ray the solution would follow if its phase were
     # exactly the prescribed winding; exact for centered-circle families
     u = np.log(fam_t.ray_radius(grid.theta, np.zeros(grid.n)))
-    return analytic_completion(BoundaryTrace(grid, u)).values
+    return u + 1j * conjugate_samples(grid, u)
 
 
 def _sup(v):
@@ -103,8 +101,8 @@ def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
         derivative_action=derivative_action,
         iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
         residual_sampler=probe,
-        certify_iterate_norm=lambda d: holder_iterate_norm(grid, (d,)),
-        certify_residual_norm=lambda r: holder_residual_norm(grid, (r,)),
+        certify_iterate_norm=lambda d: holder_norms(grid, (d,), derivative=True),
+        certify_residual_norm=lambda r: holder_norms(grid, (r,)),
     )
 
 
@@ -179,7 +177,7 @@ def solve_disc_circle_closed_form(radius, winding: int, grid_n: int = 256) -> Di
     family = builtin_circle_family(R)
     grid = BoundaryGrid(grid_n)
     u = np.log(R(grid.theta))
-    g = analytic_completion(BoundaryTrace(grid, u)).values
+    g = u + 1j * conjugate_samples(grid, u)
     return _finish(family, winding, grid, g, None)
 
 

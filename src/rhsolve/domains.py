@@ -30,8 +30,8 @@ from .boundary import (
     _TWO_PI,
     BoundaryGrid,
     BoundaryTrace,
+    _derivative_samples,
     _same_grid,
-    spectral_derivative,
     winding_number,
 )
 from .errors import CountMismatch, PointTooCloseToBoundary, UnresolvedPhase, ZeroOnBoundary
@@ -55,19 +55,17 @@ def _trace_pair(traces):
     return traces
 
 
-def cauchy_extend(traces, domain: Annulus, points, *, margin=None, derivative=False):
+def cauchy_extend(traces, domain: Annulus, points):
     """Evaluate the holomorphic extension of boundary traces at interior points.
 
     traces = (outer, inner), both sampled counterclockwise; the inner-circle
-    integral enters with a minus sign. With derivative=True the kernel
-    z/(z-w) is replaced by z/(z-w)^2.
+    integral enters with a minus sign.
 
-    Raises PointTooCloseToBoundary when any point is within margin (default
-    2 pi / N) of a boundary circle, where the quadrature degrades.
+    Raises PointTooCloseToBoundary when any point is within 2 pi / N of a
+    boundary circle, where the quadrature degrades.
     """
     traces = _trace_pair(traces)
-    if margin is None:
-        margin = _TWO_PI / min(t.grid.n for t in traces)
+    margin = _TWO_PI / min(t.grid.n for t in traces)
     points = np.asarray(points, dtype=complex)
     flat = points.ravel()
     r = np.abs(flat)
@@ -83,8 +81,7 @@ def cauchy_extend(traces, domain: Annulus, points, *, margin=None, derivative=Fa
         n = trace.grid.n
         for start in range(0, flat.size, 1024):
             w = flat[start : start + 1024, None]
-            dz = z[None, :] - w
-            kernel = z[None, :] / (dz * dz) if derivative else z[None, :] / dz
+            kernel = z[None, :] / (z[None, :] - w)
             out[start : start + 1024] += sign * (kernel @ f) / n
     return out.reshape(points.shape)
 
@@ -209,7 +206,7 @@ def _moments(traces, domain: Annulus, count) -> np.ndarray:
     k = np.arange(count)
     s = np.zeros(count, dtype=complex)
     for sign, radius, trace in zip((1.0, -1.0), (1.0, domain.q), traces):
-        log_derivative = spectral_derivative(trace).values / trace.values
+        log_derivative = _derivative_samples(trace.grid, trace.values) / trace.values
         s += sign * -1j * radius ** k * np.fft.ifft(log_derivative)[:count]
     return s
 

@@ -13,12 +13,10 @@ from rhsolve.boundary import (
     _CERTIFY_ALPHA,
     BoundaryGrid,
     BoundaryTrace,
-    analytic_completion,
     coefficient_modes,
+    conjugate_samples,
     hilbert_transform,
-    holder_iterate_norm,
     holder_norms,
-    holder_residual_norm,
     spectral_derivative,
     trig_coefficients,
     unwrapped_phase,
@@ -144,12 +142,13 @@ def test_hilbert_involution_on_zero_mean(coeffs, shift):
 
 
 def test_analytic_completion_has_no_negative_modes():
-    t = trace_of(64, lambda th: np.cos(2 * th) + 0.3 * np.sin(5 * th) + 1.0)
-    f = analytic_completion(t)
+    grid = BoundaryGrid(64)
+    u = np.cos(2 * grid.theta) + 0.3 * np.sin(5 * grid.theta) + 1.0
+    f = BoundaryTrace(grid, u + 1j * conjugate_samples(grid, u))
     c = trig_coefficients(f)
-    k = coefficient_modes(f.grid)
+    k = coefficient_modes(grid)
     assert np.max(np.abs(c[k < 0])) < 1e-13
-    npt.assert_allclose(f.values.real, t.values.real, atol=1e-12)
+    npt.assert_allclose(f.values.real, u, atol=1e-12)
     assert abs(np.mean(f.values.imag)) < 1e-13
 
 
@@ -370,18 +369,20 @@ def dense_pair_seminorm(values, alpha):
 
 def test_holder_of_cosine_is_sqrt_two():
     # |cos a - cos b| / |e^{ia} - e^{ib}|^{1/2} peaks at sqrt(2) (antipodes)
-    t = trace_of(256, np.cos)
-    rep = holder_norms(t, alpha=0.5)
-    npt.assert_allclose(rep.c_alpha, np.sqrt(2.0), atol=1e-12)
-    npt.assert_allclose(rep.sup_norm, 1.0, atol=1e-12)
-    assert holder_iterate_norm(t.grid, (t.values,)) > rep.sup_norm
+    # sup |cos| = 1 and sup |sin| = 1, so sup + C^{1/2} is 1 + sqrt(2) for both
+    grid = BoundaryGrid(256)
+    parts = (np.cos(grid.theta),)
+    norm = holder_norms(grid, parts)
+    assert isinstance(norm, float)
+    npt.assert_allclose(norm, 1.0 + np.sqrt(2.0), atol=1e-12)
+    npt.assert_allclose(holder_norms(grid, parts, derivative=True), 1.0 + np.sqrt(2.0), atol=1e-12)
 
 
 def test_holder_of_constant_is_zero():
-    t = trace_of(32, lambda th: np.full_like(th, 2.5))
-    rep = holder_norms(t, alpha=0.5)
-    assert rep.c_alpha == 0.0
-    assert holder_iterate_norm(t.grid, (t.values,)) == pytest.approx(rep.sup_norm, abs=1e-12)
+    grid = BoundaryGrid(32)
+    constant = np.full(32, 2.5)
+    assert holder_norms(grid, (constant,)) == 2.5
+    assert holder_norms(grid, (constant,), derivative=True) == pytest.approx(2.5, abs=1e-12)
 
 
 def holder_test_trace(kind, n, seed):
@@ -416,8 +417,8 @@ HOLDER_KINDS = ("smooth", "rough", "complex", "constant", "spike", "cos")
 )
 def test_holder_seminorm_matches_dense_pairs(kind, n, alpha, seed):
     values = holder_test_trace(kind, n, seed)
-    rep = holder_norms(BoundaryTrace(BoundaryGrid(n), values), alpha)
-    npt.assert_allclose(rep.c_alpha, dense_pair_seminorm(values.astype(complex), alpha), rtol=1e-13)
+    c_alpha = boundary._pair_seminorm(values.astype(complex)[None, :], alpha)[0]
+    npt.assert_allclose(c_alpha, dense_pair_seminorm(values.astype(complex), alpha), rtol=1e-13)
 
 
 def holder_test_stack(kinds, n, seed, real=False):
@@ -436,10 +437,9 @@ def holder_test_stack(kinds, n, seed, real=False):
 )
 def test_holder_stack_matches_dense_pairs_row_by_row(kinds, n, alpha, seed, real):
     stack = holder_test_stack(kinds, n, seed, real)
-    rep = holder_norms(stack, alpha)
-    assert rep.c_alpha.shape == rep.sup_norm.shape == (len(kinds),)
-    npt.assert_allclose(rep.c_alpha, dense_pair_seminorm(stack, alpha), rtol=1e-13)
-    npt.assert_array_equal(rep.sup_norm, np.max(np.abs(stack), axis=1))
+    c_alpha = boundary._pair_seminorm(stack, alpha)
+    assert c_alpha.shape == (len(kinds),)
+    npt.assert_allclose(c_alpha, dense_pair_seminorm(stack, alpha), rtol=1e-13)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
@@ -449,45 +449,39 @@ def test_holder_stack_of_every_kind_matches_dense_pairs_at_extreme_scales(scale,
     # spikes after it, the rough rows at separation 64 and the cos rows only
     # at N/2, so rows of one stack leave at four different blocks
     stack = scale * holder_test_stack(HOLDER_KINDS * 3, 256, 7, real)
-    c_alpha = holder_norms(stack, 0.5).c_alpha
+    c_alpha = boundary._pair_seminorm(stack, 0.5)
     npt.assert_allclose(c_alpha, dense_pair_seminorm(stack, 0.5), rtol=1e-13)
     assert np.all(c_alpha[HOLDER_KINDS.index("constant") :: len(HOLDER_KINDS)] == 0.0)
     # a row's norm does not depend on the rows stacked with it
     for row, value in zip(stack, c_alpha):
-        assert holder_norms(BoundaryTrace(BoundaryGrid(256), row), 0.5).c_alpha == value
+        assert boundary._pair_seminorm(row[None, :], 0.5)[0] == value
 
 
-def test_holder_stack_rejects_non_finite_rows_and_bad_exponents():
+def test_holder_stack_rejects_non_finite_and_wrong_length_rows():
     grid = BoundaryGrid(64)
     stack = holder_test_stack(HOLDER_KINDS, 64, 3)
-    norms = (
-        lambda s: holder_norms(s, 0.5),
-        lambda s: holder_residual_norm(grid, (s,)),
-        lambda s: holder_iterate_norm(grid, (stack, s)),
-    )
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        broken = stack.copy()
-        broken[2, 5] = bad
-        for norm in norms:
-            with pytest.raises(ValueError):
-                norm(broken)
-    for alpha in (0.0, 1.0, -0.5, 1.5):
+    for derivative in (False, True):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            broken = stack.copy()
+            broken[2, 5] = bad
+            for parts in ((broken,), (stack, broken)):
+                with pytest.raises(ValueError):
+                    holder_norms(grid, parts, derivative=derivative)
         with pytest.raises(ValueError):
-            holder_norms(stack, alpha)
-    with pytest.raises(ValueError):
-        holder_residual_norm(BoundaryGrid(32), (stack,))
+            holder_norms(BoundaryGrid(32), (stack,), derivative=derivative)
 
 
 def test_holder_seminorm_memory_is_linear_in_grid():
     # the dense pair matrices would take several 134 MB arrays at N = 4096,
     # per row of a stack
     rng = np.random.default_rng(11)
-    trace = BoundaryTrace(BoundaryGrid(4096), rng.normal(size=4096) + 1j * rng.normal(size=4096))
+    grid = BoundaryGrid(4096)
+    trace = rng.normal(size=4096) + 1j * rng.normal(size=4096)
     stack = rng.normal(size=(16, 4096)) + 1j * rng.normal(size=(16, 4096))
     for samples in (trace, stack, stack.real.copy()):
         tracemalloc.start()
         try:
-            holder_norms(samples, 0.5)
+            holder_norms(grid, (samples,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -506,9 +500,11 @@ def test_certificate_norms_are_their_definitions():
     sup = lambda v: float(np.max(np.abs(v)))
     c_alpha = lambda v: dense_pair_seminorm(np.asarray(v, dtype=complex), _CERTIFY_ALPHA)
     derivative = lambda p: spectral_derivative(BoundaryTrace(grid, p)).values
-    npt.assert_allclose(holder_residual_norm(grid, parts), max(sup(p) + c_alpha(p) for p in parts), rtol=1e-13)
+    npt.assert_allclose(holder_norms(grid, parts), max(sup(p) + c_alpha(p) for p in parts), rtol=1e-13)
     npt.assert_allclose(
-        holder_iterate_norm(grid, parts), max(sup(p) + c_alpha(derivative(p)) for p in parts), rtol=1e-13
+        holder_norms(grid, parts, derivative=True),
+        max(sup(p) + c_alpha(derivative(p)) for p in parts),
+        rtol=1e-13,
     )
 
 
@@ -518,17 +514,17 @@ def test_certificate_norms_compute_one_seminorm_per_part(monkeypatch):
     monkeypatch.setattr(boundary, "_pair_seminorm", lambda values, alpha: calls.append(1) or scan(values, alpha))
     grid = BoundaryGrid(64)
     parts = certificate_parts(64)
-    holder_residual_norm(grid, parts)
+    holder_norms(grid, parts)
     assert len(calls) == 2
-    holder_iterate_norm(grid, parts)
+    holder_norms(grid, parts, derivative=True)
     assert len(calls) == 4
-    holder_iterate_norm(grid, parts[:1])
+    holder_norms(grid, parts[:1], derivative=True)
     assert len(calls) == 5
     # a stack of 16 rows per part still takes one scan per part
     stacks = tuple(np.stack([(1.0 + 0.1 * i) * part for i in range(16)]) for part in parts)
-    assert holder_residual_norm(grid, stacks).shape == (16,)
+    assert holder_norms(grid, stacks).shape == (16,)
     assert len(calls) == 7
-    assert holder_iterate_norm(grid, stacks).shape == (16,)
+    assert holder_norms(grid, stacks, derivative=True).shape == (16,)
     assert len(calls) == 9
 
 
@@ -556,12 +552,9 @@ def test_holder_seminorm_subadditive_and_homogeneous(a, b, alpha):
     th = grid.theta
     u = sum(c * np.cos((i + 1) * th) for i, c in enumerate(a))
     v = sum(c * np.sin((i + 1) * th) for i, c in enumerate(b))
-    ru = holder_norms(BoundaryTrace(grid, u), alpha)
-    rv = holder_norms(BoundaryTrace(grid, v), alpha)
-    rsum = holder_norms(BoundaryTrace(grid, u + v), alpha)
-    assert rsum.c_alpha <= ru.c_alpha + rv.c_alpha + 1e-9
-    r2 = holder_norms(BoundaryTrace(grid, 2.0 * u), alpha)
-    npt.assert_allclose(r2.c_alpha, 2.0 * ru.c_alpha, rtol=1e-12)
+    seminorm = lambda w: boundary._pair_seminorm(w[None, :], alpha)[0]
+    assert seminorm(u + v) <= seminorm(u) + seminorm(v) + 1e-9
+    npt.assert_allclose(seminorm(2.0 * u), 2.0 * seminorm(u), rtol=1e-12)
 
 
 # ----------------------------------------------------------- trig polynomials

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rhsolve import cli
+from rhsolve.annulus import AnnulusSolveOptions
 from rhsolve.cli import main, validate_config
-from rhsolve.errors import ConfigError
+from rhsolve.disc import DiscSolveOptions
+from rhsolve.errors import ConfigError, NoConvergence
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -226,6 +229,38 @@ def test_solver_failure_exits_two(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 2
     assert "solve failed" in capsys.readouterr().err
     assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("newton", [None, {"max_iter": 7}])
+def test_newton_max_iter_reaches_both_solvers_or_leaves_their_defaults(tmp_path, monkeypatch, newton):
+    seen = {}
+
+    def recorder(name):
+        def solve(*args):
+            seen[name] = args[-1].max_iter
+            raise NoConvergence("recorded")
+
+        return solve
+
+    monkeypatch.setattr(cli, "solve_disc", recorder("disc"))
+    monkeypatch.setattr(cli, "solve_annulus", recorder("annulus"))
+    extra = {} if newton is None else {"newton": newton}
+    out = str(tmp_path / "out")
+    disc = {
+        "domain": {"type": "disc"},
+        "families": {"gamma0": CIRCLE_UNIT},
+        "windings": 1,
+        "outputs": {"directory": out},
+        **extra,
+    }
+    families = {"gamma0": CIRCLE_UNIT, "gamma1": CIRCLE_UNIT}
+    glued = annulus_config(out, families=families, windings=[6, 6], **extra)
+    for name, config in (("disc", disc), ("glued", glued)):
+        assert main(["solve", "--config", write_config(tmp_path, f"{name}.json", config)]) == 2
+    if newton is None:
+        assert seen == {"disc": DiscSolveOptions().max_iter, "annulus": AnnulusSolveOptions().max_iter}
+    else:
+        assert seen == {"disc": 7, "annulus": 7}
 
 
 def test_nonradial_without_windings_exits_one(tmp_path):

@@ -113,14 +113,12 @@ def test_eta_on_unit_circle_is_one():
     npt.assert_allclose(dec.a, 0.0, atol=1e-14)
     npt.assert_allclose(dec.b, 0.0, atol=1e-14)
     npt.assert_allclose(dec.b_tilde, 0.0, atol=1e-14)
-    assert dec.winding == 0
 
 
 def test_eta_exponential_reproduction():
     fam = builtin_ellipse_family(2.0, 1.0, phi=[0.0, 0.3, 0.1])
     trace = unit_trace(256)
     dec = eta_decompose(fam, trace)
-    assert dec.winding == 0
     npt.assert_allclose(np.exp(dec.a + 1j * dec.b), dec.eta.values, atol=1e-10)
     assert -np.pi < dec.b[0] <= np.pi
     # b_tilde is the circle conjugate: mean-free
@@ -216,7 +214,6 @@ def test_eta_decompose_unwraps_eta_once(monkeypatch):
     grid = BoundaryGrid(128)
     dec = eta_decompose(fam, BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta)))
     assert len(calls) == 1
-    assert dec.winding == 0
     npt.assert_allclose(np.exp(dec.a + 1j * dec.b), dec.eta.values, rtol=1e-12)
 
 

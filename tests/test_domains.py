@@ -80,10 +80,6 @@ def test_cauchy_extend_disc_polynomial():
     traces = annulus_traces(256, 0.4, fn)
     pts = np.array([0.5, 0.3 + 0.4j, -0.7j, 0.85])
     npt.assert_allclose(cauchy_extend(traces, Annulus(0.4), pts), fn(pts), atol=1e-12)
-    dfn = lambda z: 1.0 - 1.5 * z**2
-    npt.assert_allclose(
-        cauchy_extend(traces, Annulus(0.4), pts, derivative=True), dfn(pts), atol=1e-11
-    )
 
 
 def test_cauchy_extend_annulus_laurent():
@@ -92,10 +88,6 @@ def test_cauchy_extend_annulus_laurent():
     traces = annulus_traces(256, q, fn)
     pts = np.array([0.5, -0.6 + 0.2j, 0.45j, 0.8])
     npt.assert_allclose(cauchy_extend(traces, Annulus(q), pts), fn(pts), atol=1e-10)
-    dfn = lambda z: 2.0 * z - 3.0 / z**2
-    npt.assert_allclose(
-        cauchy_extend(traces, Annulus(q), pts, derivative=True), dfn(pts), atol=1e-9
-    )
 
 
 def test_margin_guard():
@@ -103,9 +95,6 @@ def test_margin_guard():
     for point in (0.99, 0.51):
         with pytest.raises(PointTooCloseToBoundary):
             cauchy_extend(traces, Annulus(0.5), np.array([point]))
-    # explicit margin overrides the default guard
-    out = cauchy_extend(traces, Annulus(0.5), np.array([0.95]), margin=0.01)
-    npt.assert_allclose(out, 0.95, rtol=1e-4)
 
 
 def test_trace_count_checked_against_domain():
