@@ -291,9 +291,9 @@ def family_from_spec(data: dict) -> CurveFamily:
             return as_trig_polynomial(default)
         coeffs = fourier[key]
         if not isinstance(coeffs, (list, tuple)) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in coeffs
+            isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x) for x in coeffs
         ):
-            raise ValueError(f"fourier key {key!r} must be a flat list of numbers")
+            raise ValueError(f"fourier key {key!r} must be a flat list of finite numbers")
         return TrigPolynomial.from_list(coeffs)
 
     if kind == "circle":

@@ -17,6 +17,7 @@ away and shows up honestly in the residual).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +32,7 @@ from .boundary import (
 )
 from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, eta_decompose, monomial_transform, on_grid
 from .errors import NoConvergence
-from .newton import CertifyOptions, IterateOptions, NewtonProblem, NewtonRun, certify, iterate
+from .newton import CertifyOptions, IterateOptions, NewtonProblem, NewtonRun, certify, draw_probe_set, iterate
 from .trig import as_trig_polynomial
 
 
@@ -76,10 +77,27 @@ def _sup(v):
     return np.max(np.abs(v), axis=-1)
 
 
+def _probe_space(grid: BoundaryGrid) -> dict:
+    """The samplers and norms that draw the g-space probes, for the problem and its memo."""
+    probe = band_limited_sampler(grid)
+    return dict(
+        residual_sampler=probe,
+        iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
+        certify_residual_norm=lambda r: holder_norms(grid, (r,)),
+        iterate_norm=_sup,
+    )
+
+
+# (grid, seed) -> ProbeSet; an entry holds 16 real and 24 complex N-vectors,
+# about 2 MB at N = 4096, and the bound covers the bench's three disc grids
+@functools.lru_cache(maxsize=4)
+def _probe_set(grid: BoundaryGrid, seed: int):
+    return draw_probe_set(seed, **_probe_space(grid))
+
+
 def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
     theta = grid.theta
     fam_t = on_grid(fam_t, theta)
-    probe = band_limited_sampler(grid)
 
     def residual(g):
         return np.asarray(fam_t.rho(theta, np.exp(g)), dtype=float)
@@ -96,13 +114,11 @@ def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
     return NewtonProblem(
         residual=residual,
         right_inverse=right_inverse,
-        iterate_norm=_sup,
         residual_norm=_sup,
         derivative_action=derivative_action,
-        iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
-        residual_sampler=probe,
         certify_iterate_norm=lambda d: holder_norms(grid, (d,), derivative=True),
-        certify_residual_norm=lambda r: holder_norms(grid, (r,)),
+        probe_set=lambda seed: _probe_set(grid, seed),
+        **_probe_space(grid),
     )
 
 

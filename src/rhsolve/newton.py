@@ -19,7 +19,7 @@ damping is recorded because it voids the certificate's applicability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +34,8 @@ class NewtonProblem:
     difference of the residual is used when absent. Samplers draw random
     directions in each space (defaults: Gaussian arrays shaped like the
     example vectors). certify_* norms, when given, replace the iteration
-    norms inside the certificate only.
+    norms inside the certificate only. probe_set(seed), when given, returns
+    the ProbeSet that draw_probe_set would draw (a problem may memoize it).
 
     Stacks: certify passes arrays with a leading probe axis, one probe per
     row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
@@ -62,6 +63,7 @@ class NewtonProblem:
     residual_sampler: Optional[Callable] = None
     certify_iterate_norm: Optional[Callable] = None
     certify_residual_norm: Optional[Callable] = None
+    probe_set: Optional[Callable] = None
 
 
 # certificate sampling: residual probes for omega1, point pairs for omega2
@@ -137,6 +139,34 @@ def _row_norms(norm, stack):
     return values
 
 
+# the certificate's seed-determined half, every array read-only: the residual
+# probes (rows) and their certificate norms, the pairs' (du, dv, d) stacks and
+# their iterate norms, and each pair's two ball radii in units of _BALL_RADIUS
+ProbeSet = NamedTuple(
+    "ProbeSet", [(name, np.ndarray) for name in ("residual", "residual_norms", "iterate", "iterate_norms", "radii")]
+)
+
+
+def draw_probe_set(seed, residual_sampler, iterate_sampler, certify_residual_norm, iterate_norm) -> ProbeSet:
+    """Draw the probes one after the other (residual probes, then per pair du, dv,
+    d and two radii) and take their norms; a degenerate norm raises SamplingFailed."""
+    rng = np.random.default_rng(seed)
+    residual = np.stack([residual_sampler(rng) for _ in range(_RESIDUAL_SAMPLES)])
+    triples, radii = [], []
+    for _ in range(_LIPSCHITZ_PAIRS):
+        triples.append([iterate_sampler(rng) for _ in range(3)])
+        radii.append([rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
+    iterate = np.stack([np.stack(column) for column in zip(*triples)])
+    norms = np.stack([_row_norms(iterate_norm, stack) for stack in iterate])
+    arrays = (residual, _row_norms(certify_residual_norm, residual), iterate, norms, np.asarray(radii).T)
+    for kind, values in (("residual", arrays[1]), ("iterate", norms)):
+        if np.any(values == 0.0) or not np.all(np.isfinite(values)):
+            raise SamplingFailed(f"{kind} probe has degenerate norm")
+    for array in arrays:
+        array.setflags(write=False)
+    return ProbeSet(*arrays)
+
+
 def _derivative_action(problem: NewtonProblem, x, d):
     if problem.derivative_action is not None:
         return problem.derivative_action(x, d)
@@ -157,27 +187,21 @@ def _reach(inverse, probes):
 
 def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions()) -> NewtonCertificate:
     """Sample the three constants and test the right-inverse identity at x0."""
-    rng = np.random.default_rng(options.seed)
     res_norm = problem.certify_residual_norm or problem.residual_norm
     it_norm = problem.certify_iterate_norm or problem.iterate_norm
 
     r0 = problem.residual(x0)
     omega3 = res_norm(r0)
     inverse = problem.right_inverse(x0)
-    sample_r = problem.residual_sampler or _gaussian_like(r0)
-    sample_x = problem.iterate_sampler or _gaussian_like(x0)
+    # every probe is drawn before any is used
+    if problem.probe_set is None:
+        sample_r = problem.residual_sampler or _gaussian_like(r0)
+        sample_x = problem.iterate_sampler or _gaussian_like(x0)
+        drawn = draw_probe_set(options.seed, sample_r, sample_x, res_norm, problem.iterate_norm)
+    else:
+        drawn = problem.probe_set(options.seed)
+    probes, rn, (du, dv, d), (nu, nv, nd), (radius_u, radius_v) = drawn
 
-    # every probe is drawn before any is used, in the order of one probe
-    # after the other: residual probes, then per pair du, dv, d and two radii
-    probes = np.stack([sample_r(rng) for _ in range(_RESIDUAL_SAMPLES)])
-    triples, radii = [], []
-    for _ in range(_LIPSCHITZ_PAIRS):
-        triples.append([sample_x(rng) for _ in range(3)])
-        radii.append([rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
-
-    rn = _row_norms(res_norm, probes)
-    if np.any(rn == 0.0) or not np.all(np.isfinite(rn)):
-        raise SamplingFailed("residual probe has degenerate norm")
     steps, missed_defect = _reach(inverse, probes)
     missed = ~np.isnan(missed_defect)
     # a probe the right inverse cannot reach fails the identity check and
@@ -192,12 +216,6 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
         recovered = _derivative_action(problem, x0, step)
         identity_defect = max(identity_defect, float(np.max(_row_norms(res_norm, recovered - r) / scale)))
 
-    du, dv, d = (np.stack(column) for column in zip(*triples))
-    nu, nv, nd = (_row_norms(problem.iterate_norm, stack) for stack in (du, dv, d))
-    norms = np.stack([nu, nv, nd])
-    if np.any(norms == 0.0) or not np.all(np.isfinite(norms)):
-        raise SamplingFailed("iterate probe has degenerate norm")
-    radius_u, radius_v = np.asarray(radii).T
     u = x0 + _per_row(_BALL_RADIUS * radius_u / nu, du) * du
     v = x0 + _per_row(_BALL_RADIUS * radius_v / nv, dv) * dv
     gap = _row_norms(problem.iterate_norm, u - v)

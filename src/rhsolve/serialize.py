@@ -69,12 +69,12 @@ def _zeros_list(zeros):
 
 
 def disc_result_dict(solution) -> dict:
+    run = solution.run
     return {
         "winding": int(winding_number(solution.f_trace)),
         "residual_sup": float(solution.residual_sup),
-        "newton_history": [
-            float(r) for r in (() if solution.run is None else solution.run.residual_norms)
-        ],
+        "newton_history": [float(r) for r in (() if run is None else run.residual_norms)],
+        "certificate": certificate_dict(None if run is None else run.certificate, False),
     }
 
 

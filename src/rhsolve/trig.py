@@ -21,6 +21,8 @@ class TrigPolynomial:
             raise ValueError("need at least the constant coefficient")
         if len(self.coefficients) % 2 == 0:
             raise ValueError("layout is [c0, a1, b1, ...]; length must be odd")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValueError(f"trig coefficients must be finite, got {list(self.coefficients)}")
 
     @classmethod
     def from_list(cls, coefficients) -> "TrigPolynomial":

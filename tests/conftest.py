@@ -3,6 +3,23 @@
 import numpy as np
 import pytest
 
+from rhsolve import annulus, disc
+
+
+@pytest.fixture
+def fresh_probe_memo():
+    """Empty certificate probe memos before and after the test.
+
+    A test that counts calls inside a certified solve, or that patches a norm
+    the probe sets are measured with, must neither read nor leave entries.
+    """
+    memos = (disc._probe_set, annulus._probe_set)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
 
 @pytest.fixture(scope="session")
 def cutoff_dbar():

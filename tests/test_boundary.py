@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import boundary
+from rhsolve import boundary, disc
 from rhsolve.boundary import (
     _CERTIFY_ALPHA,
     BoundaryGrid,
@@ -528,10 +528,14 @@ def test_certificate_norms_compute_one_seminorm_per_part(monkeypatch):
     assert len(calls) == 9
 
 
-def test_disc_certificate_matches_dense_pairs(monkeypatch):
+def test_disc_certificate_matches_dense_pairs(monkeypatch, fresh_probe_memo):
     fam = builtin_ellipse_family([1.5, 0.2, 0.0], 1.0)
     options = DiscSolveOptions(grid_n=512)
     scanned = solve_disc(fam, 2, options).run.certificate
+    # without emptying the memo the dense solve would reuse the scanned
+    # residual-probe norms; the fixture empties it again afterwards, so no
+    # dense-measured set outlives the test
+    disc._probe_set.cache_clear()
     monkeypatch.setattr(boundary, "_pair_seminorm", dense_pair_seminorm)
     dense = solve_disc(fam, 2, options).run.certificate
     for name in ("omega1", "omega2", "omega3", "product"):

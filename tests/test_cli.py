@@ -12,8 +12,10 @@ import pytest
 from rhsolve import cli
 from rhsolve.annulus import AnnulusSolveOptions
 from rhsolve.cli import main, validate_config
-from rhsolve.disc import DiscSolveOptions
+from rhsolve.curves import builtin_circle_family
+from rhsolve.disc import DiscSolveOptions, solve_disc
 from rhsolve.errors import ConfigError, NoConvergence
+from rhsolve.serialize import certificate_dict
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,12 +50,22 @@ def test_disc_solve_writes_summary_and_traces(tmp_path):
     }
     code = main(["solve", "--config", write_config(tmp_path, "cfg.json", config)])
     assert code == 0
-    result = json.loads((out / "result.json").read_text())
+    text = (out / "result.json").read_bytes()
+    result = json.loads(text)
     assert result["winding"] == 1
     assert result["residual_sup"] < 1e-12
+    # the certificate the solve computed, in the annulus summary's layout: the
+    # exact initializer of a circle family leaves only rounding to contract
+    certificate = result["certificate"]
+    computed = solve_disc(builtin_circle_family(1.0), 1).run.certificate
+    assert certificate == certificate_dict(computed, fallback=False)
+    assert certificate["fallback"] is False and certificate["certified"] is True
+    assert certificate["product"] < 1e-10
     assert (out / "trace.csv").read_text().splitlines()[0] == "theta,re,im"
     assert (out / "history.csv").read_text().splitlines()[0] == "iteration,residual"
     assert (out / "metadata.json").exists()
+    assert main(["solve", "--config", write_config(tmp_path, "cfg.json", config)]) == 0
+    assert (out / "result.json").read_bytes() == text
 
 
 def test_radial_solve_lists_single_zero(tmp_path):
@@ -115,6 +127,12 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["solve", "--config", cfg, "--seed", "7"]) == 0
     again = json.loads((out / "result.json").read_text())["certificate"]
     assert first == again
+    # the flag reaches the sampler: the config's default seed 0 draws other probes
+    assert main(["solve", "--config", cfg]) == 0
+    default = json.loads((out / "result.json").read_text())["certificate"]
+    assert default != first
+    assert default["omega1"] == pytest.approx(8.039, abs=5e-4)
+    assert first["omega1"] == pytest.approx(7.780, abs=5e-4)
 
 
 def test_check_identity_passes_on_radial_pair(tmp_path):
@@ -196,6 +214,18 @@ def test_malformed_family_spec_exits_one(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 1
     assert not (out / "result.json").exists()
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_finite_family_coefficient_exits_one_before_solving(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = annulus_config(out)
+    config["families"]["gamma0"] = {"type": "circle", "fourier": {"R": [float("nan")]}}
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert "NaN" in (tmp_path / "cfg.json").read_text()
+    assert main(["solve", "--config", cfg]) == 1
+    assert not (out / "result.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_unknown_config_key_rejected(tmp_path):

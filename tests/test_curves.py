@@ -206,6 +206,32 @@ def test_spec_validation():
         family_from_spec({"type": "circle"})
 
 
+_SPEC_FOURIER = {
+    "circle": {"R": [2.0, 0.1, 0.0], "c": [0.1]},
+    "ellipse": {"p": [2.0, 0.1, 0.0], "q": [1.0], "phi": [0.2]},
+}
+_BUILDER_ARGUMENT = {"R": "radius", "c": "center", "p": "p", "q": "q", "phi": "phi"}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "kind,key", [("circle", "R"), ("circle", "c"), ("ellipse", "p"), ("ellipse", "q"), ("ellipse", "phi")]
+)
+def test_non_finite_coefficients_rejected_at_construction(kind, key, value):
+    # json reads NaN and Infinity, and comparisons with NaN are false, so the
+    # positivity checks alone let such profiles through to the solve
+    builder = builtin_circle_family if kind == "circle" else builtin_ellipse_family
+    for coeffs in ([value], [2.0, value, 0.0]):
+        fourier = dict(_SPEC_FOURIER[kind], **{key: coeffs})
+        with pytest.raises(ValueError, match="finite"):
+            family_from_spec({"type": kind, "fourier": fourier})
+        arguments = {_BUILDER_ARGUMENT[k]: v for k, v in fourier.items()}
+        with pytest.raises(ValueError, match="finite"):
+            builder(**arguments)
+    with pytest.raises(ValueError, match="finite"):
+        TrigPolynomial((1.0, value, 0.0))
+
+
 def test_eta_decompose_unwraps_eta_once(monkeypatch):
     calls = []
     original = boundary._interval_increments

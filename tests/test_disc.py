@@ -127,6 +127,22 @@ def test_homotopy_rescues_tight_budget(monkeypatch):
     assert winding_number(rescued.f_trace) == 3
 
 
+def test_repeat_certified_solve_skips_the_residual_probe_scan(monkeypatch, fresh_probe_memo):
+    # the residual probes' norms are memoized with the probes, so a repeat
+    # certified solve on the grid scans only the steps, the identity check,
+    # omega2 and omega3, and gives the same certificate and answer
+    calls = []
+    original = disc.holder_norms
+    monkeypatch.setattr(disc, "holder_norms", lambda *a, **k: calls.append(1) or original(*a, **k))
+    fam = builtin_ellipse_family([2.0, 0.15, -0.1], [1.0, 0.04, 0.03])
+    first = solve_disc(fam, 1)
+    assert len(calls) == 5
+    again = solve_disc(fam, 1)
+    assert len(calls) == 9
+    assert again.run.certificate == first.run.certificate
+    assert np.array_equal(again.g_values, first.g_values)
+
+
 def test_gauge_align():
     rng = np.random.default_rng(0)
     ref = rng.standard_normal(32) + 1j * rng.standard_normal(32)

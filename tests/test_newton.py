@@ -355,6 +355,46 @@ def test_stacked_annulus_certificate_matches_per_probe(name):
         assert cert.identity_defect > 0.1 and cert.omega1 > 0.0
 
 
+def _certificates_match(problem, x0, seed):
+    # the memoized probe set against a fresh draw from the problem's samplers
+    memo = certify(problem, x0, CertifyOptions(seed=seed))
+    fresh = certify(dataclasses.replace(problem, probe_set=None), x0, CertifyOptions(seed=seed))
+    assert dataclasses.astuple(memo) == dataclasses.astuple(fresh)
+
+
+def test_memoized_disc_probe_set_certifies_like_a_fresh_draw(fresh_probe_memo):
+    grid = BoundaryGrid(256)
+    fam_t = monomial_transform(builtin_ellipse_family(*_DISC_FAMILIES["tilted"]), 2)
+    problem = disc._g_space_problem(fam_t, grid)
+    g0 = disc._initial_log_trace(fam_t, grid)
+    for seed in (0, 3, 0):
+        _certificates_match(problem, g0, seed)
+    assert disc._probe_set.cache_info()[:2] == (1, 2)  # (hits, misses)
+
+
+def test_memoized_annulus_probe_set_is_keyed_by_modulus(fresh_probe_memo):
+    # two moduli on one grid: the iterate probes and their norms depend on q,
+    # so a set memoized without q would certify the second problem differently
+    outer = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01])
+    inner = builtin_circle_family([1.0, -0.01, 0.02, 0.0, -0.015])
+    options = AnnulusSolveOptions(grid_n=256)
+    for q in (0.4, 0.5):
+        h0, _, families = annulus._glue_coefficients(outer, inner, (4, 4), q, options)
+        problem = annulus._annulus_problem(*families, q, BoundaryGrid(256), options.tol)
+        _certificates_match(problem, h0, 0)
+    assert annulus._probe_set.cache_info()[:2] == (0, 2)
+
+
+def test_memoized_probe_arrays_refuse_writes(fresh_probe_memo):
+    grid = BoundaryGrid(64)
+    for probes in (disc._probe_set(grid, 0), annulus._probe_set(grid, 0.5, 0)):
+        assert len(probes) == 5
+        for array in probes:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
+
+
 def test_certificate_with_every_probe_missed_reports_no_contraction():
     # on the zero-free circles every seed-3 residual probe is off the range of
     # the linearization: nothing bounds the right inverse, so omega1 and the

@@ -46,3 +46,34 @@ def test_every_workload_runs_its_first_case_of_each_kind(tmp_path):
         for case in firsts.values():
             result = workloads.run_case(case, tmp_path)
             assert result["ok"], (entry["name"], case.name, result["reason"])
+
+
+
+def _records(workloads, cases, tmp_path):
+    # what perfbench/run.py compares between passes: every case record
+    return [json.dumps(workloads.run_case(case, tmp_path), sort_keys=True) for case in cases]
+
+
+def test_repeated_and_traced_passes_agree_on_certified_workloads(tmp_path, fresh_probe_memo):
+    # perfbench/run.py marks a run incorrect when repeated passes give other
+    # case records or traced passes other per-layer call counts; a probe memo
+    # that evicted within a workload or was mutated would do either
+    tracing = _load("perfbench_tracing", _TRACING)
+    workloads = _load("perfbench_workloads", _WORKLOADS)
+    for name in ("disc-certified", "annulus-glued"):
+        cases = workloads.build(name, 1)
+        workloads.warm_up(name, cases)
+        untraced = _records(workloads, cases, tmp_path)
+        traced = []
+        for _ in range(2):
+            tracer = tracing.Tracer()
+            tracer.install()
+            try:
+                records = _records(workloads, cases, tmp_path)
+            finally:
+                tracer.uninstall()
+            calls = {span: row["calls"] for span, row in tracing.aggregate(tracer.spans).items()}
+            traced.append((records, calls))
+        (first, first_calls), (second, second_calls) = traced
+        assert first == second == untraced, name
+        assert first_calls == second_calls and first_calls["boundary.holder_norms"] > 0, name
