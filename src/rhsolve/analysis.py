@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .annulus import _check_modulus, _split_flux, harmonic_extend_annulus, solve_annulus_radial
+from .annulus import _split_flux, solve_annulus_radial
 from .boundary import winding_number
 from .curves import builtin_circle_family
+from .domains import _check_modulus, harmonic_extend_annulus
 from .errors import ConfigError
 
 

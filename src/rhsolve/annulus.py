@@ -1,5 +1,7 @@
 """Holomorphic boundary-value solver on the annulus q < |z| < 1.
 
+This module keeps the collar, the glue and the two solvers; the Laurent
+layer they work on (modes, traces, harmonic extension) is rhsolve.domains.
 Each boundary condition is first solved as a disc problem in its own
 collar, the inner one after the orientation-reversing pullback
 zeta -> q / zeta. The two collar pieces are combined into one Laurent
@@ -36,7 +38,17 @@ from .boundary import (
 )
 from .curves import CurveFamily, eta_decompose, monomial_transform, on_grid
 from .disc import DiscSolveOptions, right_inverse_apply, solve_disc
-from .domains import Annulus, laurent_evaluate, laurent_from_traces, locate_zeros
+from .domains import (
+    Annulus,
+    _check_modulus,
+    _shift_modes,
+    harmonic_extend_annulus,
+    laurent_evaluate,
+    laurent_from_traces,
+    laurent_modes,
+    laurent_traces,
+    locate_zeros,
+)
 from .errors import (
     ConfigError,
     GlueTooCoarse,
@@ -65,61 +77,6 @@ _GMRES_STALL_WINDOW = 5
 # at most max(_FORCING * |r|, tol / 2) (Dembo, Eisenstat and Steihaug 1982;
 # leaving less than half the Newton tolerance is as good as exact)
 _FORCING = 0.1
-
-# largest log of q^-k that laurent_traces forms directly, with a margin below
-# the float64 overflow at about 709.8
-_LOG_POWER_MAX = 700.0
-
-
-def _check_modulus(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
-
-
-# --------------------------------------------------------------------------
-# Laurent fields on the annulus
-# --------------------------------------------------------------------------
-
-
-def laurent_modes(n: int) -> np.ndarray:
-    """Modes -K..K carried by an n-point grid, K = n/2 - 1."""
-    k = n // 2 - 1
-    return np.arange(-k, k + 1)
-
-
-def laurent_traces(grid: BoundaryGrid, q: float, coeffs):
-    """Boundary values on |z| = 1 and |z| = q (for stacked coefficients, per row)."""
-    n = grid.n
-    k = n // 2 - 1
-    modes = laurent_modes(n)
-    coeffs = np.asarray(coeffs)
-    shape = coeffs.shape[:-1] + (n,)
-    buf0 = np.zeros(shape, dtype=complex)
-    buf0[..., modes % n] = coeffs
-    buf1 = np.zeros(shape, dtype=complex)
-    if -k * np.log(q) < _LOG_POWER_MAX:
-        buf1[..., modes % n] = coeffs * q ** modes.astype(float)
-    else:
-        # q^-k overflows on this grid although each product, that mode's
-        # coefficient on |z| = q, is of ordinary size: form it from logs
-        with np.errstate(divide="ignore"):
-            log_c = np.log(np.asarray(coeffs, dtype=complex))
-        buf1[..., modes % n] = np.exp(log_c + modes * np.log(q))
-    outer = np.fft.ifft(buf0) * n
-    inner = np.fft.ifft(buf1) * n
-    return outer, inner
-
-
-def _shift_modes(coeffs: np.ndarray, sigma: int) -> np.ndarray:
-    """Multiply by z^sigma in coefficient space, truncating at the ends."""
-    if sigma == 0:
-        return coeffs.copy()
-    out = np.zeros_like(coeffs)
-    idx = np.arange(len(coeffs))
-    src = idx - sigma
-    ok = (src >= 0) & (src < len(coeffs))
-    out[idx[ok]] = coeffs[src[ok]]
-    return out
 
 
 def _reindex(values: np.ndarray) -> np.ndarray:
@@ -219,7 +176,7 @@ def _glue_coefficients(
     inner_family: CurveFamily,
     windings,
     q: float,
-    options: Optional[AnnulusSolveOptions] = None,
+    opts: AnnulusSolveOptions,
 ):
     """Build the glued Laurent iterate for coherent windings (n0, n1).
 
@@ -235,7 +192,6 @@ def _glue_coefficients(
     that residual exceeds the threshold (the windings are too small for
     this modulus).
     """
-    opts = options if options is not None else AnnulusSolveOptions()
     coherent = (int(windings[0]), int(windings[1]))
     n0, n1 = coherent[0], -coherent[1]  # disc convention used internally
     m = n0 - n1
@@ -246,7 +202,6 @@ def _glue_coefficients(
         )
     grid = BoundaryGrid(opts.grid_n)
     n = grid.n
-    kmax = n // 2 - 1
     _check_modulus(q)
 
     # everything runs in the twisted gauge h = f / z^sigma: the windings are
@@ -263,27 +218,21 @@ def _glue_coefficients(
     disc_opts = DiscSolveOptions(grid_n=n, tol=min(opts.tol, 1e-11), certify=False)
     sol0 = solve_disc(fam0t, w_out, disc_opts)
     sol1 = solve_disc(fam1p, w_in, disc_opts)
-    a = np.fft.fft(sol0.f_trace.values)[: kmax + 1] / n
-    b = np.fft.fft(sol1.f_trace.values)[: kmax + 1] / n
-
+    # the inner piece's trace on |z| = q is its disc trace read at -theta;
+    # laurent_from_traces drops its constant mode
+    inner = _reindex(sol1.f_trace.values)
     if m == 0:
         # both pieces are winding-free: align the free inner phase with the
         # outer piece and average the shared constant term instead of
-        # double-counting it
-        if abs(b[0]) > 0.0:
-            b = b * np.exp(1j * (np.angle(a[0]) - np.angle(b[0])))
-        shared = 0.5 * (a[0] + b[0])
-        a = a.copy()
-        b = b.copy()
-        a[0] = shared
-        b[0] = 0.0
+        # dropping the inner one
+        a0, b0 = np.mean(sol0.f_trace.values), np.mean(inner)
+        phase = np.exp(1j * (np.angle(a0) - np.angle(b0)))
+        inner, b0 = inner * phase, b0 * phase
+    coeffs = laurent_from_traces(grid, q, sol0.f_trace.values, inner)
+    if m == 0:
+        coeffs = np.where(laurent_modes(n) == 0, 0.5 * (coeffs + b0), coeffs)
 
-    k = np.arange(kmax + 1)
-    coeffs = np.zeros(2 * kmax + 1, dtype=complex)
-    coeffs[kmax:] = a
-    coeffs[:kmax] = (b[1:] * q ** k[1:].astype(float))[::-1]
-
-    t0, t1 = laurent_traces(grid, q, coeffs)
+    t0, t1 = laurent_traces(coeffs, q, n)
     units = _rho_units(fam0t, fam1t, theta)
     pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1, units))
 
@@ -316,7 +265,7 @@ def glue_construct(
     opts = options if options is not None else AnnulusSolveOptions()
     coeffs, report, _ = _glue_coefficients(outer_family, inner_family, (int(n), int(n)), q, opts)
     grid = BoundaryGrid(opts.grid_n)
-    t0, t1 = laurent_traces(grid, q, coeffs)
+    t0, t1 = laurent_traces(coeffs, q, grid.n)
     return (BoundaryTrace(grid, t0), BoundaryTrace(grid, t1)), report
 
 
@@ -340,7 +289,7 @@ def _probe_space(grid: BoundaryGrid, q: float) -> dict:
         residual_sampler=lambda rng: np.concatenate([probe(rng), probe(rng)]),
         iterate_sampler=iterate_sampler,
         certify_residual_norm=lambda r: holder_norms(grid, (r[..., :grid.n], r[..., grid.n:])),
-        iterate_norm=lambda dc: np.maximum(*(np.max(np.abs(t), axis=-1) for t in laurent_traces(grid, q, dc))),
+        iterate_norm=lambda dc: np.maximum(*(np.max(np.abs(t), axis=-1) for t in laurent_traces(dc, q, grid.n))),
     )
 
 
@@ -431,7 +380,7 @@ def _annulus_problem(
     kmax = n // 2 - 1
 
     def traces(c):
-        return laurent_traces(grid, q, c)
+        return laurent_traces(c, q, n)
 
     def residual(c):
         t0, t1 = traces(c)
@@ -487,7 +436,7 @@ def _annulus_problem(
             if r.ndim == 1 and missed[0]:
                 raise NeumannDiverges(
                     f"collar GMRES left defect {defect[0]:.3e} > {bound[0]:.3e} on a residual "
-                    f"of size {scale[0]:.3e} after {iterations[0]} iterations",
+                    f"of size {scale[0]:.3e} after {iterations[0]} iterations on a {n}-point grid",
                     defect[0] / scale[0],
                     iterations[0],
                 )
@@ -498,7 +447,8 @@ def _annulus_problem(
                 relative[missed] = defect[missed] / scale[missed]
                 raise NeumannDiverges(
                     f"collar GMRES left {int(missed.sum())} of {len(rows)} residuals above "
-                    f"the forcing bound, worst relative defect {np.max(relative[missed]):.3e}",
+                    f"the forcing bound, worst relative defect {np.max(relative[missed]):.3e} "
+                    f"on a {n}-point grid",
                     relative.reshape(lead),
                     iterations.reshape(lead),
                     steps,
@@ -522,7 +472,6 @@ def _annulus_problem(
 class AnnulusSolution:
     grid: BoundaryGrid
     q: float
-    windings: tuple
     coefficients: np.ndarray
     outer_trace: BoundaryTrace
     inner_trace: BoundaryTrace
@@ -560,9 +509,8 @@ def solve_annulus(
     """
     opts = options if options is not None else AnnulusSolveOptions()
     grid = BoundaryGrid(opts.grid_n)
-    kmax = grid.n // 2 - 1
     _check_modulus(q)
-    if kmax * abs(np.log(q)) > 600.0:
+    if (grid.n // 2 - 1) * abs(np.log(q)) > 600.0:
         raise ConfigError(f"modulus {q} is too extreme for a {grid.n}-point grid")
     windings = (int(windings[0]), int(windings[1]))
     outer_family = on_grid(outer_family, grid.theta)
@@ -586,7 +534,7 @@ def solve_annulus(
     )
 
     coeffs = _shift_modes(run.x, sigma)
-    t0, t1 = laurent_traces(grid, q, coeffs)
+    t0, t1 = laurent_traces(coeffs, q, grid.n)
     tr0 = BoundaryTrace(grid, t0)
     tr1 = BoundaryTrace(grid, t1)
     got = (winding_number(tr0), -winding_number(tr1))
@@ -601,7 +549,6 @@ def solve_annulus(
     return AnnulusSolution(
         grid=grid,
         q=q,
-        windings=windings,
         coefficients=coeffs,
         outer_trace=tr0,
         inner_trace=tr1,
@@ -614,40 +561,8 @@ def solve_annulus(
 
 
 # --------------------------------------------------------------------------
-# harmonic extension and the radial closed form
+# the radial closed form
 # --------------------------------------------------------------------------
-
-
-def harmonic_extend_annulus(grid: BoundaryGrid, q: float, outer_values, inner_values) -> tuple:
-    """Harmonic function u = c_log log|z| + Re G on the annulus with the given real boundary data.
-
-    Returns (c_log, coefficients of the Laurent series G, modes -K..K). The
-    log coefficient c_log = (inner mean - outer mean) / log q is the flux
-    through the annulus; G is single-valued and solved mode by mode.
-    """
-    _check_modulus(q)
-    if q * q > 1.0 - 1e-6:
-        raise ModeConditioning("mode solve degenerates as the annulus thins")
-    d0 = np.asarray(outer_values, dtype=float)
-    d1 = np.asarray(inner_values, dtype=float)
-    if d0.shape != (grid.n,) or d1.shape != (grid.n,):
-        raise ConfigError("boundary data must be sampled on the grid")
-    f0 = np.fft.fft(d0) / grid.n
-    f1 = np.fft.fft(d1) / grid.n
-    c_log = float((f1[0].real - f0[0].real) / np.log(q))
-    kmax = grid.n // 2 - 1
-    coeffs = np.zeros(2 * kmax + 1, dtype=complex)
-    coeffs[kmax] = f0[0].real
-    k = np.arange(1, kmax + 1)
-    qk = q ** k.astype(float)
-    denom = 1.0 - qk * qk
-    fk = 2.0 * (f0[1 : kmax + 1] - f1[1 : kmax + 1] * qk) / denom
-    # same as 2 d0 - f, but keeps the q^k damping explicit so the inner
-    # trace is reproduced to roundoff relative to its own data
-    gk = 2.0 * qk * (f1[1 : kmax + 1] - f0[1 : kmax + 1] * qk) / denom
-    coeffs[kmax + 1 :] = fk
-    coeffs[:kmax] = np.conj(gk)[::-1]
-    return c_log, coeffs
 
 
 def _split_flux(s: float):
@@ -742,7 +657,7 @@ def solve_annulus_radial(
             f"flux {flux_left:.3e} left after removing divisor contributions"
         )
 
-    g0, g1 = laurent_traces(grid, q, g_coeffs)
+    g0, g1 = laurent_traces(g_coeffs, q, grid.n)
     f0 = outer_circle ** k1 * np.exp(g0)
     f1 = inner_circle ** k1 * np.exp(g1)
     if zero is not None:

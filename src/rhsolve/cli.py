@@ -16,7 +16,6 @@ from . import serialize
 from .analysis import check_identity, surjectivity_demo
 from .annulus import (
     AnnulusSolveOptions,
-    _check_modulus,
     glue_construct,
     solve_annulus,
     solve_annulus_radial,
@@ -24,6 +23,7 @@ from .annulus import (
 from .boundary import BoundaryGrid
 from .curves import family_from_spec
 from .disc import DiscSolveOptions, solve_disc
+from .domains import _check_modulus
 from .errors import ConfigError, NotRadialFamily, SolverError
 
 _TOP_KEYS = {

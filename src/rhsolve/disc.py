@@ -48,7 +48,6 @@ class DiscSolveOptions:
 @dataclass(frozen=True)
 class DiscSolution:
     grid: BoundaryGrid
-    winding: int
     f_trace: BoundaryTrace
     g_values: np.ndarray
     residual_sup: float
@@ -128,7 +127,6 @@ def _finish(family: CurveFamily, winding: int, grid: BoundaryGrid, g, run) -> Di
     residual_sup = float(_sup(family.rho(grid.theta, f_vals)))
     return DiscSolution(
         grid=grid,
-        winding=winding,
         f_trace=f_trace,
         g_values=np.asarray(g, dtype=complex),
         residual_sup=residual_sup,

@@ -1,9 +1,13 @@
 """Laurent series, zero location and interior evaluation from boundary traces.
 
-A holomorphic function on the annulus q < |z| < 1 is represented by its
-boundary traces sampled counterclockwise at radius * exp(i theta_j);
-laurent_from_traces reads off its Laurent coefficients. (A disc solution
-z^n exp(g) needs no zero search: its n zeros sit at the origin.)
+A holomorphic function on the annulus q < |z| < 1 is one Laurent series
+with modes -K..K (laurent_modes); this module owns that layout, and no other
+indexes the coefficients by position. laurent_traces samples the series
+counterclockwise on both circles at any n >= 2K + 2 points (zero-padding is
+exact, so a finer grid prolongs it), laurent_from_traces reads the
+coefficients back off the traces, and harmonic_extend_annulus solves for
+the series from real boundary data. (A disc solution z^n exp(g) needs no
+zero search: its n zeros sit at the origin.)
 laurent_evaluate and laurent_derivative sum the series as two power series,
 in z and in 1/z, each by Horner's rule in z^32 over blocks of 32
 coefficients: one matrix product with the table z^0..z^31 and K/32 Python
@@ -34,7 +38,14 @@ from .boundary import (
     _same_grid,
     winding_number,
 )
-from .errors import CountMismatch, PointTooCloseToBoundary, UnresolvedPhase, ZeroOnBoundary
+from .errors import (
+    ConfigError,
+    CountMismatch,
+    ModeConditioning,
+    PointTooCloseToBoundary,
+    UnresolvedPhase,
+    ZeroOnBoundary,
+)
 
 
 @dataclass(frozen=True)
@@ -91,6 +102,48 @@ def cauchy_extend(traces, domain: Annulus, points):
 # --------------------------------------------------------------------------
 
 
+# largest log of q^-k that laurent_traces forms directly, with a margin below
+# the float64 overflow at about 709.8
+_LOG_POWER_MAX = 700.0
+
+
+def _check_modulus(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
+
+
+def laurent_modes(n: int) -> np.ndarray:
+    """Modes -K..K carried by an n-point grid, K = n/2 - 1."""
+    k = n // 2 - 1
+    return np.arange(-k, k + 1)
+
+
+def laurent_traces(coeffs, q: float, n: int):
+    """Values on |z| = 1 and |z| = q at n points (for stacked coefficients, per row).
+
+    The modes -K..K are read from the length of the coefficients; any n of
+    at least 2K + 2 samples the same series, so a finer grid than the one
+    that carried the coefficients prolongs their traces exactly.
+    """
+    coeffs = np.asarray(coeffs)
+    k = coeffs.shape[-1] // 2
+    if n < 2 * k + 2:
+        raise ValueError(f"modes -{k}..{k} need at least {2 * k + 2} points, got {n}")
+    modes = np.arange(-k, k + 1)
+    buf0 = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    buf1 = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    buf0[..., modes % n] = coeffs
+    if -k * np.log(q) < _LOG_POWER_MAX:
+        buf1[..., modes % n] = coeffs * q ** modes.astype(float)
+    else:
+        # q^-k overflows on this grid although each product, that mode's
+        # coefficient on |z| = q, is of ordinary size: form it from logs
+        with np.errstate(divide="ignore"):
+            log_c = np.log(coeffs.astype(complex))
+        buf1[..., modes % n] = np.exp(log_c + modes * np.log(q))
+    return np.fft.ifft(buf0) * n, np.fft.ifft(buf1) * n
+
+
 def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarray:
     """Coefficients of the holomorphic function with the given traces.
 
@@ -101,13 +154,9 @@ def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarra
     """
     n = grid.n
     k = n // 2 - 1
-    f0 = np.fft.fft(np.asarray(outer, dtype=complex)) / n
-    f1 = np.fft.fft(np.asarray(inner, dtype=complex)) / n
-    c = np.zeros(f0.shape[:-1] + (2 * k + 1,), dtype=complex)
-    c[..., k:] = f0[..., : k + 1]
-    neg = np.arange(-k, 0)
-    c[..., :k] = f1[..., neg % n] * q ** (-neg.astype(float))
-    return c
+    f0 = np.fft.fft(np.asarray(outer, dtype=complex))[..., : k + 1] / n
+    f1 = np.fft.fft(np.asarray(inner, dtype=complex))[..., n - k :] / n
+    return np.concatenate([f1 * q ** np.arange(k, 0, -1.0), f0], axis=-1)
 
 
 # coefficients per block of the power-series sums: the table of powers is
@@ -162,6 +211,13 @@ def laurent_evaluate(coeffs, z) -> np.ndarray:
     return out
 
 
+def _shift_modes(coeffs: np.ndarray, sigma: int) -> np.ndarray:
+    """Multiply by z^sigma in coefficient space, truncating at the ends."""
+    k = len(coeffs)
+    sigma = int(np.clip(sigma, -k, k))
+    return np.pad(coeffs, k)[k - sigma : 2 * k - sigma]
+
+
 def laurent_derivative(coeffs, z) -> np.ndarray:
     """Evaluate the derivative of the Laurent series (at z = 0 too for a Taylor series)."""
     c = np.asarray(coeffs, dtype=complex)
@@ -173,6 +229,33 @@ def laurent_derivative(coeffs, z) -> np.ndarray:
         neg = c[:k][::-1] * -np.arange(1, k + 1)
         out = out + inv * inv * _power_series(inv, neg)
     return out
+
+
+def harmonic_extend_annulus(grid: BoundaryGrid, q: float, outer_values, inner_values) -> tuple:
+    """Harmonic function u = c_log log|z| + Re G on the annulus with the given real boundary data.
+
+    Returns (c_log, coefficients of the Laurent series G, modes -K..K). The
+    log coefficient c_log = (inner mean - outer mean) / log q is the flux
+    through the annulus; G is single-valued and solved mode by mode.
+    """
+    _check_modulus(q)
+    if q * q > 1.0 - 1e-6:
+        raise ModeConditioning("mode solve degenerates as the annulus thins")
+    d0 = np.asarray(outer_values, dtype=float)
+    d1 = np.asarray(inner_values, dtype=float)
+    if d0.shape != (grid.n,) or d1.shape != (grid.n,):
+        raise ConfigError("boundary data must be sampled on the grid")
+    k = grid.n // 2 - 1
+    f0 = np.fft.fft(d0)[: k + 1] / grid.n
+    f1 = np.fft.fft(d1)[: k + 1] / grid.n
+    c_log = float((f1[0].real - f0[0].real) / np.log(q))
+    qk = q ** np.arange(1, k + 1, dtype=float)
+    denom = 1.0 - qk * qk
+    fk = 2.0 * (f0[1:] - f1[1:] * qk) / denom
+    # same as 2 d0 - f, but keeps the q^k damping explicit so the inner
+    # trace is reproduced to roundoff relative to its own data
+    gk = 2.0 * qk * (f1[1:] - f0[1:] * qk) / denom
+    return c_log, np.concatenate([np.conj(gk)[::-1], [f0[0].real], fk])
 
 
 # --------------------------------------------------------------------------

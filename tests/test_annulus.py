@@ -1,5 +1,7 @@
 """Annulus pipeline: Laurent calculus, collar glue, Newton solve, radial closed form."""
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,16 +13,11 @@ from rhsolve.analysis import check_identity
 from rhsolve.annulus import (
     AnnulusSolveOptions,
     glue_construct,
-    harmonic_extend_annulus,
-    laurent_evaluate,
-    laurent_from_traces,
-    laurent_modes,
-    laurent_traces,
     pullback_family,
     solve_annulus,
     solve_annulus_radial,
 )
-from rhsolve.boundary import BoundaryGrid, winding_number
+from rhsolve.boundary import BoundaryGrid, BoundaryTrace, winding_number
 from rhsolve.curves import (
     CurveFamily,
     builtin_circle_family,
@@ -29,7 +26,16 @@ from rhsolve.curves import (
     on_grid,
 )
 from rhsolve.disc import gauge_align
-from rhsolve.domains import Annulus, cauchy_extend, laurent_derivative
+from rhsolve.domains import (
+    Annulus,
+    cauchy_extend,
+    harmonic_extend_annulus,
+    laurent_derivative,
+    laurent_evaluate,
+    laurent_from_traces,
+    laurent_modes,
+    laurent_traces,
+)
 from rhsolve.errors import (
     ConfigError,
     GlueTooCoarse,
@@ -83,7 +89,7 @@ def test_laurent_roundtrip_traces():
     c = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
     # decay like a function bounded on the closed annulus
     c *= 0.8 ** np.abs(modes) * np.where(modes < 0, Q ** np.abs(modes), 1.0)
-    outer, inner = laurent_traces(grid, Q, c)
+    outer, inner = laurent_traces(c, Q, grid.n)
     back = laurent_from_traces(grid, Q, outer, inner)
     npt.assert_allclose(back, c, rtol=1e-10, atol=1e-15)
     z = np.exp(1j * grid.theta)
@@ -128,7 +134,7 @@ def test_laurent_eval_matches_mode_sum(data, q):
     direct = sum(c[k + 7] * z ** k for k in range(-7, 8))
     npt.assert_allclose(laurent_evaluate(c, z), direct, atol=1e-12)
     grid = BoundaryGrid(16)
-    outer, inner = laurent_traces(grid, q, c)
+    outer, inner = laurent_traces(c, q, grid.n)
     back = laurent_from_traces(grid, q, outer, inner)
     npt.assert_allclose(back, c, rtol=1e-9, atol=1e-12)
 
@@ -191,6 +197,39 @@ def test_glue_area_correction_small_on_boundary_circles(cutoff_dbar):
         assert np.max(np.abs(laurent_from_traces(grid, Q, u0, u1))) <= 1e-14 * sup
         if n == 20:
             assert sup < 1e-5
+
+
+@pytest.mark.parametrize("windings, r1", [((8, -8), 1.2 * Q ** 8), ((6, 4), 1.0)], ids=["zero-free", "ten-zeros"])
+def test_glue_iterate_is_the_hand_assembled_collar_pieces(monkeypatch, windings, r1):
+    # the glued iterate read off the collar traces by laurent_from_traces
+    # equals the pieces assembled mode by mode: modes 0..K of the outer
+    # piece, and modes 1..K of the inner disc piece damped by q^k as modes
+    # -1..-K; zero-free (m = 0) pieces first align the inner phase with the
+    # outer one and share the averaged constant term. The disc solver fixes
+    # each piece's phase, so the spy turns the inner one to make the
+    # alignment show, and the inner radius sets the two constants apart
+    pieces = []
+    original = annulus.solve_disc
+
+    def spy(*args, **kwargs):
+        sol = original(*args, **kwargs)
+        turn = np.exp(0.4j * len(pieces))
+        pieces.append(dataclasses.replace(sol, f_trace=BoundaryTrace(sol.grid, turn * sol.f_trace.values)))
+        return pieces[-1]
+
+    monkeypatch.setattr(annulus, "solve_disc", spy)
+    outer = scaled_circle(1.0, [0.0, 0.03, -0.02])
+    inner = scaled_circle(r1, [0.0, 0.02, 0.01])
+    coeffs, _, _ = annulus._glue_coefficients(outer, inner, windings, Q, AnnulusSolveOptions(grid_n=128))
+    n = 128
+    kmax = n // 2 - 1
+    a = np.fft.fft(pieces[0].f_trace.values)[: kmax + 1] / n
+    b = np.fft.fft(pieces[1].f_trace.values)[: kmax + 1] / n
+    if sum(windings) == 0:
+        b = b * np.exp(1j * (np.angle(a[0]) - np.angle(b[0])))
+        a[0] = 0.5 * (a[0] + b[0])
+    expect = np.concatenate([(b[1:] * Q ** np.arange(1.0, kmax + 1))[::-1], a])
+    assert np.max(np.abs(coeffs - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_glue_rejects_coarse_windings():
@@ -440,7 +479,7 @@ def test_gmres_drops_a_stalled_stretch(monkeypatch):
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", kept)
         capped, _ = original(act, precondition, rows)
         assert np.linalg.norm(steps - capped) <= 1e-13 * np.linalg.norm(capped)
-        step = max(np.max(np.abs(t)) for t in laurent_traces(BoundaryGrid(512), 0.4, steps[0]))
+        step = max(np.max(np.abs(t)) for t in laurent_traces(steps[0], 0.4, 512))
         assert step <= 100.0 * np.max(np.abs(rows))
     assert stalls >= 1
 
@@ -549,7 +588,7 @@ def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch):
     r0 = problem.residual(h0)
     probe = problem.residual_sampler(np.random.default_rng(0))
     stack = np.stack([r0, probe, np.zeros_like(r0)])
-    with pytest.raises(NeumannDiverges) as info:
+    with pytest.raises(NeumannDiverges, match="on a 64-point grid$") as info:
         apply(stack)
     exc = info.value
     assert np.isnan(exc.defect[0]) and np.isnan(exc.defect[2]) and exc.defect[1] > 0.1
@@ -559,6 +598,7 @@ def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch):
     assert not exc.steps[2].any()
     with pytest.raises(NeumannDiverges, match="collar GMRES left defect") as single:
         apply(probe)
+    assert str(single.value).endswith("on a 64-point grid")
     npt.assert_allclose(single.value.defect, exc.defect[1], rtol=1e-13)
     assert single.value.iterations == exc.iterations[1]
     # a stack the inverse reaches entirely comes back as steps
@@ -692,7 +732,7 @@ def test_laurent_traces_stable_at_extreme_modes():
     grid = BoundaryGrid(1024)
     q = 0.04
     _, coeffs = harmonic_extend_annulus(grid, q, np.cos(grid.theta), np.sin(2 * grid.theta))
-    outer, inner = laurent_traces(grid, q, coeffs)
+    outer, inner = laurent_traces(coeffs, q, grid.n)
     circle = np.exp(1j * grid.theta)
     npt.assert_allclose(outer, laurent_evaluate(coeffs, circle), atol=1e-12)
     npt.assert_allclose(inner, laurent_evaluate(coeffs, q * circle), atol=1e-12)
@@ -751,6 +791,21 @@ def test_radial_transformed_profiles_reach_machine_accuracy():
     assert sol.zero is None
     assert sol.flux == pytest.approx(2.0, abs=1e-12)
     assert sol.modulus_error < 1e-10
+
+
+def test_evaluate_matches_cauchy_extension_of_the_traces(unit_solution):
+    # evaluate(points) sums the solution's series; the Cauchy integral of
+    # its boundary traces is the independent reference at interior points
+    radial = solve_annulus_radial(builtin_circle_family(1.0), builtin_circle_family(Q ** 0.37), Q)
+    assert radial.zero is not None
+    angles = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
+    points = np.array([0.6, 0.7, 0.8])[:, None] * np.exp(1j * angles)
+    for sol in (unit_solution, radial):
+        reference = cauchy_extend((sol.outer_trace, sol.inner_trace), Annulus(sol.q), points)
+        npt.assert_allclose(sol.evaluate(points), reference, rtol=0, atol=1e-10)
+    # the radial product form vanishes at its zero, found again by the search
+    assert radial.evaluate(radial.zero) == 0.0
+    assert abs(radial.evaluate(radial.zeros[0].position)) < 1e-10
 
 
 def test_radial_requires_centered_circles():

@@ -17,6 +17,8 @@ from rhsolve.domains import (
     laurent_derivative,
     laurent_evaluate,
     laurent_from_traces,
+    laurent_modes,
+    laurent_traces,
     locate_zeros,
 )
 from rhsolve.errors import CountMismatch, PointTooCloseToBoundary
@@ -138,6 +140,28 @@ def test_laurent_evaluation_finite_where_q_to_the_minus_k_overflows(n, q):
     assert_matches_horner(c, circle)
     assert_matches_horner(c, q * circle)
     assert_matches_horner(c, (q + (1.0 - q) * rng.uniform(size=(3, 64))) * circle[:64])
+
+
+def test_laurent_traces_prolong_to_a_finer_grid():
+    # zero-padding is exact: the series carried by a 64-point grid, sampled
+    # at 128 points, takes its own values on the finer nodes, and reading
+    # those traces back gives it zero-padded to the modes -63..63
+    n, q = 64, 0.5
+    rng = np.random.default_rng(3)
+    modes = laurent_modes(n)
+    c = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    c *= 0.8 ** np.abs(modes) * np.where(modes < 0, q ** np.abs(modes), 1.0)
+    fine = BoundaryGrid(2 * n)
+    outer, inner = laurent_traces(c, q, fine.n)
+    z = np.exp(1j * fine.theta)
+    npt.assert_allclose(outer, laurent_evaluate(c, z), atol=1e-12)
+    npt.assert_allclose(inner, laurent_evaluate(c, q * z), atol=1e-12)
+    padded = np.concatenate([np.zeros(n // 2), c, np.zeros(n // 2)])
+    assert len(padded) == len(laurent_modes(fine.n))
+    npt.assert_allclose(laurent_from_traces(fine, q, outer, inner), padded, rtol=1e-10, atol=1e-15)
+    # a grid too coarse for the modes would alias them
+    with pytest.raises(ValueError, match="need at least 64 points"):
+        laurent_traces(c, q, n // 2)
 
 
 # ------------------------------------------------------------- zero location
