@@ -81,8 +81,10 @@ _FORCING = 0.1
 
 def _reindex(values: np.ndarray) -> np.ndarray:
     """Trace of v(1/zeta)-type pullbacks: sample j goes to -j mod n (along the last axis)."""
-    n = values.shape[-1]
-    return values[..., (-np.arange(n)) % n]
+    out = np.empty_like(values)
+    out[..., 0] = values[..., 0]
+    out[..., 1:] = values[..., :0:-1]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +290,9 @@ def _probe_space(grid: BoundaryGrid, q: float) -> dict:
     return dict(
         residual_sampler=lambda rng: np.concatenate([probe(rng), probe(rng)]),
         iterate_sampler=iterate_sampler,
-        certify_residual_norm=lambda r: holder_norms(grid, (r[..., :grid.n], r[..., grid.n:])),
+        certify_residual_norm=lambda r, weights=None: holder_norms(
+            grid, (r[..., :grid.n], r[..., grid.n:]), weights=weights
+        ),
         iterate_norm=lambda dc: np.maximum(*(np.max(np.abs(t), axis=-1) for t in laurent_traces(dc, q, grid.n))),
     )
 
@@ -462,7 +466,7 @@ def _annulus_problem(
         right_inverse=right_inverse,
         residual_norm=lambda r: np.max(np.abs(r), axis=-1),
         derivative_action=lambda c, dc: linearization(c)(dc),
-        certify_iterate_norm=lambda dc: holder_norms(grid, traces(dc), derivative=True),
+        certify_iterate_norm=lambda dc, weights=None: holder_norms(grid, traces(dc), True, weights),
         probe_set=lambda seed: _probe_set(grid, q, seed),
         **_probe_space(grid, q),
     )

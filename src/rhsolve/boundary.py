@@ -277,7 +277,7 @@ def _chord_weights(n: int, alpha: float) -> np.ndarray:
     return weights
 
 
-def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
+def _pair_seminorm(values: np.ndarray, alpha: float, sup=None, weights=None, reach=-np.inf) -> np.ndarray:
     """Per row of a (rows, N) stack: max over node pairs of |u_i - u_j| / chord_ij^alpha.
 
     The chord between nodes i and j depends only on k = |i - j| mod N, and
@@ -286,12 +286,18 @@ def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
     weight decreases with k, so a row leaves the scan once a bound on the
     diameter of its values times the next block's first weight cannot beat
     the best ratio found for it.
+
+    With each row's sup and weight, the scan serves the largest weighted
+    norm (sup + seminorm) / weight of the stack instead: a row also leaves
+    once that bound cannot lift its weighted norm above the largest one
+    found so far in the stack or above reach, and its value is then only a
+    lower bound, which cannot change that maximum.
     """
     if not values.imag.any():
         values = values.real
     rows, n = values.shape
     half = n // 2
-    weights = _chord_weights(n, alpha)
+    chord_weights = _chord_weights(n, alpha)
     # a true upper bound on max |u_i - u_j|, widened to cover its own rounding
     spread = np.hypot(np.ptp(values.real, axis=1), np.ptp(values.imag, axis=1)) * (1.0 + 1e-12)
     best = np.zeros(rows)
@@ -305,7 +311,11 @@ def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
     buffer = np.empty(0)
     start, block = 0, _FIRST_BLOCK
     while start < half:
-        keep = spread[active] * weights[start] > best[active]
+        bound = spread[active] * chord_weights[start]
+        keep = bound > best[active]
+        if weights is not None:
+            largest = np.maximum(reach, np.max((sup + best) / weights))
+            keep &= (sup[active] + bound) / weights[active] > largest
         if not keep.all():
             active, extended = active[keep], extended[keep]
         if not len(active):
@@ -333,7 +343,7 @@ def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
             np.subtract(diff, extended[first:last, None, :n], out=diff)
             np.abs(diff, out=modulus)
             np.max(modulus, axis=2, out=gaps[first:last])
-        best[active] = np.maximum(best[active], np.max(gaps * weights[start:stop], axis=1))
+        best[active] = np.maximum(best[active], np.max(gaps * chord_weights[start:stop], axis=1))
         start, block = stop, min(stop, _SCAN_BLOCK)
     return best
 
@@ -342,7 +352,7 @@ def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
 _CERTIFY_ALPHA = 0.5
 
 
-def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False):
+def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False, weights=None):
     """Certificate norm: max over the boundary parts of sup|u| + C^alpha(u), alpha = 1/2.
 
     With derivative=True the seminorm is that of du/dtheta instead of u. The
@@ -352,6 +362,12 @@ def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False):
     stack of them along the last axis; the norm is then one value per row,
     from one seminorm scan per part, and a float for single traces. Parts
     are checked as a BoundaryTrace checks its values.
+
+    With weights, one positive value per row, the result is the float
+    max over rows of norm(row) / weight(row), the same float as the maximum
+    of the per-row norms divided by their weights. The scans then leave a
+    row as soon as it cannot reach the largest weighted norm found so far,
+    over the rows and parts already scanned.
     """
     best = None
     for part in parts:
@@ -363,7 +379,12 @@ def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False):
         stack = part.reshape(-1, grid.n)
         varied = _derivative_samples(grid, stack) if derivative else stack
         sup = np.max(np.abs(stack), axis=1)
-        value = (sup + _pair_seminorm(varied, _CERTIFY_ALPHA)).reshape(part.shape[:-1])
+        if weights is None:
+            value = (sup + _pair_seminorm(varied, _CERTIFY_ALPHA)).reshape(part.shape[:-1])
+        else:
+            row_weights = np.broadcast_to(weights, part.shape[:-1]).reshape(-1)
+            reach = -np.inf if best is None else best
+            value = np.max((sup + _pair_seminorm(varied, _CERTIFY_ALPHA, sup, row_weights, reach)) / row_weights)
         best = value if best is None else np.maximum(best, value)
     return best if np.ndim(best) else float(best)
 

@@ -225,7 +225,8 @@ class EtaDecomposition:
 
     eta = exp(a + i b) with b the continuous (winding-zero) argument and
     b_tilde its circle conjugate; these feed the explicit right inverse of
-    k -> 2 Re(eta k).
+    k -> 2 Re(eta k), which multiplies by its two factors phi_weight =
+    exp(-a - b_tilde) and k_weight = exp(b_tilde - i b), formed once here.
     """
 
     grid: BoundaryGrid
@@ -233,6 +234,8 @@ class EtaDecomposition:
     a: np.ndarray
     b: np.ndarray
     b_tilde: np.ndarray
+    phi_weight: np.ndarray
+    k_weight: np.ndarray
 
 
 def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition:
@@ -256,7 +259,15 @@ def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition
         raise EtaWindingNonzero(f"eta has winding {wind}, expected 0")
     a = np.log(np.abs(eta_vals))
     b_tilde = conjugate_samples(trace.grid, b)
-    return EtaDecomposition(grid=trace.grid, eta=eta, a=a, b=b, b_tilde=b_tilde)
+    return EtaDecomposition(
+        grid=trace.grid,
+        eta=eta,
+        a=a,
+        b=b,
+        b_tilde=b_tilde,
+        phi_weight=np.exp(-a - b_tilde),
+        k_weight=np.exp(b_tilde - 1j * b),
+    )
 
 
 # --------------------------------------------------------------------------

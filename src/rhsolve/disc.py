@@ -59,9 +59,9 @@ def right_inverse_apply(eta: EtaDecomposition, rhs: np.ndarray) -> np.ndarray:
 
     rhs is one real trace or a stack of them along the last axis.
     """
-    phi = np.exp(-eta.a - eta.b_tilde) * np.asarray(rhs, dtype=float)
+    phi = eta.phi_weight * np.asarray(rhs, dtype=float)
     analytic = phi + 1j * conjugate_samples(eta.grid, phi)
-    return 0.5 * np.exp(eta.b_tilde - 1j * eta.b) * analytic
+    return 0.5 * eta.k_weight * analytic
 
 
 def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:
@@ -82,7 +82,7 @@ def _probe_space(grid: BoundaryGrid) -> dict:
     return dict(
         residual_sampler=probe,
         iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
-        certify_residual_norm=lambda r: holder_norms(grid, (r,)),
+        certify_residual_norm=lambda r, weights=None: holder_norms(grid, (r,), weights=weights),
         iterate_norm=_sup,
     )
 
@@ -115,7 +115,7 @@ def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
         right_inverse=right_inverse,
         residual_norm=_sup,
         derivative_action=derivative_action,
-        certify_iterate_norm=lambda d: holder_norms(grid, (d,), derivative=True),
+        certify_iterate_norm=lambda d, weights=None: holder_norms(grid, (d,), True, weights),
         probe_set=lambda seed: _probe_set(grid, seed),
         **_probe_space(grid),
     )

@@ -55,8 +55,12 @@ class Annulus:
     q: float
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"annulus modulus must lie in (0, 1), got {self.q}")
+        _check_modulus(self.q)
+
+
+def _check_modulus(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
 
 
 def _trace_pair(traces):
@@ -107,11 +111,6 @@ def cauchy_extend(traces, domain: Annulus, points):
 _LOG_POWER_MAX = 700.0
 
 
-def _check_modulus(q: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise ConfigError(f"annulus modulus must lie in (0, 1), got {q}")
-
-
 def laurent_modes(n: int) -> np.ndarray:
     """Modes -K..K carried by an n-point grid, K = n/2 - 1."""
     k = n // 2 - 1
@@ -130,18 +129,22 @@ def laurent_traces(coeffs, q: float, n: int):
     if n < 2 * k + 2:
         raise ValueError(f"modes -{k}..{k} need at least {2 * k + 2} points, got {n}")
     modes = np.arange(-k, k + 1)
-    buf0 = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
-    buf1 = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
-    buf0[..., modes % n] = coeffs
     if -k * np.log(q) < _LOG_POWER_MAX:
-        buf1[..., modes % n] = coeffs * q ** modes.astype(float)
+        inner = coeffs * q ** modes.astype(float)
     else:
         # q^-k overflows on this grid although each product, that mode's
         # coefficient on |z| = q, is of ordinary size: form it from logs
         with np.errstate(divide="ignore"):
             log_c = np.log(coeffs.astype(complex))
-        buf1[..., modes % n] = np.exp(log_c + modes * np.log(q))
-    return np.fft.ifft(buf0) * n, np.fft.ifft(buf1) * n
+        inner = np.exp(log_c + modes * np.log(q))
+    traces = []
+    for c in (coeffs, inner):
+        # FFT storage order: modes 0..K first, modes -K..-1 last
+        buf = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+        buf[..., : k + 1] = c[..., k:]
+        buf[..., n - k :] = c[..., :k]
+        traces.append(np.fft.ifft(buf) * n)
+    return tuple(traces)
 
 
 def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarray:

@@ -88,5 +88,5 @@ class NotRadialFamily(SolverError):
     """Operation requires centered-circle families with a radial profile."""
 
 
-class ConfigError(SolverError):
-    """Run configuration is malformed or inconsistent."""
+class ConfigError(SolverError, ValueError):
+    """Run configuration is malformed or inconsistent (also a ValueError)."""

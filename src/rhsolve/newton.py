@@ -12,12 +12,17 @@ and certifies convergence of the undamped iteration x <- x - B(x) A(x) when
 
 The certificate draws all its probes first and then calls each callback
 once per stack of probes, not once per probe; the iteration passes single
-vectors. The iteration itself damps steps that increase the residual;
-damping is recorded because it voids the certificate's applicability.
+vectors. omega1, the identity defect and omega2 are each the largest
+weighted norm of one stack (norm of a row over its probe's scale), so
+certify reduces each stack to that one maximum, and a norm that takes the
+weights may drop the rows that cannot reach it. The iteration itself damps
+steps that increase the residual; damping is recorded because it voids the
+certificate's applicability.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -41,8 +46,12 @@ class NewtonProblem:
     row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
     the finite difference only) act row by row, broadcasting one point
     against a stack of directions, and every norm returns one value per
-    row (certify raises TypeError on a norm that does not). iterate passes
-    single vectors only.
+    row (certify raises TypeError on a norm that does not). A certify_*
+    norm may also take a keyword weights, one positive value per row, and
+    then return the float max over rows of norm(row) / weight(row); certify
+    asks it only for that maximum (the rows' scales for omega1 and the
+    identity defect, gap times direction norm for omega2), so it may skip
+    the rows that cannot reach it. iterate passes single vectors only.
 
     Unreachable rows: a right inverse that cannot meet its own acceptance
     bound on a single residual raises NeumannDiverges with that residual's
@@ -139,6 +148,17 @@ def _row_norms(norm, stack):
     return values
 
 
+def _weighted_max(norm, stack, weights):
+    """max over the rows of norm(row) / weight; a norm that takes weights= reduces the stack itself."""
+    try:
+        weighted = "weights" in inspect.signature(norm).parameters
+    except ValueError:  # a builtin without a signature takes no weights
+        weighted = False
+    if weighted:
+        return float(norm(stack, weights=weights))
+    return float(np.max(_row_norms(norm, stack) / weights))
+
+
 # the certificate's seed-determined half, every array read-only: the residual
 # probes (rows) and their certificate norms, the pairs' (du, dv, d) stacks and
 # their iterate norms, and each pair's two ball radii in units of _BALL_RADIUS
@@ -212,9 +232,9 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
     reached = ~missed
     if reached.any():
         step, r, scale = steps[reached], probes[reached], rn[reached]
-        omega1 = float(np.max(_row_norms(it_norm, step) / scale))
+        omega1 = _weighted_max(it_norm, step, scale)
         recovered = _derivative_action(problem, x0, step)
-        identity_defect = max(identity_defect, float(np.max(_row_norms(res_norm, recovered - r) / scale)))
+        identity_defect = max(identity_defect, _weighted_max(res_norm, recovered - r, scale))
 
     u = x0 + _per_row(_BALL_RADIUS * radius_u / nu, du) * du
     v = x0 + _per_row(_BALL_RADIUS * radius_v / nv, dv) * dv
@@ -224,7 +244,7 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
     if apart.any():
         d = d[apart]
         diff = _derivative_action(problem, u[apart], d) - _derivative_action(problem, v[apart], d)
-        omega2 = float(np.max(_row_norms(res_norm, diff) / (gap[apart] * nd[apart])))
+        omega2 = _weighted_max(res_norm, diff, gap[apart] * nd[apart])
 
     product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3 if reached.any() else np.inf
     certified = bool(product < 1.0 and identity_defect <= _CHECK_TOL)

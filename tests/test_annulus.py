@@ -17,15 +17,16 @@ from rhsolve.annulus import (
     solve_annulus,
     solve_annulus_radial,
 )
-from rhsolve.boundary import BoundaryGrid, BoundaryTrace, winding_number
+from rhsolve.boundary import BoundaryGrid, BoundaryTrace, conjugate_samples, winding_number
 from rhsolve.curves import (
     CurveFamily,
     builtin_circle_family,
     builtin_ellipse_family,
     divisor_transform,
+    eta_decompose,
     on_grid,
 )
-from rhsolve.disc import gauge_align
+from rhsolve.disc import gauge_align, right_inverse_apply
 from rhsolve.domains import (
     Annulus,
     cauchy_extend,
@@ -742,6 +743,52 @@ def test_laurent_traces_stable_at_extreme_modes():
     )
     assert sol.k1 == 2 and sol.zero is None
     assert sol.residual_sup < 1e-13
+
+
+def fancy_index_laurent_traces(coeffs, q, n):
+    # the mode placement by fancy indexing that laurent_traces replaced
+    k = coeffs.shape[-1] // 2
+    modes = np.arange(-k, k + 1)
+    buf0 = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    buf1 = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    buf0[..., modes % n] = coeffs
+    if -k * np.log(q) < 700.0:
+        buf1[..., modes % n] = coeffs * q ** modes.astype(float)
+    else:
+        with np.errstate(divide="ignore"):
+            log_c = np.log(coeffs.astype(complex))
+        buf1[..., modes % n] = np.exp(log_c + modes * np.log(q))
+    return np.fft.ifft(buf0) * n, np.fft.ifft(buf1) * n
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_collar_data_moves_are_bitwise_the_old_expressions():
+    rng = np.random.default_rng(21)
+    # stacked coefficients on their grid and prolonged to a finer one; q = 0.4
+    # takes the direct powers, q = 0.01 at N = 1024 the log-space branch (its
+    # negative modes underflow to subnormals and zeros)
+    for q, n in ((0.4, 64), (0.01, 1024)):
+        modes = laurent_modes(n)
+        c = rng.standard_normal((2, 3, len(modes))) + 1j * rng.standard_normal((2, 3, len(modes)))
+        c *= np.exp(np.abs(modes) * np.where(modes < 0, np.log(q), -0.05))
+        for m in (n, 2 * n):
+            for new, old in zip(laurent_traces(c, q, m), fancy_index_laurent_traces(c, q, m)):
+                assert same_bits(new, old)
+    # the pullback reindexing, on read-only traces and on stacks
+    trace = BoundaryTrace(BoundaryGrid(64), rng.standard_normal(64) + 1j * rng.standard_normal(64)).values
+    for values in (trace, rng.standard_normal((3, 64)), rng.standard_normal((2, 3, 64)) + 0j):
+        assert same_bits(annulus._reindex(values), values[..., (-np.arange(64)) % 64])
+    # the explicit right inverse with its two factors formed once per decomposition
+    grid = BoundaryGrid(256)
+    family = builtin_ellipse_family(2.0, 1.0, phi=[0.0, 0.3, 0.1])
+    dec = eta_decompose(family, BoundaryTrace(grid, np.exp(1j * grid.theta)))
+    for rhs in (rng.standard_normal(256), rng.standard_normal((4, 256))):
+        phi = np.exp(-dec.a - dec.b_tilde) * rhs
+        old = 0.5 * np.exp(dec.b_tilde - 1j * dec.b) * (phi + 1j * conjugate_samples(grid, phi))
+        assert same_bits(right_inverse_apply(dec, rhs), old)
 
 
 def test_radial_integer_flux_is_pure_power():

@@ -21,7 +21,7 @@ from rhsolve.domains import (
     laurent_traces,
     locate_zeros,
 )
-from rhsolve.errors import CountMismatch, PointTooCloseToBoundary
+from rhsolve.errors import ConfigError, CountMismatch, PointTooCloseToBoundary
 
 
 def annulus_traces(n, q, fn):
@@ -72,6 +72,15 @@ def test_annulus_validates_modulus():
         Annulus(0.0)
     with pytest.raises(ValueError):
         Annulus(1.5)
+
+
+def test_annulus_modulus_has_one_check_and_one_error_type():
+    # the domain and the solvers reject a modulus with the same ConfigError,
+    # which is also the ValueError a domain raised before
+    assert issubclass(ConfigError, ValueError)
+    for q in (0.0, 1.0, -0.5, float("nan")):
+        with pytest.raises(ConfigError, match=r"annulus modulus must lie in \(0, 1\)"):
+            Annulus(q)
 
 
 def test_cauchy_extend_disc_polynomial():

@@ -186,6 +186,31 @@ def test_certify_rejects_a_norm_with_one_value_per_stack(field, explicit_derivat
         certify(prob, np.array([1.5, 2.1]))
 
 
+def test_certify_asks_a_weighted_norm_only_for_its_maximum():
+    # certify norms that take weights return max(norm / weights) and are
+    # asked for nothing else; the certificate is the per-row one, bit for bit
+    plain = vector_problem()
+    asked = []
+
+    def weighted(norm):
+        def apply(v, weights=None):
+            values = norm(v)
+            if weights is None:
+                return values
+            asked.append(len(weights))
+            return np.max(values / weights)
+
+        return apply
+
+    prob = dataclasses.replace(
+        plain, certify_residual_norm=weighted(plain.residual_norm), certify_iterate_norm=weighted(plain.iterate_norm)
+    )
+    x0 = np.array([1.5, 2.1])
+    assert certify(prob, x0) == certify(plain, x0)
+    # omega1, the identity defect (16 reached probes each) and omega2 (8 pairs)
+    assert asked == [16, 16, 8]
+
+
 def test_sampling_failure_on_degenerate_norm():
     prob = NewtonProblem(
         residual=lambda x: x * x - 1.0,
