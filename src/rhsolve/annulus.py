@@ -20,7 +20,11 @@ it cannot invert raises NeumannDiverges (there is no dense fallback).
 The GMRES runs a stack of residuals in lockstep, one Krylov recurrence per
 row and one collar inverse and linearization application per iteration for
 the whole stack; the certificate's probes share it, and a Newton step is
-its one-row case.
+its one-row case. A Newton step is solved only as exactly as Newton needs:
+its GMRES stops at the first iterate whose sup-norm defect, read off the
+Arnoldi basis, meets the target newton.iterate passes (Dembo, Eisenstat and
+Steihaug 1982); certificate probes, which get no target, run to the GMRES
+tolerance or a confirmed stall.
 """
 
 import functools
@@ -57,6 +61,7 @@ from .errors import (
     NeumannDiverges,
 )
 from .newton import (
+    _FORCING,
     CertifyOptions,
     IterateOptions,
     NewtonProblem,
@@ -73,10 +78,11 @@ _GMRES_MAX_ITER = 20
 _GMRES_TOL = 1e-11
 _GMRES_STALL_RATIO = 0.9
 _GMRES_STALL_WINDOW = 5
-# inexact-Newton forcing term: a step is accepted when its sup-norm defect is
-# at most max(_FORCING * |r|, tol / 2) (Dembo, Eisenstat and Steihaug 1982;
-# leaving less than half the Newton tolerance is as good as exact)
-_FORCING = 0.1
+# a step is accepted when its sup-norm defect is at most
+# max(_FORCING * |r|, tol / 2), newton's inexact-Newton forcing term (leaving
+# less than half the Newton tolerance is as good as exact); a Newton step's
+# GMRES stops earlier, at the target newton.iterate derives from the same
+# constant
 
 
 def _reindex(values: np.ndarray) -> np.ndarray:
@@ -304,7 +310,7 @@ def _probe_set(grid: BoundaryGrid, q: float, seed: int):
     return draw_probe_set(seed, **_probe_space(grid, q))
 
 
-def _gmres(act, precondition, rows):
+def _gmres(act, precondition, rows, targets=None):
     """Right-preconditioned GMRES for act(precondition(y)) = r, in real arithmetic.
 
     rows is a stack of residuals r along a leading axis; a Newton step is a
@@ -316,11 +322,16 @@ def _gmres(act, precondition, rows):
     partial sums (Saad and Schultz 1986).
     A row stops at the iteration budget, at a relative defect of _GMRES_TOL,
     or once its defect fell by less than _GMRES_STALL_RATIO over its last
-    _GMRES_STALL_WINDOW iterations, and then leaves the stack. Returns the
-    stack of best iterates and, per row, the list of defect 2-norms of
-    iterates 0..k. No row may be zero.
+    _GMRES_STALL_WINDOW iterations, and then leaves the stack. targets, when
+    given, holds one sup-norm defect per row or one for all rows (NaN for
+    none): a targeted row also stops at its first iterate whose sup-norm
+    defect is at most its target, read off the Arnoldi basis without
+    applying act, and then keeps that iterate. Returns the stack of best
+    iterates and, per row, the list of defect 2-norms of iterates 0..k. No
+    row may be zero.
     """
     beta = np.linalg.norm(rows, axis=1)
+    targets = np.broadcast_to(np.asarray(np.nan if targets is None else targets, dtype=float), len(rows))
     norms = [[float(b)] for b in beta]
     steps = [None] * len(rows)
     running = np.arange(len(rows))  # the input row behind each running row
@@ -343,13 +354,21 @@ def _gmres(act, precondition, rows):
             history.append(float(beta[j] * abs(q_full[j, 0, k + 1])))
             window = history[-1 - _GMRES_STALL_WINDOW :]
             stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
-            if not (history[-1] <= _GMRES_TOL * beta[j] or stalled or k + 1 == _GMRES_MAX_ITER):
+            converged = history[-1] <= _GMRES_TOL * beta[j]
+            met = False
+            if not (converged or np.isnan(targets[j])):
+                # the defect r - act(x) is V (beta e1 - H y) = beta q_0 sum_i q_i v_i,
+                # q the last column of Q and v_0..v_{k+1} the basis, v_{k+1} = w / h
+                last = q_full[j, :, k + 1]
+                vectors = np.asarray([v[j] for v in basis] + [w[j] / hess[j, k + 1, k]])
+                met = beta[j] * abs(last[0]) * np.max(np.abs(last @ vectors)) <= targets[j]
+            if not (converged or met or stalled or k + 1 == _GMRES_MAX_ITER):
                 continue
             # a stalled stretch lowered the defect by less than the stall
             # ratio; at a grid's truncation floor it does so by growing the
             # step along near-kernel directions, so the iterate before it is
-            # the better step
-            keep = max(1, k + 1 - _GMRES_STALL_WINDOW) if stalled else k + 1
+            # the better step, unless this one already meets its target
+            keep = max(1, k + 1 - _GMRES_STALL_WINDOW) if stalled and not met else k + 1
             q_red, tri = np.linalg.qr(hess[j, : keep + 1, :keep])
             y = np.linalg.solve(tri, beta[j] * q_red[0])
             steps[row] = np.asarray([z[j] for z in images[:keep]]).T @ y
@@ -360,7 +379,7 @@ def _gmres(act, precondition, rows):
             go = ~done
             basis = [v[go] for v in basis]
             images = [z[go] for z in images]
-            hess, beta, running, w = hess[go], beta[go], running[go], w[go]
+            hess, beta, running, targets, w = hess[go], beta[go], running[go], targets[go], w[go]
         basis.append(w / hess[:, k + 1, k, None])
     return np.asarray(steps), norms
 
@@ -396,8 +415,8 @@ def _annulus_problem(
             axis=-1,
         )
 
-    def linearization(c):
-        t0, t1 = traces(c)
+    def linearization(t0, t1):
+        # DA at the iterate with traces t0, t1
         g0 = np.conj(outer_family.dbar_w(theta, t0))
         g1 = np.conj(inner_family.dbar_w(theta, t1))
 
@@ -413,7 +432,7 @@ def _annulus_problem(
         t0, t1 = traces(c)
         dec0 = eta_decompose(outer_family, BoundaryTrace(grid, t0))
         dec1 = eta_decompose(fam1p, BoundaryTrace(grid, _reindex(t1)))
-        act = linearization(c)
+        act = linearization(t0, t1)
 
         def collar_apply(r):
             # per-boundary explicit inverses, multiplied back onto the
@@ -423,7 +442,9 @@ def _annulus_problem(
             k1t = right_inverse_apply(dec1, _reindex(r[..., n:] * unit1))
             return laurent_from_traces(grid, q, t0 * k0, t1 * _reindex(k1t))
 
-        def apply(r):
+        def apply(r, target=None):
+            # target: the sup-norm defect at which a Newton step may stop
+            # short of the GMRES tolerance (newton.iterate passes it)
             r = np.asarray(r, dtype=float)
             rows = r.reshape(-1, 2 * n)
             scale = np.max(np.abs(rows), axis=1)
@@ -432,7 +453,7 @@ def _annulus_problem(
             iterations = np.zeros(len(rows), dtype=int)
             if live.any():
                 # one residual is the one-row case of the lockstep GMRES
-                steps[live], norms = _gmres(act, collar_apply, rows[live])
+                steps[live], norms = _gmres(act, collar_apply, rows[live], target)
                 iterations[live] = [len(h) - 1 for h in norms]
             defect = np.max(np.abs(rows - act(steps)), axis=1)
             bound = np.maximum(_FORCING * scale, 0.5 * tol)
@@ -465,7 +486,7 @@ def _annulus_problem(
         residual=residual,
         right_inverse=right_inverse,
         residual_norm=lambda r: np.max(np.abs(r), axis=-1),
-        derivative_action=lambda c, dc: linearization(c)(dc),
+        derivative_action=lambda c, dc: linearization(*traces(c))(dc),
         certify_iterate_norm=lambda dc, weights=None: holder_norms(grid, traces(dc), True, weights),
         probe_set=lambda seed: _probe_set(grid, q, seed),
         **_probe_space(grid, q),

@@ -7,6 +7,7 @@ error; artifacts are plain JSON and CSV files in the output directory.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -429,6 +430,9 @@ def _require_config(args):
     return args.config
 
 
+# one parser per process: main only parses with it, and building the tree
+# costs about a millisecond per call
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rhsolve",

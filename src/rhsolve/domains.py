@@ -27,6 +27,7 @@ dist(point, boundary)^N, so a margin precondition guards the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,6 +118,19 @@ def laurent_modes(n: int) -> np.ndarray:
     return np.arange(-k, k + 1)
 
 
+@lru_cache(maxsize=16)
+def _q_powers(q: float, k: int) -> np.ndarray:
+    """q^j for the modes j = -K..K, read-only: every collar application reuses them.
+
+    q^-K may overflow to inf; laurent_traces then takes its log branch, and
+    laurent_from_traces reads only the powers q^1..q^K.
+    """
+    with np.errstate(over="ignore"):
+        powers = q ** np.arange(-k, k + 1).astype(float)
+    powers.flags.writeable = False
+    return powers
+
+
 def laurent_traces(coeffs, q: float, n: int):
     """Values on |z| = 1 and |z| = q at n points (for stacked coefficients, per row).
 
@@ -128,15 +142,14 @@ def laurent_traces(coeffs, q: float, n: int):
     k = coeffs.shape[-1] // 2
     if n < 2 * k + 2:
         raise ValueError(f"modes -{k}..{k} need at least {2 * k + 2} points, got {n}")
-    modes = np.arange(-k, k + 1)
     if -k * np.log(q) < _LOG_POWER_MAX:
-        inner = coeffs * q ** modes.astype(float)
+        inner = coeffs * _q_powers(q, k)
     else:
         # q^-k overflows on this grid although each product, that mode's
         # coefficient on |z| = q, is of ordinary size: form it from logs
         with np.errstate(divide="ignore"):
             log_c = np.log(coeffs.astype(complex))
-        inner = np.exp(log_c + modes * np.log(q))
+        inner = np.exp(log_c + np.arange(-k, k + 1) * np.log(q))
     traces = []
     for c in (coeffs, inner):
         # FFT storage order: modes 0..K first, modes -K..-1 last
@@ -159,7 +172,7 @@ def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarra
     k = n // 2 - 1
     f0 = np.fft.fft(np.asarray(outer, dtype=complex))[..., : k + 1] / n
     f1 = np.fft.fft(np.asarray(inner, dtype=complex))[..., n - k :] / n
-    return np.concatenate([f1 * q ** np.arange(k, 0, -1.0), f0], axis=-1)
+    return np.concatenate([f1 * _q_powers(q, k)[:k:-1], f0], axis=-1)
 
 
 # coefficients per block of the power-series sums: the table of powers is

@@ -53,6 +53,14 @@ class NewtonProblem:
     identity defect, gap times direction norm for omega2), so it may skip
     the rows that cannot reach it. iterate passes single vectors only.
 
+    Forcing: a right inverse's apply may take a keyword target (as a norm
+    may take weights), and iterate then passes
+    ½·max(min(_FORCING, |r|)·|r|, tol/2), |r| the residual norm and
+    _FORCING = 0.1: a step whose residual-norm defect is at most the target
+    keeps Newton quadratic, so an iterative inverse may stop there. An apply
+    without the keyword is called with the residual alone; certify never
+    passes one.
+
     Unreachable rows: a right inverse that cannot meet its own acceptance
     bound on a single residual raises NeumannDiverges with that residual's
     relative defect. On a stack it raises once for the whole stack, with a
@@ -85,6 +93,11 @@ _FD_STEP = 1e-6
 _CHECK_TOL = 1e-6
 # damping budget: step halvings tried before the iteration gives up
 _MAX_HALVINGS = 6
+# inexact-Newton forcing term: a step whose residual-norm defect is at most
+# min(_FORCING, |r|) * |r| keeps the iteration quadratic (Dembo, Eisenstat
+# and Steihaug 1982); a right inverse that accepts steps by a forcing bound
+# uses the same constant
+_FORCING = 0.1
 
 
 @dataclass(frozen=True)
@@ -148,13 +161,17 @@ def _row_norms(norm, stack):
     return values
 
 
+def _takes(callback, keyword) -> bool:
+    """Whether a callback accepts the keyword; a builtin without a signature takes none."""
+    try:
+        return keyword in inspect.signature(callback).parameters
+    except ValueError:
+        return False
+
+
 def _weighted_max(norm, stack, weights):
     """max over the rows of norm(row) / weight; a norm that takes weights= reduces the stack itself."""
-    try:
-        weighted = "weights" in inspect.signature(norm).parameters
-    except ValueError:  # a builtin without a signature takes no weights
-        weighted = False
-    if weighted:
+    if _takes(norm, "weights"):
         return float(norm(stack, weights=weights))
     return float(np.max(_row_norms(norm, stack) / weights))
 
@@ -288,7 +305,13 @@ def iterate(
                     certificate is not None and certificate.certified and not damped
                 ),
             )
-        step = problem.right_inverse(x)(r)
+        inverse = problem.right_inverse(x)
+        if _takes(inverse, "target"):
+            # half the forcing bound, so that roundoff in the inverse's own
+            # defect estimate cannot push the step past the bound
+            step = inverse(r, target=0.5 * max(min(_FORCING, rn) * rn, 0.5 * options.tol))
+        else:
+            step = inverse(r)
         lam = 1.0
         trial = x - lam * step
         trial_r = problem.residual(trial)

@@ -430,9 +430,9 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
     captured = []
     original = annulus._gmres
 
-    def spy(act, precondition, r):
+    def spy(act, precondition, r, targets=None):
         captured.append((act, precondition, r))
-        return original(act, precondition, r)
+        return original(act, precondition, r, targets)
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
@@ -463,8 +463,8 @@ def test_gmres_drops_a_stalled_stretch(monkeypatch):
     calls = []
     original = annulus._gmres
 
-    def spy(act, precondition, rows):
-        steps, histories = original(act, precondition, rows)
+    def spy(act, precondition, rows, targets=None):
+        steps, histories = original(act, precondition, rows, targets)
         calls.append((act, precondition, rows, steps, histories))
         return steps, histories
 
@@ -490,9 +490,9 @@ def _first_gmres(monkeypatch, solve, which=0):
     captured = []
     original = annulus._gmres
 
-    def spy(act, precondition, r):
+    def spy(act, precondition, r, targets=None):
         captured.append((act, precondition, r))
-        return original(act, precondition, r)
+        return original(act, precondition, r, targets)
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     solve()
@@ -658,6 +658,147 @@ def test_right_inverse_meets_bound_or_raises(case, wobble, probe_seed):
         assert 1 <= exc.iterations <= 20
     else:
         assert np.max(np.abs(r - problem.derivative_action(h0, x))) <= bound
+
+
+def _glued(name):
+    # (problem, glued iterate) of the README, a wobbly and a zero-free case
+    if name == "readme":
+        outer = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+        inner, windings, q, opts = builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9)
+    elif name == "wobbly":
+        outer, inner = scaled_circle(1.0, [0.0, 0.02, -0.01]), scaled_circle(1.0, [0.0, -0.01, 0.02])
+        windings, q, opts = (4, 4), Q, AnnulusSolveOptions()
+    else:
+        return _zero_free_at_glue(256)
+    h0, _, families = annulus._glue_coefficients(outer, inner, windings, q, opts)
+    return annulus._annulus_problem(*families, q, BoundaryGrid(opts.grid_n), opts.tol), h0
+
+
+@pytest.mark.parametrize("name", ["readme", "wobbly", "zero-free"])
+def test_targeted_gmres_stops_at_the_first_iterate_meeting_its_sup_target(monkeypatch, name):
+    # on the first Newton residual, over the iterates an untargeted run
+    # visits, with the tolerance and stall rules then switched off: a target
+    # 1e-10 of the residual above (or below) the true sup defect
+    # max|r - act(x_k)| of iterate k must (or must not) stop the row there,
+    # so the Arnoldi estimate of every iterate's sup defect is that close;
+    # the row stops at the first iterate meeting its target, with that
+    # iterate's step. (Past a stall the step grows along near-kernel
+    # directions and the estimate loses digits; the stall rule stops first.)
+    problem, h0 = _glued(name)
+    act, precondition, r = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
+    _, (visited,) = annulus._gmres(act, precondition, r[None])
+    last = min(len(visited) - 1, 10)
+    monkeypatch.setattr(annulus, "_GMRES_TOL", 0.0)
+    monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 10 ** 6)
+    iterates, defects = [], []
+    for k in range(1, last + 1):
+        monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
+        (x,), _ = annulus._gmres(act, precondition, r[None])
+        iterates.append(x)
+        defects.append(np.max(np.abs(r - act(x))))
+    margin = 1e-10 * np.max(np.abs(r))
+    stops = set()
+    for defect in defects:
+        for target in (defect + margin, defect - margin):
+            want = next((k for k, d in enumerate(defects, 1) if d <= target), last)
+            (x,), (history,) = annulus._gmres(act, precondition, r[None], [target])
+            assert len(history) - 1 == want, (target, defects)
+            assert np.array_equal(x, iterates[want - 1])
+            stops.add(want)
+    # the targets stop the row at several iterates, not only at the budget
+    assert len(stops) >= 4
+
+
+def test_untargeted_gmres_and_apply_are_the_plain_runs(monkeypatch):
+    # no target, a NaN target and a zero target (never met) leave every stop
+    # rule as it was: the same iterations and bitwise the same step; apply
+    # forwards its target, and a Newton-sized target stops the step sooner
+    problem, h0 = _glued("readme")
+    r = problem.residual(h0)
+    apply = problem.right_inverse(h0)
+    act, precondition, _ = _first_gmres(monkeypatch, lambda: apply(r))
+    (plain,), (history,) = annulus._gmres(act, precondition, r[None])
+    for targets in ([np.nan], [0.0]):
+        (x,), (h,) = annulus._gmres(act, precondition, r[None], targets)
+        assert np.array_equal(x, plain) and h == history
+    assert np.array_equal(apply(r), plain) and np.array_equal(apply(r, target=None), plain)
+    scale = np.max(np.abs(r))
+    captured = []
+    original = annulus._gmres
+
+    def spy(act, precondition, rows, targets=None):
+        steps, histories = original(act, precondition, rows, targets)
+        captured.append((targets, histories))
+        return steps, histories
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    step = apply(r, target=0.01 * scale)
+    (targets, (short,)), = captured
+    assert targets == 0.01 * scale
+    assert len(short) < len(history)
+    assert np.max(np.abs(r - problem.derivative_action(h0, step))) <= 0.01 * scale
+
+
+def test_target_met_on_a_stalled_iterate_keeps_it(monkeypatch):
+    # with a stall window of 2 and ratio 0 every run stalls at iterate 2 and
+    # rolls back to iterate 1; a target that iterate 2 meets (and iterate 1
+    # does not) keeps iterate 2
+    problem, h0 = _glued("wobbly")
+    act, precondition, r = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
+    capped = []
+    for k in (1, 2):
+        monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
+        capped.append(annulus._gmres(act, precondition, r[None])[0][0])
+    defects = [np.max(np.abs(r - act(x))) for x in capped]
+    target = 2.0 * defects[1]
+    assert defects[0] > target
+    monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", 20)
+    monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 2)
+    monkeypatch.setattr(annulus, "_GMRES_STALL_RATIO", 0.0)
+    (rolled,), (history,) = annulus._gmres(act, precondition, r[None])
+    assert len(history) == 3 and np.array_equal(rolled, capped[0])
+    (kept,), (history,) = annulus._gmres(act, precondition, r[None], target)
+    assert len(history) == 3 and np.array_equal(kept, capped[1])
+
+
+# windings (w, w) on unit circles, the README pair and wobbly circles, q from
+# 0.2 to 0.8, N = 256, tol 1e-9, no certificate: a subset of a 105-case sweep
+# (q 0.2..0.8 by 0.1, w 2..10 by 2) holding every outcome it has
+_SWEEP_FAMILIES = {
+    "unit": lambda: (builtin_circle_family(1.0), builtin_circle_family(1.0)),
+    "readme": lambda: (
+        builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15),
+        builtin_circle_family(0.3),
+    ),
+    "wobbly": lambda: (builtin_circle_family([1.0, 0.02, -0.01]), builtin_circle_family([1.0, -0.01, 0.02])),
+}
+_SWEEP = {
+    "unit": {(0.2, 2): "ok", (0.2, 10): "ok", (0.5, 2): GlueTooCoarse, (0.5, 6): "ok", (0.7, 6): "ok",
+             (0.8, 6): GlueTooCoarse, (0.8, 10): NeumannDiverges},
+    "readme": {(0.2, 2): "ok", (0.2, 10): NeumannDiverges, (0.5, 2): GlueTooCoarse, (0.5, 6): NeumannDiverges,
+               (0.8, 10): GlueTooCoarse},
+    "wobbly": {(0.2, 6): "ok", (0.5, 2): GlueTooCoarse, (0.5, 10): "ok", (0.7, 6): "ok",
+               (0.8, 8): NeumannDiverges},
+}
+
+
+@pytest.mark.parametrize(
+    "data, q, w, outcome",
+    [(data, q, w, outcome) for data, cases in _SWEEP.items() for (q, w), outcome in cases.items()],
+)
+def test_sweep_case_converges_or_names_its_cause(data, q, w, outcome):
+    # a case converges below tol with its 2w zeros located, or raises the
+    # typed error naming why it cannot: the glue is too coarse for the
+    # modulus, or a collar GMRES step misses its forcing bound
+    outer, inner = _SWEEP_FAMILIES[data]()
+    opts = AnnulusSolveOptions(grid_n=256, tol=1e-9, certify=False)
+    if outcome != "ok":
+        with pytest.raises(outcome):
+            solve_annulus(outer, inner, (w, w), q, opts)
+        return
+    sol = solve_annulus(outer, inner, (w, w), q, opts)
+    assert sol.run.converged and sol.residual_sup < 1e-9
+    assert sum(z.multiplicity for z in sol.zeros) == 2 * w
 
 
 def test_zero_free_data_off_integer_flux_raises():

@@ -162,6 +162,38 @@ def vector_problem():
     )
 
 
+def test_iterate_passes_the_forcing_target_only_to_inverses_that_take_it():
+    # an apply with a keyword target gets half the forcing bound
+    # max(min(0.1, |r|) |r|, tol / 2) of each residual; a plain lambda, and
+    # the disc's explicit inverse, get the residual alone and run as before
+    seen = []
+
+    def targeted(x):
+        def apply(r, target=None):
+            seen.append((abs(r), target))
+            return r / (2.0 * x)
+
+        return apply
+
+    prob, opts = quadratic_problem(), IterateOptions(tol=1e-9)
+    run = iterate(dataclasses.replace(prob, right_inverse=targeted), 1.3, opts)
+    plain = iterate(prob, 1.3, opts)
+    assert (run.x, run.residual_norms) == (plain.x, plain.residual_norms)
+    assert len(seen) == run.iterations >= 3
+    assert seen[0][1] == 0.5 * 0.1 * abs(1.3 ** 2 - 1.0)
+    for rn, target in seen:
+        assert target == 0.5 * max(min(0.1, rn) * rn, 0.5 * opts.tol)
+
+    grid = BoundaryGrid(256)
+    fam_t = monomial_transform(builtin_ellipse_family(*_DISC_FAMILIES["tilted"]), 2)
+    problem = disc._g_space_problem(fam_t, grid)
+    g0 = disc._initial_log_trace(fam_t, grid)
+    wrapped = dataclasses.replace(problem, right_inverse=lambda g: (lambda r: problem.right_inverse(g)(r)))
+    direct, through_lambda = iterate(problem, g0), iterate(wrapped, g0)
+    assert direct.converged and direct.residual_norms == through_lambda.residual_norms
+    assert np.array_equal(direct.x, through_lambda.x)
+
+
 def test_vector_problem_with_explicit_derivative():
     prob = vector_problem()
     x0 = np.array([1.5, 2.1])

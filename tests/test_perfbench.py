@@ -1,4 +1,4 @@
-"""The benchmark's calls into rhsolve still work.
+"""The benchmark's calls into rhsolve still work, and its annulus cases still converge as fast.
 
 perfbench/tracing.py names the functions and methods it wraps by module and
 attribute, and perfbench/workloads.py calls rhsolve's solvers and reads their
@@ -77,3 +77,14 @@ def test_repeated_and_traced_passes_agree_on_certified_workloads(tmp_path, fresh
         (first, first_calls), (second, second_calls) = traced
         assert first == second == untraced, name
         assert first_calls == second_calls and first_calls["boundary.holder_norms"] > 0, name
+
+
+def test_bench_annulus_cases_keep_their_newton_iteration_counts(tmp_path):
+    # the README, wobbly and zero-free cases of seeds 1, 3 and 7 (certificate
+    # on, as the bench runs them): a collar GMRES that stops a Newton step at
+    # the forcing target must not cost Newton a step
+    workloads = _load("perfbench_workloads", _WORKLOADS)
+    for seed, counts in {1: [3, 3, 3], 3: [3, 3, 4], 7: [3, 3, 4]}.items():
+        records = [workloads.run_case(case, tmp_path) for case in workloads.build("annulus-glued", seed)]
+        assert [r["iterations"] for r in records] == counts, seed
+        assert all(r["ok"] for r in records), [r["reason"] for r in records]
