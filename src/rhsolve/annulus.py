@@ -535,8 +535,6 @@ def solve_annulus(
     opts = options if options is not None else AnnulusSolveOptions()
     grid = BoundaryGrid(opts.grid_n)
     _check_modulus(q)
-    if (grid.n // 2 - 1) * abs(np.log(q)) > 600.0:
-        raise ConfigError(f"modulus {q} is too extreme for a {grid.n}-point grid")
     windings = (int(windings[0]), int(windings[1]))
     outer_family = on_grid(outer_family, grid.theta)
     inner_family = on_grid(inner_family, grid.theta)

@@ -22,9 +22,12 @@ from .errors import UnresolvedPhase, ZeroOnBoundary
 
 _TWO_PI = 2.0 * np.pi
 
-# the certificate's Holder scan holds at most _SCAN_BLOCK x N differences at a
-# time but forms up to N^2 / 2 of them per row; no bench case or README example
-# goes above N = 1024, and only the Holder memory test reaches N = 4096
+# the annulus certificate's Holder scan (the only one left: the disc
+# certificate is computed from FFTs) holds at most _SCAN_BLOCK x N differences
+# at a time but forms up to N^2 / 2 of them per row; no bench case or README
+# example goes above N = 1024, and only the Holder memory test reaches
+# N = 4096. The disc certificate's residual is measured on twice the grid,
+# which may exceed this cap
 _MAX_GRID = 4096
 
 

@@ -288,7 +288,7 @@ def _solve_disc_configured(run: Run):
     if winding < 0:
         raise ConfigError("disc winding must be nonnegative")
     return solve_disc(
-        family, winding, DiscSolveOptions(grid_n=run.grid, tol=run.tol, seed=run.seed, **run.iteration_limit)
+        family, winding, DiscSolveOptions(grid_n=run.grid, tol=run.tol, **run.iteration_limit)
     )
 
 

@@ -35,7 +35,8 @@ from .errors import (
 )
 from .trig import TrigPolynomial, as_trig_polynomial
 
-_FINE = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+# the nodes on which a family's profiles are checked at construction
+_FINE = BoundaryGrid(4096).theta
 
 
 @dataclass(frozen=True)

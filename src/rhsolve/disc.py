@@ -13,26 +13,49 @@ built from the decomposition eta = exp(a + i b), b~ = T b. Every factor of k
 is a boundary value of a holomorphic function, so the iteration never leaves
 the holomorphic class (up to spectral truncation, which is not projected
 away and shows up honestly in the residual).
+
+A certified solve certifies the converged iterate g (or the homotopy's, when
+the direct run fails) with computed bounds in the Wiener algebra A of
+absolutely summable Fourier series, ||u||_A = sum |u_k|, where
+||uv||_A <= ||u||_A ||v||_A:
+
+    omega1 = 1/2 ||exp(b~ - i b)||_A ||exp(-a - b~)||_A,
+
+because ||phi + i T phi||_A = ||phi||_A for real phi;
+
+    omega3 = ||rho(theta, exp(g))||_A
+
+on twice the grid, from the zero-padded g, so the residual between the
+nodes counts; and omega2, a Lipschitz bound of DA on the A-ball of radius
+_BALL_RADIUS around g. It rests on d rho / d w-bar being affine in (w, w-bar)
+for the builtin families and their divisor transforms,
+alpha + beta w + gamma w-bar, so that eta = conj(alpha) h + conj(beta) |h|^2
++ conj(gamma) h^2 with h = exp(g); a family that is not affine gets
+omega2 = inf and no certificate. The right-inverse identity defect is
+computed from the same weights. The A-norms are read off the DFT of the
+grid samples, so the aliasing tail is estimated, not enclosed.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .boundary import (
-    BoundaryGrid,
-    BoundaryTrace,
-    band_limited_sampler,
-    conjugate_samples,
-    holder_norms,
-)
+from .boundary import BoundaryGrid, BoundaryTrace, _nodes, _refined_samples, conjugate_samples
 from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, eta_decompose, monomial_transform, on_grid
 from .errors import NoConvergence
-from .newton import CertifyOptions, IterateOptions, NewtonProblem, NewtonRun, certify, draw_probe_set, iterate
+from .newton import (
+    _BALL_RADIUS,
+    CertificateBounds,
+    CertifyOptions,
+    IterateOptions,
+    NewtonProblem,
+    NewtonRun,
+    certify,
+    iterate,
+)
 from .trig import as_trig_polynomial
 
 
@@ -42,7 +65,6 @@ class DiscSolveOptions:
     tol: float = 1e-10
     max_iter: int = 30
     certify: bool = True
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -76,22 +98,57 @@ def _sup(v):
     return np.max(np.abs(v), axis=-1)
 
 
-def _probe_space(grid: BoundaryGrid) -> dict:
-    """The samplers and norms that draw the g-space probes, for the problem and its memo."""
-    probe = band_limited_sampler(grid)
-    return dict(
-        residual_sampler=probe,
-        iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
-        certify_residual_norm=lambda r, weights=None: holder_norms(grid, (r,), weights=weights),
-        iterate_norm=_sup,
-    )
+def _wiener(values) -> float:
+    """||u||_A = sum_k |u_k| over the DFT coefficients of the samples."""
+    return float(np.sum(np.abs(np.fft.fft(values)))) / len(values)
 
 
-# (grid, seed) -> ProbeSet; an entry holds 16 real and 24 complex N-vectors,
-# about 2 MB at N = 4096, and the bound covers the bench's three disc grids
-@functools.lru_cache(maxsize=4)
-def _probe_set(grid: BoundaryGrid, seed: int):
-    return draw_probe_set(seed, **_probe_space(grid))
+# the fourth point of the affinity check, and its tolerance relative to the
+# profiles' size there
+_AFFINE_PROBE = 0.6 - 1.7j
+_AFFINE_TOL = 1e-12
+
+
+def _affine_dbar(fam_t: CurveFamily, theta: np.ndarray):
+    """alpha, beta, gamma with dbar_w(theta, w) = alpha + beta w + gamma conj(w), or None.
+
+    The profiles are read off at w = 0, 1 and i, and the family is taken as
+    affine when it matches them at a fourth point to rounding.
+    """
+    ones = np.ones(theta.shape)
+    at = lambda w: np.asarray(fam_t.dbar_w(theta, w * ones), dtype=complex)
+    alpha = at(0.0)
+    real, imag = at(1.0) - alpha, (at(1j) - alpha) / 1j
+    beta, gamma = 0.5 * (real + imag), 0.5 * (real - imag)
+    w = _AFFINE_PROBE
+    scale = np.abs(alpha) + (np.abs(beta) + np.abs(gamma)) * abs(w)
+    if not np.all(np.abs(at(w) - (alpha + beta * w + gamma * np.conj(w))) <= _AFFINE_TOL * scale):
+        return None
+    return alpha, beta, gamma
+
+
+def _bounds(fam_t: CurveFamily, grid: BoundaryGrid, g) -> CertificateBounds:
+    """The computed certificate bounds at g (see the module docstring)."""
+    h = np.exp(g)
+    dec = eta_decompose(fam_t, BoundaryTrace(grid, h))
+    phi_norm = _wiener(dec.phi_weight)
+    omega1 = 0.5 * _wiener(dec.k_weight) * phi_norm
+    # DA B r = Re(m (phi + i T phi)) = Re(m) phi - Im(m) T phi with
+    # m = eta k_weight = exp(a + b~) up to rounding, and ||T||_A <= 1
+    m = dec.eta.values * dec.k_weight
+    identity_defect = _wiener(m.real * dec.phi_weight - 1.0) + _wiener(m.imag) * phi_norm
+    profiles = _affine_dbar(fam_t, grid.theta)
+    omega2 = np.inf
+    if profiles is not None:
+        alpha, beta, gamma = np.conj(profiles)
+        # eta at g + d is alpha h e^d + beta |h|^2 e^(d + conj d) + gamma h^2 e^(2d),
+        # and ||e^x - e^y||_A <= e^max(||x||_A, ||y||_A) ||x - y||_A
+        grow = np.exp(_BALL_RADIUS)
+        quadratic = _wiener(beta * np.abs(h) ** 2) + _wiener(gamma * h * h)
+        omega2 = 2.0 * (grow * _wiener(alpha * h) + 2.0 * grow**2 * quadratic)
+    fine_theta, fine_g = _nodes(2 * grid.n), _refined_samples(g, 2)
+    omega3 = _wiener(fam_t.rho(fine_theta, np.exp(fine_g)))
+    return CertificateBounds(omega1, omega2, omega3, identity_defect)
 
 
 def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
@@ -113,11 +170,10 @@ def _g_space_problem(fam_t: CurveFamily, grid: BoundaryGrid) -> NewtonProblem:
     return NewtonProblem(
         residual=residual,
         right_inverse=right_inverse,
+        iterate_norm=_sup,
         residual_norm=_sup,
         derivative_action=derivative_action,
-        certify_iterate_norm=lambda d, weights=None: holder_norms(grid, (d,), True, weights),
-        probe_set=lambda seed: _probe_set(grid, seed),
-        **_probe_space(grid),
+        bounds=lambda g: _bounds(fam_t, grid, g),
     )
 
 
@@ -148,11 +204,12 @@ def solve_disc(family: CurveFamily, winding: int, options: DiscSolveOptions = Di
     problem = _g_space_problem(fam_t, grid)
     g0 = _initial_log_trace(fam_t, grid)
     it_opts = IterateOptions(tol=options.tol, max_iter=options.max_iter)
-    cert = certify(problem, g0, CertifyOptions(seed=options.seed)) if options.certify else None
     try:
-        run = iterate(problem, g0, it_opts, certificate=cert)
+        run = iterate(problem, g0, it_opts)
     except NoConvergence:
         run = _homotopy_run(family, winding, grid, it_opts)
+    if options.certify:
+        run = replace(run, certificate=certify(problem, run.x, CertifyOptions(tol=options.tol)))
     return _finish(family, winding, grid, run.x, run)
 
 

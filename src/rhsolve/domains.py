@@ -359,7 +359,8 @@ def locate_zeros(traces, domain: Annulus):
     f'/f, polished by Newton's method on the Laurent series; a winding
     count on a small circle around each zero, inside the domain and apart
     from the other zeros, must confirm its multiplicity, and the
-    multiplicities must sum to p. Raises CountMismatch otherwise.
+    multiplicities must sum to p. Raises CountMismatch otherwise, and when
+    an eigenvalue of the pencil lies outside q <= |z| <= 1.
     """
     traces = _trace_pair(traces)
     grid = _same_grid(*traces)
@@ -373,6 +374,13 @@ def locate_zeros(traces, domain: Annulus):
     if np.any(mult < 1) or mult.sum() != expected:
         raise CountMismatch(
             f"moment multiplicities {mult.tolist()} do not sum to the boundary count {expected}"
+        )
+    # the polish sums the Laurent series at the nodes, and its 1/z half
+    # overflows far inside the inner circle
+    outside = ~((np.abs(nodes) >= domain.q) & (np.abs(nodes) <= 1.0))
+    if outside.any():
+        raise CountMismatch(
+            f"moment nodes {nodes[outside].tolist()} lie outside the annulus {domain.q} <= |z| <= 1"
         )
     coeffs = laurent_from_traces(grid, domain.q, traces[0].values, traces[1].values)
     z, residuals = _polish(coeffs, nodes, mult)

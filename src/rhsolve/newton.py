@@ -1,23 +1,34 @@
-"""Newton iteration with an a-priori convergence certificate.
+"""Newton iteration with a Newton-Kantorovich certificate.
 
 A problem supplies the residual map A, a right inverse factory B (so that
 DA(x) B(x) = identity on residuals), and the norms to measure both spaces.
-The certificate bounds, by sampling,
+The certificate bounds
 
-    omega1 >= ||B(x0)||,   omega2 >= Lip(DA) near x0,   omega3 = ||A(x0)||,
+    omega1 >= ||B(x)||,   omega2 >= Lip(DA) on a ball around x,   omega3 = ||A(x)||,
 
-and certifies convergence of the undamped iteration x <- x - B(x) A(x) when
+together with the defect of the identity DA(x) B(x) = I, and holds when
 
-    4 * omega1 * (omega1 + 1) * (omega2 + 1) * omega3 < 1.
+    4 * omega1 * (omega1 + 1) * (omega2 + 1) * omega3 < 1,
 
-The certificate draws all its probes first and then calls each callback
-once per stack of probes, not once per probe; the iteration passes single
-vectors. omega1, the identity defect and omega2 are each the largest
-weighted norm of one stack (norm of a row over its probe's scale), so
-certify reduces each stack to that one maximum, and a norm that takes the
-weights may drop the rows that cannot reach it. The iteration itself damps
-steps that increase the residual; damping is recorded because it voids the
-certificate's applicability.
+the identity defect is at most _CHECK_TOL and omega3 at most the caller's
+CertifyOptions.tol (no limit by default).
+
+A problem that can compute the four numbers supplies them through its
+bounds(x) callback, and certify only forms the verdict; the disc solver
+certifies its converged iterate this way, with norms in the Wiener algebra
+of absolutely summable Fourier series read off DFT coefficients. Those are
+the coefficients of the grid interpolant, so the aliasing tail and the
+rounding are estimated, not enclosed: the verdict says the contraction is
+bounded, not proven.
+
+Without bounds, certify samples the constants. It draws all its probes
+first and then calls each callback once per stack of probes, not once per
+probe; the iteration passes single vectors. omega1, the identity defect and
+omega2 are each the largest weighted norm of one stack (norm of a row over
+its probe's scale), so certify reduces each stack to that one maximum, and
+a norm that takes the weights may drop the rows that cannot reach it. The
+iteration itself damps steps that increase the residual and records that
+it did.
 """
 
 from __future__ import annotations
@@ -36,11 +47,20 @@ class NewtonProblem:
     """Residual map, right inverse, and the norms of both spaces.
 
     derivative_action(x, d) -> DA(x)[d] is optional; a central finite
-    difference of the residual is used when absent. Samplers draw random
-    directions in each space (defaults: Gaussian arrays shaped like the
-    example vectors). certify_* norms, when given, replace the iteration
-    norms inside the certificate only. probe_set(seed), when given, returns
-    the ProbeSet that draw_probe_set would draw (a problem may memoize it).
+    difference of the residual is used when absent.
+
+    Computed bounds: bounds(x), when given, returns the CertificateBounds
+    at x, and certify forms its verdict from them without sampling; the
+    samplers, the certify_* norms and probe_set are then not read. A
+    verdict from bounds read off a grid's DFT says the contraction is
+    bounded, not proven (see the module docstring).
+
+    Sampled bounds: without bounds, certify samples the constants.
+    Samplers draw random directions in each space (defaults: Gaussian
+    arrays shaped like the example vectors). certify_* norms, when given,
+    replace the iteration norms inside the certificate only. probe_set(seed),
+    when given, returns the ProbeSet that draw_probe_set would draw (a
+    problem may memoize it).
 
     Stacks: certify passes arrays with a leading probe axis, one probe per
     row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
@@ -81,6 +101,16 @@ class NewtonProblem:
     certify_iterate_norm: Optional[Callable] = None
     certify_residual_norm: Optional[Callable] = None
     probe_set: Optional[Callable] = None
+    bounds: Optional[Callable] = None
+
+
+class CertificateBounds(NamedTuple):
+    """The certificate's constants at one iterate, and the right-inverse identity defect there."""
+
+    omega1: float
+    omega2: float
+    omega3: float
+    identity_defect: float
 
 
 # certificate sampling: residual probes for omega1, point pairs for omega2
@@ -102,7 +132,16 @@ _FORCING = 0.1
 
 @dataclass(frozen=True)
 class CertifyOptions:
+    """seed draws the sampled probes; tol is the largest omega3 that certifies.
+
+    A solve passes its own tolerance as tol, so that a certified answer also
+    meets it, between the nodes when the bounds measure omega3 there: the
+    product alone says that a solution lies within about 2 omega1 omega3 of
+    the iterate, not that the iterate meets the tolerance.
+    """
+
     seed: int = 0
+    tol: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -129,7 +168,6 @@ class NewtonRun:
     converged: bool
     damped: bool
     certificate: Optional[NewtonCertificate] = None
-    certificate_applicable: bool = False
 
 
 def _gaussian_like(example):
@@ -223,6 +261,23 @@ def _reach(inverse, probes):
 
 
 def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions()) -> NewtonCertificate:
+    """The certificate at x0, from the problem's computed bounds or else sampled."""
+    bounds = problem.bounds(x0) if problem.bounds is not None else _sampled_bounds(problem, x0, options.seed)
+    omega1, omega2, omega3, identity_defect = (float(value) for value in bounds)
+    # with nothing bounding the right inverse or DA the product is inf, also
+    # at an exact start (omega3 = 0)
+    product = np.inf if np.inf in (omega1, omega2) else 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3
+    return NewtonCertificate(
+        omega1=omega1,
+        omega2=omega2,
+        omega3=omega3,
+        product=float(product),
+        identity_defect=identity_defect,
+        certified=bool(product < 1.0 and identity_defect <= _CHECK_TOL and omega3 <= options.tol),
+    )
+
+
+def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
     """Sample the three constants and test the right-inverse identity at x0."""
     res_norm = problem.certify_residual_norm or problem.residual_norm
     it_norm = problem.certify_iterate_norm or problem.iterate_norm
@@ -234,9 +289,9 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
     if problem.probe_set is None:
         sample_r = problem.residual_sampler or _gaussian_like(r0)
         sample_x = problem.iterate_sampler or _gaussian_like(x0)
-        drawn = draw_probe_set(options.seed, sample_r, sample_x, res_norm, problem.iterate_norm)
+        drawn = draw_probe_set(seed, sample_r, sample_x, res_norm, problem.iterate_norm)
     else:
-        drawn = problem.probe_set(options.seed)
+        drawn = problem.probe_set(seed)
     probes, rn, (du, dv, d), (nu, nv, nd), (radius_u, radius_v) = drawn
 
     steps, missed_defect = _reach(inverse, probes)
@@ -262,17 +317,7 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
         d = d[apart]
         diff = _derivative_action(problem, u[apart], d) - _derivative_action(problem, v[apart], d)
         omega2 = _weighted_max(res_norm, diff, gap[apart] * nd[apart])
-
-    product = 4.0 * omega1 * (omega1 + 1.0) * (omega2 + 1.0) * omega3 if reached.any() else np.inf
-    certified = bool(product < 1.0 and identity_defect <= _CHECK_TOL)
-    return NewtonCertificate(
-        omega1=float(omega1),
-        omega2=float(omega2),
-        omega3=float(omega3),
-        product=float(product),
-        identity_defect=float(identity_defect),
-        certified=certified,
-    )
+    return CertificateBounds(omega1, omega2, omega3, identity_defect)
 
 
 def iterate(
@@ -301,9 +346,6 @@ def iterate(
                 converged=True,
                 damped=damped,
                 certificate=certificate,
-                certificate_applicable=bool(
-                    certificate is not None and certificate.certified and not damped
-                ),
             )
         inverse = problem.right_inverse(x)
         if _takes(inverse, "target"):

@@ -8,8 +8,11 @@ The interchange layout is a single list [c0, a1, b1, a2, b2, ...] meaning
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from .boundary import _nodes
 
 
 @dataclass(frozen=True)
@@ -40,15 +43,20 @@ class TrigPolynomial:
         return (len(self.coefficients) - 1) // 2
 
     def __call__(self, theta):
+        """p at the angles theta; on a grid's own nodes the rows cos k theta, sin k theta come from a cache."""
         theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 1 and not theta.flags.writeable and theta is _nodes(theta.size):
+            harmonic = lambda wave, k: _node_harmonic(wave, k, theta.size)
+        else:
+            harmonic = lambda wave, k: wave(k * theta)
         out = np.full(theta.shape, self.coefficients[0], dtype=float)
         for k in range(1, self.degree + 1):
             a = self.coefficients[2 * k - 1]
             b = self.coefficients[2 * k]
             if a:
-                out += a * np.cos(k * theta)
+                out += a * harmonic(np.cos, k)
             if b:
-                out += b * np.sin(k * theta)
+                out += b * harmonic(np.sin, k)
         return out
 
     def derivative(self) -> "TrigPolynomial":
@@ -59,6 +67,16 @@ class TrigPolynomial:
             b = self.coefficients[2 * k]
             coeffs.extend([k * b, -k * a])
         return TrigPolynomial(tuple(coeffs))
+
+
+# (cos or sin, k, N) -> the row wave(k theta) at the N grid nodes; 128 rows
+# hold at most 8 MB (at N = 8192, twice the largest grid, which the disc
+# certificate's residual reaches)
+@lru_cache(maxsize=128)
+def _node_harmonic(wave, k: int, n: int) -> np.ndarray:
+    row = wave(k * _nodes(n))
+    row.flags.writeable = False
+    return row
 
 
 def as_trig_polynomial(value) -> TrigPolynomial:

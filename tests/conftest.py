@@ -1,24 +1,48 @@
 """Shared test helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rhsolve import annulus, disc
+from rhsolve.boundary import band_limited_sampler, holder_norms
 
 
 @pytest.fixture
 def fresh_probe_memo():
-    """Empty certificate probe memos before and after the test.
+    """Empty the annulus certificate probe memo before and after the test.
 
     A test that counts calls inside a certified solve, or that patches a norm
     the probe sets are measured with, must neither read nor leave entries.
     """
-    memos = (disc._probe_set, annulus._probe_set)
-    for memo in memos:
-        memo.cache_clear()
+    annulus._probe_set.cache_clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    annulus._probe_set.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def sampled_disc_problem():
+    """The disc g-space problem certified by sampling instead of its computed bounds.
+
+    Band-limited residual probes and iterate probes p + i p', residuals in
+    the Hölder norm and steps in the Hölder norm of their derivative: the
+    sampled certificate the disc used before its bounds were computed,
+    which tests of the sampled path and of the Hölder scan run on.
+    """
+
+    def make(fam_t, grid):
+        probe = band_limited_sampler(grid)
+        return dataclasses.replace(
+            disc._g_space_problem(fam_t, grid),
+            bounds=None,
+            residual_sampler=probe,
+            iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
+            certify_residual_norm=lambda r, weights=None: holder_norms(grid, (r,), weights=weights),
+            certify_iterate_norm=lambda d, weights=None: holder_norms(grid, (d,), True, weights),
+        )
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 """Annulus pipeline: Laurent calculus, collar glue, Newton solve, radial closed form."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -39,6 +40,7 @@ from rhsolve.domains import (
 )
 from rhsolve.errors import (
     ConfigError,
+    CountMismatch,
     GlueTooCoarse,
     NeumannDiverges,
     NotRadialFamily,
@@ -808,6 +810,26 @@ def test_zero_free_data_off_integer_flux_raises():
         solve_annulus(builtin_circle_family(1.0), builtin_circle_family(0.5 ** 7.5), (8, -8), 0.5)
     assert info.value.defect > 0.1
     assert info.value.iterations >= 1
+
+
+def test_readme_data_at_an_extreme_modulus_converges():
+    # (N/2 - 1) |log q| = 615 at q = 0.3, N = 1024: the modulus guard this
+    # once hit refused the case, which Newton solves in two steps
+    outer, inner = _SWEEP_FAMILIES["readme"]()
+    sol = solve_annulus(outer, inner, (8, 8), 0.3, AnnulusSolveOptions(grid_n=1024, tol=1e-9, certify=False))
+    assert sol.run.converged and sol.residual_sup < 1e-9
+    assert sum(z.multiplicity for z in sol.zeros) == 16
+    assert check_identity(sol).diff < 1e-6
+
+
+def test_moment_node_outside_the_annulus_raises_count_mismatch():
+    # unit circles at q = 0.01 converge, but their moments give one 12-fold
+    # node near z = 0, where summing the series' 1/z half would overflow
+    fam = builtin_circle_family(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CountMismatch, match="outside the annulus"):
+            solve_annulus(fam, fam, (6, 6), 0.01, AnnulusSolveOptions(grid_n=4096, certify=False))
 
 
 # --------------------------------------------------------------------------

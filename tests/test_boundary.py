@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import boundary, disc
+from rhsolve import boundary, curves, disc
 from rhsolve.boundary import (
     _CERTIFY_ALPHA,
     BoundaryGrid,
@@ -23,9 +23,8 @@ from rhsolve.boundary import (
     winding_number,
 )
 from rhsolve.curves import builtin_ellipse_family, monomial_transform, on_grid
-from rhsolve.disc import DiscSolveOptions, solve_disc
 from rhsolve.errors import UnresolvedPhase, ZeroOnBoundary
-from rhsolve.newton import draw_probe_set
+from rhsolve.newton import certify, draw_probe_set
 from rhsolve.trig import TrigPolynomial, as_trig_polynomial
 
 
@@ -535,16 +534,15 @@ def test_certificate_norms_compute_one_seminorm_per_part(monkeypatch):
     assert len(calls) == 11
 
 
-def test_disc_certificate_matches_dense_pairs(monkeypatch, fresh_probe_memo):
-    fam = builtin_ellipse_family([1.5, 0.2, 0.0], 1.0)
-    options = DiscSolveOptions(grid_n=512)
-    scanned = solve_disc(fam, 2, options).run.certificate
-    # without emptying the memo the dense solve would reuse the scanned
-    # residual-probe norms; the fixture empties it again afterwards, so no
-    # dense-measured set outlives the test
-    disc._probe_set.cache_clear()
+def test_disc_certificate_matches_dense_pairs(monkeypatch, sampled_disc_problem):
+    # the sampled certificate at the initializer of an N = 512 ellipse solve
+    grid = BoundaryGrid(512)
+    fam_t = on_grid(monomial_transform(builtin_ellipse_family([1.5, 0.2, 0.0], 1.0), 2), grid.theta)
+    problem = sampled_disc_problem(fam_t, grid)
+    g0 = disc._initial_log_trace(fam_t, grid)
+    scanned = certify(problem, g0)
     monkeypatch.setattr(boundary, "_pair_seminorm", dense_pair_seminorm)
-    dense = solve_disc(fam, 2, options).run.certificate
+    dense = certify(problem, g0)
     for name in ("omega1", "omega2", "omega3", "product", "identity_defect"):
         npt.assert_allclose(getattr(scanned, name), getattr(dense, name), rtol=1e-12)
     assert scanned.certified == dense.certified
@@ -645,13 +643,15 @@ def count_scanned_differences(monkeypatch, call):
     return value, sum(scanned)
 
 
-def test_weighted_max_scans_fewer_differences_on_a_disc_omega1_stack(monkeypatch):
-    # the steps B r of the 16 residual probes of a disc N = 512 certificate,
-    # weighted by the probes' norms as omega1 weighs them
+def test_weighted_max_scans_fewer_differences_on_a_disc_omega1_stack(monkeypatch, sampled_disc_problem):
+    # the steps B r of the 16 residual probes of a sampled disc N = 512
+    # certificate, weighted by the probes' norms as omega1 weighs them
     grid = BoundaryGrid(512)
     fam_t = monomial_transform(builtin_ellipse_family([1.5, 0.2, 0.0], 1.0), 2)
-    problem = disc._g_space_problem(fam_t, grid)
-    probes = draw_probe_set(0, **disc._probe_space(grid))
+    problem = sampled_disc_problem(fam_t, grid)
+    probes = draw_probe_set(
+        0, problem.residual_sampler, problem.iterate_sampler, problem.certify_residual_norm, problem.iterate_norm
+    )
     steps = problem.right_inverse(disc._initial_log_trace(on_grid(fam_t, grid.theta), grid))(probes.residual)
     per_row, full = count_scanned_differences(monkeypatch, lambda: holder_norms(grid, (steps,), True))
     weighted, pruned = count_scanned_differences(
@@ -688,6 +688,20 @@ def test_trig_polynomial_evaluation_and_degree():
     npt.assert_allclose(p(th), 1 + 2 * np.cos(th) - np.sin(th) + 3 * np.sin(2 * th))
     assert p.degree == 2
     assert TrigPolynomial.constant(4.0).degree == 0
+
+
+def test_trig_polynomial_on_grid_nodes_is_bitwise_the_direct_evaluation():
+    # on a grid's own nodes the rows cos k theta, sin k theta come from a
+    # cache; a writeable copy of the nodes is evaluated directly
+    p = TrigPolynomial((0.3, 1.0, -0.5, 0.0, 0.25, 0.1, 0.0))
+    for n in (16, 256, 8192):
+        nodes = boundary._nodes(n)
+        for _ in range(2):
+            assert p(nodes).tobytes() == p(np.array(nodes)).tobytes()
+    # the construction checks' nodes are those of the 4096-point grid, the
+    # same floats as the linspace they replace
+    assert curves._FINE is BoundaryGrid(4096).theta
+    assert curves._FINE.tobytes() == np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False).tobytes()
 
 
 def test_trig_polynomial_derivative():

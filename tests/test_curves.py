@@ -328,8 +328,9 @@ def test_disc_solve_evaluates_ellipse_profiles_once_per_solve(monkeypatch):
     few, loose = profile_calls(1e-3)
     many, tight = profile_calls(1e-12)
     assert few < many
-    # one evaluation per profile, certificate included
-    assert loose == tight == 3
+    # one evaluation per profile on the solve grid, and one on the doubled
+    # grid on which the certificate measures the residual
+    assert loose == tight == 6
 
 
 def _recording(family, bound):
