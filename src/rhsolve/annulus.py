@@ -28,7 +28,7 @@ tolerance or a confirmed stall.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,7 +37,7 @@ from .boundary import (
     BoundaryGrid,
     BoundaryTrace,
     band_limited_sampler,
-    holder_norms,
+    wiener_norm,
     winding_number,
 )
 from .curves import CurveFamily, eta_decompose, monomial_transform, on_grid
@@ -283,7 +283,13 @@ def glue_construct(
 
 
 def _probe_space(grid: BoundaryGrid, q: float) -> dict:
-    """The samplers and norms that draw the Laurent-space probes, for the problem and its memo."""
+    """The samplers and norms that draw the Laurent-space probes, for the problem and its memo.
+
+    Both norms are Wiener norms: a residual's is the larger of its two
+    boundary rows', an iterate's the larger of its two traces'. The Laurent
+    layer forms the traces, so a mode whose q-power overflows is still
+    measured at its size on |z| = q.
+    """
     probe = band_limited_sampler(grid)
     modes = laurent_modes(grid.n)
     window = np.abs(modes) <= 8
@@ -296,10 +302,8 @@ def _probe_space(grid: BoundaryGrid, q: float) -> dict:
     return dict(
         residual_sampler=lambda rng: np.concatenate([probe(rng), probe(rng)]),
         iterate_sampler=iterate_sampler,
-        certify_residual_norm=lambda r, weights=None: holder_norms(
-            grid, (r[..., :grid.n], r[..., grid.n:]), weights=weights
-        ),
-        iterate_norm=lambda dc: np.maximum(*(np.max(np.abs(t), axis=-1) for t in laurent_traces(dc, q, grid.n))),
+        certify_residual_norm=lambda r: np.maximum(wiener_norm(r[..., : grid.n]), wiener_norm(r[..., grid.n :])),
+        iterate_norm=lambda dc: np.maximum(*(wiener_norm(t) for t in laurent_traces(dc, q, grid.n))),
     )
 
 
@@ -487,7 +491,6 @@ def _annulus_problem(
         right_inverse=right_inverse,
         residual_norm=lambda r: np.max(np.abs(r), axis=-1),
         derivative_action=lambda c, dc: linearization(*traces(c))(dc),
-        certify_iterate_norm=lambda dc, weights=None: holder_norms(grid, traces(dc), True, weights),
         probe_set=lambda seed: _probe_set(grid, q, seed),
         **_probe_space(grid, q),
     )
@@ -526,8 +529,9 @@ def solve_annulus(
 
     windings = (n0, n1) counts boundary turns in the coherent orientation
     (outer counterclockwise, inner clockwise), so the solution carries
-    n0 + n1 interior zeros. Starts from the glued collar iterate and runs
-    certified Newton on the Laurent coefficients. The converged trace
+    n0 + n1 interior zeros. Starts from the glued collar iterate, runs
+    Newton on the Laurent coefficients and certifies the converged
+    iterate (sampled, in Wiener norms). The converged trace
     windings are checked against the prescription and the interior zeros
     are located from the boundary data, so the zero count is certified
     independently of the iteration.
@@ -544,17 +548,9 @@ def solve_annulus(
     h0, glue, families = _glue_coefficients(outer_family, inner_family, windings, q, opts)
     sigma = glue.sigma
     problem = _annulus_problem(*families, q, grid, opts.tol)
-    cert = (
-        certify(problem, h0, CertifyOptions(seed=opts.seed))
-        if opts.certify
-        else None
-    )
-    run = iterate(
-        problem,
-        h0,
-        IterateOptions(tol=opts.tol, max_iter=opts.max_iter),
-        certificate=cert,
-    )
+    run = iterate(problem, h0, IterateOptions(tol=opts.tol, max_iter=opts.max_iter))
+    if opts.certify:
+        run = replace(run, certificate=certify(problem, run.x, CertifyOptions(seed=opts.seed, tol=opts.tol)))
 
     coeffs = _shift_modes(run.x, sigma)
     t0, t1 = laurent_traces(coeffs, q, grid.n)

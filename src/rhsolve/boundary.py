@@ -22,12 +22,13 @@ from .errors import UnresolvedPhase, ZeroOnBoundary
 
 _TWO_PI = 2.0 * np.pi
 
-# the annulus certificate's Holder scan (the only one left: the disc
-# certificate is computed from FFTs) holds at most _SCAN_BLOCK x N differences
-# at a time but forms up to N^2 / 2 of them per row; no bench case or README
-# example goes above N = 1024, and only the Holder memory test reaches
-# N = 4096. The disc certificate's residual is measured on twice the grid,
-# which may exceed this cap
+# both certificates read Wiener norms off FFTs, so no solve runs the O(N^2)
+# Holder scan; what the grid cap bounds is an annulus certificate's lockstep
+# GMRES, which keeps up to 20 Krylov vectors and their preconditioned images
+# for each of its 16 probes, about 40 MB at N = 4096. No bench case or README
+# example goes above N = 1024. The disc certificate's residual is measured
+# on twice the grid, which may exceed this cap. ROADMAP item 1 (nested
+# grids) revisits the cap
 _MAX_GRID = 4096
 
 
@@ -173,6 +174,18 @@ def hilbert_transform(trace: BoundaryTrace) -> BoundaryTrace:
     return BoundaryTrace(trace.grid, conjugate_samples(trace.grid, trace.real_values()).astype(complex))
 
 
+def wiener_norm(values):
+    """||u||_A = sum_k |u_k| over the DFT coefficients of the samples, one value per row of a stack.
+
+    The Wiener algebra A of absolutely summable Fourier series is the norm
+    of both certificates; ||uv||_A <= ||u||_A ||v||_A. Read off the samples,
+    it is the norm of their interpolant, so the aliasing tail is estimated,
+    not enclosed.
+    """
+    values = np.asarray(values)
+    return np.sum(np.abs(np.fft.fft(values)), axis=-1) / values.shape[-1]
+
+
 # --------------------------------------------------------------------------
 # phase unwrapping and winding numbers
 # --------------------------------------------------------------------------
@@ -280,7 +293,7 @@ def _chord_weights(n: int, alpha: float) -> np.ndarray:
     return weights
 
 
-def _pair_seminorm(values: np.ndarray, alpha: float, sup=None, weights=None, reach=-np.inf) -> np.ndarray:
+def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
     """Per row of a (rows, N) stack: max over node pairs of |u_i - u_j| / chord_ij^alpha.
 
     The chord between nodes i and j depends only on k = |i - j| mod N, and
@@ -289,12 +302,6 @@ def _pair_seminorm(values: np.ndarray, alpha: float, sup=None, weights=None, rea
     weight decreases with k, so a row leaves the scan once a bound on the
     diameter of its values times the next block's first weight cannot beat
     the best ratio found for it.
-
-    With each row's sup and weight, the scan serves the largest weighted
-    norm (sup + seminorm) / weight of the stack instead: a row also leaves
-    once that bound cannot lift its weighted norm above the largest one
-    found so far in the stack or above reach, and its value is then only a
-    lower bound, which cannot change that maximum.
     """
     if not values.imag.any():
         values = values.real
@@ -314,11 +321,7 @@ def _pair_seminorm(values: np.ndarray, alpha: float, sup=None, weights=None, rea
     buffer = np.empty(0)
     start, block = 0, _FIRST_BLOCK
     while start < half:
-        bound = spread[active] * chord_weights[start]
-        keep = bound > best[active]
-        if weights is not None:
-            largest = np.maximum(reach, np.max((sup + best) / weights))
-            keep &= (sup[active] + bound) / weights[active] > largest
+        keep = spread[active] * chord_weights[start] > best[active]
         if not keep.all():
             active, extended = active[keep], extended[keep]
         if not len(active):
@@ -351,12 +354,12 @@ def _pair_seminorm(values: np.ndarray, alpha: float, sup=None, weights=None, rea
     return best
 
 
-# Holder exponent of the certificate norm
+# Holder exponent of holder_norms
 _CERTIFY_ALPHA = 0.5
 
 
-def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False, weights=None):
-    """Certificate norm: max over the boundary parts of sup|u| + C^alpha(u), alpha = 1/2.
+def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False):
+    """Holder norm: max over the boundary parts of sup|u| + C^alpha(u), alpha = 1/2.
 
     With derivative=True the seminorm is that of du/dtheta instead of u. The
     C^alpha seminorm is the exact maximum of |u_i - u_j| / d_ij^alpha over all
@@ -365,12 +368,6 @@ def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False, weights=No
     stack of them along the last axis; the norm is then one value per row,
     from one seminorm scan per part, and a float for single traces. Parts
     are checked as a BoundaryTrace checks its values.
-
-    With weights, one positive value per row, the result is the float
-    max over rows of norm(row) / weight(row), the same float as the maximum
-    of the per-row norms divided by their weights. The scans then leave a
-    row as soon as it cannot reach the largest weighted norm found so far,
-    over the rows and parts already scanned.
     """
     best = None
     for part in parts:
@@ -382,12 +379,7 @@ def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False, weights=No
         stack = part.reshape(-1, grid.n)
         varied = _derivative_samples(grid, stack) if derivative else stack
         sup = np.max(np.abs(stack), axis=1)
-        if weights is None:
-            value = (sup + _pair_seminorm(varied, _CERTIFY_ALPHA)).reshape(part.shape[:-1])
-        else:
-            row_weights = np.broadcast_to(weights, part.shape[:-1]).reshape(-1)
-            reach = -np.inf if best is None else best
-            value = np.max((sup + _pair_seminorm(varied, _CERTIFY_ALPHA, sup, row_weights, reach)) / row_weights)
+        value = (sup + _pair_seminorm(varied, _CERTIFY_ALPHA)).reshape(part.shape[:-1])
         best = value if best is None else np.maximum(best, value)
     return best if np.ndim(best) else float(best)
 

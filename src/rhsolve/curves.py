@@ -224,17 +224,14 @@ def monomial_transform(family: CurveFamily, sigma: int, scale: float = 1.0) -> C
 class EtaDecomposition:
     """Multiplicative data of eta = w conj(dbar rho) along a trace.
 
-    eta = exp(a + i b) with b the continuous (winding-zero) argument and
-    b_tilde its circle conjugate; these feed the explicit right inverse of
-    k -> 2 Re(eta k), which multiplies by its two factors phi_weight =
+    With eta = exp(a + i b), b the continuous (winding-zero) argument and
+    b_tilde its circle conjugate, the explicit right inverse of
+    k -> 2 Re(eta k) multiplies by its two factors phi_weight =
     exp(-a - b_tilde) and k_weight = exp(b_tilde - i b), formed once here.
     """
 
     grid: BoundaryGrid
     eta: BoundaryTrace
-    a: np.ndarray
-    b: np.ndarray
-    b_tilde: np.ndarray
     phi_weight: np.ndarray
     k_weight: np.ndarray
 
@@ -263,9 +260,6 @@ def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition
     return EtaDecomposition(
         grid=trace.grid,
         eta=eta,
-        a=a,
-        b=b,
-        b_tilde=b_tilde,
         phi_weight=np.exp(-a - b_tilde),
         k_weight=np.exp(b_tilde - 1j * b),
     )

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import BoundaryGrid, BoundaryTrace, _nodes, _refined_samples, conjugate_samples
+from .boundary import BoundaryGrid, BoundaryTrace, _nodes, _refined_samples, conjugate_samples, wiener_norm
 from .curves import CurveFamily, EtaDecomposition, builtin_circle_family, eta_decompose, monomial_transform, on_grid
 from .errors import NoConvergence
 from .newton import (
@@ -71,7 +71,6 @@ class DiscSolveOptions:
 class DiscSolution:
     grid: BoundaryGrid
     f_trace: BoundaryTrace
-    g_values: np.ndarray
     residual_sup: float
     run: Optional[NewtonRun] = None
 
@@ -96,11 +95,6 @@ def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:
 def _sup(v):
     """Sup norm, one value per row of a stack."""
     return np.max(np.abs(v), axis=-1)
-
-
-def _wiener(values) -> float:
-    """||u||_A = sum_k |u_k| over the DFT coefficients of the samples."""
-    return float(np.sum(np.abs(np.fft.fft(values)))) / len(values)
 
 
 # the fourth point of the affinity check, and its tolerance relative to the
@@ -131,12 +125,12 @@ def _bounds(fam_t: CurveFamily, grid: BoundaryGrid, g) -> CertificateBounds:
     """The computed certificate bounds at g (see the module docstring)."""
     h = np.exp(g)
     dec = eta_decompose(fam_t, BoundaryTrace(grid, h))
-    phi_norm = _wiener(dec.phi_weight)
-    omega1 = 0.5 * _wiener(dec.k_weight) * phi_norm
+    phi_norm = wiener_norm(dec.phi_weight)
+    omega1 = 0.5 * wiener_norm(dec.k_weight) * phi_norm
     # DA B r = Re(m (phi + i T phi)) = Re(m) phi - Im(m) T phi with
     # m = eta k_weight = exp(a + b~) up to rounding, and ||T||_A <= 1
     m = dec.eta.values * dec.k_weight
-    identity_defect = _wiener(m.real * dec.phi_weight - 1.0) + _wiener(m.imag) * phi_norm
+    identity_defect = wiener_norm(m.real * dec.phi_weight - 1.0) + wiener_norm(m.imag) * phi_norm
     profiles = _affine_dbar(fam_t, grid.theta)
     omega2 = np.inf
     if profiles is not None:
@@ -144,10 +138,10 @@ def _bounds(fam_t: CurveFamily, grid: BoundaryGrid, g) -> CertificateBounds:
         # eta at g + d is alpha h e^d + beta |h|^2 e^(d + conj d) + gamma h^2 e^(2d),
         # and ||e^x - e^y||_A <= e^max(||x||_A, ||y||_A) ||x - y||_A
         grow = np.exp(_BALL_RADIUS)
-        quadratic = _wiener(beta * np.abs(h) ** 2) + _wiener(gamma * h * h)
-        omega2 = 2.0 * (grow * _wiener(alpha * h) + 2.0 * grow**2 * quadratic)
+        quadratic = wiener_norm(beta * np.abs(h) ** 2) + wiener_norm(gamma * h * h)
+        omega2 = 2.0 * (grow * wiener_norm(alpha * h) + 2.0 * grow**2 * quadratic)
     fine_theta, fine_g = _nodes(2 * grid.n), _refined_samples(g, 2)
-    omega3 = _wiener(fam_t.rho(fine_theta, np.exp(fine_g)))
+    omega3 = wiener_norm(fam_t.rho(fine_theta, np.exp(fine_g)))
     return CertificateBounds(omega1, omega2, omega3, identity_defect)
 
 
@@ -184,7 +178,6 @@ def _finish(family: CurveFamily, winding: int, grid: BoundaryGrid, g, run) -> Di
     return DiscSolution(
         grid=grid,
         f_trace=f_trace,
-        g_values=np.asarray(g, dtype=complex),
         residual_sup=residual_sup,
         run=run,
     )

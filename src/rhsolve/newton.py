@@ -13,22 +13,19 @@ together with the defect of the identity DA(x) B(x) = I, and holds when
 the identity defect is at most _CHECK_TOL and omega3 at most the caller's
 CertifyOptions.tol (no limit by default).
 
-A problem that can compute the four numbers supplies them through its
-bounds(x) callback, and certify only forms the verdict; the disc solver
-certifies its converged iterate this way, with norms in the Wiener algebra
-of absolutely summable Fourier series read off DFT coefficients. Those are
-the coefficients of the grid interpolant, so the aliasing tail and the
-rounding are estimated, not enclosed: the verdict says the contraction is
-bounded, not proven.
-
-Without bounds, certify samples the constants. It draws all its probes
-first and then calls each callback once per stack of probes, not once per
-probe; the iteration passes single vectors. omega1, the identity defect and
-omega2 are each the largest weighted norm of one stack (norm of a row over
-its probe's scale), so certify reduces each stack to that one maximum, and
-a norm that takes the weights may drop the rows that cannot reach it. The
-iteration itself damps steps that increase the residual and records that
-it did.
+Both solvers certify their converged iterate, with norms in the Wiener
+algebra of absolutely summable Fourier series read off DFT coefficients.
+Those are the coefficients of the grid interpolant, so the aliasing tail
+and the rounding are estimated, not enclosed: the verdict says the
+contraction is bounded, not proven. A problem that can compute the four
+numbers supplies them through its bounds(x) callback, and certify only
+forms the verdict; the disc solver does. Without bounds, certify samples
+the constants, as the annulus solver does: it draws all its probes first
+and then calls each callback once per stack of probes, not once per probe;
+the iteration passes single vectors. omega1, the identity defect and
+omega2 are each the largest ratio over one stack of a row's norm to its
+probe's scale. The iteration itself damps steps that increase the
+residual and records that it did.
 """
 
 from __future__ import annotations
@@ -51,14 +48,15 @@ class NewtonProblem:
 
     Computed bounds: bounds(x), when given, returns the CertificateBounds
     at x, and certify forms its verdict from them without sampling; the
-    samplers, the certify_* norms and probe_set are then not read. A
+    samplers, certify_residual_norm and probe_set are then not read. A
     verdict from bounds read off a grid's DFT says the contraction is
     bounded, not proven (see the module docstring).
 
     Sampled bounds: without bounds, certify samples the constants.
     Samplers draw random directions in each space (defaults: Gaussian
-    arrays shaped like the example vectors). certify_* norms, when given,
-    replace the iteration norms inside the certificate only. probe_set(seed),
+    arrays shaped like the example vectors). iterate_norm measures omega1's
+    steps and omega2's ball alike; certify_residual_norm, when given,
+    replaces residual_norm inside the certificate only. probe_set(seed),
     when given, returns the ProbeSet that draw_probe_set would draw (a
     problem may memoize it).
 
@@ -66,20 +64,15 @@ class NewtonProblem:
     row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
     the finite difference only) act row by row, broadcasting one point
     against a stack of directions, and every norm returns one value per
-    row (certify raises TypeError on a norm that does not). A certify_*
-    norm may also take a keyword weights, one positive value per row, and
-    then return the float max over rows of norm(row) / weight(row); certify
-    asks it only for that maximum (the rows' scales for omega1 and the
-    identity defect, gap times direction norm for omega2), so it may skip
-    the rows that cannot reach it. iterate passes single vectors only.
+    row (certify raises TypeError on a norm that does not). iterate passes
+    single vectors only.
 
-    Forcing: a right inverse's apply may take a keyword target (as a norm
-    may take weights), and iterate then passes
-    ½·max(min(_FORCING, |r|)·|r|, tol/2), |r| the residual norm and
-    _FORCING = 0.1: a step whose residual-norm defect is at most the target
-    keeps Newton quadratic, so an iterative inverse may stop there. An apply
-    without the keyword is called with the residual alone; certify never
-    passes one.
+    Forcing: a right inverse's apply may take a keyword target, and
+    iterate then passes ½·max(min(_FORCING, |r|)·|r|, tol/2), |r| the
+    residual norm and _FORCING = 0.1: a step whose residual-norm defect is
+    at most the target keeps Newton quadratic, so an iterative inverse may
+    stop there. An apply without the keyword is called with the residual
+    alone; certify never passes one.
 
     Unreachable rows: a right inverse that cannot meet its own acceptance
     bound on a single residual raises NeumannDiverges with that residual's
@@ -98,7 +91,6 @@ class NewtonProblem:
     derivative_action: Optional[Callable] = None
     iterate_sampler: Optional[Callable] = None
     residual_sampler: Optional[Callable] = None
-    certify_iterate_norm: Optional[Callable] = None
     certify_residual_norm: Optional[Callable] = None
     probe_set: Optional[Callable] = None
     bounds: Optional[Callable] = None
@@ -208,9 +200,7 @@ def _takes(callback, keyword) -> bool:
 
 
 def _weighted_max(norm, stack, weights):
-    """max over the rows of norm(row) / weight; a norm that takes weights= reduces the stack itself."""
-    if _takes(norm, "weights"):
-        return float(norm(stack, weights=weights))
+    """max over the rows of norm(row) / weight."""
     return float(np.max(_row_norms(norm, stack) / weights))
 
 
@@ -280,7 +270,6 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
 def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
     """Sample the three constants and test the right-inverse identity at x0."""
     res_norm = problem.certify_residual_norm or problem.residual_norm
-    it_norm = problem.certify_iterate_norm or problem.iterate_norm
 
     r0 = problem.residual(x0)
     omega3 = res_norm(r0)
@@ -304,7 +293,7 @@ def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
     reached = ~missed
     if reached.any():
         step, r, scale = steps[reached], probes[reached], rn[reached]
-        omega1 = _weighted_max(it_norm, step, scale)
+        omega1 = _weighted_max(problem.iterate_norm, step, scale)
         recovered = _derivative_action(problem, x0, step)
         identity_defect = max(identity_defect, _weighted_max(res_norm, recovered - r, scale))
 

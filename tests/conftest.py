@@ -26,8 +26,8 @@ def sampled_disc_problem():
     """The disc g-space problem certified by sampling instead of its computed bounds.
 
     Band-limited residual probes and iterate probes p + i p', residuals in
-    the Hölder norm and steps in the Hölder norm of their derivative: the
-    sampled certificate the disc used before its bounds were computed,
+    the Hölder norm and iterates (omega1's steps and omega2's ball) in the
+    Hölder norm of their derivative: a sampled certificate in Hölder norms,
     which tests of the sampled path and of the Hölder scan run on.
     """
 
@@ -38,8 +38,8 @@ def sampled_disc_problem():
             bounds=None,
             residual_sampler=probe,
             iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
-            certify_residual_norm=lambda r, weights=None: holder_norms(grid, (r,), weights=weights),
-            certify_iterate_norm=lambda d, weights=None: holder_norms(grid, (d,), True, weights),
+            iterate_norm=lambda d: holder_norms(grid, (d,), True),
+            certify_residual_norm=lambda r: holder_norms(grid, (r,)),
         )
 
     return make

@@ -43,6 +43,7 @@ from rhsolve.errors import (
     CountMismatch,
     GlueTooCoarse,
     NeumannDiverges,
+    NoConvergence,
     NotRadialFamily,
 )
 from rhsolve.pompeiu import AreaCharge
@@ -407,6 +408,55 @@ def test_solves_run_without_svd(monkeypatch):
     # probes off the range of the linearization are recorded, not raised
     assert zero_free.run.certificate.identity_defect > 0.1
     assert readme.fallback_used is False and zero_free.fallback_used is False
+
+
+def test_solve_certifies_the_converged_iterate_once_after_newton(monkeypatch):
+    # one certificate, at run.x, with the solve's seed and tolerance; a Newton
+    # run that fails raises before anything is certified
+    calls = []
+    original_iterate, original_certify = annulus.iterate, annulus.certify
+    monkeypatch.setattr(
+        annulus, "iterate", lambda *args, **kwargs: calls.append(("iterate",)) or original_iterate(*args, **kwargs)
+    )
+
+    def spy(problem, x, options):
+        cert = original_certify(problem, x, options)
+        calls.append(("certify", x, options, cert))
+        return cert
+
+    monkeypatch.setattr(annulus, "certify", spy)
+    wobbly = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01]), builtin_circle_family([1.0, -0.01, 0.02])
+    options = AnnulusSolveOptions(tol=1e-11, seed=5)
+    sol = solve_annulus(*wobbly, (4, 4), 0.5, options)
+    assert [call[0] for call in calls] == ["iterate", "certify"]
+    _, x, certify_options, cert = calls[1]
+    assert x is sol.run.x and sol.run.iterations > 0
+    assert (certify_options.seed, certify_options.tol) == (5, 1e-11)
+    assert sol.run.certificate is cert and cert.certified
+    calls.clear()
+    with pytest.raises(NoConvergence):
+        solve_annulus(*wobbly, (4, 4), 0.5, AnnulusSolveOptions(max_iter=1))
+    assert calls == [("iterate",)]
+
+
+def test_annulus_iterate_norm_is_the_larger_wiener_norm_of_the_two_traces():
+    # for modes -K..K on N >= 2K + 2 points the Wiener norm of the outer trace
+    # is sum |c_k| and of the inner one sum |c_k| q^k; at q = 0.01 and N = 1024
+    # the inner trace is formed from logs, since q^-511 overflows
+    rng = np.random.default_rng(8)
+    for q, n in ((0.5, 256), (0.01, 1024)):
+        space = annulus._probe_space(BoundaryGrid(n), q)
+        modes = laurent_modes(n)
+        probes = np.stack([space["iterate_sampler"](rng) for _ in range(3)])
+        # the probes are windowed to |k| <= 8, where q^k is of ordinary size
+        window = np.abs(modes) <= 8
+        assert not probes[:, ~window].any()
+        moduli = np.abs(probes[:, window])
+        want = np.maximum(np.sum(moduli, axis=-1), np.sum(moduli * q ** modes[window].astype(float), axis=-1))
+        got = space["iterate_norm"](probes)
+        assert got.shape == (3,) and np.all(np.isfinite(got))
+        npt.assert_allclose(got, want, rtol=1e-13)
+        npt.assert_allclose(space["iterate_norm"](probes[0]), want[0], rtol=1e-13)
 
 
 def test_solution_traces_are_unwrapped_once(monkeypatch):
@@ -948,9 +998,11 @@ def test_collar_data_moves_are_bitwise_the_old_expressions():
     grid = BoundaryGrid(256)
     family = builtin_ellipse_family(2.0, 1.0, phi=[0.0, 0.3, 0.1])
     dec = eta_decompose(family, BoundaryTrace(grid, np.exp(1j * grid.theta)))
+    a, b = np.log(np.abs(dec.eta.values)), boundary.unwrapped_phase(dec.eta)
+    b_tilde = conjugate_samples(grid, b)
     for rhs in (rng.standard_normal(256), rng.standard_normal((4, 256))):
-        phi = np.exp(-dec.a - dec.b_tilde) * rhs
-        old = 0.5 * np.exp(dec.b_tilde - 1j * dec.b) * (phi + 1j * conjugate_samples(grid, phi))
+        phi = np.exp(-a - b_tilde) * rhs
+        old = 0.5 * np.exp(b_tilde - 1j * b) * (phi + 1j * conjugate_samples(grid, phi))
         assert same_bits(right_inverse_apply(dec, rhs), old)
 
 

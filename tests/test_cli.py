@@ -131,8 +131,9 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["solve", "--config", cfg]) == 0
     default = json.loads((out / "result.json").read_text())["certificate"]
     assert default != first
-    assert default["omega1"] == pytest.approx(8.039, abs=5e-4)
-    assert first["omega1"] == pytest.approx(7.780, abs=5e-4)
+    # the certificate at the converged iterate, omega1 in the Wiener norm
+    assert default["omega1"] == pytest.approx(0.518, abs=5e-4)
+    assert first["omega1"] == pytest.approx(0.522, abs=5e-4)
 
 
 def test_check_identity_passes_on_radial_pair(tmp_path):

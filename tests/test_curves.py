@@ -110,19 +110,16 @@ def test_eta_on_unit_circle_is_one():
     fam = builtin_circle_family(1.0)
     dec = eta_decompose(fam, unit_trace())
     npt.assert_allclose(dec.eta.values, 1.0, atol=1e-14)
-    npt.assert_allclose(dec.a, 0.0, atol=1e-14)
-    npt.assert_allclose(dec.b, 0.0, atol=1e-14)
-    npt.assert_allclose(dec.b_tilde, 0.0, atol=1e-14)
+    npt.assert_allclose(dec.phi_weight, 1.0, atol=1e-14)
+    npt.assert_allclose(dec.k_weight, 1.0, atol=1e-14)
 
 
 def test_eta_exponential_reproduction():
     fam = builtin_ellipse_family(2.0, 1.0, phi=[0.0, 0.3, 0.1])
     trace = unit_trace(256)
     dec = eta_decompose(fam, trace)
-    npt.assert_allclose(np.exp(dec.a + 1j * dec.b), dec.eta.values, atol=1e-10)
-    assert -np.pi < dec.b[0] <= np.pi
-    # b_tilde is the circle conjugate: mean-free
-    assert abs(np.mean(dec.b_tilde)) < 1e-12
+    # eta = exp(a + i b), phi_weight = exp(-a - b~) and k_weight = exp(b~ - i b)
+    npt.assert_allclose(dec.eta.values * dec.k_weight * dec.phi_weight, 1.0, atol=1e-10)
 
 
 def test_eta_zero_detected():
@@ -240,7 +237,7 @@ def test_eta_decompose_unwraps_eta_once(monkeypatch):
     grid = BoundaryGrid(128)
     dec = eta_decompose(fam, BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta)))
     assert len(calls) == 1
-    npt.assert_allclose(np.exp(dec.a + 1j * dec.b), dec.eta.values, rtol=1e-12)
+    npt.assert_allclose(dec.eta.values * dec.k_weight * dec.phi_weight, 1.0, rtol=1e-12)
 
 
 # ----------------------------------------------------------- grid binding

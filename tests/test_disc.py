@@ -202,7 +202,7 @@ def test_computed_omega1_bounds_the_right_inverse(bench_disc_solves):
     for case, sol, problem in bench_disc_solves:
         probe = band_limited_sampler(sol.grid)
         residuals = np.stack([probe(rng) for _ in range(8)] + [rng.standard_normal(sol.grid.n)])
-        steps = problem.right_inverse(sol.g_values)(residuals)
+        steps = problem.right_inverse(sol.run.x)(residuals)
         ratios = wiener(steps) / wiener(residuals)
         assert np.all(ratios <= sol.run.certificate.omega1 * (1.0 + 1e-12)), case.name
 
@@ -212,7 +212,7 @@ def test_computed_omega2_bounds_the_derivative_on_the_ball(bench_disc_solves):
     # constant shifts +-R, along which |h|^2 and h^2 grow fastest
     rng = np.random.default_rng(6)
     for case, sol, problem in bench_disc_solves:
-        n, g = sol.grid.n, sol.g_values
+        n, g = sol.grid.n, sol.run.x
         probe = band_limited_sampler(sol.grid)
         shifts = [(np.full(n, _BALL_RADIUS), np.full(n, -_BALL_RADIUS), np.ones(n))]
         for _ in range(6):
@@ -236,7 +236,7 @@ def test_certified_bench_disc_answers_hold_between_the_nodes(bench_disc_solves):
         assert cert.identity_defect < 1e-12, case.name
         n = 4 * sol.grid.n
         theta = 2.0 * np.pi * np.arange(n) / n
-        f = np.exp(1j * case.spec["winding"] * theta) * np.exp(_refined_samples(sol.g_values, 4))
+        f = np.exp(1j * case.spec["winding"] * theta) * np.exp(_refined_samples(sol.run.x, 4))
         between = np.max(np.abs(case.inputs["family"].rho(theta, f)))
         if cert.certified:
             certified += 1
@@ -267,7 +267,7 @@ def test_homotopy_rescued_solve_is_certified_at_its_answer(monkeypatch):
     cert = sol.run.certificate
     grid = sol.grid
     problem = disc._g_space_problem(monomial_transform(fam, 3), grid)
-    assert cert == certify(problem, sol.g_values, CertifyOptions(tol=DiscSolveOptions().tol))
+    assert cert == certify(problem, sol.run.x, CertifyOptions(tol=DiscSolveOptions().tol))
     assert np.isfinite([cert.omega1, cert.omega2, cert.omega3]).all()
 
 

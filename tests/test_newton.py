@@ -202,9 +202,7 @@ def test_vector_problem_with_explicit_derivative():
     npt.assert_allclose(run.x, [np.sqrt(2.0), 2.0], atol=1e-9)
 
 
-@pytest.mark.parametrize(
-    "field", ["iterate_norm", "residual_norm", "certify_iterate_norm", "certify_residual_norm"]
-)
+@pytest.mark.parametrize("field", ["iterate_norm", "residual_norm", "certify_residual_norm"])
 @pytest.mark.parametrize("explicit_derivative", [True, False])
 def test_certify_rejects_a_norm_with_one_value_per_stack(field, explicit_derivative):
     # a norm written for single vectors returns one number for a whole stack;
@@ -214,31 +212,6 @@ def test_certify_rejects_a_norm_with_one_value_per_stack(field, explicit_derivat
         prob = dataclasses.replace(prob, derivative_action=None)
     with pytest.raises(TypeError, match="one value per row"):
         certify(prob, np.array([1.5, 2.1]))
-
-
-def test_certify_asks_a_weighted_norm_only_for_its_maximum():
-    # certify norms that take weights return max(norm / weights) and are
-    # asked for nothing else; the certificate is the per-row one, bit for bit
-    plain = vector_problem()
-    asked = []
-
-    def weighted(norm):
-        def apply(v, weights=None):
-            values = norm(v)
-            if weights is None:
-                return values
-            asked.append(len(weights))
-            return np.max(values / weights)
-
-        return apply
-
-    prob = dataclasses.replace(
-        plain, certify_residual_norm=weighted(plain.residual_norm), certify_iterate_norm=weighted(plain.iterate_norm)
-    )
-    x0 = np.array([1.5, 2.1])
-    assert certify(prob, x0) == certify(plain, x0)
-    # omega1, the identity defect (16 reached probes each) and omega2 (8 pairs)
-    assert asked == [16, 16, 8]
 
 
 def test_sampling_failure_on_degenerate_norm():
@@ -322,7 +295,6 @@ def _per_probe_certify(problem, x0, seed=0):
     # reference: one probe at a time, every callback on single vectors
     rng = np.random.default_rng(seed)
     res_norm = problem.certify_residual_norm or problem.residual_norm
-    it_norm = problem.certify_iterate_norm or problem.iterate_norm
     omega3 = res_norm(problem.residual(x0))
     inverse = problem.right_inverse(x0)
     omega1 = identity_defect = 0.0
@@ -334,7 +306,7 @@ def _per_probe_certify(problem, x0, seed=0):
         except NeumannDiverges as exc:
             identity_defect = max(identity_defect, exc.defect)
             continue
-        omega1 = max(omega1, it_norm(step) / rn)
+        omega1 = max(omega1, problem.iterate_norm(step) / rn)
         identity_defect = max(identity_defect, res_norm(problem.derivative_action(x0, step) - r) / rn)
     omega2 = 0.0
     for _ in range(8):

@@ -1,4 +1,4 @@
-"""The benchmark's calls into rhsolve still work, and its annulus cases still converge as fast.
+"""The benchmark's calls into rhsolve still work, and its annulus cases still converge as fast and certify.
 
 perfbench/tracing.py names the functions and methods it wraps by module and
 attribute, and perfbench/workloads.py calls rhsolve's solvers and reads their
@@ -11,6 +11,10 @@ import importlib
 import importlib.util
 import json
 from pathlib import Path
+
+import numpy as np
+
+from rhsolve import annulus
 
 _ROOT = Path(__file__).resolve().parents[1]
 _TRACING = _ROOT / "perfbench" / "tracing.py"
@@ -88,3 +92,23 @@ def test_bench_annulus_cases_keep_their_newton_iteration_counts(tmp_path):
         records = [workloads.run_case(case, tmp_path) for case in workloads.build("annulus-glued", seed)]
         assert [r["iterations"] for r in records] == counts, seed
         assert all(r["ok"] for r in records), [r["reason"] for r in records]
+
+
+def test_bench_annulus_certificates_at_the_converged_iterate():
+    # the seed-1/3/7 cases as the bench solves them: the README and wobbly
+    # answers certify; the zero-free linearization is not onto (the flux
+    # direction is off its range), so those probes fail the identity check
+    workloads = _load("perfbench_workloads", _WORKLOADS)
+    for seed in (1, 3, 7):
+        for case in workloads.build("annulus-glued", seed):
+            spec = case.spec
+            options = annulus.AnnulusSolveOptions(grid_n=spec["grid"], tol=spec.get("tol", 1e-10))
+            sol = annulus.solve_annulus(
+                case.inputs["outer"], case.inputs["inner"], tuple(spec["windings"]), spec["q"], options
+            )
+            cert = sol.run.certificate
+            assert np.isfinite([cert.omega1, cert.omega2, cert.omega3, cert.product]).all(), case.name
+            if "zerofree" in case.name:
+                assert not cert.certified and cert.identity_defect > 0.1, case.name
+            else:
+                assert cert.certified and cert.omega3 <= options.tol, case.name
