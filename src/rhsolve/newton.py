@@ -24,12 +24,15 @@ the constants, as the annulus solver does: it draws all its probes first
 and then calls each callback once per stack of probes, not once per probe;
 the iteration passes single vectors. omega1, the identity defect and
 omega2 are each the largest ratio over one stack of a row's norm to its
-probe's scale. The iteration itself damps steps that increase the
+probe's scale. A right inverse that takes a target gets one per probe,
+and so solves each probe only as exactly as the identity check reads it
+(see NewtonProblem). The iteration itself damps steps that increase the
 residual and records that it did.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -67,12 +70,16 @@ class NewtonProblem:
     row (certify raises TypeError on a norm that does not). iterate passes
     single vectors only.
 
-    Forcing: a right inverse's apply may take a keyword target, and
-    iterate then passes ½·max(min(_FORCING, |r|)·|r|, tol/2), |r| the
-    residual norm and _FORCING = 0.1: a step whose residual-norm defect is
-    at most the target keeps Newton quadratic, so an iterative inverse may
-    stop there. An apply without the keyword is called with the residual
-    alone; certify never passes one.
+    Forcing: a right inverse's apply may take a keyword target, the
+    residual-norm defect at which an iterative inverse may stop. iterate
+    passes ½·max(min(_FORCING, |r|)·|r|, tol/2), |r| the residual norm and
+    _FORCING = 0.1: a step that meets it keeps Newton quadratic. certify
+    passes one target per probe, _PROBE_FORCING·_CHECK_TOL (1e-8) times the
+    probe's certificate norm. Where that norm is at most √N times the
+    residual norm on an N-sample row (the Wiener norm against the sup), a
+    probe that meets its target has an identity defect of at most
+    √N·_PROBE_FORCING·_CHECK_TOL, 0.64·_CHECK_TOL at N = 4096. An apply
+    without the keyword is called with the residual alone.
 
     Unreachable rows: a right inverse that cannot meet its own acceptance
     bound on a single residual raises NeumannDiverges with that residual's
@@ -120,6 +127,12 @@ _MAX_HALVINGS = 6
 # and Steihaug 1982); a right inverse that accepts steps by a forcing bound
 # uses the same constant
 _FORCING = 0.1
+# certificate probes are solved to a sup-norm defect of _PROBE_FORCING *
+# _CHECK_TOL times their certificate norm: on an N-point boundary row the
+# Wiener norm is at most the 2-norm and the 2-norm at most sqrt(N) times the
+# sup, so a probe that meets its target has an identity defect of at most
+# sqrt(N) * _PROBE_FORCING * _CHECK_TOL, 0.64 * _CHECK_TOL at N = 4096
+_PROBE_FORCING = 1e-2
 
 
 @dataclass(frozen=True)
@@ -283,6 +296,9 @@ def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
         drawn = problem.probe_set(seed)
     probes, rn, (du, dv, d), (nu, nv, nd), (radius_u, radius_v) = drawn
 
+    if _takes(inverse, "target"):
+        # each probe only as exactly as the identity check reads it
+        inverse = functools.partial(inverse, target=_PROBE_FORCING * _CHECK_TOL * rn)
     steps, missed_defect = _reach(inverse, probes)
     missed = ~np.isnan(missed_defect)
     # a probe the right inverse cannot reach fails the identity check and

@@ -14,6 +14,7 @@ from rhsolve.analysis import (
 )
 from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
 from rhsolve.curves import builtin_circle_family, divisor_transform
+from rhsolve.domains import harmonic_extend_annulus
 from rhsolve.errors import ConfigError
 from rhsolve.trig import TrigPolynomial
 
@@ -86,7 +87,10 @@ def test_identity_on_radial_solution_both_data_paths():
     assert len(report.zeros_used) == 1
     assert report.h1_values[0] == pytest.approx(0.37, abs=1e-8)
     assert report.lhs == pytest.approx(0.37, abs=1e-10)
-    assert report.lhs == pytest.approx(sol.flux, abs=1e-10)
+    theta = sol.grid.theta
+    profiles = (np.log(family.radial_profile(theta)) for family in (outer, inner))
+    prescribed, _ = harmonic_extend_annulus(sol.grid, q, *profiles)
+    assert report.lhs == pytest.approx(prescribed, abs=1e-10)
 
 
 def test_identity_on_glued_many_zero_solution():

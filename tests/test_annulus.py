@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import annulus, boundary
+from rhsolve import annulus, boundary, newton
 from rhsolve.analysis import check_identity
 from rhsolve.annulus import (
     AnnulusSolveOptions,
@@ -813,6 +813,117 @@ def test_target_met_on_a_stalled_iterate_keeps_it(monkeypatch):
     assert len(history) == 3 and np.array_equal(kept, capped[1])
 
 
+def test_gmres_reads_the_sup_estimate_only_inside_the_two_norm_bracket(monkeypatch):
+    # sup <= |.|_2 <= sqrt(2N) sup: a row whose 2-norm defect is at most its
+    # target has met it, and one whose 2-norm defect is above sqrt(2N) times
+    # its target cannot; only in between is the Arnoldi sup estimate read.
+    # Targets at the 2-norm of iterate 2, a quarter of it, and below every
+    # iterate's 2-norm over sqrt(2N) on the README's first Newton residual
+    problem, h0 = _glued("readme")
+    act, precondition, r = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
+    (plain,), (visited,) = annulus._gmres(act, precondition, r[None])
+    root = np.sqrt(len(r))
+    targets = [visited[2], visited[2] / 4.0, visited[-1] / (2.0 * root)]
+    estimates = []
+    original = annulus._sup_defect
+
+    def spy(beta, last, vectors):
+        estimates.append(original(beta, last, vectors))
+        return estimates[-1]
+
+    monkeypatch.setattr(annulus, "_sup_defect", spy)
+    rows = []
+    for target in targets:
+        estimates.clear()
+        (x,), (history,) = annulus._gmres(act, precondition, r[None], [target])
+        rows.append((x, history))
+        stop = len(history) - 1
+        inside = [k for k in range(1, stop + 1) if target < history[k] <= root * target]
+        assert len(estimates) == len(inside)
+        sup = np.max(np.abs(r - act(x)))
+        if target < visited[-1] / root:
+            # never met: the untargeted run, bit for bit, above its target
+            assert history == visited and np.array_equal(x, plain) and sup > target
+        else:
+            assert stop <= 2 and sup <= target
+    # the bracket decides iterate 2 for the first target and the estimate
+    # for the second
+    assert len(rows[0][1]) == len(rows[1][1]) == 3
+    # the three rows run as one stack as they run alone
+    stacked, histories = annulus._gmres(act, precondition, np.stack([r, r, r]), targets)
+    for x, history, (alone, alone_history) in zip(stacked, histories, rows):
+        assert history == alone_history
+        assert np.linalg.norm(x - alone) <= 1e-13 * np.linalg.norm(alone)
+
+
+def test_per_row_targets_skip_a_zero_row():
+    # a zero row needs no inversion: its step is zero, and the targets of the
+    # other rows still reach their own rows
+    problem, h0 = _glued("wobbly")
+    apply = problem.right_inverse(h0)
+    r = problem.residual(h0)
+    scale = np.max(np.abs(r))
+    stack = np.stack([r, np.zeros_like(r), 2.0 * r])
+    # a target read off the wrong row would stop the last row at iterate 1
+    steps = apply(stack, target=np.array([0.1 * scale, 1.0, 1e-8 * scale]))
+    assert steps.shape == (3, len(h0)) and not steps[1].any()
+    for step, row, target in ((steps[0], r, 0.1 * scale), (steps[2], 2.0 * r, 1e-8 * scale)):
+        alone = apply(row, target=target)
+        assert np.linalg.norm(step - alone) <= 1e-13 * np.linalg.norm(alone)
+    # the two targets stop their rows at different iterates
+    assert np.linalg.norm(steps[2] - 2.0 * steps[0]) > 1e-6 * np.linalg.norm(steps[2])
+
+
+def _readme_certificate_runs(monkeypatch):
+    # the README solve's certificate, and the lockstep iterations of its probe stack
+    runs = []
+    original = annulus._gmres
+
+    def spy(act, precondition, rows, targets=None):
+        steps, histories = original(act, precondition, rows, targets)
+        if len(rows) > 1:
+            runs.append(max(len(h) for h in histories) - 1)
+        return steps, histories
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    sol = solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9))
+    monkeypatch.setattr(annulus, "_gmres", original)
+    return sol.run.certificate, runs
+
+
+def test_certificate_probes_stop_at_their_targets(monkeypatch):
+    # the README probes reach the grid floor at iterate 4 and meet their
+    # targets there; without targets (a forcing of 0 is never met) they run
+    # on through a 5-iterate stall window to confirm it and keep iterate 4
+    cert, (iterations,) = _readme_certificate_runs(monkeypatch)
+    monkeypatch.setattr(newton, "_PROBE_FORCING", 0.0)
+    untargeted, (confirmed,) = _readme_certificate_runs(monkeypatch)
+    assert iterations <= 5 < confirmed
+    assert cert.certified == untargeted.certified
+    npt.assert_allclose(cert.omega1, untargeted.omega1, rtol=1e-8)
+    assert cert.identity_defect <= 1e-7
+
+
+def test_certificate_never_touches_the_newton_run():
+    # certify reads run.x and changes nothing of the run it certifies
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    cases = (
+        (ell, builtin_circle_family(0.3), (6, 6), 0.4, dict(grid_n=512, tol=1e-9)),
+        (builtin_circle_family([1.0, 0.02, -0.01, 0.015]), builtin_circle_family([1.0, -0.01, 0.02]), (4, 4), Q, {}),
+        (scaled_circle(1.0, [0.0, 0.06, -0.03]), scaled_circle(Q ** 8, [0.0, -0.04, 0.05]), (8, -8), Q, {}),
+    )
+    for outer, inner, windings, q, options in cases:
+        runs = [
+            solve_annulus(outer, inner, windings, q, AnnulusSolveOptions(certify=flag, **options)).run
+            for flag in (True, False)
+        ]
+        assert runs[0].certificate is not None and runs[1].certificate is None
+        assert runs[0].x.tobytes() == runs[1].x.tobytes()
+        assert [value.hex() for value in runs[0].residual_norms] == [value.hex() for value in runs[1].residual_norms]
+        assert (runs[0].iterations, runs[0].damped) == (runs[1].iterations, runs[1].damped)
+
+
 # windings (w, w) on unit circles, the README pair and wobbly circles, q from
 # 0.2 to 0.8, N = 256, tol 1e-9, no certificate: a subset of a 105-case sweep
 # (q 0.2..0.8 by 0.1, w 2..10 by 2) holding every outcome it has
@@ -1012,7 +1123,7 @@ def test_radial_integer_flux_is_pure_power():
     )
     assert sol.k1 == 1
     assert sol.zero is None
-    assert sol.flux == pytest.approx(1.0, abs=1e-13)
+    assert check_identity(sol).lhs == pytest.approx(1.0, abs=1e-13)
     assert sol.modulus_error < 1e-13
     theta = sol.grid.theta
     aligned = gauge_align(sol.outer_trace.values, np.exp(1j * theta))
@@ -1051,7 +1162,7 @@ def test_radial_transformed_profiles_reach_machine_accuracy():
     sol = solve_annulus_radial(outer, inner, q)
     assert sol.k1 == 2
     assert sol.zero is None
-    assert sol.flux == pytest.approx(2.0, abs=1e-12)
+    assert check_identity(sol).lhs == pytest.approx(2.0, abs=1e-12)
     assert sol.modulus_error < 1e-10
 
 

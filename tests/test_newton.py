@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import annulus, disc
+from rhsolve import annulus, disc, newton
 from rhsolve.annulus import AnnulusSolveOptions
 from rhsolve.boundary import BoundaryGrid
 from rhsolve.curves import builtin_circle_family, builtin_ellipse_family, divisor_transform, monomial_transform
@@ -192,6 +192,35 @@ def test_iterate_passes_the_forcing_target_only_to_inverses_that_take_it():
     assert np.array_equal(direct.x, through_lambda.x)
 
 
+def test_certify_passes_each_probe_its_target_only_to_inverses_that_take_it():
+    # an apply with a keyword target gets, per probe, 1e-2 of the identity
+    # tolerance times that probe's certificate norm; a plain apply gets the
+    # probes alone, so criterion 9's scalar certificates keep every bit
+    seen = []
+
+    def targeted(x):
+        def apply(r, target=None):
+            seen.append((r, target))
+            return r / (2.0 * x)
+
+        return apply
+
+    prob = quadratic_problem()
+    for x0, want in (
+        (1.01, ("0x1.faee41e6a7499p-2", "0x1.000000017b0f5p+1", "0x1.495182a9930c0p-6", "0x1.6d9abc8163a23p-3")),
+        (1.1, ("0x1.d1745d1745d17p-2", "0x1.0000006084b67p+1", "0x1.ae147ae147ae8p-3", "0x1.aa868f70b5434p+0")),
+    ):
+        plain = certify(prob, x0, CertifyOptions(seed=0))
+        assert tuple(float(v).hex() for v in (plain.omega1, plain.omega2, plain.omega3, plain.product)) == want
+        seen.clear()
+        got = certify(dataclasses.replace(prob, right_inverse=targeted), x0, CertifyOptions(seed=0))
+        assert dataclasses.astuple(got) == dataclasses.astuple(plain)
+        (probes, target), = seen
+        assert probes.shape == target.shape == (16,)
+        assert np.array_equal(target, newton._PROBE_FORCING * newton._CHECK_TOL * np.abs(probes))
+    assert newton._PROBE_FORCING * newton._CHECK_TOL == pytest.approx(1e-8, rel=1e-15)
+
+
 def test_vector_problem_with_explicit_derivative():
     prob = vector_problem()
     x0 = np.array([1.5, 2.1])
@@ -292,17 +321,19 @@ def test_certified_implies_undamped_convergence(root, offset):
 
 
 def _per_probe_certify(problem, x0, seed=0):
-    # reference: one probe at a time, every callback on single vectors
+    # reference: one probe at a time, every callback on single vectors; an
+    # inverse that takes a target gets each probe's own
     rng = np.random.default_rng(seed)
     res_norm = problem.certify_residual_norm or problem.residual_norm
     omega3 = res_norm(problem.residual(x0))
     inverse = problem.right_inverse(x0)
+    targeted = newton._takes(inverse, "target")
     omega1 = identity_defect = 0.0
     for _ in range(16):
         r = problem.residual_sampler(rng)
         rn = res_norm(r)
         try:
-            step = inverse(r)
+            step = inverse(r, target=1e-2 * 1e-6 * rn) if targeted else inverse(r)
         except NeumannDiverges as exc:
             identity_defect = max(identity_defect, exc.defect)
             continue
