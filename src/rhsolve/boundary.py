@@ -278,79 +278,30 @@ def unwrapped_phase(trace: BoundaryTrace) -> np.ndarray:
 # discrete Holder norms
 # --------------------------------------------------------------------------
 
-# the scan takes separations in blocks of 8, 8, 16, 32 and then _SCAN_BLOCK,
-# each block as many rows at a time as keep a step within _SCAN_BLOCK x N
-# differences
-_FIRST_BLOCK = 8
-_SCAN_BLOCK = 64
-
-
-@lru_cache(maxsize=64)
-def _chord_weights(n: int, alpha: float) -> np.ndarray:
-    """chord(k)^-alpha for separations k = 1 .. N/2, chord(k) = 2 sin(pi k / N)."""
-    weights = (2.0 * np.sin(np.pi * np.arange(1, n // 2 + 1) / n)) ** -alpha
-    weights.flags.writeable = False
-    return weights
-
 
 def _pair_seminorm(values: np.ndarray, alpha: float) -> np.ndarray:
     """Per row of a (rows, N) stack: max over node pairs of |u_i - u_j| / chord_ij^alpha.
 
     The chord between nodes i and j depends only on k = |i - j| mod N, and
     separations k and N - k have the same chord, so the pair maximum is the
-    maximum over k = 1..N/2 of max_i |u_i - u_{i+k}| * chord(k)^-alpha. The
-    weight decreases with k, so a row leaves the scan once a bound on the
-    diameter of its values times the next block's first weight cannot beat
-    the best ratio found for it.
+    maximum over k = 1..N/2 of max_i |u_{i+k} - u_i| * chord(k)^-alpha. The
+    weight falls with k, so the scan stops once a bound on the diameter of
+    each row times the next weight cannot beat that row's best ratio.
     """
     if not values.imag.any():
         values = values.real
-    rows, n = values.shape
-    half = n // 2
-    chord_weights = _chord_weights(n, alpha)
+    n = values.shape[1]
+    # chord(k)^-alpha for k = 1..N/2, chord(k) = 2 sin(pi k / N)
+    weights = (2.0 * np.sin(np.pi * np.arange(1, n // 2 + 1) / n)) ** -alpha
     # a true upper bound on max |u_i - u_j|, widened to cover its own rounding
     spread = np.hypot(np.ptp(values.real, axis=1), np.ptp(values.imag, axis=1)) * (1.0 + 1e-12)
-    best = np.zeros(rows)
-    # the rows still in the scan, and each row followed by its first half:
-    # extended[r, k + i] = u_{(i + k) mod N}
-    active = np.arange(rows)
-    extended = np.concatenate([values, values[:, :half]], axis=1)
-    # the differences of a step, then (for complex rows) their moduli: one
-    # float per difference, or three
-    floats = 3 if np.iscomplexobj(values) else 1
-    buffer = np.empty(0)
-    start, block = 0, _FIRST_BLOCK
-    while start < half:
-        keep = spread[active] * chord_weights[start] > best[active]
-        if not keep.all():
-            active, extended = active[keep], extended[keep]
-        if not len(active):
+    # each row followed by its first half: extended[:, k + i] = u_{(i + k) mod N}
+    extended = np.concatenate([values, values[:, : n // 2]], axis=1)
+    best = np.zeros(len(values))
+    for k, weight in enumerate(weights, start=1):
+        if np.all(spread * weight <= best):
             break
-        stop = min(start + block, half)
-        width = stop - start
-        # windows[r, j, i] = u_{(i + start + 1 + j) mod N} for the active row r
-        windows = np.lib.stride_tricks.sliding_window_view(extended[:, start + 1 : stop + n], n, axis=1)
-        per_step = min(max(1, _SCAN_BLOCK // width), len(active))
-        count = per_step * width * n
-        if buffer.size < floats * count:
-            buffer = np.empty(floats * count)
-        if floats == 3:
-            diffs = buffer[: 2 * count].view(complex).reshape(per_step, width, n)
-            moduli = buffer[2 * count : 3 * count].reshape(per_step, width, n)
-        else:
-            diffs = moduli = buffer[:count].reshape(per_step, width, n)
-        gaps = np.empty((len(active), width))
-        for first in range(0, len(active), per_step):
-            last = min(first + per_step, len(active))
-            diff, modulus = diffs[: last - first], moduli[: last - first]
-            # copying the windows and subtracting in place is faster than
-            # subtracting from the overlapping window view
-            np.copyto(diff, windows[first:last])
-            np.subtract(diff, extended[first:last, None, :n], out=diff)
-            np.abs(diff, out=modulus)
-            np.max(modulus, axis=2, out=gaps[first:last])
-        best[active] = np.maximum(best[active], np.max(gaps * chord_weights[start:stop], axis=1))
-        start, block = stop, min(stop, _SCAN_BLOCK)
+        best = np.maximum(best, np.max(np.abs(extended[:, k : k + n] - values), axis=1) * weight)
     return best
 
 

@@ -166,14 +166,14 @@ def _ellipse_family(P: Callable, Q: Callable, Phi: Callable, circular: bool, tur
     return CurveFamily(rho, dbar_w, ray_radius, radial_profile=P if circular else None, bind=bind)
 
 
-def divisor_transform(family: CurveFamily, multiplier, multiplier_derivative=None) -> CurveFamily:
+def divisor_transform(family: CurveFamily, multiplier, _derivative=None) -> CurveFamily:
     """Family of the curves rho(theta, g(theta) w) = 0 for nonvanishing g.
 
     If f solves the transformed problem then g(theta) f solves the original
     one on the boundary; dividing out a prescribed winding uses
-    g(theta) = exp(i n theta). multiplier_derivative is not read: a family
-    carries no theta-partial, so g' is never needed. The parameter is kept
-    for callers that pass it.
+    g(theta) = exp(i n theta). A family carries no theta-partial, so g' is
+    never needed: a third argument is accepted, for the benchmark's scaled
+    families that pass one, and not read.
     """
     gv = np.asarray(multiplier(_FINE), dtype=complex)
     if np.min(np.abs(gv)) <= 1e-14 * max(1.0, np.max(np.abs(gv))):

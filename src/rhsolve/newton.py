@@ -50,18 +50,18 @@ class NewtonProblem:
     difference of the residual is used when absent.
 
     Computed bounds: bounds(x), when given, returns the CertificateBounds
-    at x, and certify forms its verdict from them without sampling; the
-    samplers, certify_residual_norm and probe_set are then not read. A
-    verdict from bounds read off a grid's DFT says the contraction is
-    bounded, not proven (see the module docstring).
+    at x, and certify forms its verdict from them without sampling;
+    certify_residual_norm and probe_set are then not read. A verdict from
+    bounds read off a grid's DFT says the contraction is bounded, not
+    proven (see the module docstring).
 
     Sampled bounds: without bounds, certify samples the constants.
-    Samplers draw random directions in each space (defaults: Gaussian
-    arrays shaped like the example vectors). iterate_norm measures omega1's
+    probe_set(seed) is the one source of probes: it returns a ProbeSet,
+    drawn by draw_probe_set from the problem's own samplers (a problem may
+    memoize it). Without it, certify draws one with Gaussian probes shaped
+    like the residual and the iterate. iterate_norm measures omega1's
     steps and omega2's ball alike; certify_residual_norm, when given,
-    replaces residual_norm inside the certificate only. probe_set(seed),
-    when given, returns the ProbeSet that draw_probe_set would draw (a
-    problem may memoize it).
+    replaces residual_norm inside the certificate only.
 
     Stacks: certify passes arrays with a leading probe axis, one probe per
     row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
@@ -96,8 +96,6 @@ class NewtonProblem:
     iterate_norm: Callable
     residual_norm: Callable
     derivative_action: Optional[Callable] = None
-    iterate_sampler: Optional[Callable] = None
-    residual_sampler: Optional[Callable] = None
     certify_residual_norm: Optional[Callable] = None
     probe_set: Optional[Callable] = None
     bounds: Optional[Callable] = None
@@ -176,15 +174,11 @@ class NewtonRun:
 
 
 def _gaussian_like(example):
-    arr = np.asarray(example)
-
-    def sample(rng):
-        v = rng.standard_normal(arr.shape)
-        if np.iscomplexobj(arr):
-            v = v + 1j * rng.standard_normal(arr.shape)
-        return v
-
-    return sample
+    """Sampler of standard Gaussian arrays shaped like the example, complex when it is."""
+    shape = np.shape(example)
+    if np.iscomplexobj(example):
+        return lambda rng: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return lambda rng: rng.standard_normal(shape)
 
 
 def _per_row(values, stack):
@@ -225,14 +219,14 @@ ProbeSet = NamedTuple(
 )
 
 
-def draw_probe_set(seed, residual_sampler, iterate_sampler, certify_residual_norm, iterate_norm) -> ProbeSet:
+def draw_probe_set(seed, sample_residual, sample_iterate, certify_residual_norm, iterate_norm) -> ProbeSet:
     """Draw the probes one after the other (residual probes, then per pair du, dv,
     d and two radii) and take their norms; a degenerate norm raises SamplingFailed."""
     rng = np.random.default_rng(seed)
-    residual = np.stack([residual_sampler(rng) for _ in range(_RESIDUAL_SAMPLES)])
+    residual = np.stack([sample_residual(rng) for _ in range(_RESIDUAL_SAMPLES)])
     triples, radii = [], []
     for _ in range(_LIPSCHITZ_PAIRS):
-        triples.append([iterate_sampler(rng) for _ in range(3)])
+        triples.append([sample_iterate(rng) for _ in range(3)])
         radii.append([rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
     iterate = np.stack([np.stack(column) for column in zip(*triples)])
     norms = np.stack([_row_norms(iterate_norm, stack) for stack in iterate])
@@ -289,9 +283,7 @@ def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
     inverse = problem.right_inverse(x0)
     # every probe is drawn before any is used
     if problem.probe_set is None:
-        sample_r = problem.residual_sampler or _gaussian_like(r0)
-        sample_x = problem.iterate_sampler or _gaussian_like(x0)
-        drawn = draw_probe_set(seed, sample_r, sample_x, res_norm, problem.iterate_norm)
+        drawn = draw_probe_set(seed, _gaussian_like(r0), _gaussian_like(x0), res_norm, problem.iterate_norm)
     else:
         drawn = problem.probe_set(seed)
     probes, rn, (du, dv, d), (nu, nv, nd), (radius_u, radius_v) = drawn

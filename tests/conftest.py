@@ -7,6 +7,7 @@ import pytest
 
 from rhsolve import annulus, disc
 from rhsolve.boundary import band_limited_sampler, holder_norms
+from rhsolve.newton import draw_probe_set
 
 
 @pytest.fixture
@@ -22,24 +23,39 @@ def fresh_probe_memo():
 
 
 @pytest.fixture(scope="session")
-def sampled_disc_problem():
+def disc_probe_samplers():
+    """The residual and iterate probe samplers of a sampled disc certificate on a grid.
+
+    Band-limited residual probes p and iterate probes p + i p'.
+    """
+
+    def make(grid):
+        probe = band_limited_sampler(grid)
+        return probe, lambda rng: probe(rng) + 1j * probe(rng)
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def sampled_disc_problem(disc_probe_samplers):
     """The disc g-space problem certified by sampling instead of its computed bounds.
 
-    Band-limited residual probes and iterate probes p + i p', residuals in
-    the Hölder norm and iterates (omega1's steps and omega2's ball) in the
-    Hölder norm of their derivative: a sampled certificate in Hölder norms,
-    which tests of the sampled path and of the Hölder scan run on.
+    Its probe set is drawn from disc_probe_samplers, residuals in the Hölder
+    norm and iterates (omega1's steps and omega2's ball) in the Hölder norm
+    of their derivative: a sampled certificate in Hölder norms, which tests
+    of the sampled path and of the Hölder scan run on.
     """
 
     def make(fam_t, grid):
-        probe = band_limited_sampler(grid)
+        iterate_norm = lambda d: holder_norms(grid, (d,), True)
+        residual_norm = lambda r: holder_norms(grid, (r,))
+        samplers = disc_probe_samplers(grid)
         return dataclasses.replace(
             disc._g_space_problem(fam_t, grid),
             bounds=None,
-            residual_sampler=probe,
-            iterate_sampler=lambda rng: probe(rng) + 1j * probe(rng),
-            iterate_norm=lambda d: holder_norms(grid, (d,), True),
-            certify_residual_norm=lambda r: holder_norms(grid, (r,)),
+            iterate_norm=iterate_norm,
+            certify_residual_norm=residual_norm,
+            probe_set=lambda seed: draw_probe_set(seed, *samplers, residual_norm, iterate_norm),
         )
 
     return make

@@ -21,12 +21,7 @@ from rhsolve.trig import TrigPolynomial
 
 def scaled_circle(base, coeffs):
     a = TrigPolynomial(np.asarray(coeffs, dtype=float))
-    ap = a.derivative()
-    return divisor_transform(
-        builtin_circle_family(float(base)),
-        lambda th: np.exp(-a(th)) + 0j,
-        lambda th: -ap(th) * np.exp(-a(th)) + 0j,
-    )
+    return divisor_transform(builtin_circle_family(float(base)), lambda th: np.exp(-a(th)) + 0j)
 
 
 def random_zero_mean_trig(rng, degree=4, size=0.12):

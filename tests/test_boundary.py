@@ -24,7 +24,7 @@ from rhsolve.boundary import (
 )
 from rhsolve.curves import builtin_ellipse_family, monomial_transform, on_grid
 from rhsolve.errors import UnresolvedPhase, ZeroOnBoundary
-from rhsolve.newton import certify, draw_probe_set
+from rhsolve.newton import certify
 from rhsolve.trig import TrigPolynomial, as_trig_polynomial
 
 
@@ -445,9 +445,9 @@ def test_holder_stack_matches_dense_pairs_row_by_row(kinds, n, alpha, seed, real
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
 @pytest.mark.parametrize("real", [False, True])
 def test_holder_stack_of_every_kind_matches_dense_pairs_at_extreme_scales(scale, real):
-    # at N = 256 the constant rows leave the scan before its first block, the
-    # spikes after it, the rough rows at separation 64 and the cos rows only
-    # at N/2, so rows of one stack leave at four different blocks
+    # at N = 256 the constant and spike rows are done within the first two
+    # separations, the rough rows later and the cos rows only at N/2: one
+    # stack scans until its slowest row is done
     stack = scale * holder_test_stack(HOLDER_KINDS * 3, 256, 7, real)
     c_alpha = boundary._pair_seminorm(stack, 0.5)
     npt.assert_allclose(c_alpha, dense_pair_seminorm(stack, 0.5), rtol=1e-13)
@@ -542,40 +542,25 @@ def test_disc_certificate_matches_dense_pairs(monkeypatch, sampled_disc_problem)
     assert scanned.certified == dense.certified
 
 
-def count_scanned_differences(monkeypatch, call):
-    # every difference the scan forms is one entry of a window it takes
-    scanned = []
-    view = np.lib.stride_tricks.sliding_window_view
-
-    def counted(*args, **kwargs):
-        windows = view(*args, **kwargs)
-        scanned.append(windows.size)
-        return windows
-
-    with monkeypatch.context() as patch:
-        patch.setattr(np.lib.stride_tricks, "sliding_window_view", counted)
-        value = call()
-    return value, sum(scanned)
-
-
-def test_holder_scan_leaves_rows_early_on_a_disc_omega1_stack(monkeypatch, sampled_disc_problem):
-    # the steps B r of the 16 residual probes of a sampled disc N = 512
-    # certificate: each row leaves the scan once its diameter bound cannot
-    # beat its best ratio, long before the N^2 / 2 differences of a full scan,
-    # and the norms stay those of every pair
+def test_holder_scan_stops_early_on_a_disc_omega1_stack(monkeypatch, sampled_disc_problem):
+    # the derivatives of the steps B r of the 16 residual probes of a sampled
+    # disc N = 512 certificate: the scan stops once no row's diameter bound
+    # can beat its best ratio, long before the N/2 separations of a full
+    # scan, and the seminorms stay those of every pair
     grid = BoundaryGrid(512)
     fam_t = monomial_transform(builtin_ellipse_family([1.5, 0.2, 0.0], 1.0), 2)
     problem = sampled_disc_problem(fam_t, grid)
-    probes = draw_probe_set(
-        0, problem.residual_sampler, problem.iterate_sampler, problem.certify_residual_norm, problem.iterate_norm
-    )
-    steps = problem.right_inverse(disc._initial_log_trace(on_grid(fam_t, grid.theta), grid))(probes.residual)
-    norms, scanned = count_scanned_differences(monkeypatch, lambda: holder_norms(grid, (steps,), True))
-    derivative = lambda row: spectral_derivative(BoundaryTrace(grid, row)).values
-    dense = [np.max(np.abs(row)) + dense_pair_seminorm(derivative(row), _CERTIFY_ALPHA) for row in steps]
-    npt.assert_allclose(norms, dense, rtol=1e-13)
-    # about 8% of the full scan's differences on this stack
-    assert scanned < 0.2 * len(steps) * grid.n * (grid.n // 2)
+    steps = problem.right_inverse(disc._initial_log_trace(on_grid(fam_t, grid.theta), grid))(problem.probe_set(0).residual)
+    derivatives = np.array([spectral_derivative(BoundaryTrace(grid, row)).values for row in steps])
+    # the scan takes one np.abs per separation it visits
+    calls = []
+    absolute = np.abs
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "abs", lambda values: calls.append(1) or absolute(values))
+        seminorms = boundary._pair_seminorm(derivatives, _CERTIFY_ALPHA)
+    npt.assert_allclose(seminorms, dense_pair_seminorm(derivatives, _CERTIFY_ALPHA), rtol=1e-13)
+    # 28 of the 256 separations on this stack
+    assert 0 < len(calls) < 0.2 * (grid.n // 2)
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,6 +18,7 @@ from rhsolve.newton import (
     IterateOptions,
     NewtonProblem,
     certify,
+    draw_probe_set,
     iterate,
 )
 from rhsolve.serialize import certificate_dict, dump_json
@@ -249,7 +250,7 @@ def test_sampling_failure_on_degenerate_norm():
         right_inverse=lambda x: (lambda r: r / (2.0 * x)),
         iterate_norm=abs,
         residual_norm=abs,
-        residual_sampler=lambda rng: 0.0,
+        probe_set=lambda seed: draw_probe_set(seed, lambda rng: 0.0, lambda rng: rng.standard_normal(), abs, abs),
     )
     with pytest.raises(SamplingFailed):
         certify(prob, 1.01)
@@ -320,9 +321,11 @@ def test_certified_implies_undamped_convergence(root, offset):
 # --------------------------------------------------------------------------
 
 
-def _per_probe_certify(problem, x0, seed=0):
-    # reference: one probe at a time, every callback on single vectors; an
-    # inverse that takes a target gets each probe's own
+def _per_probe_certify(problem, samplers, x0, seed=0):
+    # reference: one probe at a time from the (residual, iterate) samplers,
+    # every callback on single vectors; an inverse that takes a target gets
+    # each probe's own
+    residual_sampler, iterate_sampler = samplers
     rng = np.random.default_rng(seed)
     res_norm = problem.certify_residual_norm or problem.residual_norm
     omega3 = res_norm(problem.residual(x0))
@@ -330,7 +333,7 @@ def _per_probe_certify(problem, x0, seed=0):
     targeted = newton._takes(inverse, "target")
     omega1 = identity_defect = 0.0
     for _ in range(16):
-        r = problem.residual_sampler(rng)
+        r = residual_sampler(rng)
         rn = res_norm(r)
         try:
             step = inverse(r, target=1e-2 * 1e-6 * rn) if targeted else inverse(r)
@@ -341,7 +344,7 @@ def _per_probe_certify(problem, x0, seed=0):
         identity_defect = max(identity_defect, res_norm(problem.derivative_action(x0, step) - r) / rn)
     omega2 = 0.0
     for _ in range(8):
-        du, dv, d = (problem.iterate_sampler(rng) for _ in range(3))
+        du, dv, d = (iterate_sampler(rng) for _ in range(3))
         u = x0 + (0.1 * rng.uniform(0.1, 1.0) / problem.iterate_norm(du)) * du
         v = x0 + (0.1 * rng.uniform(0.1, 1.0) / problem.iterate_norm(dv)) * dv
         gap = problem.iterate_norm(u - v)
@@ -360,7 +363,7 @@ _DISC_FAMILIES = {
 
 @pytest.mark.parametrize("n", [256, 512, 1024])
 @pytest.mark.parametrize("kind", ["ellipse", "tilted", "circle"])
-def test_stacked_disc_certificate_is_bit_identical_to_per_probe(kind, n, sampled_disc_problem):
+def test_stacked_disc_certificate_is_bit_identical_to_per_probe(kind, n, sampled_disc_problem, disc_probe_samplers):
     if kind == "circle":
         family = builtin_circle_family([2.0, 0.2, -0.1, 0.05, 0.03])
     else:
@@ -370,7 +373,9 @@ def test_stacked_disc_certificate_is_bit_identical_to_per_probe(kind, n, sampled
     problem = sampled_disc_problem(fam_t, grid)
     g0 = disc._initial_log_trace(fam_t, grid)
     cert = certify(problem, g0, CertifyOptions(seed=3))
-    omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(problem, g0, seed=3)
+    omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(
+        problem, disc_probe_samplers(grid), g0, seed=3
+    )
     assert (cert.omega1, cert.omega2, cert.omega3) == (omega1, omega2, omega3)
     assert cert.identity_defect == identity_defect
     assert cert.certified == certified
@@ -395,14 +400,15 @@ def _annulus_at_glue(name):
         inner = _scaled_circle(0.5 ** 8, [0.0, -0.04, 0.05, 0.01, -0.02])
         windings, q, opts = (8, -8), 0.5, AnnulusSolveOptions()
     h0, _, families = annulus._glue_coefficients(outer, inner, windings, q, opts)
-    return annulus._annulus_problem(*families, q, BoundaryGrid(opts.grid_n), opts.tol), h0
+    grid = BoundaryGrid(opts.grid_n)
+    return annulus._annulus_problem(*families, q, grid, opts.tol), h0, annulus._probe_space(grid, q)
 
 
 @pytest.mark.parametrize("name", ["readme", "wobbly", "zero-free"])
 def test_stacked_annulus_certificate_matches_per_probe(name):
-    problem, h0 = _annulus_at_glue(name)
+    problem, h0, samplers = _annulus_at_glue(name)
     cert = certify(problem, h0, CertifyOptions(seed=0))
-    omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(problem, h0, seed=0)
+    omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(problem, samplers, h0, seed=0)
     assert (cert.omega2, cert.omega3) == (omega2, omega3)
     npt.assert_allclose(cert.omega1, omega1, rtol=1e-12)
     npt.assert_allclose(cert.identity_defect, identity_defect, rtol=0.0, atol=1e-12)
@@ -412,10 +418,11 @@ def test_stacked_annulus_certificate_matches_per_probe(name):
         assert cert.identity_defect > 0.1 and cert.omega1 > 0.0
 
 
-def _certificates_match(problem, x0, seed):
-    # the memoized probe set against a fresh draw from the problem's samplers
+def _certificates_match(problem, samplers, x0, seed):
+    # the memoized probe set against a fresh draw from the samplers, in the problem's norms
     memo = certify(problem, x0, CertifyOptions(seed=seed))
-    fresh = certify(dataclasses.replace(problem, probe_set=None), x0, CertifyOptions(seed=seed))
+    draw = lambda seed: draw_probe_set(seed, *samplers, problem.certify_residual_norm, problem.iterate_norm)
+    fresh = certify(dataclasses.replace(problem, probe_set=draw), x0, CertifyOptions(seed=seed))
     assert dataclasses.astuple(memo) == dataclasses.astuple(fresh)
 
 
@@ -428,8 +435,25 @@ def test_memoized_annulus_probe_set_is_keyed_by_modulus(fresh_probe_memo):
     for q in (0.4, 0.5):
         h0, _, families = annulus._glue_coefficients(outer, inner, (4, 4), q, options)
         problem = annulus._annulus_problem(*families, q, BoundaryGrid(256), options.tol)
-        _certificates_match(problem, h0, 0)
+        _certificates_match(problem, annulus._probe_space(BoundaryGrid(256), q), h0, 0)
     assert annulus._probe_set.cache_info()[:2] == (0, 2)
+
+
+def test_probe_samplers_are_built_only_when_the_memo_misses(monkeypatch, fresh_probe_memo):
+    # building a problem builds no band-limited tables; two certificates on
+    # one (grid, q, seed) build them once
+    calls = []
+    original = annulus.band_limited_sampler
+    monkeypatch.setattr(annulus, "band_limited_sampler", lambda grid: calls.append(grid.n) or original(grid))
+    outer = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01])
+    inner = builtin_circle_family([1.0, -0.01, 0.02, 0.0, -0.015])
+    options = AnnulusSolveOptions(grid_n=64)
+    h0, _, families = annulus._glue_coefficients(outer, inner, (4, 4), 0.5, options)
+    problems = [annulus._annulus_problem(*families, 0.5, BoundaryGrid(64), options.tol) for _ in range(2)]
+    assert calls == []
+    for problem in problems:
+        certify(problem, h0)
+    assert calls == [64]
 
 
 def test_memoized_probe_arrays_refuse_writes(fresh_probe_memo):
@@ -445,7 +469,7 @@ def test_certificate_with_every_probe_missed_reports_no_contraction():
     # on the zero-free circles every seed-3 residual probe is off the range of
     # the linearization: nothing bounds the right inverse, so omega1 and the
     # product are inf rather than a perfect-looking 0, and result files say null
-    problem, h0 = _annulus_at_glue("zero-free")
+    problem, h0, _ = _annulus_at_glue("zero-free")
     cert = certify(problem, h0, CertifyOptions(seed=3))
     assert cert.omega1 == cert.product == np.inf
     assert cert.identity_defect > 0.1 and not cert.certified

@@ -5,6 +5,7 @@ outside its own definition, by the package itself, by the benchmark
 (perfbench/*.py) or by the acceptance suite. Unit tests alone do not count.
 Likewise every NewtonProblem field must be passed by the package or the
 acceptance suite: a callback that no problem supplies is dead code in newton.
+And no function of the package takes a parameter its body never reads.
 """
 
 import ast
@@ -61,3 +62,30 @@ def test_every_newton_problem_field_is_passed_by_a_problem():
         tree = ast.parse(path.read_text(), filename=str(path))
         passed |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.keyword)}
     assert [field.name for field in dataclasses.fields(NewtonProblem) if field.name not in passed] == []
+
+
+def test_every_parameter_is_read():
+    # a def or lambda whose body never loads one of its parameters; self, cls
+    # and names starting with _ are exempt, the last for an argument kept
+    # only so that callers may pass it
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {
+                item.id
+                for part in body
+                for item in ast.walk(part)
+                if isinstance(item, ast.Name) and isinstance(item.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{path.stem}.{name}:{node.lineno} {param}"
+                for param in params
+                if param not in loaded and param not in ("self", "cls") and not param.startswith("_")
+            ]
+    assert unread == []
