@@ -19,19 +19,24 @@ coupling. A step is accepted by an inexact-Newton forcing test; a residual
 it cannot invert raises NeumannDiverges (there is no dense fallback).
 The GMRES runs a stack of residuals in lockstep, one Krylov recurrence per
 row and one collar inverse and linearization application per iteration for
-the whole stack; the certificate's probes share it, and a Newton step is
-its one-row case. Each row is solved only as exactly as its caller reads it:
-its GMRES stops at the first iterate whose sup-norm defect meets the row's
-target. A Newton step's target is the one newton.iterate passes (Dembo,
-Eisenstat and Steihaug 1982); a certificate probe's is newton's
-_PROBE_FORCING = 1e-2 times the identity tolerance times the probe's norm,
-so that its identity defect is at most sqrt(N) * 1e-2 times that tolerance
-(0.64 of it at N = 4096). The 2-norm of the defect brackets its sup,
+the whole stack; a Newton step is its one-row case, and no solve passes
+more. A row stops at the first iterate whose sup-norm defect meets its
+target, newton.iterate's inexact-Newton target (Dembo, Eisenstat and
+Steihaug 1982). The 2-norm of the defect brackets its sup,
 sup <= |.|_2 <= sqrt(2N) sup, and decides every iterate it can; the sup is
 read off the Arnoldi basis only in between.
+
+A certified solve certifies the converged iterate c from bounds computed
+in the Wiener algebra A (as the disc solver does), in radii-polynomial form
+(Day, Lessard and Mischaikow 2007; van den Berg and Lessard 2015):
+omega3 = Y, the A-norm of the residual rows on twice the grid; Z bounds
+||I - DA C|| for the collar inverse C; and ||B|| <= ||C|| / (1 - Z) for
+the right inverse B = C (DA C)^-1, so omega1 = ||C|| / (1 - Z) when Z < 1
+and omega1 = inf otherwise. A residual is measured by the larger A-norm of
+its two rows, an iterate by the larger A-norm of its two traces. No
+certificate probe and no GMRES row is run; _bounds derives the constants.
 """
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -40,12 +45,12 @@ import numpy as np
 from .boundary import (
     BoundaryGrid,
     BoundaryTrace,
-    band_limited_sampler,
+    _nodes,
     wiener_norm,
     winding_number,
 )
 from .curves import CurveFamily, eta_decompose, monomial_transform, on_grid
-from .disc import DiscSolveOptions, right_inverse_apply, solve_disc
+from .disc import DiscSolveOptions, _affine_dbar, _weight_defect, right_inverse_apply, solve_disc
 from .domains import (
     Annulus,
     _check_modulus,
@@ -66,12 +71,12 @@ from .errors import (
 )
 from .newton import (
     _FORCING,
+    CertificateBounds,
     CertifyOptions,
     IterateOptions,
     NewtonProblem,
     NewtonRun,
     certify,
-    draw_probe_set,
     iterate,
 )
 
@@ -174,7 +179,6 @@ class AnnulusSolveOptions:
     tol: float = 1e-10
     max_iter: int = 40
     certify: bool = True
-    seed: int = 0
     glue_threshold: float = 0.5
 
 
@@ -281,40 +285,13 @@ def glue_construct(
 # --------------------------------------------------------------------------
 
 
-def _wiener_norms(grid: BoundaryGrid, q: float) -> tuple:
-    """The certificate's residual and iterate norms, both Wiener norms.
+def _iterate_norm(q: float, n: int):
+    """The certificate's iterate norm: the larger Wiener norm of the two traces.
 
-    A residual's is the larger of its two boundary rows', an iterate's the
-    larger of its two traces'. The Laurent layer forms the traces, so a
-    mode whose q-power overflows is still measured at its size on |z| = q.
+    The Laurent layer forms the traces, so a mode whose q-power overflows
+    is still measured at its size on |z| = q.
     """
-    n = grid.n
-    return (
-        lambda r: np.maximum(wiener_norm(r[..., :n]), wiener_norm(r[..., n:])),
-        lambda dc: np.maximum(*(wiener_norm(t) for t in laurent_traces(dc, q, n))),
-    )
-
-
-def _probe_space(grid: BoundaryGrid, q: float) -> tuple:
-    """The residual and iterate samplers of the Laurent-space certificate probes."""
-    probe = band_limited_sampler(grid)
-    modes = laurent_modes(grid.n)
-    window = np.abs(modes) <= 8
-    weight = np.where(modes < 0, q ** np.abs(modes).astype(float), 1.0) / (1.0 + np.abs(modes)) ** 2
-
-    def sample_iterate(rng):
-        g = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
-        return np.where(window, g * weight, 0.0)
-
-    return lambda rng: np.concatenate([probe(rng), probe(rng)]), sample_iterate
-
-
-# (grid, q, seed) -> ProbeSet, its samplers built only on a miss; an entry holds
-# 16 real 2N-vectors and 24 complex (N-1)-vectors, about 2.6 MB at N = 4096; the
-# bound covers the bench's two keys
-@functools.lru_cache(maxsize=4)
-def _probe_set(grid: BoundaryGrid, q: float, seed: int):
-    return draw_probe_set(seed, *_probe_space(grid, q), *_wiener_norms(grid, q))
+    return lambda dc: np.maximum(*(wiener_norm(t) for t in laurent_traces(dc, q, n)))
 
 
 def _sup_defect(beta, last, vectors):
@@ -405,6 +382,91 @@ def _gmres(act, precondition, rows, targets=None):
     return np.asarray(steps), norms
 
 
+def _bounds(families, q: float, grid: BoundaryGrid, c) -> CertificateBounds:
+    """The computed certificate bounds at the Laurent coefficients c.
+
+    families is the glue's (outer family, inner family, inner pullback,
+    outer unit, inner unit). With t_i the traces of c, k_i and phi_i the
+    weights of each boundary's explicit inverse and u_i the units, the
+    collar inverse C puts the modes >= 0 of a = M0 psi0 on |z| = 1 and the
+    modes < 0 of b = M1 psi1 on |z| = q, where M0 = t0 k_0 / 2,
+    M1 = t1 k_1(-theta) / 2, psi0 has modes >= 0, psi1 modes <= 0, and
+    ||psi_i||_A <= p_i ||r_i||_A with p_i = u_i ||phi_i||_A. k_i is
+    holomorphic, so the pulled-back k_1(-theta) carries modes <= 0.
+
+    Then DA C = I - E + D. D is each boundary's weight defect delta_i, as
+    on the disc. E holds the cross terms, with G_i = 2 ||g_i||_A / u_i and
+    g_i = conj(d rho_i / d w-bar) at t_i: on |z| = 1 the modes < 0 of a,
+    which C drops (N0 p0), and those of b continued to |z| = 1 (W1 p1); on
+    |z| = q the modes >= 0 of b (P1 p1) and a continued to |z| = q (V0 p0).
+    With |M_s| the moduli of the DFT coefficients of M0 and M1,
+    N0 = sum_{s<0} |M0_s|, P1 = sum_{s>=0} |M1_s|,
+    W1 = sum_{s<0} |M1_s| q^|s| + q P1 and V0 = sum_{s>=0} |M0_s| q^s + N0,
+    so that
+
+        Z = max(G0 (N0 p0 + W1 p1), G1 (V0 p0 + P1 p1)) + max delta_i,
+        ||C|| <= max(||M0||_A p0 + N0 p0 + W1 p1, ||M1||_A p1 + V0 p0 + P1 p1).
+
+    When Z < 1, omega1 = ||C|| / (1 - Z) bounds B = C (DA C)^-1 and the
+    identity defect is max delta_i; otherwise omega1 = inf and the identity
+    defect is Z, that of C, the only right inverse at hand. omega2 is
+    max_i 2 (||beta_i||_A + ||gamma_i||_A) / u_i for the affine profiles
+    d rho_i / d w-bar = alpha_i + beta_i w + gamma_i w-bar (disc._affine_dbar),
+    inf when a family is not affine; omega3 is the larger A-norm of the two
+    residual rows on twice the grid, so the residual between the nodes
+    counts.
+
+    The bounds read the continuum operator off the grid DFT. Products such
+    as t0 k_0 alias past N/2, so a residual in the top modes is outside the
+    range of the grid operator, and a single mode near N/2 can see
+    ||E r|| / ||r|| above Z. As on the disc, that tail is estimated, not
+    enclosed, and the verdict is that the contraction is bounded.
+    """
+    fam0t, fam1t, _, unit0, unit1 = families
+    z, norm_c, delta = _collar_bounds(families, q, grid, c)
+    omega1, identity_defect = (norm_c / (1.0 - z), delta) if z < 1.0 else (np.inf, z)
+
+    omega2 = np.inf
+    profiles = [_affine_dbar(fam, grid.theta) for fam in (fam0t, fam1t)]
+    if all(profile is not None for profile in profiles):
+        omega2 = max(
+            2.0 * (wiener_norm(beta) + wiener_norm(gamma)) / unit
+            for (_, beta, gamma), unit in zip(profiles, (unit0, unit1))
+        )
+
+    fine = _nodes(2 * grid.n)
+    f0, f1 = laurent_traces(c, q, 2 * grid.n)
+    omega3 = max(wiener_norm(fam0t.rho(fine, f0)) / unit0, wiener_norm(fam1t.rho(fine, f1)) / unit1)
+    return CertificateBounds(omega1, omega2, omega3, identity_defect)
+
+
+def _collar_bounds(families, q: float, grid: BoundaryGrid, c) -> tuple:
+    """(Z, the bound on ||C||, max delta_i) at the Laurent coefficients c (see _bounds)."""
+    fam0t, fam1t, fam1p, unit0, unit1 = families
+    theta, n = grid.theta, grid.n
+    t0, t1 = laurent_traces(c, q, n)
+    dec0 = eta_decompose(fam0t, BoundaryTrace(grid, t0))
+    dec1 = eta_decompose(fam1p, BoundaryTrace(grid, _reindex(t1)))
+    m0, m1 = 0.5 * t0 * dec0.k_weight, 0.5 * t1 * _reindex(dec1.k_weight)
+    phi0, phi1 = wiener_norm(dec0.phi_weight), wiener_norm(dec1.phi_weight)
+    p0, p1 = unit0 * phi0, unit1 * phi1
+    g0 = 2.0 * wiener_norm(fam0t.dbar_w(theta, t0)) / unit0
+    g1 = 2.0 * wiener_norm(fam1t.dbar_w(theta, t1)) / unit1
+
+    modes = np.fft.fftfreq(n, 1.0 / n)
+    neg = modes < 0
+    reach = q ** np.abs(modes)
+    spec0, spec1 = (np.abs(np.fft.fft(m)) / n for m in (m0, m1))
+    n0, p1_modes = np.sum(spec0[neg]), np.sum(spec1[~neg])
+    w1 = np.sum(spec1[neg] * reach[neg]) + q * p1_modes
+    v0 = np.sum(spec0[~neg] * reach[~neg]) + n0
+
+    delta = max(_weight_defect(dec0, phi0), _weight_defect(dec1, phi1))
+    z = max(g0 * (n0 * p0 + w1 * p1), g1 * (v0 * p0 + p1_modes * p1)) + delta
+    norm_c = max(np.sum(spec0) * p0 + n0 * p0 + w1 * p1, np.sum(spec1) * p1 + v0 * p0 + p1_modes * p1)
+    return z, norm_c, delta
+
+
 def _annulus_problem(
     outer_family: CurveFamily,
     inner_family: CurveFamily,
@@ -466,7 +528,7 @@ def _annulus_problem(
         def apply(r, target=None):
             # target: the sup-norm defect at which a step may stop short of
             # the GMRES tolerance, one for all residuals or one per residual
-            # (newton.iterate passes one, certify one per probe)
+            # (newton.iterate passes one)
             r = np.asarray(r, dtype=float)
             lead = r.shape[:-1]
             rows = r.reshape(-1, 2 * n)
@@ -509,15 +571,14 @@ def _annulus_problem(
 
         return apply
 
-    certify_residual_norm, iterate_norm = _wiener_norms(grid, q)
+    families = (outer_family, inner_family, fam1p, unit0, unit1)
     return NewtonProblem(
         residual=residual,
         right_inverse=right_inverse,
-        iterate_norm=iterate_norm,
+        iterate_norm=_iterate_norm(q, n),
         residual_norm=lambda r: np.max(np.abs(r), axis=-1),
         derivative_action=lambda c, dc: linearization(*traces(c))(dc),
-        certify_residual_norm=certify_residual_norm,
-        probe_set=lambda seed: _probe_set(grid, q, seed),
+        bounds=lambda c: _bounds(families, q, grid, c),
     )
 
 
@@ -556,7 +617,7 @@ def solve_annulus(
     (outer counterclockwise, inner clockwise), so the solution carries
     n0 + n1 interior zeros. Starts from the glued collar iterate, runs
     Newton on the Laurent coefficients and certifies the converged
-    iterate (sampled, in Wiener norms). The converged trace
+    iterate from computed Wiener-norm bounds (_bounds). The converged trace
     windings are checked against the prescription and the interior zeros
     are located from the boundary data, so the zero count is certified
     independently of the iteration.
@@ -575,7 +636,7 @@ def solve_annulus(
     problem = _annulus_problem(*families, q, grid, opts.tol)
     run = iterate(problem, h0, IterateOptions(tol=opts.tol, max_iter=opts.max_iter))
     if opts.certify:
-        run = replace(run, certificate=certify(problem, run.x, CertifyOptions(seed=opts.seed, tol=opts.tol)))
+        run = replace(run, certificate=certify(problem, run.x, CertifyOptions(tol=opts.tol)))
 
     coeffs = _shift_modes(run.x, sigma)
     t0, t1 = laurent_traces(coeffs, q, grid.n)

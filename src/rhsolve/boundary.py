@@ -22,10 +22,13 @@ from .errors import UnresolvedPhase, ZeroOnBoundary
 
 _TWO_PI = 2.0 * np.pi
 
-# both certificates read Wiener norms off FFTs, so no solve runs the O(N^2)
-# Holder scan; what the grid cap bounds is an annulus certificate's lockstep
-# GMRES, which keeps up to 20 Krylov vectors and their preconditioned images
-# for each of its 16 probes, about 40 MB at N = 4096. No bench case or README
+# both certificates are computed from FFTs, so a solve holds a bounded
+# number of length-N arrays (at most 20 Krylov vectors and their images in
+# a Newton step's one-row GMRES), and the grid cap bounds their length: a
+# certified README annulus solve at N = 4096 peaks at 2.9 MB of traced
+# allocations (tracemalloc, in process; 22 MB with the 16-probe lockstep
+# GMRES certificate it replaced), 1.0 MB in its first Newton step and
+# 1.3 MB in its certificate bounds. No bench case or README
 # example goes above N = 1024. The disc certificate's residual is measured
 # on twice the grid, which may exceed this cap. ROADMAP item 1 (nested
 # grids) revisits the cap
@@ -333,26 +336,3 @@ def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False):
         value = (sup + _pair_seminorm(varied, _CERTIFY_ALPHA)).reshape(part.shape[:-1])
         best = value if best is None else np.maximum(best, value)
     return best if np.ndim(best) else float(best)
-
-
-# --------------------------------------------------------------------------
-# certificate probes
-# --------------------------------------------------------------------------
-
-
-def band_limited_sampler(grid: BoundaryGrid):
-    """Sampler of smooth real probes c0 + sum_{m<=8} a_m cos m theta + b_m sin m theta.
-
-    The coefficients are Gaussian, damped by (1 + m)^-2.
-    """
-    modes = np.arange(1, 9)
-    cos = np.cos(np.outer(modes, grid.theta))
-    sin = np.sin(np.outer(modes, grid.theta))
-
-    def sample(rng):
-        c0 = rng.standard_normal()
-        a = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        b = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
-        return c0 + a @ cos + b @ sin
-
-    return sample

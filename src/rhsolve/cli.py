@@ -34,7 +34,6 @@ _TOP_KEYS = {
     "grid",
     "newton",
     "outputs",
-    "seed",
     "zero_phase",
     "identity_bound",
     "claim",
@@ -70,7 +69,7 @@ def _as_int(value, where):
     return int(value)
 
 
-# grid, seed and tol come from the config or from a command-line override;
+# grid and tol come from the config or from a command-line override;
 # both paths check them here
 def _as_grid(value):
     n = _as_int(value, "grid")
@@ -79,13 +78,6 @@ def _as_grid(value):
     except ValueError as exc:
         raise ConfigError(str(exc))
     return n
-
-
-def _as_seed(value):
-    seed = _as_int(value, "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
-    return seed
 
 
 def _as_tol(value):
@@ -156,9 +148,6 @@ def validate_config(config):
             if not isinstance(formats, list) or not set(formats) <= {"json", "csv"}:
                 raise ConfigError("outputs formats must be a sublist of [json, csv]")
 
-    if "seed" in config:
-        _as_seed(config["seed"])
-
     if "zero_phase" in config:
         _as_float(config["zero_phase"], "zero_phase")
 
@@ -194,7 +183,6 @@ class Run:
     config: dict
     directory: str
     formats: tuple
-    seed: int
     grid: int
     tol: float
 
@@ -217,7 +205,6 @@ def _merge(args, config) -> Run:
     outputs = config.get("outputs", {})
     directory = args.out or outputs.get("directory", "rhsolve-out")
     formats = tuple(outputs.get("formats", ["json", "csv"]))
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
     grid = args.grid if args.grid is not None else config.get("grid", 256)
     newton = config.get("newton", {})
     tol = args.tol if args.tol is not None else newton.get("tol", 1e-10)
@@ -225,7 +212,6 @@ def _merge(args, config) -> Run:
         config=config,
         directory=directory,
         formats=formats,
-        seed=_as_seed(seed),
         grid=_as_grid(grid),
         tol=_as_tol(tol),
     )
@@ -250,7 +236,7 @@ def _domain(config):
 
 
 def _annulus_options(run: Run) -> AnnulusSolveOptions:
-    return AnnulusSolveOptions(grid_n=run.grid, tol=run.tol, seed=run.seed, **run.iteration_limit)
+    return AnnulusSolveOptions(grid_n=run.grid, tol=run.tol, **run.iteration_limit)
 
 
 def _solve_configured(run: Run):
@@ -452,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--config", metavar="PATH", help="JSON run configuration")
         p.add_argument("--out", metavar="DIR", help="output directory override")
-        p.add_argument("--seed", type=int, metavar="U64", help="sampling seed override")
         p.add_argument("--grid", type=int, metavar="N", help="grid size override")
         p.add_argument("--tol", type=float, metavar="FLOAT", help="tolerance override")
         p.set_defaults(func=func)

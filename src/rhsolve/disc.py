@@ -121,16 +121,24 @@ def _affine_dbar(fam_t: CurveFamily, theta: np.ndarray):
     return alpha, beta, gamma
 
 
+def _weight_defect(dec: EtaDecomposition, phi_norm: float) -> float:
+    """A-norm bound of the defect of 2 Re(eta k) = r under the explicit inverse, per unit ||r||_A.
+
+    2 Re(eta k) = Re(m (phi + i T phi)) = Re(m) phi - Im(m) T phi with
+    phi = phi_weight r and m = eta k_weight = exp(a + b~) up to rounding,
+    and ||T||_A <= 1; phi_norm is ||phi_weight||_A.
+    """
+    m = dec.eta.values * dec.k_weight
+    return wiener_norm(m.real * dec.phi_weight - 1.0) + wiener_norm(m.imag) * phi_norm
+
+
 def _bounds(fam_t: CurveFamily, grid: BoundaryGrid, g) -> CertificateBounds:
     """The computed certificate bounds at g (see the module docstring)."""
     h = np.exp(g)
     dec = eta_decompose(fam_t, BoundaryTrace(grid, h))
     phi_norm = wiener_norm(dec.phi_weight)
     omega1 = 0.5 * wiener_norm(dec.k_weight) * phi_norm
-    # DA B r = Re(m (phi + i T phi)) = Re(m) phi - Im(m) T phi with
-    # m = eta k_weight = exp(a + b~) up to rounding, and ||T||_A <= 1
-    m = dec.eta.values * dec.k_weight
-    identity_defect = wiener_norm(m.real * dec.phi_weight - 1.0) + wiener_norm(m.imag) * phi_norm
+    identity_defect = _weight_defect(dec, phi_norm)
     profiles = _affine_dbar(fam_t, grid.theta)
     omega2 = np.inf
     if profiles is not None:

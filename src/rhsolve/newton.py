@@ -19,20 +19,17 @@ Those are the coefficients of the grid interpolant, so the aliasing tail
 and the rounding are estimated, not enclosed: the verdict says the
 contraction is bounded, not proven. A problem that can compute the four
 numbers supplies them through its bounds(x) callback, and certify only
-forms the verdict; the disc solver does. Without bounds, certify samples
-the constants, as the annulus solver does: it draws all its probes first
-and then calls each callback once per stack of probes, not once per probe;
-the iteration passes single vectors. omega1, the identity defect and
-omega2 are each the largest ratio over one stack of a row's norm to its
-probe's scale. A right inverse that takes a target gets one per probe,
-and so solves each probe only as exactly as the identity check reads it
-(see NewtonProblem). The iteration itself damps steps that increase the
-residual and records that it did.
+forms the verdict; both solvers do. Without bounds, certify samples the
+constants with Gaussian probes shaped like the residual and the iterate:
+it draws all its probes first and then calls each callback once per stack
+of probes, not once per probe; the iteration passes single vectors.
+omega1, the identity defect and omega2 are each the largest ratio over one
+stack of a row's norm to its probe's scale. The iteration itself damps
+steps that increase the residual and records that it did.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -50,18 +47,13 @@ class NewtonProblem:
     difference of the residual is used when absent.
 
     Computed bounds: bounds(x), when given, returns the CertificateBounds
-    at x, and certify forms its verdict from them without sampling;
-    certify_residual_norm and probe_set are then not read. A verdict from
-    bounds read off a grid's DFT says the contraction is bounded, not
-    proven (see the module docstring).
+    at x, and certify forms its verdict from them without sampling. A
+    verdict from bounds read off a grid's DFT says the contraction is
+    bounded, not proven (see the module docstring).
 
-    Sampled bounds: without bounds, certify samples the constants.
-    probe_set(seed) is the one source of probes: it returns a ProbeSet,
-    drawn by draw_probe_set from the problem's own samplers (a problem may
-    memoize it). Without it, certify draws one with Gaussian probes shaped
-    like the residual and the iterate. iterate_norm measures omega1's
-    steps and omega2's ball alike; certify_residual_norm, when given,
-    replaces residual_norm inside the certificate only.
+    Sampled bounds: without bounds, certify samples the constants from
+    Gaussian probes that draw_probes draws, measuring residuals with
+    residual_norm and omega1's steps and omega2's ball with iterate_norm.
 
     Stacks: certify passes arrays with a leading probe axis, one probe per
     row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
@@ -73,13 +65,9 @@ class NewtonProblem:
     Forcing: a right inverse's apply may take a keyword target, the
     residual-norm defect at which an iterative inverse may stop. iterate
     passes ½·max(min(_FORCING, |r|)·|r|, tol/2), |r| the residual norm and
-    _FORCING = 0.1: a step that meets it keeps Newton quadratic. certify
-    passes one target per probe, _PROBE_FORCING·_CHECK_TOL (1e-8) times the
-    probe's certificate norm. Where that norm is at most √N times the
-    residual norm on an N-sample row (the Wiener norm against the sup), a
-    probe that meets its target has an identity defect of at most
-    √N·_PROBE_FORCING·_CHECK_TOL, 0.64·_CHECK_TOL at N = 4096. An apply
-    without the keyword is called with the residual alone.
+    _FORCING = 0.1: a step that meets it keeps Newton quadratic. An apply
+    without the keyword is called with the residual alone, and certify
+    passes no target.
 
     Unreachable rows: a right inverse that cannot meet its own acceptance
     bound on a single residual raises NeumannDiverges with that residual's
@@ -96,8 +84,6 @@ class NewtonProblem:
     iterate_norm: Callable
     residual_norm: Callable
     derivative_action: Optional[Callable] = None
-    certify_residual_norm: Optional[Callable] = None
-    probe_set: Optional[Callable] = None
     bounds: Optional[Callable] = None
 
 
@@ -125,12 +111,6 @@ _MAX_HALVINGS = 6
 # and Steihaug 1982); a right inverse that accepts steps by a forcing bound
 # uses the same constant
 _FORCING = 0.1
-# certificate probes are solved to a sup-norm defect of _PROBE_FORCING *
-# _CHECK_TOL times their certificate norm: on an N-point boundary row the
-# Wiener norm is at most the 2-norm and the 2-norm at most sqrt(N) times the
-# sup, so a probe that meets its target has an identity defect of at most
-# sqrt(N) * _PROBE_FORCING * _CHECK_TOL, 0.64 * _CHECK_TOL at N = 4096
-_PROBE_FORCING = 1e-2
 
 
 @dataclass(frozen=True)
@@ -211,17 +191,14 @@ def _weighted_max(norm, stack, weights):
     return float(np.max(_row_norms(norm, stack) / weights))
 
 
-# the certificate's seed-determined half, every array read-only: the residual
-# probes (rows) and their certificate norms, the pairs' (du, dv, d) stacks and
-# their iterate norms, and each pair's two ball radii in units of _BALL_RADIUS
-ProbeSet = NamedTuple(
-    "ProbeSet", [(name, np.ndarray) for name in ("residual", "residual_norms", "iterate", "iterate_norms", "radii")]
-)
+def draw_probes(seed, sample_residual, sample_iterate, residual_norm, iterate_norm) -> tuple:
+    """The sampled certificate's seed-determined half, drawn one after the other.
 
-
-def draw_probe_set(seed, sample_residual, sample_iterate, certify_residual_norm, iterate_norm) -> ProbeSet:
-    """Draw the probes one after the other (residual probes, then per pair du, dv,
-    d and two radii) and take their norms; a degenerate norm raises SamplingFailed."""
+    Returns the residual probes (rows) and their residual norms, the pairs'
+    (du, dv, d) stacks and their iterate norms, and each pair's two ball
+    radii in units of _BALL_RADIUS; per pair, du, dv, d and the two radii
+    are drawn in turn. A degenerate norm raises SamplingFailed.
+    """
     rng = np.random.default_rng(seed)
     residual = np.stack([sample_residual(rng) for _ in range(_RESIDUAL_SAMPLES)])
     triples, radii = [], []
@@ -230,13 +207,11 @@ def draw_probe_set(seed, sample_residual, sample_iterate, certify_residual_norm,
         radii.append([rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
     iterate = np.stack([np.stack(column) for column in zip(*triples)])
     norms = np.stack([_row_norms(iterate_norm, stack) for stack in iterate])
-    arrays = (residual, _row_norms(certify_residual_norm, residual), iterate, norms, np.asarray(radii).T)
-    for kind, values in (("residual", arrays[1]), ("iterate", norms)):
+    residual_norms = _row_norms(residual_norm, residual)
+    for kind, values in (("residual", residual_norms), ("iterate", norms)):
         if np.any(values == 0.0) or not np.all(np.isfinite(values)):
             raise SamplingFailed(f"{kind} probe has degenerate norm")
-    for array in arrays:
-        array.setflags(write=False)
-    return ProbeSet(*arrays)
+    return residual, residual_norms, iterate, norms, np.asarray(radii).T
 
 
 def _derivative_action(problem: NewtonProblem, x, d):
@@ -276,21 +251,14 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
 
 def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
     """Sample the three constants and test the right-inverse identity at x0."""
-    res_norm = problem.certify_residual_norm or problem.residual_norm
-
+    res_norm = problem.residual_norm
     r0 = problem.residual(x0)
     omega3 = res_norm(r0)
     inverse = problem.right_inverse(x0)
     # every probe is drawn before any is used
-    if problem.probe_set is None:
-        drawn = draw_probe_set(seed, _gaussian_like(r0), _gaussian_like(x0), res_norm, problem.iterate_norm)
-    else:
-        drawn = problem.probe_set(seed)
+    drawn = draw_probes(seed, _gaussian_like(r0), _gaussian_like(x0), res_norm, problem.iterate_norm)
     probes, rn, (du, dv, d), (nu, nv, nd), (radius_u, radius_v) = drawn
 
-    if _takes(inverse, "target"):
-        # each probe only as exactly as the identity check reads it
-        inverse = functools.partial(inverse, target=_PROBE_FORCING * _CHECK_TOL * rn)
     steps, missed_defect = _reach(inverse, probes)
     missed = ~np.isnan(missed_defect)
     # a probe the right inverse cannot reach fails the identity check and

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .boundary import _TWO_PI, BoundaryGrid
+from .boundary import BoundaryGrid
 
 _GL_POINTS = 64  # enough for machine-precision integrals of flat-ended C-infinity cutoffs
 
@@ -55,9 +55,8 @@ class AreaCharge:
 
     samples[i, j] = phi(s_i exp(i theta_j)) on the Gauss-Legendre radii s_i
     and the grid angles theta_j. evaluate() applies the area transform T
-    with dbar T(phi) = phi; direct_evaluate() is the same integral done as a
-    raw tensor-product sum, kept separate as a cross-check. Acceptance
-    criterion 10 checks that it inverts dbar.
+    with dbar T(phi) = phi. Acceptance criterion 10 checks that it inverts
+    dbar.
     """
 
     def __init__(self, lo: float, hi: float, grid: BoundaryGrid, samples):
@@ -68,7 +67,6 @@ class AreaCharge:
         samples = np.asarray(samples, dtype=complex)
         if samples.shape != (len(self.s), grid.n):
             raise ValueError(f"samples must have shape {(len(self.s), grid.n)}")
-        self.samples = samples
         self.modes = grid.modes()
         # coeffs[i, m] = m-th angular Fourier coefficient at radius s_i
         self.coeffs = np.fft.fft(samples, axis=1) / grid.n
@@ -142,19 +140,4 @@ class AreaCharge:
             out[inner] = self._evaluate_inside(flat[inner])
         for idx in np.nonzero(mid)[0]:
             out[idx] = self._evaluate_split(flat[idx])
-        return out.reshape(points.shape)
-
-    def direct_evaluate(self, points):
-        """Raw tensor-product quadrature of -(1/pi) phi/(zeta - z) dA.
-
-        Independent of the mode decomposition; used to cross-check evaluate()
-        away from the band.
-        """
-        points = np.asarray(points, dtype=complex)
-        flat = points.ravel()
-        zeta = self.s[:, None] * np.exp(1j * self.grid.theta)[None, :]
-        weight = (self.w * self.s)[:, None] * (_TWO_PI / self.grid.n)
-        out = np.empty(flat.shape, dtype=complex)
-        for k, z in enumerate(flat):
-            out[k] = -np.sum(self.samples * weight / (zeta - z)) / np.pi
         return out.reshape(points.shape)

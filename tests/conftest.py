@@ -5,21 +5,76 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rhsolve import annulus, disc
-from rhsolve.boundary import band_limited_sampler, holder_norms
-from rhsolve.newton import draw_probe_set
+from rhsolve import disc, newton
+from rhsolve.boundary import holder_norms
+from rhsolve.domains import laurent_modes
+
+
+def _band_limited(grid):
+    """Sampler of smooth real probes c0 + sum_{m<=8} a_m cos m theta + b_m sin m theta.
+
+    The coefficients are Gaussian, damped by (1 + m)^-2.
+    """
+    modes = np.arange(1, 9)
+    cos = np.cos(np.outer(modes, grid.theta))
+    sin = np.sin(np.outer(modes, grid.theta))
+
+    def sample(rng):
+        c0 = rng.standard_normal()
+        a = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
+        b = rng.standard_normal(len(modes)) / (1.0 + modes) ** 2
+        return c0 + a @ cos + b @ sin
+
+    return sample
+
+
+@pytest.fixture(scope="session")
+def band_limited_sampler():
+    """grid -> sampler of smooth real band-limited probes on the grid (modes <= 8)."""
+    return _band_limited
+
+
+@pytest.fixture(scope="session")
+def annulus_probe_samplers():
+    """(grid, q) -> the residual and iterate samplers of band-limited annulus probes.
+
+    A residual probe is two band-limited rows, one per boundary; an iterate
+    probe holds the Laurent modes |k| <= 8 with Gaussian coefficients damped
+    by (1 + |k|)^-2, and by q^|k| for k < 0.
+    """
+
+    def make(grid, q):
+        probe = _band_limited(grid)
+        modes = laurent_modes(grid.n)
+        window = np.abs(modes) <= 8
+        weight = np.where(modes < 0, q ** np.abs(modes).astype(float), 1.0) / (1.0 + np.abs(modes)) ** 2
+
+        def sample_iterate(rng):
+            g = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+            return np.where(window, g * weight, 0.0)
+
+        return lambda rng: np.concatenate([probe(rng), probe(rng)]), sample_iterate
+
+    return make
 
 
 @pytest.fixture
-def fresh_probe_memo():
-    """Empty the annulus certificate probe memo before and after the test.
+def probes_from(monkeypatch):
+    """Make the sampled certificate draw its probes from the given samplers.
 
-    A test that counts calls inside a certified solve, or that patches a norm
-    the probe sets are measured with, must neither read nor leave entries.
+    newton.certify draws Gaussian probes for a problem without bounds; after
+    probes_from(sample_residual, sample_iterate) it draws, for the rest of
+    the test, from these samplers instead, in the same order and norms.
     """
-    annulus._probe_set.cache_clear()
-    yield
-    annulus._probe_set.cache_clear()
+    original = newton.draw_probes
+
+    def install(sample_residual, sample_iterate):
+        def draw(seed, _gaussian_residual, _gaussian_iterate, residual_norm, iterate_norm):
+            return original(seed, sample_residual, sample_iterate, residual_norm, iterate_norm)
+
+        monkeypatch.setattr(newton, "draw_probes", draw)
+
+    return install
 
 
 @pytest.fixture(scope="session")
@@ -30,32 +85,31 @@ def disc_probe_samplers():
     """
 
     def make(grid):
-        probe = band_limited_sampler(grid)
+        probe = _band_limited(grid)
         return probe, lambda rng: probe(rng) + 1j * probe(rng)
 
     return make
 
 
-@pytest.fixture(scope="session")
-def sampled_disc_problem(disc_probe_samplers):
+@pytest.fixture
+def sampled_disc_problem(disc_probe_samplers, probes_from):
     """The disc g-space problem certified by sampling instead of its computed bounds.
 
-    Its probe set is drawn from disc_probe_samplers, residuals in the Hölder
-    norm and iterates (omega1's steps and omega2's ball) in the Hölder norm
-    of their derivative: a sampled certificate in Hölder norms, which tests
-    of the sampled path and of the Hölder scan run on.
+    Its probes come from disc_probe_samplers (through probes_from), residuals
+    measured in the Hölder norm and iterates (omega1's steps and omega2's
+    ball) in the Hölder norm of their derivative: a sampled certificate in
+    Hölder norms, which tests of the sampled path and of the Hölder scan run
+    on. The problem is for certify only; its residual norm is not the one a
+    Newton iteration reads.
     """
 
     def make(fam_t, grid):
-        iterate_norm = lambda d: holder_norms(grid, (d,), True)
-        residual_norm = lambda r: holder_norms(grid, (r,))
-        samplers = disc_probe_samplers(grid)
+        probes_from(*disc_probe_samplers(grid))
         return dataclasses.replace(
             disc._g_space_problem(fam_t, grid),
             bounds=None,
-            iterate_norm=iterate_norm,
-            certify_residual_norm=residual_norm,
-            probe_set=lambda seed: draw_probe_set(seed, *samplers, residual_norm, iterate_norm),
+            iterate_norm=lambda d: holder_norms(grid, (d,), True),
+            residual_norm=lambda r: holder_norms(grid, (r,)),
         )
 
     return make

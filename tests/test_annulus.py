@@ -1,7 +1,9 @@
 """Annulus pipeline: Laurent calculus, collar glue, Newton solve, radial closed form."""
 
 import dataclasses
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import annulus, boundary, newton
+from rhsolve import annulus, boundary
 from rhsolve.analysis import check_identity
 from rhsolve.annulus import (
     AnnulusSolveOptions,
@@ -18,7 +20,7 @@ from rhsolve.annulus import (
     solve_annulus,
     solve_annulus_radial,
 )
-from rhsolve.boundary import BoundaryGrid, BoundaryTrace, conjugate_samples, winding_number
+from rhsolve.boundary import BoundaryGrid, BoundaryTrace, conjugate_samples, wiener_norm, winding_number
 from rhsolve.curves import (
     CurveFamily,
     builtin_circle_family,
@@ -384,7 +386,7 @@ def test_mixed_ellipse_circle_converges_to_grid_floor():
 def test_solves_run_without_svd(monkeypatch):
     # the collar right inverse has no dense least-squares path: the README
     # case and criterion 8's zero-free circles converge with svd disabled,
-    # certificate probes included
+    # certificates included
     def no_svd(*args, **kwargs):
         raise AssertionError("np.linalg.svd called")
 
@@ -400,13 +402,13 @@ def test_solves_run_without_svd(monkeypatch):
         builtin_circle_family(1.0), builtin_circle_family(0.5 ** 8), (8, -8), 0.5
     )
     assert zero_free.run.converged and zero_free.residual_sup < 1e-14
-    # probes off the range of the linearization are recorded, not raised
+    # a linearization that is not onto is recorded, not raised
     assert zero_free.run.certificate.identity_defect > 0.1
     assert readme.fallback_used is False and zero_free.fallback_used is False
 
 
 def test_solve_certifies_the_converged_iterate_once_after_newton(monkeypatch):
-    # one certificate, at run.x, with the solve's seed and tolerance; a Newton
+    # one certificate, at run.x, with the solve's tolerance; a Newton
     # run that fails raises before anything is certified
     calls = []
     original_iterate, original_certify = annulus.iterate, annulus.certify
@@ -421,12 +423,12 @@ def test_solve_certifies_the_converged_iterate_once_after_newton(monkeypatch):
 
     monkeypatch.setattr(annulus, "certify", spy)
     wobbly = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01]), builtin_circle_family([1.0, -0.01, 0.02])
-    options = AnnulusSolveOptions(tol=1e-11, seed=5)
+    options = AnnulusSolveOptions(tol=1e-11)
     sol = solve_annulus(*wobbly, (4, 4), 0.5, options)
     assert [call[0] for call in calls] == ["iterate", "certify"]
     _, x, certify_options, cert = calls[1]
     assert x is sol.run.x and sol.run.iterations > 0
-    assert (certify_options.seed, certify_options.tol) == (5, 1e-11)
+    assert certify_options.tol == 1e-11
     assert sol.run.certificate is cert and cert.certified
     calls.clear()
     with pytest.raises(NoConvergence):
@@ -434,14 +436,130 @@ def test_solve_certifies_the_converged_iterate_once_after_newton(monkeypatch):
     assert calls == [("iterate",)]
 
 
-def test_annulus_iterate_norm_is_the_larger_wiener_norm_of_the_two_traces():
+def _bench_annulus_cases():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = [case for seed in (1, 3, 7) for case in workloads.build("annulus-glued", seed)]
+    return [
+        (f"{case.name}-{i // 3}", case.inputs["outer"], case.inputs["inner"], tuple(case.spec["windings"]),
+         case.spec["q"], AnnulusSolveOptions(grid_n=case.spec["grid"], tol=case.spec.get("tol", 1e-10)))
+        for i, case in enumerate(cases)
+    ]
+
+
+@pytest.fixture(scope="module")
+def certified_annulus_solves():
+    """(name, solution, problem, families, q) for the seed-1/3/7 annulus-glued cases and unit circles (6, 6)."""
+    unit = builtin_circle_family(1.0)
+    solves = []
+    for name, outer, inner, windings, q, opts in _bench_annulus_cases() + [
+        ("unit-6-6", unit, unit, (6, 6), Q, AnnulusSolveOptions())
+    ]:
+        sol = solve_annulus(outer, inner, windings, q, opts)
+        _, _, families = annulus._glue_coefficients(outer, inner, windings, q, opts)
+        problem = annulus._annulus_problem(*families, q, sol.grid, opts.tol)
+        solves.append((name, sol, problem, families, q))
+    return solves
+
+
+def _row_norm(r):
+    # the certificate's residual norm: the larger Wiener norm of the two rows
+    n = r.shape[-1] // 2
+    return np.maximum(wiener_norm(r[..., :n]), wiener_norm(r[..., n:]))
+
+
+def _band_limited_rows(grid, rng):
+    # residual probes with modes <= 32: random Gaussian rows, and single
+    # cosine and sine modes 0, 1, 8 and 32 on either boundary
+    modes = np.arange(33)
+    cos, sin = np.cos(np.outer(modes, grid.theta)), np.sin(np.outer(modes, grid.theta))
+    rows = [np.concatenate([rng.standard_normal(33) @ cos + rng.standard_normal(33) @ sin for _ in range(2)])
+            for _ in range(6)]
+    zero = np.zeros(grid.n)
+    for k in (0, 1, 8, 32):
+        for wave in (cos[k], sin[k]):
+            if wave.any():
+                rows += [np.concatenate([wave, zero]), np.concatenate([zero, wave])]
+    return np.stack(rows)
+
+
+def test_computed_collar_bounds_hold_on_band_limited_residuals(monkeypatch, certified_annulus_solves):
+    # at the converged iterate: DA C r - r stays within Z |r|, C r within
+    # the ||C|| bound, and the GMRES step B r within omega1 |r|
+    rng = np.random.default_rng(12)
+    checked = 0
+    for name, sol, problem, families, q in certified_annulus_solves:
+        if "zerofree" in name:
+            continue
+        c, cert = sol.run.x, sol.run.certificate
+        z, norm_c, _ = annulus._collar_bounds(families, q, sol.grid, c)
+        assert z < 1.0 and cert.certified, name
+        act, collar, _ = _first_gmres(monkeypatch, lambda: problem.right_inverse(c)(problem.residual(c)))
+        rows = _band_limited_rows(sol.grid, rng)
+        scale = _row_norm(rows)
+        steps = collar(rows)
+        assert np.all(_row_norm(act(steps) - rows) <= z * scale), name
+        assert np.all(problem.iterate_norm(steps) <= norm_c * scale), name
+        assert np.all(problem.iterate_norm(problem.right_inverse(c)(rows)) <= cert.omega1 * scale), name
+        checked += 1
+    assert checked == 7
+
+
+def test_computed_omega2_bounds_the_derivative_on_random_pairs(certified_annulus_solves, annulus_probe_samplers):
+    # DA is affine in the traces, so its differences over any pair, taken
+    # here on random pairs in the ball of radius 0.1 around the iterate
+    rng = np.random.default_rng(13)
+    for name, sol, problem, _, q in certified_annulus_solves:
+        c, omega2 = sol.run.x, sol.run.certificate.omega2
+        _, sample = annulus_probe_samplers(sol.grid, q)
+        for _ in range(6):
+            du, dv, d = (sample(rng) for _ in range(3))
+            du *= 0.1 * rng.uniform(0.1, 1.0) / problem.iterate_norm(du)
+            dv *= 0.1 * rng.uniform(0.1, 1.0) / problem.iterate_norm(dv)
+            diff = problem.derivative_action(c + du, d) - problem.derivative_action(c + dv, d)
+            bound = omega2 * problem.iterate_norm(du - dv) * problem.iterate_norm(d)
+            assert _row_norm(diff) <= bound * (1.0 + 1e-12), name
+
+
+def test_zero_free_collar_has_no_contraction(certified_annulus_solves):
+    # the zero-free linearization is not onto: Z >= 1, so omega1 and the
+    # product are inf and the identity defect is Z, that of the collar inverse
+    zero_free = [entry for entry in certified_annulus_solves if "zerofree" in entry[0]]
+    assert len(zero_free) == 3
+    for name, sol, _, families, q in zero_free:
+        cert = sol.run.certificate
+        z, _, _ = annulus._collar_bounds(families, q, sol.grid, sol.run.x)
+        assert cert.omega1 == cert.product == np.inf, name
+        assert cert.identity_defect == z >= 1.0 and not cert.certified, name
+        assert np.isfinite(cert.omega2), name
+
+
+def test_certified_solve_runs_gmres_only_for_newton_steps(monkeypatch):
+    # the certificate runs no GMRES: every run is a Newton step's, one row each
+    rows = []
+    original = annulus._gmres
+
+    def spy(act, precondition, r, targets=None):
+        rows.append(len(r))
+        return original(act, precondition, r, targets)
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    sol = solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9))
+    assert sol.run.certificate.certified
+    assert rows == [1] * sol.run.iterations
+
+
+def test_annulus_iterate_norm_is_the_larger_wiener_norm_of_the_two_traces(annulus_probe_samplers):
     # for modes -K..K on N >= 2K + 2 points the Wiener norm of the outer trace
     # is sum |c_k| and of the inner one sum |c_k| q^k; at q = 0.01 and N = 1024
     # the inner trace is formed from logs, since q^-511 overflows
     rng = np.random.default_rng(8)
     for q, n in ((0.5, 256), (0.01, 1024)):
-        _, iterate_sampler = annulus._probe_space(BoundaryGrid(n), q)
-        _, iterate_norm = annulus._wiener_norms(BoundaryGrid(n), q)
+        _, iterate_sampler = annulus_probe_samplers(BoundaryGrid(n), q)
+        iterate_norm = annulus._iterate_norm(q, n)
         modes = laurent_modes(n)
         probes = np.stack([iterate_sampler(rng) for _ in range(3)])
         # the probes are windowed to |k| <= 8, where q^k is of ordinary size
@@ -561,17 +679,18 @@ def _zero_free_at_glue(n):
     return annulus._annulus_problem(*families, Q, BoundaryGrid(n), opts.tol), h0
 
 
-def _residual_probe(n, q, seed):
-    # the first certificate residual probe the seed draws on the annulus grid
-    residual_sampler, _ = annulus._probe_space(BoundaryGrid(n), q)
-    return residual_sampler(np.random.default_rng(seed))
+def _residual_probe(sampler, n, seed):
+    # a band-limited residual probe on the annulus grid: one row per boundary
+    probe = sampler(BoundaryGrid(n))
+    rng = np.random.default_rng(seed)
+    return np.concatenate([probe(rng), probe(rng)])
 
 
 def _no_svd(*args, **kwargs):
     raise AssertionError("np.linalg.svd called")
 
 
-def test_gmres_rows_run_independently(monkeypatch):
+def test_gmres_rows_run_independently(monkeypatch, band_limited_sampler):
     # three rows that stop differently: the README grid-floor residual
     # stalls and rolls back, a wobbly residual converges, and a zero-free
     # probe stalls far above the forcing bound. The problems differ, so the
@@ -594,7 +713,7 @@ def test_gmres_rows_run_independently(monkeypatch):
         ),
     )
     problem, h0 = _zero_free_at_glue(256)
-    probe = _residual_probe(256, Q, 0)
+    probe = _residual_probe(band_limited_sampler, 256, 0)
     act_z, pre_z, _ = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
     blocks = [floor[:2], wobbly[:2], (act_z, pre_z)]
     res = np.cumsum([0] + [len(floor[2]), len(wobbly[2]), len(probe)])
@@ -632,7 +751,7 @@ def test_gmres_rows_run_independently(monkeypatch):
     assert sup_defect[0] <= 0.1 and sup_defect[1] <= 0.1 < sup_defect[2]
 
 
-def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch):
+def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch, band_limited_sampler):
     # the zero-free Newton residual is reached, a band-limited probe is off
     # the range, and a zero row needs no inversion: one exception for the
     # stack names only the probe, and the reached steps are those of
@@ -641,7 +760,7 @@ def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch):
     problem, h0 = _zero_free_at_glue(64)
     apply = problem.right_inverse(h0)
     r0 = problem.residual(h0)
-    probe = _residual_probe(64, Q, 0)
+    probe = _residual_probe(band_limited_sampler, 64, 0)
     stack = np.stack([r0, probe, np.zeros_like(r0)])
     with pytest.raises(NeumannDiverges, match="on a 64-point grid$") as info:
         apply(stack)
@@ -661,7 +780,7 @@ def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch):
     assert np.linalg.norm(steps[1] - 2.0 * alone) <= 1e-12 * np.linalg.norm(steps[1])
 
 
-def test_right_inverse_accepts_defects_below_half_the_tolerance():
+def test_right_inverse_accepts_defects_below_half_the_tolerance(band_limited_sampler):
     # a probe off the range of the zero-free linearization cannot be
     # inverted; scaled below tol / 2 it needs no inversion and is accepted
     opts = AnnulusSolveOptions(grid_n=64, tol=1e-2)
@@ -669,7 +788,7 @@ def test_right_inverse_accepts_defects_below_half_the_tolerance():
         builtin_circle_family(1.0), builtin_circle_family(Q ** 8), (8, -8), Q, opts
     )
     problem = annulus._annulus_problem(*families, Q, BoundaryGrid(64), opts.tol)
-    r = _residual_probe(64, Q, 1)
+    r = _residual_probe(band_limited_sampler, 64, 1)
     with pytest.raises(NeumannDiverges):
         problem.right_inverse(h0)(r)
     small = 1e-3 * r / np.max(np.abs(r))
@@ -685,7 +804,7 @@ def test_right_inverse_accepts_defects_below_half_the_tolerance():
     probe_seed=st.one_of(st.none(), st.integers(min_value=0, max_value=2 ** 16)),
 )
 @settings(max_examples=25, deadline=None)
-def test_right_inverse_meets_bound_or_raises(case, wobble, probe_seed):
+def test_right_inverse_meets_bound_or_raises(case, wobble, probe_seed, band_limited_sampler):
     # zero-free (m = 0) and mixed windings, on the Newton residual at the
     # glued iterate or on a random band-limited probe: every application
     # either meets the forcing bound or raises, never returns a worse step
@@ -702,7 +821,7 @@ def test_right_inverse_meets_bound_or_raises(case, wobble, probe_seed):
     if probe_seed is None:
         r = problem.residual(h0)
     else:
-        r = _residual_probe(64, Q, probe_seed)
+        r = _residual_probe(band_limited_sampler, 64, probe_seed)
     scale = np.max(np.abs(r))
     bound = max(0.1 * scale, 0.5 * opts.tol)
     try:
@@ -874,37 +993,6 @@ def test_per_row_targets_skip_a_zero_row():
         assert np.linalg.norm(step - alone) <= 1e-13 * np.linalg.norm(alone)
     # the two targets stop their rows at different iterates
     assert np.linalg.norm(steps[2] - 2.0 * steps[0]) > 1e-6 * np.linalg.norm(steps[2])
-
-
-def _readme_certificate_runs(monkeypatch):
-    # the README solve's certificate, and the lockstep iterations of its probe stack
-    runs = []
-    original = annulus._gmres
-
-    def spy(act, precondition, rows, targets=None):
-        steps, histories = original(act, precondition, rows, targets)
-        if len(rows) > 1:
-            runs.append(max(len(h) for h in histories) - 1)
-        return steps, histories
-
-    monkeypatch.setattr(annulus, "_gmres", spy)
-    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
-    sol = solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9))
-    monkeypatch.setattr(annulus, "_gmres", original)
-    return sol.run.certificate, runs
-
-
-def test_certificate_probes_stop_at_their_targets(monkeypatch):
-    # the README probes reach the grid floor at iterate 4 and meet their
-    # targets there; without targets (a forcing of 0 is never met) they run
-    # on through a 5-iterate stall window to confirm it and keep iterate 4
-    cert, (iterations,) = _readme_certificate_runs(monkeypatch)
-    monkeypatch.setattr(newton, "_PROBE_FORCING", 0.0)
-    untargeted, (confirmed,) = _readme_certificate_runs(monkeypatch)
-    assert iterations <= 5 < confirmed
-    assert cert.certified == untargeted.certified
-    npt.assert_allclose(cert.omega1, untargeted.omega1, rtol=1e-8)
-    assert cert.identity_defect <= 1e-7
 
 
 def test_certificate_never_touches_the_newton_run():

@@ -542,15 +542,18 @@ def test_disc_certificate_matches_dense_pairs(monkeypatch, sampled_disc_problem)
     assert scanned.certified == dense.certified
 
 
-def test_holder_scan_stops_early_on_a_disc_omega1_stack(monkeypatch, sampled_disc_problem):
+def test_holder_scan_stops_early_on_a_disc_omega1_stack(monkeypatch, sampled_disc_problem, disc_probe_samplers):
     # the derivatives of the steps B r of the 16 residual probes of a sampled
-    # disc N = 512 certificate: the scan stops once no row's diameter bound
-    # can beat its best ratio, long before the N/2 separations of a full
-    # scan, and the seminorms stay those of every pair
+    # disc N = 512 certificate (seed 0): the scan stops once no row's
+    # diameter bound can beat its best ratio, long before the N/2
+    # separations of a full scan, and the seminorms stay those of every pair
     grid = BoundaryGrid(512)
     fam_t = monomial_transform(builtin_ellipse_family([1.5, 0.2, 0.0], 1.0), 2)
     problem = sampled_disc_problem(fam_t, grid)
-    steps = problem.right_inverse(disc._initial_log_trace(on_grid(fam_t, grid.theta), grid))(problem.probe_set(0).residual)
+    probe, _ = disc_probe_samplers(grid)
+    rng = np.random.default_rng(0)
+    residuals = np.stack([probe(rng) for _ in range(16)])
+    steps = problem.right_inverse(disc._initial_log_trace(on_grid(fam_t, grid.theta), grid))(residuals)
     derivatives = np.array([spectral_derivative(BoundaryTrace(grid, row)).values for row in steps])
     # the scan takes one np.abs per separation it visits
     calls = []

@@ -109,31 +109,26 @@ def test_result_json_is_deterministic(tmp_path):
         cfg = write_config(
             tmp_path,
             f"cfg-{label}.json",
-            annulus_config(out, families=families, windings=[6, 6], seed=11),
+            annulus_config(out, families=families, windings=[6, 6]),
         )
         assert main(["solve", "--config", cfg]) == 0
         texts.append((out / "result.json").read_bytes())
     assert texts[0] == texts[1]
 
 
-def test_seed_flag_overrides_config(tmp_path):
+def test_seed_is_no_longer_a_setting(tmp_path, capsys):
+    # both certificates are computed, so nothing draws probes: a config
+    # with a seed fails as any unknown key does, and there is no --seed flag
     out = tmp_path / "out"
-    families = {"gamma0": CIRCLE_UNIT, "gamma1": CIRCLE_UNIT}
-    cfg = write_config(
-        tmp_path, "cfg.json", annulus_config(out, families=families, windings=[6, 6])
-    )
-    assert main(["solve", "--config", cfg, "--seed", "7"]) == 0
-    first = json.loads((out / "result.json").read_text())["certificate"]
-    assert main(["solve", "--config", cfg, "--seed", "7"]) == 0
-    again = json.loads((out / "result.json").read_text())["certificate"]
-    assert first == again
-    # the flag reaches the sampler: the config's default seed 0 draws other probes
-    assert main(["solve", "--config", cfg]) == 0
-    default = json.loads((out / "result.json").read_text())["certificate"]
-    assert default != first
-    # the certificate at the converged iterate, omega1 in the Wiener norm
-    assert default["omega1"] == pytest.approx(0.518, abs=5e-4)
-    assert first["omega1"] == pytest.approx(0.522, abs=5e-4)
+    cfg = write_config(tmp_path, "cfg.json", annulus_config(out, seed=7))
+    assert main(["solve", "--config", cfg]) == 1
+    assert "unknown keys ['seed'] in config" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+    with pytest.raises(ConfigError, match=r"unknown keys \['seed'\] in config"):
+        validate_config({"seed": 0})
+    with pytest.raises(SystemExit):
+        main(["solve", "--config", write_config(tmp_path, "plain.json", annulus_config(out)), "--seed", "7"])
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_check_identity_passes_on_radial_pair(tmp_path):

@@ -14,7 +14,6 @@ from rhsolve.boundary import (
     BoundaryGrid,
     BoundaryTrace,
     _refined_samples,
-    band_limited_sampler,
     coefficient_modes,
     trig_coefficients,
     winding_number,
@@ -197,7 +196,7 @@ def bench_disc_solves():
     return solves
 
 
-def test_computed_omega1_bounds_the_right_inverse(bench_disc_solves):
+def test_computed_omega1_bounds_the_right_inverse(bench_disc_solves, band_limited_sampler):
     rng = np.random.default_rng(5)
     for case, sol, problem in bench_disc_solves:
         probe = band_limited_sampler(sol.grid)
@@ -207,7 +206,7 @@ def test_computed_omega1_bounds_the_right_inverse(bench_disc_solves):
         assert np.all(ratios <= sol.run.certificate.omega1 * (1.0 + 1e-12)), case.name
 
 
-def test_computed_omega2_bounds_the_derivative_on_the_ball(bench_disc_solves):
+def test_computed_omega2_bounds_the_derivative_on_the_ball(bench_disc_solves, band_limited_sampler):
     # random pairs inside the A-ball around the iterate, and the pair of real
     # constant shifts +-R, along which |h|^2 and h^2 grow fastest
     rng = np.random.default_rng(6)

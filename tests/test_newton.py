@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import annulus, disc, newton
+from rhsolve import annulus, disc
 from rhsolve.annulus import AnnulusSolveOptions
-from rhsolve.boundary import BoundaryGrid
+from rhsolve.boundary import BoundaryGrid, wiener_norm
 from rhsolve.curves import builtin_circle_family, builtin_ellipse_family, divisor_transform, monomial_transform
 from rhsolve.errors import NeumannDiverges, NoConvergence, SamplingFailed
 from rhsolve.newton import (
@@ -18,7 +18,6 @@ from rhsolve.newton import (
     IterateOptions,
     NewtonProblem,
     certify,
-    draw_probe_set,
     iterate,
 )
 from rhsolve.serialize import certificate_dict, dump_json
@@ -193,10 +192,9 @@ def test_iterate_passes_the_forcing_target_only_to_inverses_that_take_it():
     assert np.array_equal(direct.x, through_lambda.x)
 
 
-def test_certify_passes_each_probe_its_target_only_to_inverses_that_take_it():
-    # an apply with a keyword target gets, per probe, 1e-2 of the identity
-    # tolerance times that probe's certificate norm; a plain apply gets the
-    # probes alone, so criterion 9's scalar certificates keep every bit
+def test_certify_passes_probes_without_targets():
+    # an apply that takes a keyword target gets the probes alone, as a plain
+    # apply does, so criterion 9's scalar certificates keep every bit
     seen = []
 
     def targeted(x):
@@ -217,9 +215,7 @@ def test_certify_passes_each_probe_its_target_only_to_inverses_that_take_it():
         got = certify(dataclasses.replace(prob, right_inverse=targeted), x0, CertifyOptions(seed=0))
         assert dataclasses.astuple(got) == dataclasses.astuple(plain)
         (probes, target), = seen
-        assert probes.shape == target.shape == (16,)
-        assert np.array_equal(target, newton._PROBE_FORCING * newton._CHECK_TOL * np.abs(probes))
-    assert newton._PROBE_FORCING * newton._CHECK_TOL == pytest.approx(1e-8, rel=1e-15)
+        assert probes.shape == (16,) and target is None
 
 
 def test_vector_problem_with_explicit_derivative():
@@ -232,7 +228,7 @@ def test_vector_problem_with_explicit_derivative():
     npt.assert_allclose(run.x, [np.sqrt(2.0), 2.0], atol=1e-9)
 
 
-@pytest.mark.parametrize("field", ["iterate_norm", "residual_norm", "certify_residual_norm"])
+@pytest.mark.parametrize("field", ["iterate_norm", "residual_norm"])
 @pytest.mark.parametrize("explicit_derivative", [True, False])
 def test_certify_rejects_a_norm_with_one_value_per_stack(field, explicit_derivative):
     # a norm written for single vectors returns one number for a whole stack;
@@ -245,12 +241,12 @@ def test_certify_rejects_a_norm_with_one_value_per_stack(field, explicit_derivat
 
 
 def test_sampling_failure_on_degenerate_norm():
+    # a residual norm that vanishes on every probe leaves no scale for omega1
     prob = NewtonProblem(
         residual=lambda x: x * x - 1.0,
         right_inverse=lambda x: (lambda r: r / (2.0 * x)),
         iterate_norm=abs,
-        residual_norm=abs,
-        probe_set=lambda seed: draw_probe_set(seed, lambda rng: 0.0, lambda rng: rng.standard_normal(), abs, abs),
+        residual_norm=lambda r: 0.0 * np.abs(r),
     )
     with pytest.raises(SamplingFailed):
         certify(prob, 1.01)
@@ -282,19 +278,10 @@ def test_certify_records_probes_the_inverse_cannot_reach():
 
 
 def test_certify_norm_overrides():
-    # doubling the certificate residual norm doubles omega3 and scales omega1 down
+    # doubling the residual norm certify reads doubles omega3 and scales omega1 down
     prob = quadratic_problem()
     base = certify(prob, 1.01)
-    scaled = certify(
-        NewtonProblem(
-            residual=prob.residual,
-            right_inverse=prob.right_inverse,
-            iterate_norm=prob.iterate_norm,
-            residual_norm=prob.residual_norm,
-            certify_residual_norm=lambda r: 2.0 * abs(r),
-        ),
-        1.01,
-    )
+    scaled = certify(dataclasses.replace(prob, residual_norm=lambda r: 2.0 * abs(r)), 1.01)
     npt.assert_allclose(scaled.omega3, 2.0 * base.omega3, rtol=1e-12)
     npt.assert_allclose(scaled.omega1, 0.5 * base.omega1, rtol=1e-12)
 
@@ -323,20 +310,18 @@ def test_certified_implies_undamped_convergence(root, offset):
 
 def _per_probe_certify(problem, samplers, x0, seed=0):
     # reference: one probe at a time from the (residual, iterate) samplers,
-    # every callback on single vectors; an inverse that takes a target gets
-    # each probe's own
+    # every callback on single vectors
     residual_sampler, iterate_sampler = samplers
     rng = np.random.default_rng(seed)
-    res_norm = problem.certify_residual_norm or problem.residual_norm
+    res_norm = problem.residual_norm
     omega3 = res_norm(problem.residual(x0))
     inverse = problem.right_inverse(x0)
-    targeted = newton._takes(inverse, "target")
     omega1 = identity_defect = 0.0
     for _ in range(16):
         r = residual_sampler(rng)
         rn = res_norm(r)
         try:
-            step = inverse(r, target=1e-2 * 1e-6 * rn) if targeted else inverse(r)
+            step = inverse(r)
         except NeumannDiverges as exc:
             identity_defect = max(identity_defect, exc.defect)
             continue
@@ -401,12 +386,32 @@ def _annulus_at_glue(name):
         windings, q, opts = (8, -8), 0.5, AnnulusSolveOptions()
     h0, _, families = annulus._glue_coefficients(outer, inner, windings, q, opts)
     grid = BoundaryGrid(opts.grid_n)
-    return annulus._annulus_problem(*families, q, grid, opts.tol), h0, annulus._probe_space(grid, q)
+    return annulus._annulus_problem(*families, q, grid, opts.tol), h0, grid, q
+
+
+@pytest.fixture
+def sampled_annulus(annulus_probe_samplers, probes_from):
+    """name -> (annulus problem certified by sampling, glued iterate, its probe samplers).
+
+    The probes are band-limited (annulus_probe_samplers), residuals measured
+    by the larger Wiener norm of their two rows and iterates by the
+    problem's own norm, the larger Wiener norm of their two traces.
+    """
+
+    def make(name):
+        problem, h0, grid, q = _annulus_at_glue(name)
+        samplers = annulus_probe_samplers(grid, q)
+        probes_from(*samplers)
+        n = grid.n
+        rows = lambda r: np.maximum(wiener_norm(r[..., :n]), wiener_norm(r[..., n:]))
+        return dataclasses.replace(problem, bounds=None, residual_norm=rows), h0, samplers
+
+    return make
 
 
 @pytest.mark.parametrize("name", ["readme", "wobbly", "zero-free"])
-def test_stacked_annulus_certificate_matches_per_probe(name):
-    problem, h0, samplers = _annulus_at_glue(name)
+def test_stacked_annulus_certificate_matches_per_probe(name, sampled_annulus):
+    problem, h0, samplers = sampled_annulus(name)
     cert = certify(problem, h0, CertifyOptions(seed=0))
     omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(problem, samplers, h0, seed=0)
     assert (cert.omega2, cert.omega3) == (omega2, omega3)
@@ -418,58 +423,11 @@ def test_stacked_annulus_certificate_matches_per_probe(name):
         assert cert.identity_defect > 0.1 and cert.omega1 > 0.0
 
 
-def _certificates_match(problem, samplers, x0, seed):
-    # the memoized probe set against a fresh draw from the samplers, in the problem's norms
-    memo = certify(problem, x0, CertifyOptions(seed=seed))
-    draw = lambda seed: draw_probe_set(seed, *samplers, problem.certify_residual_norm, problem.iterate_norm)
-    fresh = certify(dataclasses.replace(problem, probe_set=draw), x0, CertifyOptions(seed=seed))
-    assert dataclasses.astuple(memo) == dataclasses.astuple(fresh)
-
-
-def test_memoized_annulus_probe_set_is_keyed_by_modulus(fresh_probe_memo):
-    # two moduli on one grid: the iterate probes and their norms depend on q,
-    # so a set memoized without q would certify the second problem differently
-    outer = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01])
-    inner = builtin_circle_family([1.0, -0.01, 0.02, 0.0, -0.015])
-    options = AnnulusSolveOptions(grid_n=256)
-    for q in (0.4, 0.5):
-        h0, _, families = annulus._glue_coefficients(outer, inner, (4, 4), q, options)
-        problem = annulus._annulus_problem(*families, q, BoundaryGrid(256), options.tol)
-        _certificates_match(problem, annulus._probe_space(BoundaryGrid(256), q), h0, 0)
-    assert annulus._probe_set.cache_info()[:2] == (0, 2)
-
-
-def test_probe_samplers_are_built_only_when_the_memo_misses(monkeypatch, fresh_probe_memo):
-    # building a problem builds no band-limited tables; two certificates on
-    # one (grid, q, seed) build them once
-    calls = []
-    original = annulus.band_limited_sampler
-    monkeypatch.setattr(annulus, "band_limited_sampler", lambda grid: calls.append(grid.n) or original(grid))
-    outer = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01])
-    inner = builtin_circle_family([1.0, -0.01, 0.02, 0.0, -0.015])
-    options = AnnulusSolveOptions(grid_n=64)
-    h0, _, families = annulus._glue_coefficients(outer, inner, (4, 4), 0.5, options)
-    problems = [annulus._annulus_problem(*families, 0.5, BoundaryGrid(64), options.tol) for _ in range(2)]
-    assert calls == []
-    for problem in problems:
-        certify(problem, h0)
-    assert calls == [64]
-
-
-def test_memoized_probe_arrays_refuse_writes(fresh_probe_memo):
-    probes = annulus._probe_set(BoundaryGrid(64), 0.5, 0)
-    assert len(probes) == 5
-    for array in probes:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] = 0.0
-
-
-def test_certificate_with_every_probe_missed_reports_no_contraction():
+def test_certificate_with_every_probe_missed_reports_no_contraction(sampled_annulus):
     # on the zero-free circles every seed-3 residual probe is off the range of
     # the linearization: nothing bounds the right inverse, so omega1 and the
     # product are inf rather than a perfect-looking 0, and result files say null
-    problem, h0, _ = _annulus_at_glue("zero-free")
+    problem, h0, _ = sampled_annulus("zero-free")
     cert = certify(problem, h0, CertifyOptions(seed=3))
     assert cert.omega1 == cert.product == np.inf
     assert cert.identity_defect > 0.1 and not cert.certified

@@ -1,6 +1,7 @@
 """Guard on the public surface: no public function or class exists only for its own tests.
 
-Every public module-level function and class of rhsolve must be referenced,
+Every public module-level function and class of rhsolve, and every public
+method, property and field of its public classes, must be referenced,
 outside its own definition, by the package itself, by the benchmark
 (perfbench/*.py) or by the acceptance suite. Unit tests alone do not count.
 Likewise every NewtonProblem field must be passed by the package or the
@@ -51,6 +52,38 @@ def test_every_public_definition_has_a_reader_beyond_its_tests():
             continue
         if not any(node.name in names for key, (_, names) in statements.items() if key != (path, index)):
             unread.append(f"{path.stem}.{node.name}")
+    assert unread == []
+
+
+def _members(node):
+    """The public methods, properties and annotated fields of a class statement."""
+    for item in node.body:
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = item.name
+        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            name = item.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, item
+
+
+def test_every_public_class_member_has_a_reader_beyond_its_tests():
+    # the names each top-level statement of each reader refers to; a class
+    # member may also be read by the other members of its own class
+    statements = []
+    for path in READERS:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            statements.append((path, node, _names(node, by_string=path.parent.name == "perfbench")))
+    unread = []
+    for path, node, _ in statements:
+        if path.parent != PACKAGE or not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for name, item in _members(node):
+            others = set().union(*(_names(other) for other in node.body if other is not item))
+            readers = (names for _, other, names in statements if other is not node)
+            if name not in others and not any(name in names for names in readers):
+                unread.append(f"{path.stem}.{node.name}.{name}")
     assert unread == []
 
 
