@@ -17,14 +17,12 @@ that transform has no mode the projection keeps. Right-preconditioned GMRES,
 with this collar inverse as the preconditioner, absorbs the remaining
 coupling. A step is accepted by an inexact-Newton forcing test; a residual
 it cannot invert raises NeumannDiverges (there is no dense fallback).
-The GMRES runs a stack of residuals in lockstep, one Krylov recurrence per
-row and one collar inverse and linearization application per iteration for
-the whole stack; a Newton step is its one-row case, and no solve passes
-more. A row stops at the first iterate whose sup-norm defect meets its
-target, newton.iterate's inexact-Newton target (Dembo, Eisenstat and
-Steihaug 1982). The 2-norm of the defect brackets its sup,
-sup <= |.|_2 <= sqrt(2N) sup, and decides every iterate it can; the sup is
-read off the Arnoldi basis only in between.
+Each Newton step runs one GMRES on its one residual, with one collar
+inverse and one linearization application per iteration. It stops at the
+first iterate whose sup-norm defect meets newton.iterate's inexact-Newton
+target (Dembo, Eisenstat and Steihaug 1982). The 2-norm of the defect
+brackets its sup, sup <= |.|_2 <= sqrt(2N) sup, and decides every iterate
+it can; the sup is read off the Arnoldi basis only in between.
 
 A certified solve certifies the converged iterate c from bounds computed
 in the Wiener algebra A (as the disc solver does), in radii-polynomial form
@@ -34,7 +32,7 @@ omega3 = Y, the A-norm of the residual rows on twice the grid; Z bounds
 the right inverse B = C (DA C)^-1, so omega1 = ||C|| / (1 - Z) when Z < 1
 and omega1 = inf otherwise. A residual is measured by the larger A-norm of
 its two rows, an iterate by the larger A-norm of its two traces. No
-certificate probe and no GMRES row is run; _bounds derives the constants.
+certificate probe and no GMRES is run; _bounds derives the constants.
 """
 
 from dataclasses import dataclass, replace
@@ -304,82 +302,66 @@ def _sup_defect(beta, last, vectors):
     return beta * abs(last[0]) * np.max(np.abs(last @ np.asarray(vectors)))
 
 
-def _gmres(act, precondition, rows, targets=None):
+def _gmres(act, precondition, r, target=None):
     """Right-preconditioned GMRES for act(precondition(y)) = r, in real arithmetic.
 
-    rows is a stack of residuals r along a leading axis; a Newton step is a
-    one-row stack. Each row runs its own GMRES, and the rows run in
-    lockstep: an iteration applies precondition and act once, to the stack
-    of the rows still running. The k-th iterate of a row minimizes its
-    2-norm defect |r - act(x)| over x = precondition(y), y in the k-th
-    Krylov space of act o precondition, which holds the first k Neumann
-    partial sums (Saad and Schultz 1986).
-    A row stops at the iteration budget, at a relative defect of _GMRES_TOL,
-    or once its defect fell by less than _GMRES_STALL_RATIO over its last
-    _GMRES_STALL_WINDOW iterations, and then leaves the stack. targets, when
-    given, holds one sup-norm defect per row or one for all rows (NaN for
-    none): a targeted row also stops at its first iterate whose sup-norm
-    defect is at most its target, and then keeps that iterate. With 2N the
-    row length, the iterate meets its target when its 2-norm defect does,
+    The k-th iterate minimizes the 2-norm defect |r - act(x)| over
+    x = precondition(y), y in the k-th Krylov space of act o precondition,
+    which holds the first k Neumann partial sums (Saad and Schultz 1986);
+    an iteration applies precondition and act once.
+    The run stops at the iteration budget, at a relative defect of
+    _GMRES_TOL, or once its defect fell by less than _GMRES_STALL_RATIO over
+    its last _GMRES_STALL_WINDOW iterations. target, when given, is a
+    sup-norm defect: the run also stops at its first iterate whose sup-norm
+    defect is at most target, and then keeps that iterate. With 2N the
+    length of r, the iterate meets its target when its 2-norm defect does,
     and cannot when the 2-norm is above sqrt(2N) times the target; only in
     between is the sup read off the Arnoldi basis (_sup_defect), without
-    applying act. Returns the stack of best iterates and, per row, the list
-    of defect 2-norms of iterates 0..k. No row may be zero.
+    applying act. Returns the best iterate and the list of defect 2-norms
+    of iterates 0..k. r may not be zero.
     """
-    beta = np.linalg.norm(rows, axis=1)
-    root = np.sqrt(rows.shape[1])
-    targets = np.broadcast_to(np.asarray(np.nan if targets is None else targets, dtype=float), len(rows))
-    norms = [[float(b)] for b in beta]
-    steps = [None] * len(rows)
-    running = np.arange(len(rows))  # the input row behind each running row
-    basis = [rows / beta[:, None]]  # one stack of Krylov vectors per iteration
+    # einsum products and norms along an axis, not v @ w or a plain norm:
+    # those go through a BLAS dot, which rounds differently, and at a grid's
+    # truncation floor a Newton step's acceptance hinges on the last bit
+    # (v @ w makes the README case stagnate)
+    beta = np.linalg.norm(r, axis=0)
+    root = np.sqrt(len(r))
+    norms = [float(beta)]
+    basis = [r / beta]  # the Krylov vectors
     images = []
-    hess = np.zeros((len(rows), _GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
+    hess = np.zeros((_GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
     for k in range(_GMRES_MAX_ITER):
         images.append(precondition(basis[k]))
         w = act(images[k])
         for i, v in enumerate(basis):  # modified Gram-Schmidt
-            hess[:, i, k] = np.einsum("pj,pj->p", v, w)
-            w = w - hess[:, i, k, None] * v
-        hess[:, k + 1, k] = np.linalg.norm(w, axis=1)
+            hess[i, k] = np.einsum("j,j->", v, w)
+            w = w - hess[i, k] * v
+        hess[k + 1, k] = np.linalg.norm(w, axis=0)
         # the defect of min |beta e1 - H y| is the part of beta e1 along the
         # last column of the complete Q of H
-        q_full, _ = np.linalg.qr(hess[:, : k + 2, : k + 1], mode="complete")
-        done = np.zeros(len(running), dtype=bool)
-        for j, row in enumerate(running):
-            history = norms[row]
-            history.append(float(beta[j] * abs(q_full[j, 0, k + 1])))
-            window = history[-1 - _GMRES_STALL_WINDOW :]
-            stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
-            converged = history[-1] <= _GMRES_TOL * beta[j]
-            met = False
-            if not (converged or np.isnan(targets[j])):
-                # sup <= |.|_2 <= sqrt(2N) sup: the 2-norm decides a row that
-                # meets its target, or cannot, without the sup estimate
-                met = history[-1] <= targets[j]
-                if not met and history[-1] <= root * targets[j]:
-                    vectors = [v[j] for v in basis] + [w[j] / hess[j, k + 1, k]]
-                    met = _sup_defect(beta[j], q_full[j, :, k + 1], vectors) <= targets[j]
-            if not (converged or met or stalled or k + 1 == _GMRES_MAX_ITER):
-                continue
-            # a stalled stretch lowered the defect by less than the stall
-            # ratio; at a grid's truncation floor it does so by growing the
-            # step along near-kernel directions, so the iterate before it is
-            # the better step, unless this one already meets its target
-            keep = max(1, k + 1 - _GMRES_STALL_WINDOW) if stalled and not met else k + 1
-            q_red, tri = np.linalg.qr(hess[j, : keep + 1, :keep])
-            y = np.linalg.solve(tri, beta[j] * q_red[0])
-            steps[row] = np.asarray([z[j] for z in images[:keep]]).T @ y
-            done[j] = True
-        if done.all():
+        q_full, _ = np.linalg.qr(hess[: k + 2, : k + 1], mode="complete")
+        norms.append(float(beta * abs(q_full[0, k + 1])))
+        window = norms[-1 - _GMRES_STALL_WINDOW :]
+        stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
+        converged = norms[-1] <= _GMRES_TOL * beta
+        met = False
+        if not (converged or target is None):
+            # sup <= |.|_2 <= sqrt(2N) sup: the 2-norm decides an iterate
+            # that meets its target, or cannot, without the sup estimate
+            met = norms[-1] <= target
+            if not met and norms[-1] <= root * target:
+                met = _sup_defect(beta, q_full[:, k + 1], basis + [w / hess[k + 1, k]]) <= target
+        if converged or met or stalled or k + 1 == _GMRES_MAX_ITER:
             break
-        if done.any():
-            go = ~done
-            basis = [v[go] for v in basis]
-            images = [z[go] for z in images]
-            hess, beta, running, targets, w = hess[go], beta[go], running[go], targets[go], w[go]
-        basis.append(w / hess[:, k + 1, k, None])
-    return np.asarray(steps), norms
+        basis.append(w / hess[k + 1, k])
+    # a stalled stretch lowered the defect by less than the stall ratio; at
+    # a grid's truncation floor it does so by growing the step along
+    # near-kernel directions, so the iterate before it is the better step,
+    # unless this one already meets its target
+    keep = max(1, k + 1 - _GMRES_STALL_WINDOW) if stalled and not met else k + 1
+    q_red, tri = np.linalg.qr(hess[: keep + 1, :keep])
+    y = np.linalg.solve(tri, beta * q_red[0])
+    return np.asarray(images[:keep]).T @ y, norms
 
 
 def _bounds(families, q: float, grid: BoundaryGrid, c) -> CertificateBounds:
@@ -527,47 +509,26 @@ def _annulus_problem(
 
         def apply(r, target=None):
             # target: the sup-norm defect at which a step may stop short of
-            # the GMRES tolerance, one for all residuals or one per residual
-            # (newton.iterate passes one)
+            # the GMRES tolerance (newton.iterate passes one)
             r = np.asarray(r, dtype=float)
-            lead = r.shape[:-1]
-            rows = r.reshape(-1, 2 * n)
-            scale = np.max(np.abs(rows), axis=1)
-            live = scale > 0.0
-            steps = np.zeros((len(rows), 2 * kmax + 1), dtype=complex)
-            iterations = np.zeros(len(rows), dtype=int)
-            if live.any():
-                # one residual is the one-row case of the lockstep GMRES
-                targets = None if target is None else np.broadcast_to(target, lead).reshape(-1)[live]
-                steps[live], norms = _gmres(act, collar_apply, rows[live], targets)
-                iterations[live] = [len(h) - 1 for h in norms]
-            defect = np.max(np.abs(rows - act(steps)), axis=1)
+            scale = np.max(np.abs(r))
+            if not scale > 0.0:  # a zero (or NaN) residual: nothing to invert
+                return np.zeros(2 * kmax + 1, dtype=complex)
+            step, norms = _gmres(act, collar_apply, r, target)
+            defect = np.max(np.abs(r - act(step)))
             # a step is accepted when its sup-norm defect is at most
             # max(_FORCING * |r|, tol / 2), newton's inexact-Newton forcing term
             # (less than half the Newton tolerance is as good as exact); a Newton
             # step's GMRES stops earlier, at newton.iterate's target
-            bound = np.maximum(_FORCING * scale, 0.5 * tol)
-            missed = defect > bound
-            if r.ndim == 1 and missed[0]:
+            bound = max(_FORCING * scale, 0.5 * tol)
+            if defect > bound:
                 raise NeumannDiverges(
-                    f"collar GMRES left defect {defect[0]:.3e} > {bound[0]:.3e} on a residual "
-                    f"of size {scale[0]:.3e} after {iterations[0]} iterations on a {n}-point grid",
-                    defect[0] / scale[0],
-                    iterations[0],
+                    f"collar GMRES left defect {defect:.3e} > {bound:.3e} on a residual "
+                    f"of size {scale:.3e} after {len(norms) - 1} iterations on a {n}-point grid",
+                    defect / scale,
+                    len(norms) - 1,
                 )
-            steps = steps.reshape(lead + (2 * kmax + 1,))
-            if missed.any():
-                relative = np.full(len(rows), np.nan)
-                relative[missed] = defect[missed] / scale[missed]
-                raise NeumannDiverges(
-                    f"collar GMRES left {int(missed.sum())} of {len(rows)} residuals above "
-                    f"the forcing bound, worst relative defect {np.max(relative[missed]):.3e} "
-                    f"on a {n}-point grid",
-                    relative.reshape(lead),
-                    iterations.reshape(lead),
-                    steps,
-                )
-            return steps
+            return step
 
         return apply
 

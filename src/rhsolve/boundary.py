@@ -24,9 +24,9 @@ _TWO_PI = 2.0 * np.pi
 
 # both certificates are computed from FFTs, so a solve holds a bounded
 # number of length-N arrays (at most 20 Krylov vectors and their images in
-# a Newton step's one-row GMRES), and the grid cap bounds their length: a
+# a Newton step's GMRES), and the grid cap bounds their length: a
 # certified README annulus solve at N = 4096 peaks at 2.9 MB of traced
-# allocations (tracemalloc, in process; 22 MB with the 16-probe lockstep
+# allocations (tracemalloc, in process; 22 MB with the 16-probe stacked
 # GMRES certificate it replaced), 1.0 MB in its first Newton step and
 # 1.3 MB in its certificate bounds. No bench case or README
 # example goes above N = 1024. The disc certificate's residual is measured

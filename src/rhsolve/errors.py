@@ -1,7 +1,5 @@
 """Exception types raised across the solver stack."""
 
-import numpy as np
-
 
 class SolverError(Exception):
     """Base class for every failure this package raises on purpose."""
@@ -62,22 +60,14 @@ class GlueTooCoarse(SolverError):
 class NeumannDiverges(SolverError):
     """The collar right inverse left a defect above its acceptance bound.
 
-    For one residual, defect is the relative sup-norm defect |r - DA x| / |r|
-    of the best Krylov iterate x, iterations the number of Krylov
-    iterations run. For a stack of residuals, defect and iterations hold
-    one entry per row, defect is NaN in every row that met the bound, and
-    steps holds the stack of steps, valid in those rows.
+    defect is the relative sup-norm defect |r - DA x| / |r| of the best
+    Krylov iterate x, iterations the number of Krylov iterations run.
     """
 
-    def __init__(self, message, defect, iterations, steps=None):
+    def __init__(self, message, defect, iterations):
         super().__init__(message)
-        if np.ndim(defect) == 0:
-            self.defect = float(defect)
-            self.iterations = int(iterations)
-        else:
-            self.defect = np.asarray(defect, dtype=float)
-            self.iterations = np.asarray(iterations, dtype=int)
-        self.steps = steps
+        self.defect = float(defect)
+        self.iterations = int(iterations)
 
 
 class SamplingFailed(SolverError):

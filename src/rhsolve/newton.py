@@ -22,7 +22,8 @@ numbers supplies them through its bounds(x) callback, and certify only
 forms the verdict; both solvers do. Without bounds, certify samples the
 constants with Gaussian probes shaped like the residual and the iterate:
 it draws all its probes first and then calls each callback once per stack
-of probes, not once per probe; the iteration passes single vectors.
+of probes, not once per probe; the iteration passes single vectors. The
+right inverse must reach every probe: an error it raises ends certify.
 omega1, the identity defect and omega2 are each the largest ratio over one
 stack of a row's norm to its probe's scale. The iteration itself damps
 steps that increase the residual and records that it did.
@@ -36,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NeumannDiverges, NoConvergence, SamplingFailed
+from .errors import NoConvergence, SamplingFailed
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,11 @@ class NewtonProblem:
     residual_norm and omega1's steps and omega2's ball with iterate_norm.
 
     Stacks: certify passes arrays with a leading probe axis, one probe per
-    row. right_inverse(x)(r), derivative_action(x, d) and the residual (in
-    the finite difference only) act row by row, broadcasting one point
-    against a stack of directions, and every norm returns one value per
-    row (certify raises TypeError on a norm that does not). iterate passes
-    single vectors only.
+    row, and only to a problem without bounds. right_inverse(x)(r),
+    derivative_action(x, d) and the residual (in the finite difference
+    only) then act row by row, broadcasting one point against a stack of
+    directions, and every norm returns one value per row (certify raises
+    TypeError on a norm that does not). iterate passes single vectors only.
 
     Forcing: a right inverse's apply may take a keyword target, the
     residual-norm defect at which an iterative inverse may stop. iterate
@@ -68,15 +69,6 @@ class NewtonProblem:
     _FORCING = 0.1: a step that meets it keeps Newton quadratic. An apply
     without the keyword is called with the residual alone, and certify
     passes no target.
-
-    Unreachable rows: a right inverse that cannot meet its own acceptance
-    bound on a single residual raises NeumannDiverges with that residual's
-    relative defect. On a stack it raises once for the whole stack, with a
-    per-row defect that is NaN in every reached row and with the steps of
-    the stack, valid in the reached rows. certify counts the defects of the
-    missed rows in identity_defect and leaves those rows out of omega1; an
-    exception whose defect is one number misses every row. With every row
-    missed, omega1 and the product are inf.
     """
 
     residual: Callable
@@ -224,14 +216,6 @@ def _derivative_action(problem: NewtonProblem, x, d):
     return (problem.residual(x + h * d) - problem.residual(x - h * d)) / (2.0 * h)
 
 
-def _reach(inverse, probes):
-    """Steps of the probes and a per-row defect, NaN where the inverse reached the probe."""
-    try:
-        return inverse(probes), np.full(len(probes), np.nan)
-    except NeumannDiverges as exc:
-        return exc.steps, np.broadcast_to(np.asarray(exc.defect, dtype=float), (len(probes),))
-
-
 def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions()) -> NewtonCertificate:
     """The certificate at x0, from the problem's computed bounds or else sampled."""
     bounds = problem.bounds(x0) if problem.bounds is not None else _sampled_bounds(problem, x0, options.seed)
@@ -259,19 +243,9 @@ def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
     drawn = draw_probes(seed, _gaussian_like(r0), _gaussian_like(x0), res_norm, problem.iterate_norm)
     probes, rn, (du, dv, d), (nu, nv, nd), (radius_u, radius_v) = drawn
 
-    steps, missed_defect = _reach(inverse, probes)
-    missed = ~np.isnan(missed_defect)
-    # a probe the right inverse cannot reach fails the identity check and
-    # has no step to bound omega1 with
-    identity_defect = float(np.max(missed_defect[missed])) if missed.any() else 0.0
-    # with every probe missed nothing bounds the right inverse
-    omega1 = np.inf
-    reached = ~missed
-    if reached.any():
-        step, r, scale = steps[reached], probes[reached], rn[reached]
-        omega1 = _weighted_max(problem.iterate_norm, step, scale)
-        recovered = _derivative_action(problem, x0, step)
-        identity_defect = max(identity_defect, _weighted_max(res_norm, recovered - r, scale))
+    steps = inverse(probes)
+    omega1 = _weighted_max(problem.iterate_norm, steps, rn)
+    identity_defect = _weighted_max(res_norm, _derivative_action(problem, x0, steps) - probes, rn)
 
     u = x0 + _per_row(_BALL_RADIUS * radius_u / nu, du) * du
     v = x0 + _per_row(_BALL_RADIUS * radius_v / nv, dv) * dv

@@ -35,16 +35,14 @@ def band_limited_sampler():
 
 
 @pytest.fixture(scope="session")
-def annulus_probe_samplers():
-    """(grid, q) -> the residual and iterate samplers of band-limited annulus probes.
+def annulus_iterate_sampler():
+    """(grid, q) -> sampler of band-limited annulus iterates.
 
-    A residual probe is two band-limited rows, one per boundary; an iterate
-    probe holds the Laurent modes |k| <= 8 with Gaussian coefficients damped
-    by (1 + |k|)^-2, and by q^|k| for k < 0.
+    An iterate holds the Laurent modes |k| <= 8 with Gaussian coefficients
+    damped by (1 + |k|)^-2, and by q^|k| for k < 0.
     """
 
     def make(grid, q):
-        probe = _band_limited(grid)
         modes = laurent_modes(grid.n)
         window = np.abs(modes) <= 8
         weight = np.where(modes < 0, q ** np.abs(modes).astype(float), 1.0) / (1.0 + np.abs(modes)) ** 2
@@ -53,7 +51,7 @@ def annulus_probe_samplers():
             g = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
             return np.where(window, g * weight, 0.0)
 
-        return lambda rng: np.concatenate([probe(rng), probe(rng)]), sample_iterate
+        return sample_iterate
 
     return make
 

@@ -49,7 +49,8 @@ from rhsolve.errors import (
     NotRadialFamily,
 )
 from rhsolve.pompeiu import AreaCharge
-from rhsolve.serialize import annulus_result_dict
+from rhsolve.newton import certify
+from rhsolve.serialize import annulus_result_dict, certificate_dict, dump_json
 from rhsolve.trig import TrigPolynomial
 
 Q = 0.5
@@ -502,18 +503,20 @@ def test_computed_collar_bounds_hold_on_band_limited_residuals(monkeypatch, cert
         steps = collar(rows)
         assert np.all(_row_norm(act(steps) - rows) <= z * scale), name
         assert np.all(problem.iterate_norm(steps) <= norm_c * scale), name
-        assert np.all(problem.iterate_norm(problem.right_inverse(c)(rows)) <= cert.omega1 * scale), name
+        inverse = problem.right_inverse(c)
+        for row, row_scale in zip(rows, scale):
+            assert problem.iterate_norm(inverse(row)) <= cert.omega1 * row_scale, name
         checked += 1
     assert checked == 7
 
 
-def test_computed_omega2_bounds_the_derivative_on_random_pairs(certified_annulus_solves, annulus_probe_samplers):
+def test_computed_omega2_bounds_the_derivative_on_random_pairs(certified_annulus_solves, annulus_iterate_sampler):
     # DA is affine in the traces, so its differences over any pair, taken
     # here on random pairs in the ball of radius 0.1 around the iterate
     rng = np.random.default_rng(13)
     for name, sol, problem, _, q in certified_annulus_solves:
         c, omega2 = sol.run.x, sol.run.certificate.omega2
-        _, sample = annulus_probe_samplers(sol.grid, q)
+        sample = annulus_iterate_sampler(sol.grid, q)
         for _ in range(6):
             du, dv, d = (sample(rng) for _ in range(3))
             du *= 0.1 * rng.uniform(0.1, 1.0) / problem.iterate_norm(du)
@@ -525,40 +528,49 @@ def test_computed_omega2_bounds_the_derivative_on_random_pairs(certified_annulus
 
 def test_zero_free_collar_has_no_contraction(certified_annulus_solves):
     # the zero-free linearization is not onto: Z >= 1, so omega1 and the
-    # product are inf and the identity defect is Z, that of the collar inverse
+    # product are inf and the identity defect is Z, that of the collar
+    # inverse; result files say null rather than Infinity
     zero_free = [entry for entry in certified_annulus_solves if "zerofree" in entry[0]]
     assert len(zero_free) == 3
-    for name, sol, _, families, q in zero_free:
+    for name, sol, problem, families, q in zero_free:
         cert = sol.run.certificate
         z, _, _ = annulus._collar_bounds(families, q, sol.grid, sol.run.x)
         assert cert.omega1 == cert.product == np.inf, name
         assert cert.identity_defect == z >= 1.0 and not cert.certified, name
         assert np.isfinite(cert.omega2), name
+        block = certificate_dict(cert, fallback=False)
+        assert block["omega1"] is None and block["product"] is None
+        assert block["omega3"] == cert.omega3 and block["identity_defect"] == cert.identity_defect
+        assert block["certified"] is False
+        text = dump_json(block)
+        assert '"product": null' in text and "Infinity" not in text
+        assert dump_json(certificate_dict(certify(problem, sol.run.x), False)) == text
 
 
 def test_certified_solve_runs_gmres_only_for_newton_steps(monkeypatch):
-    # the certificate runs no GMRES: every run is a Newton step's, one row each
-    rows = []
+    # the certificate runs no GMRES: every run is a Newton step's, on its
+    # one residual of length 2N
+    shapes = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, targets=None):
-        rows.append(len(r))
-        return original(act, precondition, r, targets)
+    def spy(act, precondition, r, target=None):
+        shapes.append(np.shape(r))
+        return original(act, precondition, r, target)
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
     sol = solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9))
     assert sol.run.certificate.certified
-    assert rows == [1] * sol.run.iterations
+    assert shapes == [(1024,)] * sol.run.iterations
 
 
-def test_annulus_iterate_norm_is_the_larger_wiener_norm_of_the_two_traces(annulus_probe_samplers):
+def test_annulus_iterate_norm_is_the_larger_wiener_norm_of_the_two_traces(annulus_iterate_sampler):
     # for modes -K..K on N >= 2K + 2 points the Wiener norm of the outer trace
     # is sum |c_k| and of the inner one sum |c_k| q^k; at q = 0.01 and N = 1024
     # the inner trace is formed from logs, since q^-511 overflows
     rng = np.random.default_rng(8)
     for q, n in ((0.5, 256), (0.01, 1024)):
-        _, iterate_sampler = annulus_probe_samplers(BoundaryGrid(n), q)
+        iterate_sampler = annulus_iterate_sampler(BoundaryGrid(n), q)
         iterate_norm = annulus._iterate_norm(q, n)
         modes = laurent_modes(n)
         probes = np.stack([iterate_sampler(rng) for _ in range(3)])
@@ -596,17 +608,16 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
     captured = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, targets=None):
+    def spy(act, precondition, r, target=None):
         captured.append((act, precondition, r))
-        return original(act, precondition, r, targets)
+        return original(act, precondition, r, target)
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
     solve_annulus(
         ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(tol=5e-6, certify=False)
     )
-    # a Newton step runs GMRES on a one-row stack
-    act, precondition, (r,) = captured[0]
+    act, precondition, r = captured[0]
     monkeypatch.setattr(annulus, "_GMRES_TOL", 0.0)
     monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 10 ** 6)
     x = np.zeros_like(precondition(r))
@@ -614,7 +625,7 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
         x = x + precondition(r - act(x))
         neumann = np.linalg.norm(r - act(x))
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
-        (xg,), (norms,) = original(act, precondition, r[None])
+        xg, norms = original(act, precondition, r)
         assert len(norms) == k + 1
         assert np.linalg.norm(r - act(xg)) <= neumann * (1.0 + 1e-8)
 
@@ -629,25 +640,25 @@ def test_gmres_drops_a_stalled_stretch(monkeypatch):
     calls = []
     original = annulus._gmres
 
-    def spy(act, precondition, rows, targets=None):
-        steps, histories = original(act, precondition, rows, targets)
-        calls.append((act, precondition, rows, steps, histories))
-        return steps, histories
+    def spy(act, precondition, r, target=None):
+        step, history = original(act, precondition, r, target)
+        calls.append((act, precondition, r, step, history))
+        return step, history
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
     opts = AnnulusSolveOptions(grid_n=512, tol=1e-9, certify=False)
     solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, opts)
     window, stalls = annulus._GMRES_STALL_WINDOW, 0
-    for act, precondition, rows, steps, (history,) in calls:
+    for act, precondition, r, step, history in calls:
         stalled = len(history) > window and history[-1] > annulus._GMRES_STALL_RATIO * history[-1 - window]
         stalls += stalled
         kept = max(1, len(history) - 1 - window) if stalled else len(history) - 1
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", kept)
-        capped, _ = original(act, precondition, rows)
-        assert np.linalg.norm(steps - capped) <= 1e-13 * np.linalg.norm(capped)
-        step = max(np.max(np.abs(t)) for t in laurent_traces(steps[0], 0.4, 512))
-        assert step <= 100.0 * np.max(np.abs(rows))
+        capped, _ = original(act, precondition, r)
+        assert np.linalg.norm(step - capped) <= 1e-13 * np.linalg.norm(capped)
+        size = max(np.max(np.abs(t)) for t in laurent_traces(step, 0.4, 512))
+        assert size <= 100.0 * np.max(np.abs(r))
     assert stalls >= 1
 
 
@@ -656,15 +667,14 @@ def _first_gmres(monkeypatch, solve, which=0):
     captured = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, targets=None):
+    def spy(act, precondition, r, target=None):
         captured.append((act, precondition, r))
-        return original(act, precondition, r, targets)
+        return original(act, precondition, r, target)
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     solve()
     monkeypatch.setattr(annulus, "_gmres", original)
-    act, precondition, (r,) = captured[which]  # a one-row stack
-    return act, precondition, r
+    return captured[which]
 
 
 def _zero_free_at_glue(n):
@@ -684,100 +694,6 @@ def _residual_probe(sampler, n, seed):
     probe = sampler(BoundaryGrid(n))
     rng = np.random.default_rng(seed)
     return np.concatenate([probe(rng), probe(rng)])
-
-
-def _no_svd(*args, **kwargs):
-    raise AssertionError("np.linalg.svd called")
-
-
-def test_gmres_rows_run_independently(monkeypatch, band_limited_sampler):
-    # three rows that stop differently: the README grid-floor residual
-    # stalls and rolls back, a wobbly residual converges, and a zero-free
-    # probe stalls far above the forcing bound. The problems differ, so the
-    # stack runs on their block-diagonal sum, each row nonzero in its own
-    # block; each row must match its one-row run
-    monkeypatch.setattr(np.linalg, "svd", _no_svd)
-    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
-    floor = _first_gmres(
-        monkeypatch,
-        lambda: solve_annulus(
-            ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9, certify=False)
-        ),
-        which=-1,
-    )
-    wobbly = _first_gmres(
-        monkeypatch,
-        lambda: solve_annulus(
-            scaled_circle(1.0, [0.0, 0.02, -0.01]), scaled_circle(1.0, [0.0, -0.01, 0.02]), (4, 4), Q,
-            AnnulusSolveOptions(certify=False),
-        ),
-    )
-    problem, h0 = _zero_free_at_glue(256)
-    probe = _residual_probe(band_limited_sampler, 256, 0)
-    act_z, pre_z, _ = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
-    blocks = [floor[:2], wobbly[:2], (act_z, pre_z)]
-    res = np.cumsum([0] + [len(floor[2]), len(wobbly[2]), len(probe)])
-    its = np.cumsum([0] + [len(pre(r)) for pre, r in zip((floor[1], wobbly[1], pre_z), (floor[2], wobbly[2], probe))])
-
-    def act(x):
-        return np.concatenate([a(x[..., its[i] : its[i + 1]]) for i, (a, _) in enumerate(blocks)], axis=-1)
-
-    def precondition(r):
-        return np.concatenate([p(r[..., res[i] : res[i + 1]]) for i, (_, p) in enumerate(blocks)], axis=-1)
-
-    rows = np.zeros((3, res[-1]))
-    for i, r in enumerate((floor[2], wobbly[2], probe)):
-        rows[i, res[i] : res[i + 1]] = r
-    stacked, histories = annulus._gmres(act, precondition, rows)
-    for row, x, history in zip(rows, stacked, histories):
-        (alone,), (norms,) = annulus._gmres(act, precondition, row[None])
-        assert len(history) == len(norms)
-        npt.assert_allclose(history, norms, rtol=1e-13)
-        assert np.linalg.norm(x - alone) <= 1e-13 * np.linalg.norm(alone)
-    # the rows stop at different iterations, so the stack shrinks as it runs
-    assert len({len(h) for h in histories}) == 3
-    # the floor row stalled and rolled back to the iterate before the
-    # stalled stretch, which a run with that many iterations returns
-    window = annulus._GMRES_STALL_WINDOW
-    floor_history = histories[0]
-    assert floor_history[-1] > annulus._GMRES_STALL_RATIO * floor_history[-1 - window]
-    keep = len(floor_history) - 1 - window
-    monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", keep)
-    (before_stall,), _ = annulus._gmres(act, precondition, rows[:1])
-    assert np.linalg.norm(stacked[0] - before_stall) <= 1e-13 * np.linalg.norm(before_stall)
-    # the wobbly row converged and the zero-free probe missed the forcing bound
-    assert histories[1][-1] <= annulus._GMRES_TOL * histories[1][0]
-    sup_defect = np.max(np.abs(rows - act(stacked)), axis=1) / np.max(np.abs(rows), axis=1)
-    assert sup_defect[0] <= 0.1 and sup_defect[1] <= 0.1 < sup_defect[2]
-
-
-def test_stacked_right_inverse_reports_only_the_missed_rows(monkeypatch, band_limited_sampler):
-    # the zero-free Newton residual is reached, a band-limited probe is off
-    # the range, and a zero row needs no inversion: one exception for the
-    # stack names only the probe, and the reached steps are those of
-    # single-vector applications
-    monkeypatch.setattr(np.linalg, "svd", _no_svd)
-    problem, h0 = _zero_free_at_glue(64)
-    apply = problem.right_inverse(h0)
-    r0 = problem.residual(h0)
-    probe = _residual_probe(band_limited_sampler, 64, 0)
-    stack = np.stack([r0, probe, np.zeros_like(r0)])
-    with pytest.raises(NeumannDiverges, match="on a 64-point grid$") as info:
-        apply(stack)
-    exc = info.value
-    assert np.isnan(exc.defect[0]) and np.isnan(exc.defect[2]) and exc.defect[1] > 0.1
-    assert exc.iterations[0] >= 1 and exc.iterations[1] >= 1 and exc.iterations[2] == 0
-    alone = apply(r0)
-    assert np.linalg.norm(exc.steps[0] - alone) <= 1e-13 * np.linalg.norm(alone)
-    assert not exc.steps[2].any()
-    with pytest.raises(NeumannDiverges, match="collar GMRES left defect") as single:
-        apply(probe)
-    assert str(single.value).endswith("on a 64-point grid")
-    npt.assert_allclose(single.value.defect, exc.defect[1], rtol=1e-13)
-    assert single.value.iterations == exc.iterations[1]
-    # a stack the inverse reaches entirely comes back as steps
-    steps = apply(np.stack([r0, 2.0 * r0]))
-    assert np.linalg.norm(steps[1] - 2.0 * alone) <= 1e-12 * np.linalg.norm(steps[1])
 
 
 def test_right_inverse_accepts_defects_below_half_the_tolerance(band_limited_sampler):
@@ -852,21 +768,21 @@ def test_targeted_gmres_stops_at_the_first_iterate_meeting_its_sup_target(monkey
     # on the first Newton residual, over the iterates an untargeted run
     # visits, with the tolerance and stall rules then switched off: a target
     # 1e-10 of the residual above (or below) the true sup defect
-    # max|r - act(x_k)| of iterate k must (or must not) stop the row there,
+    # max|r - act(x_k)| of iterate k must (or must not) stop the run there,
     # so the Arnoldi estimate of every iterate's sup defect is that close;
-    # the row stops at the first iterate meeting its target, with that
+    # the run stops at the first iterate meeting its target, with that
     # iterate's step. (Past a stall the step grows along near-kernel
     # directions and the estimate loses digits; the stall rule stops first.)
     problem, h0 = _glued(name)
     act, precondition, r = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
-    _, (visited,) = annulus._gmres(act, precondition, r[None])
+    _, visited = annulus._gmres(act, precondition, r)
     last = min(len(visited) - 1, 10)
     monkeypatch.setattr(annulus, "_GMRES_TOL", 0.0)
     monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 10 ** 6)
     iterates, defects = [], []
     for k in range(1, last + 1):
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
-        (x,), _ = annulus._gmres(act, precondition, r[None])
+        x, _ = annulus._gmres(act, precondition, r)
         iterates.append(x)
         defects.append(np.max(np.abs(r - act(x))))
     margin = 1e-10 * np.max(np.abs(r))
@@ -874,40 +790,40 @@ def test_targeted_gmres_stops_at_the_first_iterate_meeting_its_sup_target(monkey
     for defect in defects:
         for target in (defect + margin, defect - margin):
             want = next((k for k, d in enumerate(defects, 1) if d <= target), last)
-            (x,), (history,) = annulus._gmres(act, precondition, r[None], [target])
+            x, history = annulus._gmres(act, precondition, r, target)
             assert len(history) - 1 == want, (target, defects)
             assert np.array_equal(x, iterates[want - 1])
             stops.add(want)
-    # the targets stop the row at several iterates, not only at the budget
+    # the targets stop the run at several iterates, not only at the budget
     assert len(stops) >= 4
 
 
 def test_untargeted_gmres_and_apply_are_the_plain_runs(monkeypatch):
-    # no target, a NaN target and a zero target (never met) leave every stop
-    # rule as it was: the same iterations and bitwise the same step; apply
+    # no target and a zero target (never met) leave every stop rule as it
+    # was: the same iterations and bitwise the same step; apply
     # forwards its target, and a Newton-sized target stops the step sooner
     problem, h0 = _glued("readme")
     r = problem.residual(h0)
     apply = problem.right_inverse(h0)
     act, precondition, _ = _first_gmres(monkeypatch, lambda: apply(r))
-    (plain,), (history,) = annulus._gmres(act, precondition, r[None])
-    for targets in ([np.nan], [0.0]):
-        (x,), (h,) = annulus._gmres(act, precondition, r[None], targets)
+    plain, history = annulus._gmres(act, precondition, r)
+    for target in (None, 0.0):
+        x, h = annulus._gmres(act, precondition, r, target)
         assert np.array_equal(x, plain) and h == history
     assert np.array_equal(apply(r), plain) and np.array_equal(apply(r, target=None), plain)
     scale = np.max(np.abs(r))
     captured = []
     original = annulus._gmres
 
-    def spy(act, precondition, rows, targets=None):
-        steps, histories = original(act, precondition, rows, targets)
-        captured.append((targets, histories))
-        return steps, histories
+    def spy(act, precondition, r, target=None):
+        step, history = original(act, precondition, r, target)
+        captured.append((target, history))
+        return step, history
 
     monkeypatch.setattr(annulus, "_gmres", spy)
     step = apply(r, target=0.01 * scale)
-    (targets, (short,)), = captured
-    assert targets == 0.01 * scale
+    (target, short), = captured
+    assert target == 0.01 * scale
     assert len(short) < len(history)
     assert np.max(np.abs(r - problem.derivative_action(h0, step))) <= 0.01 * scale
 
@@ -921,28 +837,28 @@ def test_target_met_on_a_stalled_iterate_keeps_it(monkeypatch):
     capped = []
     for k in (1, 2):
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
-        capped.append(annulus._gmres(act, precondition, r[None])[0][0])
+        capped.append(annulus._gmres(act, precondition, r)[0])
     defects = [np.max(np.abs(r - act(x))) for x in capped]
     target = 2.0 * defects[1]
     assert defects[0] > target
     monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", 20)
     monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 2)
     monkeypatch.setattr(annulus, "_GMRES_STALL_RATIO", 0.0)
-    (rolled,), (history,) = annulus._gmres(act, precondition, r[None])
+    rolled, history = annulus._gmres(act, precondition, r)
     assert len(history) == 3 and np.array_equal(rolled, capped[0])
-    (kept,), (history,) = annulus._gmres(act, precondition, r[None], target)
+    kept, history = annulus._gmres(act, precondition, r, target)
     assert len(history) == 3 and np.array_equal(kept, capped[1])
 
 
 def test_gmres_reads_the_sup_estimate_only_inside_the_two_norm_bracket(monkeypatch):
-    # sup <= |.|_2 <= sqrt(2N) sup: a row whose 2-norm defect is at most its
-    # target has met it, and one whose 2-norm defect is above sqrt(2N) times
-    # its target cannot; only in between is the Arnoldi sup estimate read.
+    # sup <= |.|_2 <= sqrt(2N) sup: an iterate whose 2-norm defect is at most
+    # its target has met it, and one whose 2-norm defect is above sqrt(2N)
+    # times its target cannot; only in between is the Arnoldi sup estimate read.
     # Targets at the 2-norm of iterate 2, a quarter of it, and below every
     # iterate's 2-norm over sqrt(2N) on the README's first Newton residual
     problem, h0 = _glued("readme")
     act, precondition, r = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
-    (plain,), (visited,) = annulus._gmres(act, precondition, r[None])
+    plain, visited = annulus._gmres(act, precondition, r)
     root = np.sqrt(len(r))
     targets = [visited[2], visited[2] / 4.0, visited[-1] / (2.0 * root)]
     estimates = []
@@ -953,11 +869,11 @@ def test_gmres_reads_the_sup_estimate_only_inside_the_two_norm_bracket(monkeypat
         return estimates[-1]
 
     monkeypatch.setattr(annulus, "_sup_defect", spy)
-    rows = []
+    runs = []
     for target in targets:
         estimates.clear()
-        (x,), (history,) = annulus._gmres(act, precondition, r[None], [target])
-        rows.append((x, history))
+        x, history = annulus._gmres(act, precondition, r, target)
+        runs.append(history)
         stop = len(history) - 1
         inside = [k for k in range(1, stop + 1) if target < history[k] <= root * target]
         assert len(estimates) == len(inside)
@@ -969,30 +885,32 @@ def test_gmres_reads_the_sup_estimate_only_inside_the_two_norm_bracket(monkeypat
             assert stop <= 2 and sup <= target
     # the bracket decides iterate 2 for the first target and the estimate
     # for the second
-    assert len(rows[0][1]) == len(rows[1][1]) == 3
-    # the three rows run as one stack as they run alone
-    stacked, histories = annulus._gmres(act, precondition, np.stack([r, r, r]), targets)
-    for x, history, (alone, alone_history) in zip(stacked, histories, rows):
-        assert history == alone_history
-        assert np.linalg.norm(x - alone) <= 1e-13 * np.linalg.norm(alone)
+    assert len(runs[0]) == len(runs[1]) == 3
 
 
-def test_per_row_targets_skip_a_zero_row():
-    # a zero row needs no inversion: its step is zero, and the targets of the
-    # other rows still reach their own rows
+def test_zero_residual_runs_no_gmres_and_targets_reach_theirs(monkeypatch):
+    # a zero residual needs no inversion: its step is zero and no GMRES runs
+    # (newton.iterate can pass one with tol = 0); a nonzero residual's target
+    # reaches its GMRES, and two targets stop it at different iterates
     problem, h0 = _glued("wobbly")
     apply = problem.right_inverse(h0)
     r = problem.residual(h0)
     scale = np.max(np.abs(r))
-    stack = np.stack([r, np.zeros_like(r), 2.0 * r])
-    # a target read off the wrong row would stop the last row at iterate 1
-    steps = apply(stack, target=np.array([0.1 * scale, 1.0, 1e-8 * scale]))
-    assert steps.shape == (3, len(h0)) and not steps[1].any()
-    for step, row, target in ((steps[0], r, 0.1 * scale), (steps[2], 2.0 * r, 1e-8 * scale)):
-        alone = apply(row, target=target)
-        assert np.linalg.norm(step - alone) <= 1e-13 * np.linalg.norm(alone)
-    # the two targets stop their rows at different iterates
-    assert np.linalg.norm(steps[2] - 2.0 * steps[0]) > 1e-6 * np.linalg.norm(steps[2])
+    seen = []
+    original = annulus._gmres
+
+    def spy(act, precondition, r, target=None):
+        seen.append(target)
+        return original(act, precondition, r, target)
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    zero = apply(np.zeros_like(r), target=0.1 * scale)
+    assert zero.shape == h0.shape and zero.dtype == h0.dtype and not zero.any()
+    assert seen == []
+    loose, tight = apply(r, target=0.1 * scale), apply(2.0 * r, target=1e-8 * scale)
+    assert seen == [0.1 * scale, 1e-8 * scale]
+    assert np.max(np.abs(2.0 * r - problem.derivative_action(h0, tight))) <= 1e-8 * scale
+    assert np.linalg.norm(tight - 2.0 * loose) > 1e-6 * np.linalg.norm(tight)
 
 
 def test_certificate_never_touches_the_newton_run():
@@ -1057,10 +975,12 @@ def test_sweep_case_converges_or_names_its_cause(data, q, w, outcome):
 def test_zero_free_data_off_integer_flux_raises():
     # circles of radius 1 and q^7.5 have flux 7.5: no zero-free solution with
     # windings (8, -8) exists, and the first Newton step says so
+    # the error carries the step's relative defect and its Krylov iterations
     with pytest.raises(NeumannDiverges) as info:
         solve_annulus(builtin_circle_family(1.0), builtin_circle_family(0.5 ** 7.5), (8, -8), 0.5)
-    assert info.value.defect > 0.1
-    assert info.value.iterations >= 1
+    assert type(info.value.defect) is float and info.value.defect > 0.1
+    assert type(info.value.iterations) is int and info.value.iterations >= 1
+    assert not hasattr(info.value, "steps")
 
 
 def test_readme_data_at_an_extreme_modulus_converges():

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import annulus, disc
-from rhsolve.annulus import AnnulusSolveOptions
-from rhsolve.boundary import BoundaryGrid, wiener_norm
-from rhsolve.curves import builtin_circle_family, builtin_ellipse_family, divisor_transform, monomial_transform
-from rhsolve.errors import NeumannDiverges, NoConvergence, SamplingFailed
+from rhsolve import disc
+from rhsolve.boundary import BoundaryGrid
+from rhsolve.curves import builtin_circle_family, builtin_ellipse_family, monomial_transform
+from rhsolve.errors import NoConvergence, SamplingFailed
 from rhsolve.newton import (
+    CertificateBounds,
     CertifyOptions,
     IterateOptions,
     NewtonProblem,
@@ -21,7 +21,6 @@ from rhsolve.newton import (
     iterate,
 )
 from rhsolve.serialize import certificate_dict, dump_json
-from rhsolve.trig import TrigPolynomial
 
 
 def quadratic_problem():
@@ -252,31 +251,6 @@ def test_sampling_failure_on_degenerate_norm():
         certify(prob, 1.01)
 
 
-def test_certify_records_probes_the_inverse_cannot_reach():
-    # the right inverse reaches only positive residuals: the others count
-    # against the identity check and do not enter omega1. The probes come
-    # as one stack, so the miss is reported per row
-    def right_inverse(x):
-        def apply(r):
-            missed = np.asarray(r) < 0.0
-            if missed.any():
-                raise NeumannDiverges(
-                    "off the range",
-                    defect=np.where(missed, 0.75, np.nan),
-                    iterations=np.full(missed.shape, 3),
-                    steps=r / (2.0 * x),
-                )
-            return r / (2.0 * x)
-
-        return apply
-
-    prob = dataclasses.replace(quadratic_problem(), right_inverse=right_inverse)
-    cert = certify(prob, 1.01)
-    npt.assert_allclose(cert.omega1, certify(quadratic_problem(), 1.01).omega1, rtol=1e-12)
-    assert cert.identity_defect == 0.75
-    assert not cert.certified
-
-
 def test_certify_norm_overrides():
     # doubling the residual norm certify reads doubles omega3 and scales omega1 down
     prob = quadratic_problem()
@@ -320,11 +294,7 @@ def _per_probe_certify(problem, samplers, x0, seed=0):
     for _ in range(16):
         r = residual_sampler(rng)
         rn = res_norm(r)
-        try:
-            step = inverse(r)
-        except NeumannDiverges as exc:
-            identity_defect = max(identity_defect, exc.defect)
-            continue
+        step = inverse(r)
         omega1 = max(omega1, problem.iterate_norm(step) / rn)
         identity_defect = max(identity_defect, res_norm(problem.derivative_action(x0, step) - r) / rn)
     omega2 = 0.0
@@ -366,89 +336,34 @@ def test_stacked_disc_certificate_is_bit_identical_to_per_probe(kind, n, sampled
     assert cert.certified == certified
 
 
-def _scaled_circle(base, coeffs):
-    a = TrigPolynomial(tuple(coeffs))
-    return divisor_transform(builtin_circle_family(base), lambda th: np.exp(-a(th)) + 0j)
-
-
-def _annulus_at_glue(name):
-    if name == "readme":
-        outer = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
-        inner, windings, q, opts = builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=512, tol=1e-9)
-    elif name == "wobbly":
-        outer = builtin_circle_family([1.0, 0.02, -0.01, 0.015, 0.01])
-        inner = builtin_circle_family([1.0, -0.01, 0.02, 0.0, -0.015])
-        windings, q, opts = (4, 4), 0.5, AnnulusSolveOptions()
-    else:
-        # |f| = base * exp(zero-mean trig): the flux is the inner winding
-        outer = _scaled_circle(1.0, [0.0, 0.06, -0.03, 0.02, 0.015])
-        inner = _scaled_circle(0.5 ** 8, [0.0, -0.04, 0.05, 0.01, -0.02])
-        windings, q, opts = (8, -8), 0.5, AnnulusSolveOptions()
-    h0, _, families = annulus._glue_coefficients(outer, inner, windings, q, opts)
-    grid = BoundaryGrid(opts.grid_n)
-    return annulus._annulus_problem(*families, q, grid, opts.tol), h0, grid, q
-
-
-@pytest.fixture
-def sampled_annulus(annulus_probe_samplers, probes_from):
-    """name -> (annulus problem certified by sampling, glued iterate, its probe samplers).
-
-    The probes are band-limited (annulus_probe_samplers), residuals measured
-    by the larger Wiener norm of their two rows and iterates by the
-    problem's own norm, the larger Wiener norm of their two traces.
-    """
-
-    def make(name):
-        problem, h0, grid, q = _annulus_at_glue(name)
-        samplers = annulus_probe_samplers(grid, q)
-        probes_from(*samplers)
-        n = grid.n
-        rows = lambda r: np.maximum(wiener_norm(r[..., :n]), wiener_norm(r[..., n:]))
-        return dataclasses.replace(problem, bounds=None, residual_norm=rows), h0, samplers
-
-    return make
-
-
-@pytest.mark.parametrize("name", ["readme", "wobbly", "zero-free"])
-def test_stacked_annulus_certificate_matches_per_probe(name, sampled_annulus):
-    problem, h0, samplers = sampled_annulus(name)
-    cert = certify(problem, h0, CertifyOptions(seed=0))
-    omega1, omega2, omega3, identity_defect, certified = _per_probe_certify(problem, samplers, h0, seed=0)
-    assert (cert.omega2, cert.omega3) == (omega2, omega3)
-    npt.assert_allclose(cert.omega1, omega1, rtol=1e-12)
-    npt.assert_allclose(cert.identity_defect, identity_defect, rtol=0.0, atol=1e-12)
-    assert cert.certified == certified
-    if name == "zero-free":
-        # some probes are off the range and count only against the identity
-        assert cert.identity_defect > 0.1 and cert.omega1 > 0.0
-
-
-def test_certificate_with_every_probe_missed_reports_no_contraction(sampled_annulus):
-    # on the zero-free circles every seed-3 residual probe is off the range of
-    # the linearization: nothing bounds the right inverse, so omega1 and the
-    # product are inf rather than a perfect-looking 0, and result files say null
-    problem, h0, _ = sampled_annulus("zero-free")
-    cert = certify(problem, h0, CertifyOptions(seed=3))
+def test_certificate_with_every_probe_missed_reports_no_contraction():
+    # bounds that find nothing bounding the right inverse (omega1 = inf and
+    # the identity defect Z >= 1, as on the zero-free collar) away from a
+    # root: the product is inf rather than a perfect-looking number, and
+    # result files say null
+    problem = dataclasses.replace(
+        quadratic_problem(), bounds=lambda x: CertificateBounds(np.inf, 2.0, abs(x * x - 1.0), 2.8)
+    )
+    cert = certify(problem, 1.1)
     assert cert.omega1 == cert.product == np.inf
-    assert cert.identity_defect > 0.1 and not cert.certified
+    assert cert.omega3 == pytest.approx(0.21)
+    assert cert.identity_defect == 2.8 and not cert.certified
     block = certificate_dict(cert, fallback=False)
     assert block["omega1"] is None and block["product"] is None
     assert block["omega3"] == cert.omega3 and block["identity_defect"] == cert.identity_defect
     assert block["certified"] is False
     text = dump_json(block)
     assert '"product": null' in text and "Infinity" not in text
-    assert dump_json(certificate_dict(certify(problem, h0, CertifyOptions(seed=3)), False)) == text
+    assert dump_json(certificate_dict(certify(problem, 1.1), False)) == text
 
 
 def test_certificate_with_every_probe_missed_keeps_inf_at_an_exact_start():
-    # omega3 = 0 must not turn inf * 0 into a NaN product
-    def unreachable(x):
-        def apply(r):
-            raise NeumannDiverges("no step", 1.0, 1)
-
-        return apply
-
-    problem = dataclasses.replace(quadratic_problem(), right_inverse=unreachable)
+    # bounds that find nothing bounding the right inverse (omega1 = inf, as
+    # on the zero-free collar) at an exact start (omega3 = 0): inf * 0 must
+    # not turn into a NaN product
+    problem = dataclasses.replace(
+        quadratic_problem(), bounds=lambda x: CertificateBounds(np.inf, 2.0, 0.0, 1.0)
+    )
     cert = certify(problem, 1.0)
     assert cert.omega3 == 0.0
     assert cert.omega1 == cert.product == np.inf
