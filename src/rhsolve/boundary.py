@@ -238,11 +238,11 @@ def _interval_increments(trace: BoundaryTrace) -> np.ndarray:
     lipschitz = float(_abs_modes(n) @ np.abs(np.fft.fft(values))) / n
     floor = low - lipschitz * np.pi / n - _ROUNDOFF_MARGIN * scale
     if floor > _ZERO_FLOOR * scale and lipschitz * _TWO_PI / n < 0.9 * np.pi * floor:
-        return np.angle(np.roll(values, -1) / values)
+        return np.angle(np.concatenate((values[1:], values[:1])) / values)
     fine = _refined_samples(values, _REFINE)
     if np.min(np.abs(fine)) <= _ZERO_FLOOR * scale:
         raise ZeroOnBoundary("interpolated trace modulus at or below the zero floor")
-    steps = np.angle(np.roll(fine, -1) / fine)
+    steps = np.angle(np.concatenate((fine[1:], fine[:1])) / fine)
     if np.max(np.abs(steps)) >= 0.9 * np.pi:
         raise UnresolvedPhase("near-antipodal phase step after refinement")
     increments = steps.reshape(trace.grid.n, _REFINE).sum(axis=1)

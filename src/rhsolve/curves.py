@@ -207,12 +207,14 @@ def _divided_family(family: CurveFamily, g: Callable) -> CurveFamily:
 def monomial_transform(family: CurveFamily, sigma: int, scale: float = 1.0) -> CurveFamily:
     """Divide out the boundary trace scale * exp(i sigma theta) of scale * z^sigma.
 
-    This is divisor_transform with that multiplier; the identity multiplier
-    returns the family itself.
+    This is divisor_transform with that multiplier, whose modulus |scale| alone
+    is tested; the identity multiplier returns the family itself.
     """
     if sigma == 0 and scale == 1.0:
         return family
-    return divisor_transform(family, lambda theta: scale * np.exp(1j * sigma * np.asarray(theta)))
+    if abs(scale) <= 1e-14:
+        raise MultiplierVanishes("divisor multiplier vanishes on the circle")
+    return _divided_family(family, lambda theta: scale * np.exp(1j * sigma * np.asarray(theta)))
 
 
 # --------------------------------------------------------------------------

@@ -8,17 +8,17 @@ exact, so a finer grid prolongs it), laurent_from_traces reads the
 coefficients back off the traces, and harmonic_extend_annulus solves for
 the series from real boundary data. (A disc solution z^n exp(g) needs no
 zero search: its n zeros sit at the origin.)
-laurent_evaluate and laurent_derivative sum the series as two power series,
-in z and in 1/z, each by Horner's rule in z^32 over blocks of 32
-coefficients: one matrix product with the table z^0..z^31 and K/32 Python
-steps, where a Horner loop takes one step per mode. Like Horner's rule, and
-unlike a table of all K powers, it never forms z^K, which overflows in the
-1/z half on |z| = q for small q on fine grids.
+_LaurentSums lays the coefficients out once as four power series, the
+series and its slope in z and in 1/z, in blocks of 32: values (all that
+laurent_evaluate asks), or values and slopes, take one table z^0..z^31 of z
+and 1/z, one matrix product and K/32 Horner steps in z^32. Like
+Horner's rule, and unlike a table of all K powers, it never forms z^K, which
+overflows in the 1/z half on |z| = q for small q on fine grids.
 locate_zeros finds all interior zeros with multiplicities from the
 argument-principle moments of the traces (Kravanja and Van Barel 2000;
-Austin, Kravanja and Trefethen 2014) and certifies each by a winding count,
-evaluating the series once on all the small circles; a multiple zero whose
-|f| sits above the roundoff of the traces is a cluster and is refused.
+Austin, Kravanja and Trefethen 2014), Newton-polishes those with |f| above
+the traces' roundoff and certifies each by a winding count, all from one
+prepared series; a multiple zero with |f| above it is a cluster, refused.
 cauchy_extend, the discretized Cauchy integral, is the reference quadrature
 the Laurent evaluation is tested against; its error decays like
 dist(point, boundary)^N, so a margin precondition guards the boundary.
@@ -180,35 +180,59 @@ def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarra
 _BLOCK = 32
 
 
-def _power_series(z, c):
-    """sum_j c_j z^j at the points z (any shape), for coefficients c_0..c_K.
+def _power_series(z, blocks):
+    """Power-series sums at the rows of z, shape (h, P), for m series per row.
 
-    Horner's rule in w = z^_BLOCK: each block of _BLOCK coefficients is
-    summed by one product with the table z^0..z^(_BLOCK-1), so K/_BLOCK
-    steps remain. As in Horner's rule, every intermediate is the tail
-    sum_{i>=j} c_i z^(i-j) at the scale of the coefficients, and no power
-    above z^_BLOCK is formed: the 1/z half of a series on |z| = q stays
-    finite where q^-K overflows.
+    blocks[r, i, s, b] is coefficient b * width + i of series s of row r.
+    Horner's rule in w = z^width sums each block by one product with the
+    table z^0..z^(width-1), so K/width steps remain; as in Horner's rule,
+    every intermediate is a tail sum_{i>=j} c_i z^(i-j) at the scale of the
+    coefficients, and no power above z^width is formed, so the 1/z half of
+    a series on |z| = q stays finite where q^-K overflows. Returns (h, P, m).
     """
-    c = np.asarray(c, dtype=complex)
-    flat = np.asarray(z, dtype=complex).reshape(-1)
-    nblocks = -(-len(c) // _BLOCK)
-    if nblocks == 0:
-        return np.zeros(np.shape(z), dtype=complex)
-    width = min(len(c), _BLOCK)
-    padded = np.zeros(nblocks * _BLOCK, dtype=complex)
-    padded[: len(c)] = c
-    blocks = padded.reshape(nblocks, _BLOCK)[:, :width].T
-    powers = np.empty((flat.size, width + 1), dtype=complex)
-    powers[:, 0] = 1.0
-    powers[:, 1:] = flat[:, None]
-    np.cumprod(powers, axis=1, out=powers)
-    sums = powers[:, :width] @ blocks
-    w = powers[:, width]
-    out = sums[:, -1]
+    h, width, m, nblocks = blocks.shape
+    powers = np.ones(z.shape + (width,), dtype=complex)
+    powers[..., 1:] = z[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
+    sums = (powers @ blocks.reshape(h, width, m * nblocks)).reshape(z.shape + (m, nblocks))
+    w = (powers[..., -1] * z)[..., None]
+    out = sums[..., -1]
     for b in range(nblocks - 2, -1, -1):
-        out = out * w + sums[:, b]
-    return out.reshape(np.shape(z))
+        out = out * w + sums[..., b]
+    return out
+
+
+class _LaurentSums:
+    """The series with modes -K..K laid out once: f(z) = P(z) + Q(1/z), f'(z) = P'(z) - Q'(1/z) / z^2.
+
+    P = c_0..c_K and Q = 0, c_-1..c_-K share one block layout with their
+    slopes, so values (and slopes) take one table of powers and one Horner
+    loop. Q is dropped when it vanishes: a Taylor series is defined at z = 0.
+    """
+
+    def __init__(self, coeffs):
+        c = np.asarray(coeffs, dtype=complex)
+        k = (len(c) - 1) // 2
+        width = min(k + 1, _BLOCK)
+        nblocks = -(-(k + 1) // width)
+        rows = np.zeros((2, 2, nblocks * width), dtype=complex)  # (P, Q) x (series, slope)
+        rows[:, 0, : k + 1] = c[k:], c[: k + 1][::-1]
+        rows[1, 0, 0] = 0.0
+        rows[:, 1, :k] = rows[:, 0, 1 : k + 1] * np.arange(1, k + 1)
+        rows = rows[: 1 + bool(np.any(rows[1]))]
+        self.blocks = np.ascontiguousarray(rows.reshape(len(rows), 2, nblocks, width).transpose(0, 3, 1, 2))
+
+    def __call__(self, z, slope=False):
+        """f at the points z (any shape), or (f, f') with slope."""
+        z = np.asarray(z, dtype=complex)
+        points = z.reshape(1, -1)
+        if len(self.blocks) == 2:
+            points = np.concatenate([points, 1.0 / points])
+        sums = _power_series(points, self.blocks[:, :, : 1 + slope])
+        if slope and len(points) == 2:
+            sums[1, :, 1] *= -points[1] ** 2
+        out = sums.sum(axis=0).T.reshape((-1,) + z.shape)
+        return (out[0], out[1]) if slope else out[0]
 
 
 def laurent_evaluate(coeffs, z) -> np.ndarray:
@@ -217,14 +241,7 @@ def laurent_evaluate(coeffs, z) -> np.ndarray:
     A series without negative modes is a Taylor series and is defined at
     z = 0 as well.
     """
-    c = np.asarray(coeffs, dtype=complex)
-    k = (len(c) - 1) // 2
-    z = np.asarray(z, dtype=complex)
-    out = _power_series(z, c[k:])
-    if np.any(c[:k]):
-        inv = 1.0 / z
-        out = out + inv * _power_series(inv, c[:k][::-1])
-    return out
+    return _LaurentSums(coeffs)(z)
 
 
 def _shift_modes(coeffs: np.ndarray, sigma: int) -> np.ndarray:
@@ -232,19 +249,6 @@ def _shift_modes(coeffs: np.ndarray, sigma: int) -> np.ndarray:
     k = len(coeffs)
     sigma = int(np.clip(sigma, -k, k))
     return np.pad(coeffs, k)[k - sigma : 2 * k - sigma]
-
-
-def laurent_derivative(coeffs, z) -> np.ndarray:
-    """Evaluate the derivative of the Laurent series (at z = 0 too for a Taylor series)."""
-    c = np.asarray(coeffs, dtype=complex)
-    k = (len(c) - 1) // 2
-    z = np.asarray(z, dtype=complex)
-    out = _power_series(z, c[k + 1 :] * np.arange(1, k + 1))
-    if np.any(c[:k]):
-        inv = 1.0 / z
-        neg = c[:k][::-1] * -np.arange(1, k + 1)
-        out = out + inv * inv * _power_series(inv, neg)
-    return out
 
 
 def harmonic_extend_annulus(grid: BoundaryGrid, q: float, outer_values, inner_values) -> tuple:
@@ -299,15 +303,13 @@ def _moments(traces, domain: Annulus, count) -> np.ndarray:
     """s_k = (1/2 pi i) * contour integral of z^k f'/f dz, k < count.
 
     On the circle z = R exp(i theta), f' dz = (df/dtheta) dtheta, so s_k is
-    R^k / i times mode -k of f_theta / f, which one inverse FFT yields; the
-    inner circle enters with a minus sign.
+    R^k / i times mode -k of f_theta / f, which one inverse FFT of both
+    traces as a stack yields; the inner circle enters with a minus sign.
     """
-    k = np.arange(count)
-    s = np.zeros(count, dtype=complex)
-    for sign, radius, trace in zip((1.0, -1.0), (1.0, domain.q), traces):
-        log_derivative = _derivative_samples(trace.grid, trace.values) / trace.values
-        s += sign * -1j * radius ** k * np.fft.ifft(log_derivative)[:count]
-    return s
+    values = np.array([t.values for t in traces])
+    log_derivative = _derivative_samples(traces[0].grid, values) / values
+    scale = np.array([[1.0], [-1.0]]) * -1j * np.array([[1.0], [domain.q]]) ** np.arange(count)
+    return (scale * np.fft.ifft(log_derivative)[:, :count]).sum(axis=0)
 
 
 def _hankel_zeros(s, p):
@@ -331,23 +333,28 @@ def _hankel_zeros(s, p):
     return nodes, mult
 
 
-def _polish(coeffs, z, mult):
+def _polish(series, z, mult, noise):
     """Newton steps z <- z - m f/f' on the Laurent series, all zeros at once.
 
-    A zero keeps a step only while |f| decreases: at the roundoff floor, and
-    around a multiple zero where f is flat, further steps only wander.
+    Only zeros whose |f| is above noise, the roundoff floor of the traces,
+    move, and only they need f'. A step stands only while |f| decreases: at
+    the floor, and around a multiple zero where f is flat, steps only wander.
     """
-    fz = laurent_evaluate(coeffs, z)
-    moving = fz != 0
+    z = np.array(z, dtype=complex)
+    fz = series(z)
+    todo = np.flatnonzero(np.abs(fz) > noise)
+    slope = series(z[todo], slope=True)[1] if todo.size else None
     with np.errstate(all="ignore"):
         for _ in range(_POLISH_STEPS):
-            trial = z - mult * fz / laurent_derivative(coeffs, z)
-            f_trial = laurent_evaluate(coeffs, trial)
-            moving &= np.abs(f_trial) < np.abs(fz)
-            if not moving.any():
+            if not todo.size:
                 break
-            z = np.where(moving, trial, z)
-            fz = np.where(moving, f_trial, fz)
+            trial = z[todo] - mult[todo] * fz[todo] / slope
+            f_trial, slope = series(trial, slope=True)
+            better = np.abs(f_trial) < np.abs(fz[todo])
+            z[todo[better]] = trial[better]
+            fz[todo[better]] = f_trial[better]
+            keep = better & (np.abs(f_trial) > noise)
+            todo, slope = todo[keep], slope[keep]
     return z, np.abs(fz)
 
 
@@ -383,7 +390,14 @@ def locate_zeros(traces, domain: Annulus):
             f"moment nodes {nodes[outside].tolist()} lie outside the annulus {domain.q} <= |z| <= 1"
         )
     coeffs = laurent_from_traces(grid, domain.q, traces[0].values, traces[1].values)
-    z, residuals = _polish(coeffs, nodes, mult)
+    series = _LaurentSums(coeffs)
+    # each Laurent mode carries about one unit in the last place of the
+    # largest trace value, and these add up like a random walk over the
+    # modes; the polish of a true k-fold zero ends below that floor, while a
+    # cluster of k zeros of diameter d leaves |f| at its centre near
+    # (d / r)^k times the maximum on its certification circle
+    noise = np.sqrt(len(coeffs)) * np.finfo(float).eps * max(t.sup() for t in traces)
+    z, residuals = _polish(series, nodes, mult, noise)
 
     # disjoint circles inside the annulus: half the distance to the nearest
     # other zero and to the boundary
@@ -394,14 +408,8 @@ def locate_zeros(traces, domain: Annulus):
     if not np.all(radii > 0.0):
         raise CountMismatch("polished zeros left the domain or merged")
 
-    # each Laurent mode carries about one unit in the last place of the
-    # largest trace value, and these add up like a random walk over the
-    # modes; the polish of a true k-fold zero ends below that floor, while a
-    # cluster of k zeros of diameter d leaves |f| at its centre near
-    # (d / r)^k times the maximum on its certification circle
-    noise = np.sqrt(len(coeffs)) * np.finfo(float).eps * max(t.sup() for t in traces)
     circle = BoundaryGrid(_CIRCLE_POINTS)
-    values = laurent_evaluate(coeffs, z[:, None] + radii[:, None] * np.exp(1j * circle.theta))
+    values = series(z[:, None] + radii[:, None] * np.exp(1j * circle.theta))
     zeros = []
     for zj, mj, row, res in zip(z, mult, values, residuals):
         try:

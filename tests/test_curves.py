@@ -173,6 +173,12 @@ def test_multiplier_vanishes():
     base = builtin_circle_family(1.0)
     with pytest.raises(MultiplierVanishes):
         divisor_transform(base, lambda th: np.cos(th) + 0j)
+    # |scale exp(i sigma theta)| = |scale|: the monomial multiplier vanishes
+    # with its scale, at the same 1e-14 as the sampled test
+    for sigma, scale in ((2, 0.0), (0, 0.0), (-3, 1e-15), (1, -0.0)):
+        with pytest.raises(MultiplierVanishes):
+            monomial_transform(base, sigma, scale)
+    assert monomial_transform(base, 2, 1e-13).rho(0.0, 1e13) == pytest.approx(0.0, abs=1e-12)
 
 
 # ----------------------------------------------------------- JSON interchange

@@ -14,7 +14,6 @@ from rhsolve.domains import (
     Annulus,
     LocatedZero,
     cauchy_extend,
-    laurent_derivative,
     laurent_evaluate,
     laurent_from_traces,
     laurent_modes,
@@ -60,10 +59,11 @@ def assert_matches_horner(c, z):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = laurent_evaluate(c, z)
-        slope = laurent_derivative(c, z)
-    assert value.shape == slope.shape == np.shape(z)
-    assert np.all(np.isfinite(value)) and np.all(np.isfinite(slope))
-    assert np.all(np.abs(value - horner_laurent(c, z)) <= 1e-12 * size)
+        paired, slope = domains._LaurentSums(c)(z, slope=True)
+    assert value.shape == paired.shape == slope.shape == np.shape(z)
+    assert np.all(np.isfinite(value)) and np.all(np.isfinite(paired)) and np.all(np.isfinite(slope))
+    for v in (value, paired):
+        assert np.all(np.abs(v - horner_laurent(c, z)) <= 1e-12 * size)
     assert np.all(np.abs(slope - horner_laurent(c, z, derivative=True)) <= 1e-12 * slope_size)
 
 
@@ -286,10 +286,71 @@ def test_locate_zeros_matches_horner_evaluation(monkeypatch):
     ]
     blocked = [locate_zeros(traces, domain) for traces, domain in cases]
     assert [len(found) for found in blocked] == [12, 1]
-    monkeypatch.setattr(domains, "_power_series", horner)
+    calls = []
+
+    def horner_blocks(z, blocks):
+        # the blocked sums of domains._power_series, by Horner on each series
+        h, width, m, nblocks = blocks.shape
+        calls.append(z.shape)
+        coeffs = blocks.transpose(0, 2, 3, 1).reshape(h, m, nblocks * width)
+        return np.array([[horner(row, c) for c in series] for row, series in zip(z, coeffs)]).transpose(0, 2, 1)
+
+    monkeypatch.setattr(domains, "_power_series", horner_blocks)
     for (traces, domain), want in zip(cases, blocked):
+        del calls[:]
         got = locate_zeros(traces, domain)
         assert [z.multiplicity for z in got] == [z.multiplicity for z in want]
         npt.assert_allclose(
             [z.position for z in got], [z.position for z in want], rtol=0, atol=1e-14
         )
+        # the patched sums ran: first at the nodes (rows z and 1/z), last on the circles
+        assert len(calls) >= 2 and calls[0] == (2, len(want))
+        assert calls[-1] == (2, 64 * len(want))
+
+
+def radial_zero_case():
+    """A radial solve with one zero: the solution, its traces, their prepared series and roundoff floor."""
+    sol = solve_annulus_radial(builtin_circle_family(1.0), builtin_circle_family(0.6), 0.5)
+    traces = (sol.outer_trace, sol.inner_trace)
+    coeffs = laurent_from_traces(traces[0].grid, 0.5, *(t.values for t in traces))
+    noise = np.sqrt(len(coeffs)) * np.finfo(float).eps * max(t.sup() for t in traces)
+    return sol, traces, domains._LaurentSums(coeffs), noise
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """(number of points, slope) of every sum of a prepared Laurent series."""
+    calls = []
+    original = domains._LaurentSums.__call__
+
+    def spy(self, z, slope=False):
+        calls.append((np.size(z), slope))
+        return original(self, z, slope)
+
+    monkeypatch.setattr(domains._LaurentSums, "__call__", spy)
+    return calls
+
+
+def test_polish_leaves_a_node_at_the_roundoff_floor(series_calls):
+    # the radial zero's Hankel node already meets the floor: one value sum at
+    # the node, no slope, then the certification circle
+    sol, traces, _, noise = radial_zero_case()
+    del series_calls[:]  # the solve's own zero search
+    (found,) = locate_zeros(traces, Annulus(0.5))
+    assert series_calls == [(1, False), (64, False)]
+    assert found.multiplicity == 1 and found.residual <= noise
+    assert abs(found.position - sol.zero) < 1e-14
+
+
+def test_polish_moves_a_zero_off_its_node_down_to_the_floor(series_calls):
+    # from 1e-9 off, one Newton step reaches the floor and the polish stops
+    # there: the value and slope at the start, then value and slope at the step
+    sol, _, series, noise = radial_zero_case()
+    start = np.array([sol.zero + 1e-9 * np.exp(0.7j)])
+    assert abs(series(start)[0]) > 1e3 * noise
+    del series_calls[:]
+    z, residual = domains._polish(series, start, np.array([1]), noise)
+    assert series_calls == [(1, False), (1, True), (1, True)]
+    assert residual[0] <= noise
+    assert abs(z[0] - sol.zero) < 1e-14
+    assert start[0] == sol.zero + 1e-9 * np.exp(0.7j)  # the input is not moved in place
