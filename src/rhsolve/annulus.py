@@ -10,7 +10,10 @@ boundary once the windings are balanced by a monomial twist). Newton
 iteration on the Laurent coefficients then removes the gluing error.
 
 The linearized equations are solved by the collar right inverse: the
-per-boundary explicit inverses are projected onto one Laurent series.
+per-boundary explicit inverses are projected onto one Laurent series. Both
+boundaries run as one (2, N) stack (rhsolve.boundary): one eta
+decomposition per inverse, and one conjugation and one projection FFT per
+application, with every row bitwise what it would be alone.
 The paper blends its collar pieces with a cutoff and removes the blend's
 dbar defect by an area transform; the projection needs no such term, since
 that transform has no mode the projection keeps. Right-preconditioned GMRES,
@@ -47,8 +50,8 @@ from .boundary import (
     wiener_norm,
     winding_number,
 )
-from .curves import CurveFamily, eta_decompose, monomial_transform, on_grid
-from .disc import DiscSolveOptions, _affine_dbar, _weight_defect, right_inverse_apply, solve_disc
+from .curves import CurveFamily, _eta_weights, monomial_transform, on_grid
+from .disc import DiscSolveOptions, _affine_dbar, _explicit_inverse, _weight_defect_rows, solve_disc
 from .domains import (
     Annulus,
     _check_modulus,
@@ -289,7 +292,7 @@ def _iterate_norm(q: float, n: int):
     The Laurent layer forms the traces, so a mode whose q-power overflows
     is still measured at its size on |z| = q.
     """
-    return lambda dc: np.maximum(*(wiener_norm(t) for t in laurent_traces(dc, q, n)))
+    return lambda dc: np.max(wiener_norm(laurent_traces(dc, q, n)), axis=0)
 
 
 def _sup_defect(beta, last, vectors):
@@ -411,39 +414,54 @@ def _bounds(families, q: float, grid: BoundaryGrid, c) -> CertificateBounds:
     omega2 = np.inf
     profiles = [_affine_dbar(fam, grid.theta) for fam in (fam0t, fam1t)]
     if all(profile is not None for profile in profiles):
-        omega2 = max(
-            2.0 * (wiener_norm(beta) + wiener_norm(gamma)) / unit
-            for (_, beta, gamma), unit in zip(profiles, (unit0, unit1))
-        )
+        beta, gamma = wiener_norm(np.array([profile[1:] for profile in profiles])).T
+        omega2 = max(2.0 * (beta + gamma) / (unit0, unit1))
 
     fine = _nodes(2 * grid.n)
     f0, f1 = laurent_traces(c, q, 2 * grid.n)
-    omega3 = max(wiener_norm(fam0t.rho(fine, f0)) / unit0, wiener_norm(fam1t.rho(fine, f1)) / unit1)
+    omega3 = max(wiener_norm(np.array([fam0t.rho(fine, f0), fam1t.rho(fine, f1)])) / (unit0, unit1))
     return CertificateBounds(omega1, omega2, omega3, identity_defect)
+
+
+def _collar_weights(families, grid: BoundaryGrid, t0, t1) -> tuple:
+    """eta and the explicit inverses' weights (phi_weight, k_weight) at the traces t0, t1, one row per boundary.
+
+    Row 1 is the inner boundary's, read in the pullback's orientation; both
+    rows are checked as traces and decomposed as one stack.
+    """
+    fam0t, _, fam1p, _, _ = families
+    theta = grid.theta
+    inner = _reindex(t1)
+    eta = np.array([t0 * np.conj(fam0t.dbar_w(theta, t0)), inner * np.conj(fam1p.dbar_w(theta, inner))])
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("trace values must be finite")
+    return eta, *_eta_weights(grid, eta)
 
 
 def _collar_bounds(families, q: float, grid: BoundaryGrid, c) -> tuple:
     """(Z, the bound on ||C||, max delta_i) at the Laurent coefficients c (see _bounds)."""
-    fam0t, fam1t, fam1p, unit0, unit1 = families
+    fam0t, fam1t, _, unit0, unit1 = families
     theta, n = grid.theta, grid.n
     t0, t1 = laurent_traces(c, q, n)
-    dec0 = eta_decompose(fam0t, BoundaryTrace(grid, t0))
-    dec1 = eta_decompose(fam1p, BoundaryTrace(grid, _reindex(t1)))
-    m0, m1 = 0.5 * t0 * dec0.k_weight, 0.5 * t1 * _reindex(dec1.k_weight)
-    phi0, phi1 = wiener_norm(dec0.phi_weight), wiener_norm(dec1.phi_weight)
+    eta, phi_weight, k_weight = _collar_weights(families, grid, t0, t1)
+    m0, m1 = 0.5 * t0 * k_weight[0], 0.5 * t1 * _reindex(k_weight[1])
+    dbar = [fam0t.dbar_w(theta, t0), fam1t.dbar_w(theta, t1)]
+    defect_re, defect_im = _weight_defect_rows(eta, k_weight, phi_weight)
+    # the A-norms of both boundaries' rows from one FFT: phi weights, dbar
+    # rho and the two rows of each weight defect
+    norms = wiener_norm(np.array([*phi_weight, *dbar, *defect_re, *defect_im]))
+    (phi0, phi1), (g0, g1) = norms[:2], 2.0 * norms[2:4] / (unit0, unit1)
     p0, p1 = unit0 * phi0, unit1 * phi1
-    g0 = 2.0 * wiener_norm(fam0t.dbar_w(theta, t0)) / unit0
-    g1 = 2.0 * wiener_norm(fam1t.dbar_w(theta, t1)) / unit1
 
     modes = np.fft.fftfreq(n, 1.0 / n)
     neg = modes < 0
     reach = q ** np.abs(modes)
-    spec0, spec1 = (np.abs(np.fft.fft(m)) / n for m in (m0, m1))
+    spec0, spec1 = np.abs(np.fft.fft(np.array([m0, m1]))) / n
     n0, p1_modes = np.sum(spec0[neg]), np.sum(spec1[~neg])
     w1 = np.sum(spec1[neg] * reach[neg]) + q * p1_modes
     v0 = np.sum(spec0[~neg] * reach[~neg]) + n0
 
-    delta = max(_weight_defect(dec0, phi0), _weight_defect(dec1, phi1))
+    delta = max(norms[4:6] + norms[6:8] * (phi0, phi1))
     z = max(g0 * (n0 * p0 + w1 * p1), g1 * (v0 * p0 + p1_modes * p1)) + delta
     norm_c = max(np.sum(spec0) * p0 + n0 * p0 + w1 * p1, np.sum(spec1) * p1 + v0 * p0 + p1_modes * p1)
     return z, norm_c, delta
@@ -493,19 +511,22 @@ def _annulus_problem(
 
         return act
 
+    families = (outer_family, inner_family, fam1p, unit0, unit1)
+    units = np.array([[unit0], [unit1]])
+
     def right_inverse(c):
         t0, t1 = traces(c)
-        dec0 = eta_decompose(outer_family, BoundaryTrace(grid, t0))
-        dec1 = eta_decompose(fam1p, BoundaryTrace(grid, _reindex(t1)))
+        _, phi_weight, k_weight = _collar_weights(families, grid, t0, t1)
         act = linearization(t0, t1)
 
         def collar_apply(r):
-            # per-boundary explicit inverses, multiplied back onto the
-            # iterate so each correction carries the iterate's divisor;
-            # the explicit inverses work in raw rho units
-            k0 = right_inverse_apply(dec0, r[..., :n] * unit0)
-            k1t = right_inverse_apply(dec1, _reindex(r[..., n:] * unit1))
-            return laurent_from_traces(grid, q, t0 * k0, t1 * _reindex(k1t))
+            # per-boundary explicit inverses, one (..., 2, N) stack in raw
+            # rho units, multiplied back onto the iterate so each correction
+            # carries the iterate's divisor
+            rows = r.reshape(r.shape[:-1] + (2, n)) * units
+            rows[..., 1, :] = _reindex(rows[..., 1, :])
+            k = _explicit_inverse(grid, phi_weight, k_weight, rows)
+            return laurent_from_traces(grid, q, t0 * k[..., 0, :], t1 * _reindex(k[..., 1, :]))
 
         def apply(r, target=None):
             # target: the sup-norm defect at which a step may stop short of
@@ -532,7 +553,6 @@ def _annulus_problem(
 
         return apply
 
-    families = (outer_family, inner_family, fam1p, unit0, unit1)
     return NewtonProblem(
         residual=residual,
         right_inverse=right_inverse,

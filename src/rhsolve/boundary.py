@@ -9,6 +9,14 @@ The discrete conjugation operator multiplies mode k by -i sign(k) and zeroes
 the mean, so u + i T(u) is the trace of a holomorphic function with real part
 u on the unit circle. The Nyquist mode N/2 is also zeroed: its conjugate
 samples to zero on this grid and keeping it would make T(u) complex.
+
+Functions of samples (not of a trace) work along the last axis of a
+(rows, N) stack, one boundary function per row, and give each row what it
+would give that row alone, bitwise: numpy's FFT of a stack equals the FFTs
+of its rows, and every other step is elementwise or a reduction along a
+row. The annulus runs its two boundaries as one such stack; a trace is
+the one-row case. A trace keeps its spectrum, taken once, beside its
+phase increments.
 """
 
 from __future__ import annotations
@@ -24,11 +32,12 @@ _TWO_PI = 2.0 * np.pi
 
 # both certificates are computed from FFTs, so a solve holds a bounded
 # number of length-N arrays (at most 20 Krylov vectors and their images in
-# a Newton step's GMRES), and the grid cap bounds their length: a
-# certified README annulus solve at N = 4096 peaks at 2.9 MB of traced
-# allocations (tracemalloc, in process; 22 MB with the 16-probe stacked
-# GMRES certificate it replaced), 1.0 MB in its first Newton step and
-# 1.3 MB in its certificate bounds. No bench case or README
+# a Newton step's GMRES, and the certificate's stack of eight A-norm rows),
+# and the grid cap bounds their length: a certified README annulus solve
+# at N = 4096 peaks 2.9 MB above its start in traced allocations
+# (tracemalloc, in process; 22 MB with the 16-probe stacked GMRES
+# certificate it replaced), 0.7 MB in its first Newton step's GMRES and
+# 2.1 MB in its certificate bounds. No bench case or README
 # example goes above N = 1024. The disc certificate's residual is measured
 # on twice the grid, which may exceed this cap. ROADMAP item 1 (nested
 # grids) revisits the cap
@@ -95,8 +104,8 @@ class BoundaryTrace:
     """Samples of a boundary function on a BoundaryGrid (stored complex).
 
     The values are read-only, on a copy when the caller's array would be
-    aliased, so the phase increments a trace memoizes for winding_number and
-    unwrapped_phase cannot go stale.
+    aliased, so the spectrum and the phase increments a trace memoizes
+    cannot go stale.
     """
 
     grid: BoundaryGrid
@@ -114,11 +123,17 @@ class BoundaryTrace:
         object.__setattr__(self, "values", values)
 
     @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """The DFT of the values, taken once per trace."""
+        return _read_only(np.fft.fft(self.values))
+
+    @cached_property
     def _increments(self) -> np.ndarray:
         """Phase increments, unwrapped once per trace."""
-        increments = _interval_increments(self)
-        increments.flags.writeable = False
-        return increments
+        (increments,), (failure,) = _interval_increments(self.values[None], self._spectrum[None])
+        if failure is not None:
+            raise failure
+        return _read_only(increments)
 
     def real_values(self, tol: float = 1e-11) -> np.ndarray:
         scale = max(1.0, float(np.max(np.abs(self.values))))
@@ -141,8 +156,7 @@ def _same_grid(*traces: BoundaryTrace) -> BoundaryGrid:
 def trig_coefficients(trace: BoundaryTrace) -> np.ndarray:
     """Trig coefficients in ascending order, k = -N/2+1 .. N/2."""
     n = trace.grid.n
-    c = np.fft.fft(trace.values) / n
-    return np.roll(c, n // 2 - 1)
+    return np.roll(trace._spectrum / n, n // 2 - 1)
 
 
 def coefficient_modes(grid: BoundaryGrid) -> np.ndarray:
@@ -151,15 +165,14 @@ def coefficient_modes(grid: BoundaryGrid) -> np.ndarray:
     return np.arange(-(n // 2) + 1, n // 2 + 1)
 
 
-def _derivative_samples(grid: BoundaryGrid, values: np.ndarray) -> np.ndarray:
-    """d/dtheta of the interpolant of samples on the grid, along the last axis of a stack."""
-    c = np.fft.fft(np.asarray(values, dtype=complex))
-    return np.fft.ifft(_derivative_multiplier(grid.n) * c)
+def _derivative_samples(spectrum: np.ndarray) -> np.ndarray:
+    """d/dtheta of the interpolant, sampled on the grid, from the DFT of its samples (per row of a stack)."""
+    return np.fft.ifft(_derivative_multiplier(spectrum.shape[-1]) * spectrum)
 
 
 def spectral_derivative(trace: BoundaryTrace) -> BoundaryTrace:
     """d/dtheta of the interpolant, sampled back on the grid."""
-    return BoundaryTrace(trace.grid, _derivative_samples(trace.grid, trace.values))
+    return BoundaryTrace(trace.grid, _derivative_samples(trace._spectrum))
 
 
 def conjugate_samples(grid: BoundaryGrid, u: np.ndarray) -> np.ndarray:
@@ -203,78 +216,130 @@ _ROUNDOFF_MARGIN = 1e-9
 
 
 def _refined_samples(values: np.ndarray, factor: int) -> np.ndarray:
-    """Upsample by zero-padding the spectrum (Nyquist split symmetrically)."""
-    n = len(values)
+    """Upsample by zero-padding the spectrum (Nyquist split symmetrically), per row of a stack."""
+    n = values.shape[-1]
     spec = np.fft.fft(values)
     m = n * factor
-    padded = np.zeros(m, dtype=complex)
-    padded[: n // 2] = spec[: n // 2]
-    padded[m - n // 2 + 1 :] = spec[n // 2 + 1 :]
-    padded[n // 2] = 0.5 * spec[n // 2]
-    padded[m - n // 2] += 0.5 * spec[n // 2]
+    padded = np.zeros(spec.shape[:-1] + (m,), dtype=complex)
+    padded[..., : n // 2] = spec[..., : n // 2]
+    padded[..., m - n // 2 + 1 :] = spec[..., n // 2 + 1 :]
+    padded[..., n // 2] = 0.5 * spec[..., n // 2]
+    padded[..., m - n // 2] += 0.5 * spec[..., n // 2]
     return np.fft.ifft(padded) * factor
 
 
-def _interval_increments(trace: BoundaryTrace) -> np.ndarray:
-    """Continuous-phase increment of the interpolant across each grid interval.
+def _shifted(values: np.ndarray) -> np.ndarray:
+    """Each row's samples from the next node on: u_{j+1}, with u_N = u_0."""
+    return np.concatenate((values[:, 1:], values[:, :1]), axis=1)
 
-    Raises ZeroOnBoundary when the (refined) trace modulus drops below the
-    zero floor, and UnresolvedPhase when an increment reaches pi or a refined
-    step is nearly antipodal (the grid cannot certify the unwrapping).
+
+def _interval_increments(values: np.ndarray, spectrum: np.ndarray) -> tuple:
+    """Continuous-phase increment of the interpolant across each grid interval, per row.
+
+    values is a (rows, N) stack and spectrum its DFT. Returns the increments
+    and, per row, the error that row raises, or None: ZeroOnBoundary when the
+    (refined) modulus of the row drops below the zero floor, and
+    UnresolvedPhase when an increment reaches pi or a refined step is nearly
+    antipodal (the grid cannot certify the unwrapping). A failed row's
+    increments are zero.
 
     The spectrum decides first. L = sum |k| |c_k| bounds |u'| on the
     interpolant, so between nodes the modulus stays above
     m = min |u_j| - L pi / N and the phase turns by at most L (2 pi / N) / m
     per interval. When m clears the zero floor and that turn is below
     0.9 pi, every check of the refinement would pass and each increment is
-    the principal angle of u_{j+1} / u_j; otherwise the refinement runs.
+    the principal angle of u_{j+1} / u_j; otherwise the row is refined. L is
+    one matrix product over the stack, whose rounding may differ from a
+    row's own; it only picks the rows to refine and never enters a value.
     """
-    values = trace.values
+    rows, n = values.shape
     modulus = np.abs(values)
-    scale, low = float(np.max(modulus)), float(np.min(modulus))
-    if scale == 0.0 or low <= _ZERO_FLOOR * scale:
-        raise ZeroOnBoundary("trace modulus at or below the zero floor")
-    n = trace.grid.n
-    lipschitz = float(_abs_modes(n) @ np.abs(np.fft.fft(values))) / n
-    floor = low - lipschitz * np.pi / n - _ROUNDOFF_MARGIN * scale
-    if floor > _ZERO_FLOOR * scale and lipschitz * _TWO_PI / n < 0.9 * np.pi * floor:
-        return np.angle(np.concatenate((values[1:], values[:1])) / values)
-    fine = _refined_samples(values, _REFINE)
-    if np.min(np.abs(fine)) <= _ZERO_FLOOR * scale:
-        raise ZeroOnBoundary("interpolated trace modulus at or below the zero floor")
-    steps = np.angle(np.concatenate((fine[1:], fine[:1])) / fine)
-    if np.max(np.abs(steps)) >= 0.9 * np.pi:
-        raise UnresolvedPhase("near-antipodal phase step after refinement")
-    increments = steps.reshape(trace.grid.n, _REFINE).sum(axis=1)
-    if np.max(np.abs(increments)) >= np.pi:
-        raise UnresolvedPhase("adjacent-node phase jump reaches pi; grid too coarse")
-    return increments
+    scales, lows = modulus.max(axis=1), modulus.min(axis=1)
+    lipschitz = (np.abs(spectrum) @ _abs_modes(n)) / n
+    failures, refine = [None] * rows, []
+    for row, (scale, low, lip) in enumerate(zip(scales.tolist(), lows.tolist(), lipschitz.tolist())):
+        if scale == 0.0 or low <= _ZERO_FLOOR * scale:
+            failures[row] = ZeroOnBoundary("trace modulus at or below the zero floor")
+            continue
+        floor = low - lip * np.pi / n - _ROUNDOFF_MARGIN * scale
+        if not (floor > _ZERO_FLOOR * scale and lip * _TWO_PI / n < 0.9 * np.pi * floor):
+            refine.append(row)
+    if not refine and failures.count(None) == rows:
+        return np.angle(_shifted(values) / values), failures
+    increments = np.zeros((rows, n))
+    fast = [row for row in range(rows) if failures[row] is None and row not in refine]
+    increments[fast] = np.angle(_shifted(values[fast]) / values[fast])
+    if refine:
+        fine = _refined_samples(values[refine], _REFINE)
+        # a row whose refined samples vanish fails before its steps are read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            steps = np.angle(_shifted(fine) / fine)
+        sums = steps.reshape(len(refine), n, _REFINE).sum(axis=2)
+        checks = (
+            (np.min(np.abs(fine), axis=1) <= _ZERO_FLOOR * scales[refine], ZeroOnBoundary,
+             "interpolated trace modulus at or below the zero floor"),
+            (np.max(np.abs(steps), axis=1) >= 0.9 * np.pi, UnresolvedPhase,
+             "near-antipodal phase step after refinement"),
+            (np.max(np.abs(sums), axis=1) >= np.pi, UnresolvedPhase,
+             "adjacent-node phase jump reaches pi; grid too coarse"),
+        )
+        for i, row in enumerate(refine):
+            for flags, error, message in checks:
+                if flags[i]:
+                    failures[row] = error(message)
+                    break
+            else:
+                increments[row] = sums[i]
+    return increments, failures
+
+
+def _windings(increments: np.ndarray, failures: list) -> list:
+    """Per row of a stack of phase increments, its winding, or None for a failed row.
+
+    A row whose turns do not round to an integer within 0.1 gets its
+    UnresolvedPhase in failures (see winding_number).
+    """
+    windings = []
+    for row, total in enumerate((np.sum(increments, axis=1) / _TWO_PI).tolist()):
+        w = round(total) if failures[row] is None else None
+        if w is not None and abs(total - w) >= 0.1:
+            failures[row] = UnresolvedPhase(f"winding rounding residue {abs(total - w):.3f} >= 0.1")
+            w = None
+        windings.append(w)
+    return windings
+
+
+def _phase_rows(values: np.ndarray) -> tuple:
+    """Windings, errors and phase increments of the rows of a (rows, N) stack of samples.
+
+    The rows are unwrapped together, from one FFT of the stack; a row's
+    winding is None where its error is set (see _windings).
+    """
+    increments, failures = _interval_increments(values, np.fft.fft(values))
+    return _windings(increments, failures), failures, increments
 
 
 def winding_number(trace: BoundaryTrace) -> int:
     """Winding of a nonvanishing trace around 0, by certified phase unwrapping."""
-    increments = trace._increments
-    total = float(np.sum(increments)) / _TWO_PI
-    w = int(np.round(total))
-    residue = abs(total - w)
-    if residue >= 0.1:
-        raise UnresolvedPhase(f"winding rounding residue {residue:.3f} >= 0.1")
+    failures = [None]
+    (w,) = _windings(trace._increments[None], failures)
+    if failures[0] is not None:
+        raise failures[0]
     return w
 
 
-def unwrapped_phase(trace: BoundaryTrace) -> np.ndarray:
-    """Continuous argument along the trace, anchored in (-pi, pi] at node 0.
+def _unwrapped_phases(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Continuous argument along each row of a (rows, N) stack, from its phase increments.
 
-    Each value is re-snapped to agree with the principal argument modulo 2 pi,
-    so exp(i b_j) reproduces values_j / |values_j| to roundoff.
+    Each row is anchored in (-pi, pi] at node 0, and each value is
+    re-snapped to agree with the principal argument modulo 2 pi, so
+    exp(i b_j) reproduces values_j / |values_j| to roundoff.
     """
-    increments = trace._increments
-    b = np.empty(trace.grid.n)
-    b[0] = np.angle(trace.values[0])
-    b[1:] = b[0] + np.cumsum(increments[:-1])
-    principal = np.angle(trace.values)
-    b = principal + _TWO_PI * np.round((b - principal) / _TWO_PI)
-    return b
+    b = np.empty(values.shape)
+    b[:, 0] = np.angle(values[:, 0])
+    b[:, 1:] = b[:, :1] + np.cumsum(increments[:, :-1], axis=1)
+    principal = np.angle(values)
+    return principal + _TWO_PI * np.round((b - principal) / _TWO_PI)
 
 
 # --------------------------------------------------------------------------
@@ -331,7 +396,7 @@ def holder_norms(grid: BoundaryGrid, parts, derivative: bool = False):
         if not np.all(np.isfinite(part)):
             raise ValueError("trace values must be finite")
         stack = part.reshape(-1, grid.n)
-        varied = _derivative_samples(grid, stack) if derivative else stack
+        varied = _derivative_samples(np.fft.fft(stack)) if derivative else stack
         sup = np.max(np.abs(stack), axis=1)
         value = (sup + _pair_seminorm(varied, _CERTIFY_ALPHA)).reshape(part.shape[:-1])
         best = value if best is None else np.maximum(best, value)

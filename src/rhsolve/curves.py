@@ -8,9 +8,11 @@ its conjugate), and the ray radius r(theta, psi) at which the ray
 arg w = psi meets gamma_theta.
 
 eta_decompose supplies the multiplicative splitting of the linearized
-boundary operator along a trace, and divisor_transform rescales a family by
-a nonvanishing multiplier. Its case g = scale * exp(i sigma theta),
-monomial_transform, is how prescribed windings are divided out.
+boundary operator along a trace (the one-row case of _eta_weights, which
+the annulus collar runs on both boundaries at once), and divisor_transform
+rescales a family by a nonvanishing multiplier. Its case
+g = scale * exp(i sigma theta), monomial_transform, is how prescribed
+windings are divided out.
 
 on_grid binds a builtin or transformed family to a solve's grid nodes, so
 its theta-profiles (radii, axes, tilts, multipliers) are evaluated once per
@@ -24,7 +26,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .boundary import BoundaryGrid, BoundaryTrace, conjugate_samples, unwrapped_phase, winding_number
+from .boundary import (
+    BoundaryGrid,
+    BoundaryTrace,
+    _phase_rows,
+    _unwrapped_phases,
+    conjugate_samples,
+)
 from .errors import (
     DegenerateAxis,
     EtaWindingNonzero,
@@ -246,25 +254,30 @@ def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition
     case the explicit inverse does not exist and a divisor transform is
     needed first.
     """
-    theta = trace.grid.theta
     w = trace.values
-    eta_vals = w * np.conj(family.dbar_w(theta, w))
-    eta = BoundaryTrace(trace.grid, eta_vals)
-    try:
-        wind = winding_number(eta)
-        b = unwrapped_phase(eta)
-    except ZeroOnBoundary as exc:
-        raise ZeroOnTrace(str(exc)) from exc
-    if wind != 0:
-        raise EtaWindingNonzero(f"eta has winding {wind}, expected 0")
-    a = np.log(np.abs(eta_vals))
-    b_tilde = conjugate_samples(trace.grid, b)
-    return EtaDecomposition(
-        grid=trace.grid,
-        eta=eta,
-        phi_weight=np.exp(-a - b_tilde),
-        k_weight=np.exp(b_tilde - 1j * b),
-    )
+    eta = BoundaryTrace(trace.grid, w * np.conj(family.dbar_w(trace.grid.theta, w)))
+    (phi_weight,), (k_weight,) = _eta_weights(trace.grid, eta.values[None])
+    return EtaDecomposition(trace.grid, eta, phi_weight, k_weight)
+
+
+def _eta_weights(grid: BoundaryGrid, eta: np.ndarray) -> tuple:
+    """phi_weight = exp(-a - b~) and k_weight = exp(b~ - i b) for each row of a (rows, N) stack of eta samples.
+
+    The rows must be finite, as a trace's values are. The first row whose
+    decomposition fails raises what eta_decompose raises for it:
+    ZeroOnTrace, UnresolvedPhase or EtaWindingNonzero.
+    """
+    windings, failures, increments = _phase_rows(eta)
+    for failure, wind in zip(failures, windings):
+        if isinstance(failure, ZeroOnBoundary):
+            raise ZeroOnTrace(str(failure)) from failure
+        if failure is not None:
+            raise failure
+        if wind != 0:
+            raise EtaWindingNonzero(f"eta has winding {wind}, expected 0")
+    b = _unwrapped_phases(eta, increments)
+    b_tilde = conjugate_samples(grid, b)
+    return np.exp(-np.log(np.abs(eta)) - b_tilde), np.exp(b_tilde - 1j * b)
 
 
 # --------------------------------------------------------------------------

@@ -80,9 +80,18 @@ def right_inverse_apply(eta: EtaDecomposition, rhs: np.ndarray) -> np.ndarray:
 
     rhs is one real trace or a stack of them along the last axis.
     """
-    phi = eta.phi_weight * np.asarray(rhs, dtype=float)
-    analytic = phi + 1j * conjugate_samples(eta.grid, phi)
-    return 0.5 * eta.k_weight * analytic
+    return _explicit_inverse(eta.grid, eta.phi_weight, eta.k_weight, rhs)
+
+
+def _explicit_inverse(grid: BoundaryGrid, phi_weight, k_weight, rhs) -> np.ndarray:
+    """k = 1/2 k_weight (phi + i T phi), phi = phi_weight rhs, along the last axis.
+
+    The weights are one decomposition's rows, or a stack of them that the
+    rows of rhs broadcast against.
+    """
+    phi = phi_weight * np.asarray(rhs, dtype=float)
+    analytic = phi + 1j * conjugate_samples(grid, phi)
+    return 0.5 * k_weight * analytic
 
 
 def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:
@@ -107,47 +116,55 @@ def _affine_dbar(fam_t: CurveFamily, theta: np.ndarray):
     """alpha, beta, gamma with dbar_w(theta, w) = alpha + beta w + gamma conj(w), or None.
 
     The profiles are read off at w = 0, 1 and i, and the family is taken as
-    affine when it matches them at a fourth point to rounding.
+    affine when it matches them at a fourth point to rounding; the four
+    probes are one call, a (4, N) stack of constant rows.
     """
-    ones = np.ones(theta.shape)
-    at = lambda w: np.asarray(fam_t.dbar_w(theta, w * ones), dtype=complex)
-    alpha = at(0.0)
-    real, imag = at(1.0) - alpha, (at(1j) - alpha) / 1j
-    beta, gamma = 0.5 * (real + imag), 0.5 * (real - imag)
     w = _AFFINE_PROBE
+    probes = np.array([0.0, 1.0, 1j, w])[:, None] * np.ones(theta.shape)
+    alpha, one, unit, at_w = np.asarray(fam_t.dbar_w(theta, probes), dtype=complex)
+    real, imag = one - alpha, (unit - alpha) / 1j
+    beta, gamma = 0.5 * (real + imag), 0.5 * (real - imag)
     scale = np.abs(alpha) + (np.abs(beta) + np.abs(gamma)) * abs(w)
-    if not np.all(np.abs(at(w) - (alpha + beta * w + gamma * np.conj(w))) <= _AFFINE_TOL * scale):
+    if not np.all(np.abs(at_w - (alpha + beta * w + gamma * np.conj(w))) <= _AFFINE_TOL * scale):
         return None
     return alpha, beta, gamma
 
 
-def _weight_defect(dec: EtaDecomposition, phi_norm: float) -> float:
-    """A-norm bound of the defect of 2 Re(eta k) = r under the explicit inverse, per unit ||r||_A.
+def _weight_defect_rows(eta, k_weight, phi_weight) -> tuple:
+    """Rows d, e with ||d||_A + ||e||_A ||phi_weight||_A bounding the defect of the explicit inverse.
 
+    That is the A-norm of the defect of 2 Re(eta k) = r, per unit ||r||_A:
     2 Re(eta k) = Re(m (phi + i T phi)) = Re(m) phi - Im(m) T phi with
     phi = phi_weight r and m = eta k_weight = exp(a + b~) up to rounding,
-    and ||T||_A <= 1; phi_norm is ||phi_weight||_A.
+    and ||T||_A <= 1. The arguments are one decomposition's rows or stacks.
     """
-    m = dec.eta.values * dec.k_weight
-    return wiener_norm(m.real * dec.phi_weight - 1.0) + wiener_norm(m.imag) * phi_norm
+    m = eta * k_weight
+    return m.real * phi_weight - 1.0, m.imag
 
 
 def _bounds(fam_t: CurveFamily, grid: BoundaryGrid, g) -> CertificateBounds:
-    """The computed certificate bounds at g (see the module docstring)."""
+    """The computed certificate bounds at g (see the module docstring).
+
+    The A-norms on the grid come from one FFT of their stacked rows.
+    """
     h = np.exp(g)
     dec = eta_decompose(fam_t, BoundaryTrace(grid, h))
-    phi_norm = wiener_norm(dec.phi_weight)
-    omega1 = 0.5 * wiener_norm(dec.k_weight) * phi_norm
-    identity_defect = _weight_defect(dec, phi_norm)
+    rows = [dec.phi_weight, dec.k_weight, *_weight_defect_rows(dec.eta.values, dec.k_weight, dec.phi_weight)]
     profiles = _affine_dbar(fam_t, grid.theta)
-    omega2 = np.inf
     if profiles is not None:
         alpha, beta, gamma = np.conj(profiles)
+        rows += [alpha * h, beta * np.abs(h) ** 2, gamma * h * h]
+    norms = wiener_norm(np.array(rows))
+    phi_norm, k_norm, defect_re, defect_im = norms[:4]
+    omega1 = 0.5 * k_norm * phi_norm
+    identity_defect = defect_re + defect_im * phi_norm
+    omega2 = np.inf
+    if profiles is not None:
         # eta at g + d is alpha h e^d + beta |h|^2 e^(d + conj d) + gamma h^2 e^(2d),
         # and ||e^x - e^y||_A <= e^max(||x||_A, ||y||_A) ||x - y||_A
         grow = np.exp(_BALL_RADIUS)
-        quadratic = wiener_norm(beta * np.abs(h) ** 2) + wiener_norm(gamma * h * h)
-        omega2 = 2.0 * (grow * wiener_norm(alpha * h) + 2.0 * grow**2 * quadratic)
+        linear, quadratic = norms[4], norms[5] + norms[6]
+        omega2 = 2.0 * (grow * linear + 2.0 * grow**2 * quadratic)
     fine_theta, fine_g = _nodes(2 * grid.n), _refined_samples(g, 2)
     omega3 = wiener_norm(fam_t.rho(fine_theta, np.exp(fine_g)))
     return CertificateBounds(omega1, omega2, omega3, identity_defect)

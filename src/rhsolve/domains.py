@@ -18,7 +18,11 @@ locate_zeros finds all interior zeros with multiplicities from the
 argument-principle moments of the traces (Kravanja and Van Barel 2000;
 Austin, Kravanja and Trefethen 2014), Newton-polishes those with |f| above
 the traces' roundoff and certifies each by a winding count, all from one
-prepared series; a multiple zero with |f| above it is a cluster, refused.
+prepared series and from each trace's one spectrum; the winding counts of
+all certification circles are one stacked unwrap. A multiple zero with
+|f| above the roundoff is a cluster, refused.
+Both circles' traces move through one FFT: laurent_traces and
+laurent_from_traces transform a (2, ..., n) stack, outer circle first.
 cauchy_extend, the discretized Cauchy integral, is the reference quadrature
 the Laurent evaluation is tested against; its error decays like
 dist(point, boundary)^N, so a margin precondition guards the boundary.
@@ -36,6 +40,7 @@ from .boundary import (
     BoundaryGrid,
     BoundaryTrace,
     _derivative_samples,
+    _phase_rows,
     _same_grid,
     winding_number,
 )
@@ -44,8 +49,6 @@ from .errors import (
     CountMismatch,
     ModeConditioning,
     PointTooCloseToBoundary,
-    UnresolvedPhase,
-    ZeroOnBoundary,
 )
 
 
@@ -131,8 +134,10 @@ def _q_powers(q: float, k: int) -> np.ndarray:
     return powers
 
 
-def laurent_traces(coeffs, q: float, n: int):
+def laurent_traces(coeffs, q: float, n: int) -> np.ndarray:
     """Values on |z| = 1 and |z| = q at n points (for stacked coefficients, per row).
+
+    Returns the two circles' values as one (2, ..., n) array, outer first.
 
     The modes -K..K are read from the length of the coefficients; any n of
     at least 2K + 2 samples the same series, so a finer grid than the one
@@ -150,14 +155,13 @@ def laurent_traces(coeffs, q: float, n: int):
         with np.errstate(divide="ignore"):
             log_c = np.log(coeffs.astype(complex))
         inner = np.exp(log_c + np.arange(-k, k + 1) * np.log(q))
-    traces = []
-    for c in (coeffs, inner):
-        # FFT storage order: modes 0..K first, modes -K..-1 last
-        buf = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
-        buf[..., : k + 1] = c[..., k:]
-        buf[..., n - k :] = c[..., :k]
-        traces.append(np.fft.ifft(buf) * n)
-    return tuple(traces)
+    # one buffer for both circles, in FFT storage order: modes 0..K first,
+    # modes -K..-1 last
+    buf = np.zeros((2,) + coeffs.shape[:-1] + (n,), dtype=complex)
+    for circle, c in zip(buf, (coeffs, inner)):
+        circle[..., : k + 1] = c[..., k:]
+        circle[..., n - k :] = c[..., :k]
+    return np.fft.ifft(buf) * n
 
 
 def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarray:
@@ -166,18 +170,27 @@ def laurent_from_traces(grid: BoundaryGrid, q: float, outer, inner) -> np.ndarra
     Nonnegative modes are read off the outer circle, negative modes off
     the inner one (where they are O(1) rather than O(q^|k|)); this keeps
     the roundoff of every coefficient at its own scale. The traces may be
-    stacks along the last axis, giving one coefficient row per trace pair.
+    stacks along the last axis, of one shape, giving one coefficient row
+    per trace pair; both are transformed in one FFT.
     """
+    return _laurent_from_spectra(grid, q, np.fft.fft(np.array([outer, inner], dtype=complex)))
+
+
+def _laurent_from_spectra(grid: BoundaryGrid, q: float, spectra: np.ndarray) -> np.ndarray:
+    """laurent_from_traces from the DFTs of the traces, stacked outer first along the first axis."""
     n = grid.n
     k = n // 2 - 1
-    f0 = np.fft.fft(np.asarray(outer, dtype=complex))[..., : k + 1] / n
-    f1 = np.fft.fft(np.asarray(inner, dtype=complex))[..., n - k :] / n
+    f0 = spectra[0, ..., : k + 1] / n
+    f1 = spectra[1, ..., n - k :] / n
     return np.concatenate([f1 * _q_powers(q, k)[:k:-1], f0], axis=-1)
 
 
 # coefficients per block of the power-series sums: the table of powers is
-# P x _BLOCK, and K/_BLOCK Python steps remain (8 at N = 512)
+# P x _BLOCK, and K/_BLOCK Python steps remain (8 at N = 512); the points
+# are summed _CHUNK at a time, which bounds the table (and the memory of a
+# zero search with many certification circles) without changing any sum
 _BLOCK = 32
+_CHUNK = 256
 
 
 def _power_series(z, blocks):
@@ -223,15 +236,19 @@ class _LaurentSums:
         self.blocks = np.ascontiguousarray(rows.reshape(len(rows), 2, nblocks, width).transpose(0, 3, 1, 2))
 
     def __call__(self, z, slope=False):
-        """f at the points z (any shape), or (f, f') with slope."""
+        """f at the points z (any shape), or (f, f') with slope, summed _CHUNK points at a time."""
         z = np.asarray(z, dtype=complex)
-        points = z.reshape(1, -1)
-        if len(self.blocks) == 2:
-            points = np.concatenate([points, 1.0 / points])
-        sums = _power_series(points, self.blocks[:, :, : 1 + slope])
-        if slope and len(points) == 2:
-            sums[1, :, 1] *= -points[1] ** 2
-        out = sums.sum(axis=0).T.reshape((-1,) + z.shape)
+        flat = z.reshape(-1)
+        out = np.empty((1 + slope, flat.size), dtype=complex)
+        for start in range(0, flat.size, _CHUNK):
+            points = flat[None, start : start + _CHUNK]
+            if len(self.blocks) == 2:
+                points = np.concatenate([points, 1.0 / points])
+            sums = _power_series(points, self.blocks[:, :, : 1 + slope])
+            if slope and len(points) == 2:
+                sums[1, :, 1] *= -points[1] ** 2
+            out[:, start : start + _CHUNK] = sums.sum(axis=0).T
+        out = out.reshape((-1,) + z.shape)
         return (out[0], out[1]) if slope else out[0]
 
 
@@ -266,8 +283,7 @@ def harmonic_extend_annulus(grid: BoundaryGrid, q: float, outer_values, inner_va
     if d0.shape != (grid.n,) or d1.shape != (grid.n,):
         raise ConfigError("boundary data must be sampled on the grid")
     k = grid.n // 2 - 1
-    f0 = np.fft.fft(d0)[: k + 1] / grid.n
-    f1 = np.fft.fft(d1)[: k + 1] / grid.n
+    f0, f1 = np.fft.fft(np.array([d0, d1]))[:, : k + 1] / grid.n
     c_log = float((f1[0].real - f0[0].real) / np.log(q))
     qk = q ** np.arange(1, k + 1, dtype=float)
     denom = 1.0 - qk * qk
@@ -299,15 +315,16 @@ class LocatedZero:
     residual: float
 
 
-def _moments(traces, domain: Annulus, count) -> np.ndarray:
+def _moments(traces, spectra, domain: Annulus, count) -> np.ndarray:
     """s_k = (1/2 pi i) * contour integral of z^k f'/f dz, k < count.
 
     On the circle z = R exp(i theta), f' dz = (df/dtheta) dtheta, so s_k is
     R^k / i times mode -k of f_theta / f, which one inverse FFT of both
-    traces as a stack yields; the inner circle enters with a minus sign.
+    traces as a stack yields (spectra holds their DFTs); the inner circle
+    enters with a minus sign.
     """
     values = np.array([t.values for t in traces])
-    log_derivative = _derivative_samples(traces[0].grid, values) / values
+    log_derivative = _derivative_samples(spectra) / values
     scale = np.array([[1.0], [-1.0]]) * -1j * np.array([[1.0], [domain.q]]) ** np.arange(count)
     return (scale * np.fft.ifft(log_derivative)[:, :count]).sum(axis=0)
 
@@ -377,7 +394,8 @@ def locate_zeros(traces, domain: Annulus):
     if expected == 0:
         return []
 
-    nodes, mult = _hankel_zeros(_moments(traces, domain, 2 * expected), expected)
+    spectra = np.array([t._spectrum for t in traces])
+    nodes, mult = _hankel_zeros(_moments(traces, spectra, domain, 2 * expected), expected)
     if np.any(mult < 1) or mult.sum() != expected:
         raise CountMismatch(
             f"moment multiplicities {mult.tolist()} do not sum to the boundary count {expected}"
@@ -389,7 +407,7 @@ def locate_zeros(traces, domain: Annulus):
         raise CountMismatch(
             f"moment nodes {nodes[outside].tolist()} lie outside the annulus {domain.q} <= |z| <= 1"
         )
-    coeffs = laurent_from_traces(grid, domain.q, traces[0].values, traces[1].values)
+    coeffs = _laurent_from_spectra(grid, domain.q, spectra)
     series = _LaurentSums(coeffs)
     # each Laurent mode carries about one unit in the last place of the
     # largest trace value, and these add up like a random walk over the
@@ -408,14 +426,16 @@ def locate_zeros(traces, domain: Annulus):
     if not np.all(radii > 0.0):
         raise CountMismatch("polished zeros left the domain or merged")
 
-    circle = BoundaryGrid(_CIRCLE_POINTS)
-    values = series(z[:, None] + radii[:, None] * np.exp(1j * circle.theta))
+    # the windings of all circles, unwrapped as one stack; each row is
+    # checked as a trace of its own would be
+    values = series(z[:, None] + radii[:, None] * np.exp(1j * BoundaryGrid(_CIRCLE_POINTS).theta))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("trace values must be finite")
+    windings, failures, _ = _phase_rows(values)
     zeros = []
-    for zj, mj, row, res in zip(z, mult, values, residuals):
-        try:
-            counted = winding_number(BoundaryTrace(circle, row))
-        except (ZeroOnBoundary, UnresolvedPhase) as exc:
-            raise CountMismatch(f"cannot count the zeros near {zj:.6g}: {exc}") from exc
+    for zj, mj, row, res, counted, failure in zip(z, mult, values, residuals, windings, failures):
+        if failure is not None:
+            raise CountMismatch(f"cannot count the zeros near {zj:.6g}: {failure}") from failure
         if counted != mj:
             raise CountMismatch(f"{counted} zeros near {zj:.6g}, the moments predict {mj}")
         if mj > 1 and res > noise:

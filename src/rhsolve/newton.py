@@ -32,6 +32,7 @@ steps that increase the residual and records that it did.
 from __future__ import annotations
 
 import inspect
+import types
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -171,7 +172,19 @@ def _row_norms(norm, stack):
 
 
 def _takes(callback, keyword) -> bool:
-    """Whether a callback accepts the keyword; a builtin without a signature takes none."""
+    """Whether a callback has a parameter of that name; a builtin without a signature has none.
+
+    A plain function answers from its code object, whose leading variable
+    names are its parameters, as inspect.signature reads them; any other
+    callable (a method, a partial, a wrapped function or one with its own
+    __signature__, a builtin) asks inspect.
+    """
+    plain = not (hasattr(callback, "__wrapped__") or hasattr(callback, "__signature__"))
+    if type(callback) is types.FunctionType and plain:
+        code = callback.__code__
+        count = code.co_argcount + code.co_kwonlyargcount
+        count += bool(code.co_flags & inspect.CO_VARARGS) + bool(code.co_flags & inspect.CO_VARKEYWORDS)
+        return keyword in code.co_varnames[:count]
     try:
         return keyword in inspect.signature(callback).parameters
     except ValueError:

@@ -591,16 +591,20 @@ def test_solution_traces_are_unwrapped_once(monkeypatch):
     # share one phase unwrap per boundary trace
     calls = []
     original = boundary._interval_increments
-    monkeypatch.setattr(
-        boundary, "_interval_increments", lambda trace: calls.append(trace) or original(trace)
-    )
+
+    def spy(values, spectrum):
+        calls.append(values.copy())
+        return original(values, spectrum)
+
+    monkeypatch.setattr(boundary, "_interval_increments", spy)
     fam = builtin_circle_family([1.0, 0.02, -0.01])
     sol = solve_annulus(fam, builtin_circle_family([0.5, 0.01]), (6, 6), Q, AnnulusSolveOptions(certify=False))
     check_identity(sol)
     annulus_result_dict(sol)
-    # the traces are kept alive in calls, so identity is not reused
-    assert sum(t is sol.outer_trace for t in calls) == 1
-    assert sum(t is sol.inner_trace for t in calls) == 1
+    # the phase core unwraps stacks of rows: each trace's values are one
+    # row of exactly one call
+    for trace in (sol.outer_trace, sol.inner_trace):
+        assert sum(np.array_equal(row, trace.values) for rows in calls for row in rows) == 1
 
 
 def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
@@ -676,6 +680,22 @@ def _first_gmres(monkeypatch, solve, which=0):
     solve()
     monkeypatch.setattr(annulus, "_gmres", original)
     return captured[which]
+
+
+def test_collar_inverse_of_a_stack_is_the_stack_of_its_rows(monkeypatch):
+    # the collar inverse runs both boundaries as one (..., 2, N) stack: a
+    # (rows, 2N) stack of residuals gives bitwise the steps of its rows
+    opts = AnnulusSolveOptions(grid_n=64)
+    inner = builtin_circle_family([0.5, 0.01])
+    h0, _, families = annulus._glue_coefficients(builtin_circle_family([1.0, 0.02, -0.01]), inner, (5, 5), Q, opts)
+    problem = annulus._annulus_problem(*families, Q, BoundaryGrid(64), opts.tol)
+    _, collar, _ = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
+    rows = np.random.default_rng(7).standard_normal((2, 3, 128))
+    steps = collar(rows)
+    assert steps.shape == (2, 3, 63)
+    assert np.array_equal(collar(rows[0]), steps[0])
+    for row, step in zip(rows[1], steps[1]):
+        assert np.array_equal(collar(row), step)
 
 
 def _zero_free_at_glue(n):
@@ -1120,7 +1140,8 @@ def test_collar_data_moves_are_bitwise_the_old_expressions():
     grid = BoundaryGrid(256)
     family = builtin_ellipse_family(2.0, 1.0, phi=[0.0, 0.3, 0.1])
     dec = eta_decompose(family, BoundaryTrace(grid, np.exp(1j * grid.theta)))
-    a, b = np.log(np.abs(dec.eta.values)), boundary.unwrapped_phase(dec.eta)
+    a = np.log(np.abs(dec.eta.values))
+    b = boundary._unwrapped_phases(dec.eta.values[None], dec.eta._increments[None])[0]
     b_tilde = conjugate_samples(grid, b)
     for rhs in (rng.standard_normal(256), rng.standard_normal((4, 256))):
         phi = np.exp(-a - b_tilde) * rhs

@@ -19,7 +19,6 @@ from rhsolve.boundary import (
     holder_norms,
     spectral_derivative,
     trig_coefficients,
-    unwrapped_phase,
     winding_number,
 )
 from rhsolve.curves import builtin_ellipse_family, monomial_transform, on_grid
@@ -31,6 +30,12 @@ from rhsolve.trig import TrigPolynomial, as_trig_polynomial
 def trace_of(n, fn):
     grid = BoundaryGrid(n)
     return BoundaryTrace(grid, fn(grid.theta))
+
+
+def unwrapped_phase(trace):
+    # the continuous argument eta_decompose unwraps, for one trace and from
+    # its memoized increments
+    return boundary._unwrapped_phases(trace.values[None], trace._increments[None])[0]
 
 
 # ---------------------------------------------------------------- grid basics
@@ -214,9 +219,9 @@ def _count_unwraps(monkeypatch):
     calls = []
     original = boundary._interval_increments
 
-    def counted(trace):
-        calls.append(trace)
-        return original(trace)
+    def counted(values, spectrum):
+        calls.append(values)
+        return original(values, spectrum)
 
     monkeypatch.setattr(boundary, "_interval_increments", counted)
     return calls
@@ -264,7 +269,7 @@ def _unwrap(values):
     """(increments, winding, phase) of fresh traces, or the error each raises."""
     grid = BoundaryGrid(len(values))
     outcomes = []
-    for fn in (lambda t: boundary._interval_increments(t), winding_number, unwrapped_phase):
+    for fn in (lambda t: t._increments, winding_number, unwrapped_phase):
         try:
             outcomes.append(fn(BoundaryTrace(grid, values)))
         except (ZeroOnBoundary, UnresolvedPhase) as exc:
@@ -309,7 +314,7 @@ def test_certified_unwrap_matches_refinement(kind, seed, monkeypatch):
             m.setattr(boundary, "_refined_samples", lambda v, f: refinements.append(f) or original(v, f))
             got = _unwrap(values)
         with monkeypatch.context() as m:
-            m.setattr(boundary, "_interval_increments", refined_increments)
+            m.setattr(BoundaryTrace, "_increments", property(refined_increments))
             want = _unwrap(values)
         certified += not refinements
         if isinstance(want[0], type):
@@ -343,6 +348,90 @@ def test_certified_unwrap_keeps_the_refinement_errors():
         winding_number(near)
     with pytest.raises(UnresolvedPhase, match="near-antipodal"):
         refined_increments(near)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(4, 13)])
+def test_fft_of_a_stack_is_the_fft_of_each_row(n):
+    # canary: every stacked transform of the solver (the phase core, the eta
+    # weights, the Laurent traces, the collar and the certificate norms)
+    # gives each row what it gives that row alone, bitwise, because numpy's
+    # FFT of a (rows, N) stack equals the FFTs of its rows; a numpy that
+    # breaks this changes the solver's answers, and this test says so first
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((5, n))
+    stacks = (real, real + 1j * rng.standard_normal((5, n)))
+    for stack in stacks:
+        for transform in (np.fft.fft, np.fft.ifft):
+            rows = transform(stack)
+            for row, want in zip(stack, rows):
+                assert np.array_equal(transform(row), want), (transform.__name__, stack.dtype)
+            # a deeper stack, as the collar's (2, rows, N) traces are
+            deep = transform(np.array([stack, stack[::-1]]))
+            assert np.array_equal(deep[0], rows) and np.array_equal(deep[1], rows[::-1])
+    # a real row transforms as the same row stored complex
+    assert np.array_equal(np.fft.fft(real), np.fft.fft(real.astype(complex)))
+
+
+def _rows_of_every_kind(n=64):
+    """Rows for the spectral fast path, for the refinement, and for each error of the phase core."""
+    th = BoundaryGrid(n).theta
+    step = 2.0 * np.pi / n
+    return {
+        "fast": np.exp(2j * th) * (2.0 + np.cos(th)),
+        "refined": np.exp(1j * th) * (1.0 - 0.9 * np.exp(1j * (th - 10.5 * step))),
+        "zero at a node": np.exp(1j * th) - np.exp(1j * th[5]),
+        "zero between nodes": np.exp(1j * th) - np.exp(1j * 10.5 * step),
+        "near-antipodal": np.exp(1j * th) - (1.0 - 1e-6) * np.exp(1j * (10.5 + 0.5 / boundary._REFINE) * step),
+        "too coarse": 0.9 + np.exp(-24j * th),
+    }
+
+
+def test_phase_core_gives_each_row_of_a_stack_its_one_row_answer(monkeypatch):
+    # the increments, or the typed error with its message, of each row of a
+    # stack are those of the row's own trace; only the rows the spectral
+    # bound cannot settle are refined
+    kinds = _rows_of_every_kind()
+    stack = np.array(list(kinds.values()))
+    refined = []
+    original = boundary._refined_samples
+    monkeypatch.setattr(boundary, "_refined_samples", lambda v, f: refined.append(len(v)) or original(v, f))
+    increments, failures = boundary._interval_increments(stack, np.fft.fft(stack))
+    assert refined == [len(kinds) - 2]
+    monkeypatch.undo()
+    messages = {
+        "zero at a node": (ZeroOnBoundary, "trace modulus at or below the zero floor"),
+        "zero between nodes": (ZeroOnBoundary, "interpolated trace modulus at or below the zero floor"),
+        "near-antipodal": (UnresolvedPhase, "near-antipodal phase step after refinement"),
+        "too coarse": (UnresolvedPhase, "adjacent-node phase jump reaches pi; grid too coarse"),
+    }
+    for kind, row, got, failure in zip(kinds, stack, increments, failures):
+        trace = BoundaryTrace(BoundaryGrid(len(row)), row)
+        if kind not in messages:
+            assert failure is None and np.array_equal(got, trace._increments), kind
+            continue
+        error, message = messages[kind]
+        assert type(failure) is error and str(failure) == message, kind
+        with pytest.raises(error) as single:
+            trace._increments
+        assert str(single.value) == message, kind
+        assert not got.any(), kind
+
+
+def test_stacked_windings_round_each_row_as_winding_number_does():
+    n = 64
+    rows = np.full((3, n), 2.0 * np.pi / n)
+    rows[1] *= -3.0
+    rows[2] *= 0.5  # half a turn: no integer winding
+    failures = [None, None, None]
+    assert boundary._windings(rows, failures) == [1, -3, None]
+    assert failures[:2] == [None, None]
+    assert type(failures[2]) is UnresolvedPhase and str(failures[2]) == "winding rounding residue 0.500 >= 0.1"
+    for row, want in zip(rows, ([1], [-3], [None])):
+        assert boundary._windings(row[None], [None]) == want
+    # a row that already failed keeps its error and gets no winding
+    earlier = ZeroOnBoundary("trace modulus at or below the zero floor")
+    failures = [earlier, None, None]
+    assert boundary._windings(rows, failures)[0] is None and failures[0] is earlier
 
 
 # -------------------------------------------------------------- Holder norms

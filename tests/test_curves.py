@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rhsolve import boundary
+from rhsolve import boundary, curves
 from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
 from rhsolve.boundary import BoundaryGrid, BoundaryTrace
 from rhsolve.curves import (
@@ -25,6 +25,7 @@ from rhsolve.errors import (
     DegenerateAxis,
     EtaWindingNonzero,
     MultiplierVanishes,
+    UnresolvedPhase,
     ZeroNotEnclosed,
     ZeroOnTrace,
 )
@@ -233,12 +234,54 @@ def test_non_finite_coefficients_rejected_at_construction(kind, key, value):
 def test_eta_decompose_unwraps_eta_once(monkeypatch):
     calls = []
     original = boundary._interval_increments
-    monkeypatch.setattr(boundary, "_interval_increments", lambda trace: calls.append(1) or original(trace))
+    monkeypatch.setattr(
+        boundary, "_interval_increments", lambda values, spectrum: calls.append(1) or original(values, spectrum)
+    )
     fam = builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0])
     grid = BoundaryGrid(128)
     dec = eta_decompose(fam, BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta)))
     assert len(calls) == 1
     npt.assert_allclose(dec.eta.values * dec.k_weight * dec.phi_weight, 1.0, rtol=1e-12)
+
+
+def _eta_family(eta):
+    # a family whose eta along the constant trace w = 1 is the given row
+    return CurveFamily(rho=None, dbar_w=lambda theta, w: np.conj(eta), ray_radius=None)
+
+
+def test_eta_weights_of_a_stack_are_those_of_its_rows():
+    # the collar decomposes both boundaries as one stack: each row's weights
+    # are bitwise those eta_decompose forms for it alone, and the first row
+    # that fails raises the error, with the message, that its own
+    # decomposition raises
+    grid = BoundaryGrid(128)
+    th = grid.theta
+    fam = builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0])
+    traces = [1.5 * np.exp(1j * th), (1.2 + 0.1 * np.cos(2 * th)) * np.exp(1j * (th + 0.3 * np.sin(th)))]
+    eta = np.array([t * np.conj(fam.dbar_w(th, t)) for t in traces])
+    phi_weight, k_weight = curves._eta_weights(grid, eta)
+    for trace, phi, k in zip(traces, phi_weight, k_weight):
+        dec = eta_decompose(fam, BoundaryTrace(grid, trace))
+        assert np.array_equal(phi, dec.phi_weight) and np.array_equal(k, dec.k_weight)
+
+    good = (1.0 + 0.3 * np.cos(th)) * np.exp(0.2j * np.sin(th))
+    bad = {
+        "winds": np.exp(1j * th) * (2.0 + np.cos(th)),
+        "vanishes": np.exp(1j * th) - np.exp(1j * th[3]),
+        "too coarse": 0.9 + np.exp(-48j * th),
+    }
+    expected = {"winds": EtaWindingNonzero, "vanishes": ZeroOnTrace, "too coarse": UnresolvedPhase}
+    ones = BoundaryTrace(grid, np.ones(grid.n))
+    for kind, row in bad.items():
+        with pytest.raises(expected[kind]) as single:
+            eta_decompose(_eta_family(row), ones)
+        # behind a good row and ahead of another failing one
+        other = bad["vanishes" if kind != "vanishes" else "winds"]
+        with pytest.raises(expected[kind]) as stacked:
+            curves._eta_weights(grid, np.array([good, row, other]))
+        assert str(stacked.value) == str(single.value), kind
+    with pytest.raises(EtaWindingNonzero, match="eta has winding 1, expected 0"):
+        curves._eta_weights(grid, np.array([good, bad["winds"]]))
 
 
 # ----------------------------------------------------------- grid binding

@@ -8,7 +8,7 @@ import pytest
 
 from rhsolve import domains
 from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
-from rhsolve.boundary import BoundaryGrid, BoundaryTrace
+from rhsolve.boundary import BoundaryGrid, BoundaryTrace, winding_number
 from rhsolve.curves import builtin_circle_family, builtin_ellipse_family
 from rhsolve.domains import (
     Annulus,
@@ -20,7 +20,7 @@ from rhsolve.domains import (
     laurent_traces,
     locate_zeros,
 )
-from rhsolve.errors import ConfigError, CountMismatch, PointTooCloseToBoundary
+from rhsolve.errors import ConfigError, CountMismatch, PointTooCloseToBoundary, ZeroOnBoundary
 
 
 def annulus_traces(n, q, fn):
@@ -273,6 +273,35 @@ def test_cluster_of_zeros_is_not_a_multiple_zero():
         locate_zeros(pair(1e-6), Annulus(q))
 
 
+def test_certification_circles_fail_as_their_own_traces_would(monkeypatch):
+    # the windings of all certification circles are one stacked unwrap: the
+    # first circle that cannot be counted names its zero, with the error
+    # its own trace raises
+    roots = np.array([0.3 + 0.2j, -0.5j, -0.62])
+    traces = annulus_traces(128, 0.25, lambda z: (z - roots[0]) * (z - roots[1]) * (z - roots[2]))
+    polished, circles = [], []
+    polish, evaluate = domains._polish, domains._LaurentSums.__call__
+    monkeypatch.setattr(domains, "_polish", lambda *args: polished.append(polish(*args)) or polished[-1])
+    th = BoundaryGrid(64).theta
+
+    def broken(self, z, slope=False):
+        values = evaluate(self, z, slope)
+        if np.shape(z) == (3, 64):
+            values[1, 5] = 0.0  # a zero at a node
+            values[2] = 0.9 + np.exp(-24j * th)  # too coarse to unwrap
+            circles.append(values)
+        return values
+
+    monkeypatch.setattr(domains._LaurentSums, "__call__", broken)
+    with pytest.raises(CountMismatch) as stacked:
+        locate_zeros(traces, Annulus(0.25))
+    ((z, _),), (values,) = polished, circles
+    with pytest.raises(ZeroOnBoundary) as single:
+        winding_number(BoundaryTrace(BoundaryGrid(64), values[1]))
+    assert str(stacked.value) == f"cannot count the zeros near {z[1]:.6g}: {single.value}"
+    assert isinstance(stacked.value.__cause__, ZeroOnBoundary)
+
+
 def test_locate_zeros_matches_horner_evaluation(monkeypatch):
     # the README annulus (12 simple zeros) and a radial zero locate the same
     # with the series summed by Horner's loop
@@ -303,9 +332,12 @@ def test_locate_zeros_matches_horner_evaluation(monkeypatch):
         npt.assert_allclose(
             [z.position for z in got], [z.position for z in want], rtol=0, atol=1e-14
         )
-        # the patched sums ran: first at the nodes (rows z and 1/z), last on the circles
-        assert len(calls) >= 2 and calls[0] == (2, len(want))
-        assert calls[-1] == (2, 64 * len(want))
+        # the patched sums ran: first at the nodes (rows z and 1/z), last on
+        # the circles, _CHUNK points at a time
+        circles = 64 * len(want)
+        chunks = [(2, min(domains._CHUNK, circles - start)) for start in range(0, circles, domains._CHUNK)]
+        assert len(calls) > len(chunks) and calls[0] == (2, len(want))
+        assert calls[-len(chunks) :] == chunks
 
 
 def radial_zero_case():

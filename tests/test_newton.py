@@ -1,6 +1,8 @@
 """Certified Newton engine against exact scalar arithmetic."""
 
 import dataclasses
+import functools
+import inspect
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import disc
+from rhsolve import disc, newton
 from rhsolve.boundary import BoundaryGrid
 from rhsolve.curves import builtin_circle_family, builtin_ellipse_family, monomial_transform
 from rhsolve.errors import NoConvergence, SamplingFailed
@@ -189,6 +191,58 @@ def test_iterate_passes_the_forcing_target_only_to_inverses_that_take_it():
     direct, through_lambda = iterate(problem, g0), iterate(wrapped, g0)
     assert direct.converged and direct.residual_norms == through_lambda.residual_norms
     assert np.array_equal(direct.x, through_lambda.x)
+
+
+class _Targeted:
+    def __call__(self, r, target=None):
+        return r
+
+
+def test_keyword_check_reads_plain_functions_and_asks_inspect_for_the_rest():
+    # newton._takes answers a plain function from its code object and any
+    # other callable through inspect.signature, with the same answers
+    def with_target(r, target=None):
+        return r
+
+    def without_target(r):
+        return r
+
+    def keyword_only(r, *, target):
+        return r
+
+    def variadic(*target, **options):
+        return target
+
+    @functools.wraps(with_target)
+    def wrapped(*args, **kwargs):
+        return with_target(*args, **kwargs)
+
+    def declared(*args):
+        return args
+
+    declared.__signature__ = inspect.signature(with_target)
+
+    cases = {
+        with_target: True,
+        without_target: False,
+        keyword_only: True,
+        variadic: True,  # the name of its *args
+        wrapped: True,  # inspect follows __wrapped__
+        declared: True,  # and reads __signature__
+        (lambda r: r): False,
+        (lambda r, target=None: r): True,
+        _Targeted(): True,
+        functools.partial(with_target, target=1.0): True,
+        np.abs: False,  # a ufunc: inspect has no signature for it
+        max: False,  # a builtin
+    }
+    for callback, want in cases.items():
+        assert newton._takes(callback, "target") is want, callback
+        try:
+            assert ("target" in inspect.signature(callback).parameters) is want, callback
+        except ValueError:
+            assert not want
+    assert newton._takes(variadic, "options") and not newton._takes(variadic, "r")
 
 
 def test_certify_passes_probes_without_targets():
