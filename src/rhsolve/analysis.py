@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .annulus import _split_flux, solve_annulus_radial
-from .boundary import winding_number
+from .boundary import winding_numbers
 from .curves import builtin_circle_family
-from .domains import _check_modulus, harmonic_extend_annulus
+from .domains import _check_modulus, annulus_flux
 from .errors import ConfigError
 
 
@@ -79,15 +79,13 @@ def check_identity(solution) -> IdentityReport:
     """
     grid = solution.grid
     q = solution.q
-    d0 = np.abs(solution.outer_trace.values)
-    d1 = np.abs(solution.inner_trace.values)
-    if np.min(d0) <= 0.0 or np.min(d1) <= 0.0:
+    d = np.abs([solution.outer_trace.values, solution.inner_trace.values])
+    if np.min(d) <= 0.0:
         raise ConfigError("boundary trace vanishes; log-modulus is undefined")
 
-    lhs, _ = harmonic_extend_annulus(grid, q, np.log(d0), np.log(d1))
+    lhs = annulus_flux(grid, q, *np.log(d))
 
-    w0 = winding_number(solution.outer_trace)
-    k1 = winding_number(solution.inner_trace)
+    w0, k1 = winding_numbers((solution.outer_trace, solution.inner_trace))
     zeros = tuple(solution.zeros)
     counted = sum(z.multiplicity for z in zeros)
     expected = w0 - k1

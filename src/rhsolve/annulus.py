@@ -48,7 +48,7 @@ from .boundary import (
     BoundaryTrace,
     _nodes,
     wiener_norm,
-    winding_number,
+    winding_numbers,
 )
 from .curves import CurveFamily, _eta_weights, monomial_transform, on_grid
 from .disc import DiscSolveOptions, _affine_dbar, _explicit_inverse, _weight_defect_rows, solve_disc
@@ -56,6 +56,7 @@ from .domains import (
     Annulus,
     _check_modulus,
     _shift_modes,
+    annulus_flux,
     harmonic_extend_annulus,
     laurent_evaluate,
     laurent_from_traces,
@@ -69,6 +70,7 @@ from .errors import (
     CountMismatch,
     ModeConditioning,
     NeumannDiverges,
+    NotRadialFamily,
 )
 from .newton import (
     _FORCING,
@@ -623,7 +625,7 @@ def solve_annulus(
     t0, t1 = laurent_traces(coeffs, q, grid.n)
     tr0 = BoundaryTrace(grid, t0)
     tr1 = BoundaryTrace(grid, t1)
-    got = (winding_number(tr0), -winding_number(tr1))
+    got = tuple(sign * w for sign, w in zip((1, -1), winding_numbers((tr0, tr1))))
     if got != windings:
         raise CountMismatch(
             f"converged trace windings {got} (coherent) != prescribed {windings}"
@@ -706,56 +708,45 @@ def solve_annulus_radial(
     rest of f is the exponential of a mode-by-mode completion. The zero
     phase is free and can be prescribed.
     """
-    from .errors import NotRadialFamily
-
     if outer_family.radial_profile is None or inner_family.radial_profile is None:
         raise NotRadialFamily("both families must be circles centered at the origin")
     grid = BoundaryGrid(grid_n)
     theta = grid.theta
     outer_family = on_grid(outer_family, theta)
     inner_family = on_grid(inner_family, theta)
-    r0 = np.asarray(outer_family.radial_profile(theta), dtype=float)
-    r1 = np.asarray(inner_family.radial_profile(theta), dtype=float)
-    if np.min(r0) <= 0.0 or np.min(r1) <= 0.0:
+    # both boundaries as one (2, N) stack, outer first
+    r = np.array([outer_family.radial_profile(theta), inner_family.radial_profile(theta)], dtype=float)
+    if np.min(r) <= 0.0:
         raise ConfigError("radial profiles must be positive")
 
-    s, _ = harmonic_extend_annulus(grid, q, np.log(r0), np.log(r1))
-    k1, t = _split_flux(s)
+    log_r = np.log(r)
+    k1, t = _split_flux(annulus_flux(grid, q, *log_r))
     zero = None if t is None else q ** t * np.exp(1j * zero_phase)
 
-    w0 = np.log(r0)
-    w1 = np.log(r1) - k1 * np.log(q)
-    outer_circle = np.exp(1j * theta)
-    inner_circle = q * outer_circle
+    circles = np.array([[1.0], [q]]) * np.exp(1j * theta)
+    w = log_r - [[0.0], [k1 * np.log(q)]]
     if zero is not None:
         # subtract the divisor's log-modulus with its circle mean pinned to
         # the analytic value (0 outer, log|z1| inner): the grid mean only
         # converges like |z1|^N when the zero sits near a circle, and the
         # flux must not inherit that error
-        lg0 = np.log(np.abs(outer_circle - zero))
-        lg1 = np.log(np.abs(inner_circle - zero))
-        w0 = w0 - (lg0 - float(np.mean(lg0)))
-        w1 = w1 - (lg1 - float(np.mean(lg1))) - np.log(np.abs(zero))
-    flux_left, g_coeffs = harmonic_extend_annulus(grid, q, w0, w1)
+        divisor = circles - zero
+        lg = np.log(np.abs(divisor))
+        w = w - (lg - np.mean(lg, axis=1, keepdims=True))
+        w[1] -= np.log(np.abs(zero))
+    flux_left, g_coeffs = harmonic_extend_annulus(grid, q, *w)
     if abs(flux_left) > 1e-6:
         raise ModeConditioning(
             f"flux {flux_left:.3e} left after removing divisor contributions"
         )
 
-    g0, g1 = laurent_traces(g_coeffs, q, grid.n)
-    f0 = outer_circle ** k1 * np.exp(g0)
-    f1 = inner_circle ** k1 * np.exp(g1)
+    f = circles ** k1 * np.exp(laurent_traces(g_coeffs, q, grid.n))
     if zero is not None:
-        f0 = f0 * (outer_circle - zero)
-        f1 = f1 * (inner_circle - zero)
-    tr0 = BoundaryTrace(grid, f0)
-    tr1 = BoundaryTrace(grid, f1)
-    modulus_error = max(
-        float(np.max(np.abs(np.abs(f0) - r0))),
-        float(np.max(np.abs(np.abs(f1) - r1))),
-    )
+        f = f * divisor
+    tr0, tr1 = (BoundaryTrace(grid, row) for row in f)
+    modulus_error = float(np.max(np.abs(np.abs(f) - r)))
     residual_by_boundary = _boundary_residuals(
-        outer_family, inner_family, theta, f0, f1, _rho_units(outer_family, inner_family, theta)
+        outer_family, inner_family, theta, *f, _rho_units(outer_family, inner_family, theta)
     )
     zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if zero is not None else ()
     return RadialSolution(

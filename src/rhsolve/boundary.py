@@ -328,6 +328,26 @@ def winding_number(trace: BoundaryTrace) -> int:
     return w
 
 
+def winding_numbers(traces) -> tuple:
+    """winding_number of each trace; the traces not yet unwrapped are unwrapped as one stack.
+
+    An annulus's outer and inner traces go through one _interval_increments
+    call, from their memoized spectra, and each keeps its row, bitwise its
+    own unwrap, as its increments. A trace that fails is left to
+    winding_number, which raises its error, the outer trace's first.
+    """
+    # a cached_property keeps its value in the instance dict
+    fresh = [t for t in traces if "_increments" not in vars(t)]
+    if fresh:
+        _same_grid(*fresh)
+        stack = np.array([t.values for t in fresh])
+        rows, errors = _interval_increments(stack, np.array([t._spectrum for t in fresh]))
+        for t, row, error in zip(fresh, rows, errors):
+            if error is None:
+                vars(t)["_increments"] = _read_only(row)
+    return tuple(winding_number(t) for t in traces)
+
+
 def _unwrapped_phases(values: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Continuous argument along each row of a (rows, N) stack, from its phase increments.
 

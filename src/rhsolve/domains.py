@@ -6,8 +6,9 @@ indexes the coefficients by position. laurent_traces samples the series
 counterclockwise on both circles at any n >= 2K + 2 points (zero-padding is
 exact, so a finer grid prolongs it), laurent_from_traces reads the
 coefficients back off the traces, and harmonic_extend_annulus solves for
-the series from real boundary data. (A disc solution z^n exp(g) needs no
-zero search: its n zeros sit at the origin.)
+the series from real boundary data; annulus_flux reads its log
+coefficient off the means. (A disc solution z^n exp(g) needs no zero
+search: its n zeros sit at the origin.)
 _LaurentSums lays the coefficients out once as four power series, the
 series and its slope in z and in 1/z, in blocks of 32: values (all that
 laurent_evaluate asks), or values and slopes, take one table z^0..z^31 of z
@@ -18,9 +19,10 @@ locate_zeros finds all interior zeros with multiplicities from the
 argument-principle moments of the traces (Kravanja and Van Barel 2000;
 Austin, Kravanja and Trefethen 2014), Newton-polishes those with |f| above
 the traces' roundoff and certifies each by a winding count, all from one
-prepared series and from each trace's one spectrum; the winding counts of
-all certification circles are one stacked unwrap. A multiple zero with
-|f| above the roundoff is a cluster, refused.
+prepared series and from each trace's one spectrum; the two boundary
+windings are one stacked unwrap, as are the winding counts of all
+certification circles. A multiple zero with |f| above the roundoff is a
+cluster, refused.
 Both circles' traces move through one FFT: laurent_traces and
 laurent_from_traces transform a (2, ..., n) stack, outer circle first.
 cauchy_extend, the discretized Cauchy integral, is the reference quadrature
@@ -42,7 +44,7 @@ from .boundary import (
     _derivative_samples,
     _phase_rows,
     _same_grid,
-    winding_number,
+    winding_numbers,
 )
 from .errors import (
     ConfigError,
@@ -268,23 +270,30 @@ def _shift_modes(coeffs: np.ndarray, sigma: int) -> np.ndarray:
     return np.pad(coeffs, k)[k - sigma : 2 * k - sigma]
 
 
-def harmonic_extend_annulus(grid: BoundaryGrid, q: float, outer_values, inner_values) -> tuple:
-    """Harmonic function u = c_log log|z| + Re G on the annulus with the given real boundary data.
+def annulus_flux(grid: BoundaryGrid, q: float, outer_values, inner_values) -> float:
+    """The flux (inner mean - outer mean) / log q of the harmonic extension of real boundary data.
 
-    Returns (c_log, coefficients of the Laurent series G, modes -K..K). The
-    log coefficient c_log = (inner mean - outer mean) / log q is the flux
-    through the annulus; G is single-valued and solved mode by mode.
+    It is harmonic_extend_annulus's c_log without the mode solve, and refuses what that refuses.
     """
     _check_modulus(q)
     if q * q > 1.0 - 1e-6:
         raise ModeConditioning("mode solve degenerates as the annulus thins")
-    d0 = np.asarray(outer_values, dtype=float)
-    d1 = np.asarray(inner_values, dtype=float)
-    if d0.shape != (grid.n,) or d1.shape != (grid.n,):
+    if np.shape(outer_values) != (grid.n,) or np.shape(inner_values) != (grid.n,):
         raise ConfigError("boundary data must be sampled on the grid")
+    outer_mean, inner_mean = np.mean(np.array([outer_values, inner_values], dtype=float), axis=1)
+    return float((inner_mean - outer_mean) / np.log(q))
+
+
+def harmonic_extend_annulus(grid: BoundaryGrid, q: float, outer_values, inner_values) -> tuple:
+    """Harmonic function u = c_log log|z| + Re G on the annulus with the given real boundary data.
+
+    Returns (c_log, coefficients of the Laurent series G, modes -K..K). The
+    log coefficient c_log is the flux through the annulus (annulus_flux); G
+    is single-valued and solved mode by mode.
+    """
+    c_log = annulus_flux(grid, q, outer_values, inner_values)
     k = grid.n // 2 - 1
-    f0, f1 = np.fft.fft(np.array([d0, d1]))[:, : k + 1] / grid.n
-    c_log = float((f1[0].real - f0[0].real) / np.log(q))
+    f0, f1 = np.fft.fft(np.array([outer_values, inner_values], dtype=float))[:, : k + 1] / grid.n
     qk = q ** np.arange(1, k + 1, dtype=float)
     denom = 1.0 - qk * qk
     fk = 2.0 * (f0[1:] - f1[1:] * qk) / denom
@@ -336,8 +345,11 @@ def _hankel_zeros(s, p):
     multiplicities), so its first r columns span its range and an unpivoted
     QR reveals r. The zeros are the eigenvalues of the pencil (H_>, H),
     H_> = [s_{i+j+1}], on those columns; sum_j m_j z_j^k = s_k, k < r, gives
-    the multiplicities.
+    the multiplicities. For p = 1 the pencil (s_1, s_0) is solved in closed
+    form: one zero s_1 / s_0 of multiplicity s_0, none when s_0 = 0.
     """
+    if p == 1:
+        return (s[1:2] / s[:1], np.rint(s[:1].real).astype(int)) if s[0] != 0 else (s[:0], np.zeros(0, int))
     idx = np.add.outer(np.arange(p), np.arange(p))
     basis, tri = np.linalg.qr(s[idx])
     diag = np.abs(np.diag(tri))
@@ -388,7 +400,7 @@ def locate_zeros(traces, domain: Annulus):
     """
     traces = _trace_pair(traces)
     grid = _same_grid(*traces)
-    expected = sum(sign * winding_number(t) for sign, t in zip((1, -1), traces))
+    expected = sum(sign * w for sign, w in zip((1, -1), winding_numbers(traces)))
     if not 0 <= 2 * expected <= grid.n:
         raise CountMismatch(f"boundary windings predict {expected} zeros on a {grid.n}-point grid")
     if expected == 0:

@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .boundary import BoundaryTrace, winding_number
+from .boundary import BoundaryTrace, winding_number, winding_numbers
 
 
 def dump_json(obj) -> str:
@@ -80,8 +80,7 @@ def disc_result_dict(solution) -> dict:
 
 def annulus_result_dict(solution) -> dict:
     """Summary shared by the Newton and closed-form annulus solvers."""
-    gamma0 = int(winding_number(solution.outer_trace))
-    gamma1_disc = int(winding_number(solution.inner_trace))
+    gamma0, gamma1_disc = winding_numbers((solution.outer_trace, solution.inner_trace))
     glue = getattr(solution, "glue", None)
     run = getattr(solution, "run", None)
     fallback = bool(getattr(solution, "fallback_used", False))

@@ -586,9 +586,7 @@ def test_annulus_iterate_norm_is_the_larger_wiener_norm_of_the_two_traces(annulu
         npt.assert_allclose(iterate_norm(probes[0]), want[0], rtol=1e-13)
 
 
-def test_solution_traces_are_unwrapped_once(monkeypatch):
-    # the winding check, zero location, flux identity and result summary
-    # share one phase unwrap per boundary trace
+def _unwrapped_rows(monkeypatch):
     calls = []
     original = boundary._interval_increments
 
@@ -597,14 +595,39 @@ def test_solution_traces_are_unwrapped_once(monkeypatch):
         return original(values, spectrum)
 
     monkeypatch.setattr(boundary, "_interval_increments", spy)
+    return calls
+
+
+def assert_pair_unwrapped_once(calls, sol):
+    # the phase core unwraps stacks of rows: each trace's values are one
+    # row of exactly one call, and that call unwraps the pair
+    for trace in (sol.outer_trace, sol.inner_trace):
+        assert [len(rows) for rows in calls for row in rows if np.array_equal(row, trace.values)] == [2]
+
+
+def test_solution_traces_are_unwrapped_once(monkeypatch):
+    # the winding check, zero location, flux identity and result summary
+    # share one phase unwrap of the pair of boundary traces
+    calls = _unwrapped_rows(monkeypatch)
     fam = builtin_circle_family([1.0, 0.02, -0.01])
     sol = solve_annulus(fam, builtin_circle_family([0.5, 0.01]), (6, 6), Q, AnnulusSolveOptions(certify=False))
     check_identity(sol)
     annulus_result_dict(sol)
-    # the phase core unwraps stacks of rows: each trace's values are one
-    # row of exactly one call
-    for trace in (sol.outer_trace, sol.inner_trace):
-        assert sum(np.array_equal(row, trace.values) for rows in calls for row in rows) == 1
+    assert_pair_unwrapped_once(calls, sol)
+
+
+@pytest.mark.parametrize("exponent, zeros", [(0.4, 1), (1.0, 0)], ids=["one-zero", "zero-free"])
+def test_radial_traces_are_unwrapped_once(exponent, zeros, monkeypatch):
+    # with a zero, zero location unwraps the pair and the identity and the
+    # summary read its memos; without one, the identity unwraps it
+    calls = _unwrapped_rows(monkeypatch)
+    sol = solve_annulus_radial(
+        scaled_circle(1.0, [0.0, 0.05, -0.02]), scaled_circle(Q ** exponent, [0.0, 0.0, 0.03]), Q, grid_n=128
+    )
+    assert len(sol.zeros) == zeros
+    check_identity(sol)
+    annulus_result_dict(sol)
+    assert_pair_unwrapped_once(calls, sol)
 
 
 def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):

@@ -417,6 +417,37 @@ def test_phase_core_gives_each_row_of_a_stack_its_one_row_answer(monkeypatch):
         assert not got.any(), kind
 
 
+def _winding_or_error(fn, arg):
+    try:
+        return fn(arg)
+    except (ZeroOnBoundary, UnresolvedPhase) as exc:
+        return type(exc), str(exc)
+
+
+def test_pair_windings_are_each_traces_winding_number(monkeypatch):
+    # for every pair of rows of every kind: the windings, or the error of
+    # the first trace that fails, from one unwrap of the pair (and one more
+    # of the failing trace, alone); each trace unwrapped keeps its
+    # increments, and a second call reads them
+    kinds = list(_rows_of_every_kind().values())
+    grid = BoundaryGrid(len(kinds[0]))
+    for outer in kinds:
+        for inner in kinds:
+            singles = [_winding_or_error(winding_number, BoundaryTrace(grid, row)) for row in (outer, inner)]
+            errors = [single for single in singles if isinstance(single, tuple)]
+            pair = (BoundaryTrace(grid, outer), BoundaryTrace(grid, inner))
+            with monkeypatch.context() as m:
+                calls = _count_unwraps(m)
+                assert _winding_or_error(boundary.winding_numbers, pair) == (errors[0] if errors else tuple(singles))
+                assert [len(rows) for rows in calls] == ([2, 1] if errors else [2])
+                for trace, single in zip(pair, singles):
+                    if not isinstance(single, tuple):
+                        assert np.array_equal(trace._increments, BoundaryTrace(grid, trace.values)._increments)
+                if not errors:
+                    del calls[:]
+                    assert boundary.winding_numbers(pair) == tuple(singles) and not calls
+
+
 def test_stacked_windings_round_each_row_as_winding_number_does():
     n = 64
     rows = np.full((3, n), 2.0 * np.pi / n)

@@ -1,5 +1,6 @@
 """Interior evaluation and zero location against closed-form extensions."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,20 +8,23 @@ import numpy.testing as npt
 import pytest
 
 from rhsolve import domains
+from rhsolve.analysis import check_identity
 from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
 from rhsolve.boundary import BoundaryGrid, BoundaryTrace, winding_number
 from rhsolve.curves import builtin_circle_family, builtin_ellipse_family
 from rhsolve.domains import (
     Annulus,
     LocatedZero,
+    annulus_flux,
     cauchy_extend,
+    harmonic_extend_annulus,
     laurent_evaluate,
     laurent_from_traces,
     laurent_modes,
     laurent_traces,
     locate_zeros,
 )
-from rhsolve.errors import ConfigError, CountMismatch, PointTooCloseToBoundary, ZeroOnBoundary
+from rhsolve.errors import ConfigError, CountMismatch, ModeConditioning, PointTooCloseToBoundary, ZeroOnBoundary
 
 
 def annulus_traces(n, q, fn):
@@ -386,3 +390,84 @@ def test_polish_moves_a_zero_off_its_node_down_to_the_floor(series_calls):
     assert residual[0] <= noise
     assert abs(z[0] - sol.zero) < 1e-14
     assert start[0] == sol.zero + 1e-9 * np.exp(0.7j)  # the input is not moved in place
+
+
+def qr_pencil(s, p):
+    """Reference: the Hankel pencil of the moments solved by QR, eig and two solves at any p."""
+    idx = np.add.outer(np.arange(p), np.arange(p))
+    basis, tri = np.linalg.qr(s[idx])
+    diag = np.abs(np.diag(tri))
+    small = diag <= domains._RANK_TOL * diag[0]
+    r = int(np.argmax(small)) if small.any() else p
+    reduced = basis[:, :r].conj().T @ s[idx[:, :r] + 1]
+    nodes = np.linalg.eigvals(np.linalg.solve(tri[:r, :r], reduced))
+    vandermonde = nodes[None, :] ** np.arange(r)[:, None]
+    return nodes, np.rint(np.linalg.solve(vandermonde, s[:r]).real).astype(int)
+
+
+def test_one_zero_pencil_in_closed_form_is_the_qr_pencil():
+    rng = np.random.default_rng(31)
+    q = 0.4
+    moments = []
+    for _ in range(20):
+        z0 = rng.uniform(q + 0.05, 0.95) * np.exp(2j * np.pi * rng.uniform())
+        a, b = 0.2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        traces = annulus_traces(128, q, lambda z: (z - z0) * np.exp(a * z + b / z))
+        moments.append(domains._moments(traces, np.array([t._spectrum for t in traces]), Annulus(q), 2))
+        # and moments off the exact ones, as a coarse grid leaves them
+        noise = 1e-3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        moments.append(np.array([1.0, z0]) + noise)
+    for s in moments:
+        nodes, mult = domains._hankel_zeros(s, 1)
+        want_nodes, want_mult = qr_pencil(s, 1)
+        npt.assert_allclose(nodes, want_nodes, rtol=1e-14, atol=0)
+        assert mult.tolist() == want_mult.tolist() == [1]
+    # s_0 = 0 leaves a pencil of rank 0: no node
+    s = np.array([0.0, 0.3 + 0.1j])
+    for got, want in zip(domains._hankel_zeros(s, 1), qr_pencil(s, 1)):
+        assert got.shape == want.shape == (0,)
+
+
+def test_one_zero_moments_with_s0_zero_end_in_count_mismatch(monkeypatch):
+    traces = annulus_traces(64, 0.5, lambda z: z - 0.7)
+    monkeypatch.setattr(domains, "_moments", lambda *args: np.array([0.0, 0.7 + 0.0j]))
+    with pytest.raises(CountMismatch, match=r"moment multiplicities \[\] do not sum to the boundary count 1"):
+        locate_zeros(traces, Annulus(0.5))
+
+
+def test_flux_is_the_log_coefficient_of_the_mode_solve():
+    # the means of the data against the zero modes of their DFT, the log
+    # coefficient the mode solve read
+    rng = np.random.default_rng(17)
+    for n in (16, 128, 1024):
+        grid = BoundaryGrid(n)
+        for q in (0.05, 0.5, 0.99):
+            d0, d1 = rng.standard_normal((2, n)) + rng.uniform(-3.0, 3.0, (2, 1))
+            flux = annulus_flux(grid, q, d0, d1)
+            f0, f1 = np.fft.fft([d0, d1])[:, 0].real / n
+            scale = max(np.abs(d0).max(), np.abs(d1).max()) / abs(np.log(q))
+            assert flux == pytest.approx((f1 - f0) / np.log(q), rel=1e-14, abs=1e-14 * scale)
+            assert harmonic_extend_annulus(grid, q, d0, d1)[0] == flux
+
+
+def test_flux_refuses_what_the_mode_solve_refuses():
+    grid = BoundaryGrid(64)
+    data = np.zeros(grid.n)
+    thin = 0.9999996  # q^2 > 1 - 1e-6
+    for flux in (annulus_flux, harmonic_extend_annulus):
+        for q in (0.0, -0.3, 1.0, 1.5):
+            with pytest.raises(ConfigError, match="annulus modulus must lie in"):
+                flux(grid, q, data, data)
+        with pytest.raises(ModeConditioning, match="degenerates as the annulus thins"):
+            flux(grid, thin, data, data)
+        with pytest.raises(ConfigError, match="sampled on the grid"):
+            flux(grid, 0.5, data, data[:32])
+    # and so do the radial solve and the identity check, which read the flux
+    outer, inner = builtin_circle_family(1.0), builtin_circle_family(0.9)
+    sol = solve_annulus_radial(outer, inner, 0.5, grid_n=64)
+    for q, error in ((thin, ModeConditioning), (1.5, ConfigError), (0.0, ConfigError)):
+        with pytest.raises(error) as radial:
+            solve_annulus_radial(outer, inner, q, grid_n=64)
+        with pytest.raises(error) as identity:
+            check_identity(dataclasses.replace(sol, q=q))
+        assert type(radial.value) is type(identity.value) is error
