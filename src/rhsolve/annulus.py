@@ -22,8 +22,8 @@ coupling. A step is accepted by an inexact-Newton forcing test; a residual
 it cannot invert raises NeumannDiverges (there is no dense fallback).
 Each Newton step runs one GMRES on its one residual, with one collar
 inverse and one linearization application per iteration. It stops at the
-first iterate whose sup-norm defect meets newton.iterate's inexact-Newton
-target (Dembo, Eisenstat and Steihaug 1982). The 2-norm of the defect
+first iterate whose sup-norm defect meets the step's inexact-Newton target
+(Dembo, Eisenstat and Steihaug 1982). The 2-norm of the defect
 brackets its sup, sup <= |.|_2 <= sqrt(2N) sup, and decides every iterate
 it can; the sup is read off the Arnoldi basis only in between.
 
@@ -73,7 +73,6 @@ from .errors import (
     NotRadialFamily,
 )
 from .newton import (
-    _FORCING,
     CertificateBounds,
     CertifyOptions,
     IterateOptions,
@@ -90,6 +89,10 @@ _GMRES_MAX_ITER = 20
 _GMRES_TOL = 1e-11
 _GMRES_STALL_RATIO = 0.9
 _GMRES_STALL_WINDOW = 5
+# inexact-Newton forcing term: a step whose sup-norm defect is at most
+# min(_FORCING, |r|) * |r| keeps the iteration quadratic (Dembo, Eisenstat
+# and Steihaug 1982)
+_FORCING = 0.1
 
 
 def _reindex(values: np.ndarray) -> np.ndarray:
@@ -307,7 +310,7 @@ def _sup_defect(beta, last, vectors):
     return beta * abs(last[0]) * np.max(np.abs(last @ np.asarray(vectors)))
 
 
-def _gmres(act, precondition, r, target=None):
+def _gmres(act, precondition, r, target):
     """Right-preconditioned GMRES for act(precondition(y)) = r, in real arithmetic.
 
     The k-th iterate minimizes the 2-norm defect |r - act(x)| over
@@ -316,14 +319,14 @@ def _gmres(act, precondition, r, target=None):
     an iteration applies precondition and act once.
     The run stops at the iteration budget, at a relative defect of
     _GMRES_TOL, or once its defect fell by less than _GMRES_STALL_RATIO over
-    its last _GMRES_STALL_WINDOW iterations. target, when given, is a
-    sup-norm defect: the run also stops at its first iterate whose sup-norm
-    defect is at most target, and then keeps that iterate. With 2N the
-    length of r, the iterate meets its target when its 2-norm defect does,
-    and cannot when the 2-norm is above sqrt(2N) times the target; only in
-    between is the sup read off the Arnoldi basis (_sup_defect), without
-    applying act. Returns the best iterate and the list of defect 2-norms
-    of iterates 0..k. r may not be zero.
+    its last _GMRES_STALL_WINDOW iterations. target is a sup-norm defect:
+    the run also stops at its first iterate whose sup-norm defect is at most
+    target, and then keeps that iterate (a zero target is never met). With
+    2N the length of r, the iterate meets its target when its 2-norm defect
+    does, and cannot when the 2-norm is above sqrt(2N) times the target;
+    only in between is the sup read off the Arnoldi basis (_sup_defect),
+    without applying act. Returns the best iterate and the list of defect
+    2-norms of iterates 0..k. r may not be zero.
     """
     # einsum products and norms along an axis, not v @ w or a plain norm:
     # those go through a BLAS dot, which rounds differently, and at a grid's
@@ -349,13 +352,11 @@ def _gmres(act, precondition, r, target=None):
         window = norms[-1 - _GMRES_STALL_WINDOW :]
         stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
         converged = norms[-1] <= _GMRES_TOL * beta
-        met = False
-        if not (converged or target is None):
-            # sup <= |.|_2 <= sqrt(2N) sup: the 2-norm decides an iterate
-            # that meets its target, or cannot, without the sup estimate
-            met = norms[-1] <= target
-            if not met and norms[-1] <= root * target:
-                met = _sup_defect(beta, q_full[:, k + 1], basis + [w / hess[k + 1, k]]) <= target
+        # sup <= |.|_2 <= sqrt(2N) sup: the 2-norm decides an iterate that
+        # meets its target, or cannot, without the sup estimate
+        met = not converged and norms[-1] <= target
+        if not (converged or met) and norms[-1] <= root * target:
+            met = _sup_defect(beta, q_full[:, k + 1], basis + [w / hess[k + 1, k]]) <= target
         if converged or met or stalled or k + 1 == _GMRES_MAX_ITER:
             break
         basis.append(w / hess[k + 1, k])
@@ -530,19 +531,19 @@ def _annulus_problem(
             k = _explicit_inverse(grid, phi_weight, k_weight, rows)
             return laurent_from_traces(grid, q, t0 * k[..., 0, :], t1 * _reindex(k[..., 1, :]))
 
-        def apply(r, target=None):
-            # target: the sup-norm defect at which a step may stop short of
-            # the GMRES tolerance (newton.iterate passes one)
+        def apply(r):
             r = np.asarray(r, dtype=float)
             scale = np.max(np.abs(r))
             if not scale > 0.0:  # a zero (or NaN) residual: nothing to invert
                 return np.zeros(2 * kmax + 1, dtype=complex)
-            step, norms = _gmres(act, collar_apply, r, target)
+            # GMRES stops at half the forcing bound max(min(_FORCING, |r|) |r|,
+            # tol / 2), so that roundoff in its own defect estimate cannot
+            # push the step past the bound
+            step, norms = _gmres(act, collar_apply, r, 0.5 * max(min(_FORCING, scale) * scale, 0.5 * tol))
             defect = np.max(np.abs(r - act(step)))
             # a step is accepted when its sup-norm defect is at most
-            # max(_FORCING * |r|, tol / 2), newton's inexact-Newton forcing term
-            # (less than half the Newton tolerance is as good as exact); a Newton
-            # step's GMRES stops earlier, at newton.iterate's target
+            # max(_FORCING * |r|, tol / 2) (less than half the Newton
+            # tolerance is as good as exact)
             bound = max(_FORCING * scale, 0.5 * tol)
             if defect > bound:
                 raise NeumannDiverges(

@@ -39,7 +39,7 @@ _TWO_PI = 2.0 * np.pi
 # certificate it replaced), 0.7 MB in its first Newton step's GMRES and
 # 2.1 MB in its certificate bounds. No bench case or README
 # example goes above N = 1024. The disc certificate's residual is measured
-# on twice the grid, which may exceed this cap. ROADMAP item 1 (nested
+# on twice the grid, which may exceed this cap. ROADMAP item 2 (nested
 # grids) revisits the cap
 _MAX_GRID = 4096
 

@@ -21,18 +21,15 @@ contraction is bounded, not proven. A problem that can compute the four
 numbers supplies them through its bounds(x) callback, and certify only
 forms the verdict; both solvers do. Without bounds, certify samples the
 constants with Gaussian probes shaped like the residual and the iterate:
-it draws all its probes first and then calls each callback once per stack
-of probes, not once per probe; the iteration passes single vectors. The
-right inverse must reach every probe: an error it raises ends certify.
-omega1, the identity defect and omega2 are each the largest ratio over one
-stack of a row's norm to its probe's scale. The iteration itself damps
-steps that increase the residual and records that it did.
+it draws every probe and checks its norm first, then runs the callbacks on
+one probe at a time. The right inverse must reach every probe: an error it
+raises ends certify. omega1, the identity defect and omega2 are each the
+largest ratio over the probes of a norm to its probe's scale. The iteration
+itself damps steps that increase the residual and records that it did.
 """
 
 from __future__ import annotations
 
-import inspect
-import types
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -57,19 +54,8 @@ class NewtonProblem:
     Gaussian probes that draw_probes draws, measuring residuals with
     residual_norm and omega1's steps and omega2's ball with iterate_norm.
 
-    Stacks: certify passes arrays with a leading probe axis, one probe per
-    row, and only to a problem without bounds. right_inverse(x)(r),
-    derivative_action(x, d) and the residual (in the finite difference
-    only) then act row by row, broadcasting one point against a stack of
-    directions, and every norm returns one value per row (certify raises
-    TypeError on a norm that does not). iterate passes single vectors only.
-
-    Forcing: a right inverse's apply may take a keyword target, the
-    residual-norm defect at which an iterative inverse may stop. iterate
-    passes ½·max(min(_FORCING, |r|)·|r|, tol/2), |r| the residual norm and
-    _FORCING = 0.1: a step that meets it keeps Newton quadratic. An apply
-    without the keyword is called with the residual alone, and certify
-    passes no target.
+    Every callback takes and returns one vector: certify and iterate pass
+    one residual, step or direction at a time.
     """
 
     residual: Callable
@@ -99,11 +85,6 @@ _FD_STEP = 1e-6
 _CHECK_TOL = 1e-6
 # damping budget: step halvings tried before the iteration gives up
 _MAX_HALVINGS = 6
-# inexact-Newton forcing term: a step whose residual-norm defect is at most
-# min(_FORCING, |r|) * |r| keeps the iteration quadratic (Dembo, Eisenstat
-# and Steihaug 1982); a right inverse that accepts steps by a forcing bound
-# uses the same constant
-_FORCING = 0.1
 
 
 @dataclass(frozen=True)
@@ -154,78 +135,35 @@ def _gaussian_like(example):
     return lambda rng: rng.standard_normal(shape)
 
 
-def _per_row(values, stack):
-    """Per-row values shaped to broadcast against the rows of a stack."""
-    values = np.asarray(values)
-    return values.reshape(values.shape + (1,) * (np.ndim(stack) - values.ndim))
-
-
-def _row_norms(norm, stack):
-    """The norm of each row of a stack; a norm must return one value per row."""
-    values = np.asarray(norm(stack), dtype=float)
-    if values.shape != (len(stack),):
-        raise TypeError(
-            f"a norm of a stack of {len(stack)} probes returned shape {values.shape}; "
-            "NewtonProblem norms must return one value per row of a stack"
-        )
-    return values
-
-
-def _takes(callback, keyword) -> bool:
-    """Whether a callback has a parameter of that name; a builtin without a signature has none.
-
-    A plain function answers from its code object, whose leading variable
-    names are its parameters, as inspect.signature reads them; any other
-    callable (a method, a partial, a wrapped function or one with its own
-    __signature__, a builtin) asks inspect.
-    """
-    plain = not (hasattr(callback, "__wrapped__") or hasattr(callback, "__signature__"))
-    if type(callback) is types.FunctionType and plain:
-        code = callback.__code__
-        count = code.co_argcount + code.co_kwonlyargcount
-        count += bool(code.co_flags & inspect.CO_VARARGS) + bool(code.co_flags & inspect.CO_VARKEYWORDS)
-        return keyword in code.co_varnames[:count]
-    try:
-        return keyword in inspect.signature(callback).parameters
-    except ValueError:
-        return False
-
-
-def _weighted_max(norm, stack, weights):
-    """max over the rows of norm(row) / weight."""
-    return float(np.max(_row_norms(norm, stack) / weights))
-
-
 def draw_probes(seed, sample_residual, sample_iterate, residual_norm, iterate_norm) -> tuple:
     """The sampled certificate's seed-determined half, drawn one after the other.
 
-    Returns the residual probes (rows) and their residual norms, the pairs'
-    (du, dv, d) stacks and their iterate norms, and each pair's two ball
-    radii in units of _BALL_RADIUS; per pair, du, dv, d and the two radii
-    are drawn in turn. A degenerate norm raises SamplingFailed.
+    Returns the residual probes and their residual norms, then the Lipschitz
+    pairs as ((du, dv, d), the two ball radii in units of _BALL_RADIUS) and
+    the iterate norms of each pair's (du, dv, d); per pair, du, dv, d and
+    the two radii are drawn in turn. A degenerate norm raises SamplingFailed.
     """
     rng = np.random.default_rng(seed)
-    residual = np.stack([sample_residual(rng) for _ in range(_RESIDUAL_SAMPLES)])
-    triples, radii = [], []
-    for _ in range(_LIPSCHITZ_PAIRS):
-        triples.append([sample_iterate(rng) for _ in range(3)])
-        radii.append([rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)])
-    iterate = np.stack([np.stack(column) for column in zip(*triples)])
-    norms = np.stack([_row_norms(iterate_norm, stack) for stack in iterate])
-    residual_norms = _row_norms(residual_norm, residual)
-    for kind, values in (("residual", residual_norms), ("iterate", norms)):
-        if np.any(values == 0.0) or not np.all(np.isfinite(values)):
+    residuals = [sample_residual(rng) for _ in range(_RESIDUAL_SAMPLES)]
+    pairs = [
+        ([sample_iterate(rng) for _ in range(3)], (rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)))
+        for _ in range(_LIPSCHITZ_PAIRS)
+    ]
+    residual_norms = [residual_norm(r) for r in residuals]
+    pair_norms = [[iterate_norm(d) for d in directions] for directions, _ in pairs]
+    for kind, values in (("residual", residual_norms), ("iterate", pair_norms)):
+        if np.any(np.asarray(values) == 0.0) or not np.all(np.isfinite(values)):
             raise SamplingFailed(f"{kind} probe has degenerate norm")
-    return residual, residual_norms, iterate, norms, np.asarray(radii).T
+    return residuals, residual_norms, pairs, pair_norms
 
 
 def _derivative_action(problem: NewtonProblem, x, d):
     if problem.derivative_action is not None:
         return problem.derivative_action(x, d)
-    scale = _row_norms(problem.iterate_norm, d)
-    if np.any(scale == 0.0) or not np.all(np.isfinite(scale)):
+    scale = problem.iterate_norm(d)
+    if scale == 0.0 or not np.isfinite(scale):
         raise SamplingFailed("degenerate direction for the finite-difference derivative")
-    h = _per_row(_FD_STEP / scale, d)
+    h = _FD_STEP / scale
     return (problem.residual(x + h * d) - problem.residual(x - h * d)) / (2.0 * h)
 
 
@@ -248,28 +186,31 @@ def certify(problem: NewtonProblem, x0, options: CertifyOptions = CertifyOptions
 
 def _sampled_bounds(problem: NewtonProblem, x0, seed) -> CertificateBounds:
     """Sample the three constants and test the right-inverse identity at x0."""
-    res_norm = problem.residual_norm
+    res_norm, it_norm = problem.residual_norm, problem.iterate_norm
     r0 = problem.residual(x0)
     omega3 = res_norm(r0)
     inverse = problem.right_inverse(x0)
     # every probe is drawn before any is used
-    drawn = draw_probes(seed, _gaussian_like(r0), _gaussian_like(x0), res_norm, problem.iterate_norm)
-    probes, rn, (du, dv, d), (nu, nv, nd), (radius_u, radius_v) = drawn
+    residuals, residual_norms, pairs, pair_norms = draw_probes(
+        seed, _gaussian_like(r0), _gaussian_like(x0), res_norm, it_norm
+    )
 
-    steps = inverse(probes)
-    omega1 = _weighted_max(problem.iterate_norm, steps, rn)
-    identity_defect = _weighted_max(res_norm, _derivative_action(problem, x0, steps) - probes, rn)
+    growth, defects = [], []
+    for probe, scale in zip(residuals, residual_norms):
+        step = inverse(probe)
+        growth.append(it_norm(step) / scale)
+        defects.append(res_norm(_derivative_action(problem, x0, step) - probe) / scale)
 
-    u = x0 + _per_row(_BALL_RADIUS * radius_u / nu, du) * du
-    v = x0 + _per_row(_BALL_RADIUS * radius_v / nv, dv) * dv
-    gap = _row_norms(problem.iterate_norm, u - v)
-    omega2 = 0.0
-    apart = gap != 0.0
-    if apart.any():
-        d = d[apart]
-        diff = _derivative_action(problem, u[apart], d) - _derivative_action(problem, v[apart], d)
-        omega2 = _weighted_max(res_norm, diff, gap[apart] * nd[apart])
-    return CertificateBounds(omega1, omega2, omega3, identity_defect)
+    slopes = []
+    for ((du, dv, d), (radius_u, radius_v)), (nu, nv, nd) in zip(pairs, pair_norms):
+        u = x0 + (_BALL_RADIUS * radius_u / nu) * du
+        v = x0 + (_BALL_RADIUS * radius_v / nv) * dv
+        gap = it_norm(u - v)
+        if gap != 0.0:
+            diff = _derivative_action(problem, u, d) - _derivative_action(problem, v, d)
+            slopes.append(res_norm(diff) / (gap * nd))
+    omega2 = float(np.max(slopes)) if slopes else 0.0
+    return CertificateBounds(float(np.max(growth)), omega2, omega3, float(np.max(defects)))
 
 
 def iterate(
@@ -299,13 +240,7 @@ def iterate(
                 damped=damped,
                 certificate=certificate,
             )
-        inverse = problem.right_inverse(x)
-        if _takes(inverse, "target"):
-            # half the forcing bound, so that roundoff in the inverse's own
-            # defect estimate cannot push the step past the bound
-            step = inverse(r, target=0.5 * max(min(_FORCING, rn) * rn, 0.5 * options.tol))
-        else:
-            step = inverse(r)
+        step = problem.right_inverse(x)(r)
         lam = 1.0
         trial = x - lam * step
         trial_r = problem.residual(trial)

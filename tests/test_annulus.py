@@ -554,7 +554,7 @@ def test_certified_solve_runs_gmres_only_for_newton_steps(monkeypatch):
     shapes = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, target=None):
+    def spy(act, precondition, r, target):
         shapes.append(np.shape(r))
         return original(act, precondition, r, target)
 
@@ -636,7 +636,7 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
     captured = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, target=None):
+    def spy(act, precondition, r, target):
         captured.append((act, precondition, r))
         return original(act, precondition, r, target)
 
@@ -653,7 +653,7 @@ def test_gmres_defect_at_most_neumann_partial_sums(monkeypatch):
         x = x + precondition(r - act(x))
         neumann = np.linalg.norm(r - act(x))
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
-        xg, norms = original(act, precondition, r)
+        xg, norms = original(act, precondition, r, 0.0)
         assert len(norms) == k + 1
         assert np.linalg.norm(r - act(xg)) <= neumann * (1.0 + 1e-8)
 
@@ -668,7 +668,7 @@ def test_gmres_drops_a_stalled_stretch(monkeypatch):
     calls = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, target=None):
+    def spy(act, precondition, r, target):
         step, history = original(act, precondition, r, target)
         calls.append((act, precondition, r, step, history))
         return step, history
@@ -683,7 +683,7 @@ def test_gmres_drops_a_stalled_stretch(monkeypatch):
         stalls += stalled
         kept = max(1, len(history) - 1 - window) if stalled else len(history) - 1
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", kept)
-        capped, _ = original(act, precondition, r)
+        capped, _ = original(act, precondition, r, 0.0)
         assert np.linalg.norm(step - capped) <= 1e-13 * np.linalg.norm(capped)
         size = max(np.max(np.abs(t)) for t in laurent_traces(step, 0.4, 512))
         assert size <= 100.0 * np.max(np.abs(r))
@@ -695,7 +695,7 @@ def _first_gmres(monkeypatch, solve, which=0):
     captured = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, target=None):
+    def spy(act, precondition, r, target):
         captured.append((act, precondition, r))
         return original(act, precondition, r, target)
 
@@ -819,14 +819,14 @@ def test_targeted_gmres_stops_at_the_first_iterate_meeting_its_sup_target(monkey
     # directions and the estimate loses digits; the stall rule stops first.)
     problem, h0 = _glued(name)
     act, precondition, r = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
-    _, visited = annulus._gmres(act, precondition, r)
+    _, visited = annulus._gmres(act, precondition, r, 0.0)
     last = min(len(visited) - 1, 10)
     monkeypatch.setattr(annulus, "_GMRES_TOL", 0.0)
     monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 10 ** 6)
     iterates, defects = [], []
     for k in range(1, last + 1):
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
-        x, _ = annulus._gmres(act, precondition, r)
+        x, _ = annulus._gmres(act, precondition, r, 0.0)
         iterates.append(x)
         defects.append(np.max(np.abs(r - act(x))))
     margin = 1e-10 * np.max(np.abs(r))
@@ -843,33 +843,36 @@ def test_targeted_gmres_stops_at_the_first_iterate_meeting_its_sup_target(monkey
 
 
 def test_untargeted_gmres_and_apply_are_the_plain_runs(monkeypatch):
-    # no target and a zero target (never met) leave every stop rule as it
-    # was: the same iterations and bitwise the same step; apply
-    # forwards its target, and a Newton-sized target stops the step sooner
+    # a zero target is never met: the run reads no sup estimate and stops by
+    # the plain rules (tolerance, stall or budget), bitwise the run of a
+    # target below every iterate's 2-norm defect over sqrt(2N); apply is the
+    # run at its own forcing target, which stops the step sooner and is met
     problem, h0 = _glued("readme")
     r = problem.residual(h0)
     apply = problem.right_inverse(h0)
     act, precondition, _ = _first_gmres(monkeypatch, lambda: apply(r))
-    plain, history = annulus._gmres(act, precondition, r)
-    for target in (None, 0.0):
-        x, h = annulus._gmres(act, precondition, r, target)
-        assert np.array_equal(x, plain) and h == history
-    assert np.array_equal(apply(r), plain) and np.array_equal(apply(r, target=None), plain)
+    reads = []
+    original = annulus._sup_defect
+
+    def spy(beta, last, vectors):
+        reads.append(beta)
+        return original(beta, last, vectors)
+
+    monkeypatch.setattr(annulus, "_sup_defect", spy)
+    plain, history = annulus._gmres(act, precondition, r, 0.0)
+    assert reads == []
+    stop = len(history) - 1
+    window = history[-1 - annulus._GMRES_STALL_WINDOW :]
+    stalled = len(window) > annulus._GMRES_STALL_WINDOW and window[-1] > annulus._GMRES_STALL_RATIO * window[0]
+    assert stop == annulus._GMRES_MAX_ITER or history[-1] <= annulus._GMRES_TOL * history[0] or stalled
+    x, h = annulus._gmres(act, precondition, r, min(history) / (2.0 * np.sqrt(len(r))))
+    assert np.array_equal(x, plain) and h == history
     scale = np.max(np.abs(r))
-    captured = []
-    original = annulus._gmres
-
-    def spy(act, precondition, r, target=None):
-        step, history = original(act, precondition, r, target)
-        captured.append((target, history))
-        return step, history
-
-    monkeypatch.setattr(annulus, "_gmres", spy)
-    step = apply(r, target=0.01 * scale)
-    (target, short), = captured
-    assert target == 0.01 * scale
+    target = 0.5 * max(min(0.1, scale) * scale, 0.5 * 1e-9)
+    step, short = annulus._gmres(act, precondition, r, target)
+    assert np.array_equal(apply(r), step)
     assert len(short) < len(history)
-    assert np.max(np.abs(r - problem.derivative_action(h0, step))) <= 0.01 * scale
+    assert np.max(np.abs(r - problem.derivative_action(h0, step))) <= target
 
 
 def test_target_met_on_a_stalled_iterate_keeps_it(monkeypatch):
@@ -881,14 +884,14 @@ def test_target_met_on_a_stalled_iterate_keeps_it(monkeypatch):
     capped = []
     for k in (1, 2):
         monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", k)
-        capped.append(annulus._gmres(act, precondition, r)[0])
+        capped.append(annulus._gmres(act, precondition, r, 0.0)[0])
     defects = [np.max(np.abs(r - act(x))) for x in capped]
     target = 2.0 * defects[1]
     assert defects[0] > target
     monkeypatch.setattr(annulus, "_GMRES_MAX_ITER", 20)
     monkeypatch.setattr(annulus, "_GMRES_STALL_WINDOW", 2)
     monkeypatch.setattr(annulus, "_GMRES_STALL_RATIO", 0.0)
-    rolled, history = annulus._gmres(act, precondition, r)
+    rolled, history = annulus._gmres(act, precondition, r, 0.0)
     assert len(history) == 3 and np.array_equal(rolled, capped[0])
     kept, history = annulus._gmres(act, precondition, r, target)
     assert len(history) == 3 and np.array_equal(kept, capped[1])
@@ -902,7 +905,7 @@ def test_gmres_reads_the_sup_estimate_only_inside_the_two_norm_bracket(monkeypat
     # iterate's 2-norm over sqrt(2N) on the README's first Newton residual
     problem, h0 = _glued("readme")
     act, precondition, r = _first_gmres(monkeypatch, lambda: problem.right_inverse(h0)(problem.residual(h0)))
-    plain, visited = annulus._gmres(act, precondition, r)
+    plain, visited = annulus._gmres(act, precondition, r, 0.0)
     root = np.sqrt(len(r))
     targets = [visited[2], visited[2] / 4.0, visited[-1] / (2.0 * root)]
     estimates = []
@@ -934,27 +937,64 @@ def test_gmres_reads_the_sup_estimate_only_inside_the_two_norm_bracket(monkeypat
 
 def test_zero_residual_runs_no_gmres_and_targets_reach_theirs(monkeypatch):
     # a zero residual needs no inversion: its step is zero and no GMRES runs
-    # (newton.iterate can pass one with tol = 0); a nonzero residual's target
-    # reaches its GMRES, and two targets stop it at different iterates
+    # (newton.iterate can pass one with tol = 0); a nonzero residual's
+    # forcing target reaches its GMRES, and the targets of r and 1e-4 r stop
+    # it at different iterates
     problem, h0 = _glued("wobbly")
     apply = problem.right_inverse(h0)
     r = problem.residual(h0)
-    scale = np.max(np.abs(r))
+    tol = AnnulusSolveOptions().tol
     seen = []
     original = annulus._gmres
 
-    def spy(act, precondition, r, target=None):
-        seen.append(target)
+    def spy(act, precondition, r, target):
+        step, history = original(act, precondition, r, target)
+        seen.append((target, history))
+        return step, history
+
+    monkeypatch.setattr(annulus, "_gmres", spy)
+    zero = apply(np.zeros_like(r))
+    assert zero.shape == h0.shape and zero.dtype == h0.dtype and not zero.any()
+    assert seen == []
+    loose, tight = apply(r), apply(1e-4 * r)
+    scales = [np.max(np.abs(r)), np.max(np.abs(1e-4 * r))]
+    assert [target for target, _ in seen] == [0.5 * max(min(0.1, s) * s, 0.5 * tol) for s in scales]
+    assert len(seen[0][1]) < len(seen[1][1])
+    for residual, step, (target, _) in zip((r, 1e-4 * r), (loose, tight), seen):
+        assert np.max(np.abs(residual - problem.derivative_action(h0, step))) <= target
+    assert np.linalg.norm(tight - 1e-4 * loose) > 1e-6 * np.linalg.norm(tight)
+
+
+def test_collar_apply_targets_half_the_forcing_bound(monkeypatch):
+    # every Newton step of the README solve runs one GMRES whose target is
+    # half the inexact-Newton forcing bound of its residual, bitwise the
+    # value 0.5 * max(min(0.1, |r|) |r|, tol / 2) of the run's history
+    targets = []
+    original = annulus._gmres
+
+    def spy(act, precondition, r, target):
+        targets.append(target)
         return original(act, precondition, r, target)
 
     monkeypatch.setattr(annulus, "_gmres", spy)
-    zero = apply(np.zeros_like(r), target=0.1 * scale)
-    assert zero.shape == h0.shape and zero.dtype == h0.dtype and not zero.any()
-    assert seen == []
-    loose, tight = apply(r, target=0.1 * scale), apply(2.0 * r, target=1e-8 * scale)
-    assert seen == [0.1 * scale, 1e-8 * scale]
-    assert np.max(np.abs(2.0 * r - problem.derivative_action(h0, tight))) <= 1e-8 * scale
-    assert np.linalg.norm(tight - 2.0 * loose) > 1e-6 * np.linalg.norm(tight)
+    tol = 1e-9
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    opts = AnnulusSolveOptions(grid_n=512, tol=tol, certify=False)
+    run = solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, opts).run
+    assert len(targets) == run.iterations >= 3
+    assert targets == [0.5 * max(min(0.1, rn) * rn, 0.5 * tol) for rn in run.residual_norms[: len(targets)]]
+
+
+@pytest.mark.xfail(raises=NeumannDiverges, strict=True)
+def test_unit_circles_at_q_0_7_converge_above_the_forcing_floor():
+    # the collar acceptance bound max(0.1 |r|, tol / 2) falls below the
+    # defect GMRES can reach on a 256-point grid: the last step of unit
+    # circles (6, 6) at q = 0.7 stops at a defect of 1.3e-10 against a bound
+    # of 9.4e-11 (at q = 0.65 the solve converges in 3 steps). Flooring the
+    # bound at the grid's resolvable defect (ROADMAP item 2) is to flip it
+    unit = builtin_circle_family(1.0)
+    sol = solve_annulus(unit, unit, (6, 6), 0.7, AnnulusSolveOptions())
+    assert sol.run.converged
 
 
 def test_certificate_never_touches_the_newton_run():

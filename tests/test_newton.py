@@ -1,8 +1,6 @@
 """Certified Newton engine against exact scalar arithmetic."""
 
 import dataclasses
-import functools
-import inspect
 
 import numpy as np
 import numpy.testing as npt
@@ -135,53 +133,47 @@ def test_no_convergence_reports_history():
 
 
 def vector_problem():
-    # A(x) = (x0^2 - x1, x1 - 2) on R^2, root (sqrt 2, 2); the certificate
-    # passes stacks of probes, so components are x[..., i] and norms act
-    # along the last axis
+    # A(x) = (x0^2 - x1, x1 - 2) on R^2, root (sqrt 2, 2)
     def residual(x):
-        return np.stack([x[..., 0] ** 2 - x[..., 1], x[..., 1] - 2.0], axis=-1)
+        return np.array([x[0] ** 2 - x[1], x[1] - 2.0])
 
     def derivative(x, d):
-        return np.stack([2 * x[..., 0] * d[..., 0] - d[..., 1], d[..., 1]], axis=-1)
+        return np.array([2 * x[0] * d[0] - d[1], d[1]])
 
     def right_inverse(x):
         def apply(r):
-            d1 = r[..., 1]
-            d0 = (r[..., 0] + d1) / (2 * x[..., 0])
-            return np.stack([d0, d1], axis=-1)
+            return np.array([(r[0] + r[1]) / (2 * x[0]), r[1]])
 
         return apply
 
     return NewtonProblem(
         residual=residual,
         right_inverse=right_inverse,
-        iterate_norm=lambda v: np.max(np.abs(v), axis=-1),
-        residual_norm=lambda v: np.max(np.abs(v), axis=-1),
+        iterate_norm=lambda v: np.max(np.abs(v)),
+        residual_norm=lambda v: np.max(np.abs(v)),
         derivative_action=derivative,
     )
 
 
-def test_iterate_passes_the_forcing_target_only_to_inverses_that_take_it():
-    # an apply with a keyword target gets half the forcing bound
-    # max(min(0.1, |r|) |r|, tol / 2) of each residual; a plain lambda, and
-    # the disc's explicit inverse, get the residual alone and run as before
+def test_iterate_calls_each_inverse_with_the_residual_alone():
+    # one call per step, with the step's residual as its one argument; the
+    # disc's explicit inverse runs bitwise the same through a wrapping lambda
     seen = []
 
-    def targeted(x):
-        def apply(r, target=None):
-            seen.append((abs(r), target))
-            return r / (2.0 * x)
+    def recording(x):
+        def apply(*args, **kwargs):
+            seen.append((args, kwargs))
+            return args[0] / (2.0 * x)
 
         return apply
 
-    prob, opts = quadratic_problem(), IterateOptions(tol=1e-9)
-    run = iterate(dataclasses.replace(prob, right_inverse=targeted), 1.3, opts)
-    plain = iterate(prob, 1.3, opts)
+    prob = quadratic_problem()
+    run = iterate(dataclasses.replace(prob, right_inverse=recording), 1.3)
+    plain = iterate(prob, 1.3)
     assert (run.x, run.residual_norms) == (plain.x, plain.residual_norms)
     assert len(seen) == run.iterations >= 3
-    assert seen[0][1] == 0.5 * 0.1 * abs(1.3 ** 2 - 1.0)
-    for rn, target in seen:
-        assert target == 0.5 * max(min(0.1, rn) * rn, 0.5 * opts.tol)
+    for (args, kwargs), rn in zip(seen, run.residual_norms):
+        assert kwargs == {} and len(args) == 1 and abs(args[0]) == rn
 
     grid = BoundaryGrid(256)
     fam_t = monomial_transform(builtin_ellipse_family(*_DISC_FAMILIES["tilted"]), 2)
@@ -193,82 +185,37 @@ def test_iterate_passes_the_forcing_target_only_to_inverses_that_take_it():
     assert np.array_equal(direct.x, through_lambda.x)
 
 
-class _Targeted:
-    def __call__(self, r, target=None):
-        return r
-
-
-def test_keyword_check_reads_plain_functions_and_asks_inspect_for_the_rest():
-    # newton._takes answers a plain function from its code object and any
-    # other callable through inspect.signature, with the same answers
-    def with_target(r, target=None):
-        return r
-
-    def without_target(r):
-        return r
-
-    def keyword_only(r, *, target):
-        return r
-
-    def variadic(*target, **options):
-        return target
-
-    @functools.wraps(with_target)
-    def wrapped(*args, **kwargs):
-        return with_target(*args, **kwargs)
-
-    def declared(*args):
-        return args
-
-    declared.__signature__ = inspect.signature(with_target)
-
-    cases = {
-        with_target: True,
-        without_target: False,
-        keyword_only: True,
-        variadic: True,  # the name of its *args
-        wrapped: True,  # inspect follows __wrapped__
-        declared: True,  # and reads __signature__
-        (lambda r: r): False,
-        (lambda r, target=None: r): True,
-        _Targeted(): True,
-        functools.partial(with_target, target=1.0): True,
-        np.abs: False,  # a ufunc: inspect has no signature for it
-        max: False,  # a builtin
-    }
-    for callback, want in cases.items():
-        assert newton._takes(callback, "target") is want, callback
-        try:
-            assert ("target" in inspect.signature(callback).parameters) is want, callback
-        except ValueError:
-            assert not want
-    assert newton._takes(variadic, "options") and not newton._takes(variadic, "r")
-
-
-def test_certify_passes_probes_without_targets():
-    # an apply that takes a keyword target gets the probes alone, as a plain
-    # apply does, so criterion 9's scalar certificates keep every bit
+def test_scalar_certificate_bits():
+    # criterion 9's scalar certificates keep every bit of omega1, omega2,
+    # omega3, the product and the identity defect; the right inverse sees
+    # one probe at a time
     seen = []
 
-    def targeted(x):
-        def apply(r, target=None):
-            seen.append((r, target))
+    def recording(x):
+        def apply(r):
+            seen.append(np.shape(r))
             return r / (2.0 * x)
 
         return apply
 
     prob = quadratic_problem()
     for x0, want in (
-        (1.01, ("0x1.faee41e6a7499p-2", "0x1.000000017b0f5p+1", "0x1.495182a9930c0p-6", "0x1.6d9abc8163a23p-3")),
-        (1.1, ("0x1.d1745d1745d17p-2", "0x1.0000006084b67p+1", "0x1.ae147ae147ae8p-3", "0x1.aa868f70b5434p+0")),
+        (
+            1.01,
+            ("0x1.faee41e6a7499p-2", "0x1.000000017b0f5p+1", "0x1.495182a9930c0p-6", "0x1.6d9abc8163a23p-3",
+             "0x1.7d26a5a26a468p-34"),
+        ),
+        (
+            1.1,
+            ("0x1.d1745d1745d17p-2", "0x1.0000006084b67p+1", "0x1.ae147ae147ae8p-3", "0x1.aa868f70b5434p+0",
+             "0x1.3d6c9811cf162p-34"),
+        ),
     ):
-        plain = certify(prob, x0, CertifyOptions(seed=0))
-        assert tuple(float(v).hex() for v in (plain.omega1, plain.omega2, plain.omega3, plain.product)) == want
         seen.clear()
-        got = certify(dataclasses.replace(prob, right_inverse=targeted), x0, CertifyOptions(seed=0))
-        assert dataclasses.astuple(got) == dataclasses.astuple(plain)
-        (probes, target), = seen
-        assert probes.shape == (16,) and target is None
+        cert = certify(dataclasses.replace(prob, right_inverse=recording), x0, CertifyOptions(seed=0))
+        got = (cert.omega1, cert.omega2, cert.omega3, cert.product, cert.identity_defect)
+        assert tuple(float(v).hex() for v in got) == want
+        assert seen == [()] * 16
 
 
 def test_vector_problem_with_explicit_derivative():
@@ -279,18 +226,6 @@ def test_vector_problem_with_explicit_derivative():
     run = iterate(prob, x0, certificate=cert)
     assert run.converged
     npt.assert_allclose(run.x, [np.sqrt(2.0), 2.0], atol=1e-9)
-
-
-@pytest.mark.parametrize("field", ["iterate_norm", "residual_norm"])
-@pytest.mark.parametrize("explicit_derivative", [True, False])
-def test_certify_rejects_a_norm_with_one_value_per_stack(field, explicit_derivative):
-    # a norm written for single vectors returns one number for a whole stack;
-    # max|s| / max|r| over the stack would understate omega1
-    prob = dataclasses.replace(vector_problem(), **{field: lambda v: float(np.max(np.abs(v)))})
-    if not explicit_derivative:
-        prob = dataclasses.replace(prob, derivative_action=None)
-    with pytest.raises(TypeError, match="one value per row"):
-        certify(prob, np.array([1.5, 2.1]))
 
 
 def test_sampling_failure_on_degenerate_norm():
@@ -332,13 +267,13 @@ def test_certified_implies_undamped_convergence(root, offset):
     
 
 # --------------------------------------------------------------------------
-# the stacked certificate against the per-probe loop it replaced
+# the sampled certificate against a written-out reference loop
 # --------------------------------------------------------------------------
 
 
 def _per_probe_certify(problem, samplers, x0, seed=0):
     # reference: one probe at a time from the (residual, iterate) samplers,
-    # every callback on single vectors
+    # each norm taken where its ratio is formed
     residual_sampler, iterate_sampler = samplers
     rng = np.random.default_rng(seed)
     res_norm = problem.residual_norm
@@ -372,7 +307,7 @@ _DISC_FAMILIES = {
 
 @pytest.mark.parametrize("n", [256, 512, 1024])
 @pytest.mark.parametrize("kind", ["ellipse", "tilted", "circle"])
-def test_stacked_disc_certificate_is_bit_identical_to_per_probe(kind, n, sampled_disc_problem, disc_probe_samplers):
+def test_sampled_disc_certificate_is_bit_identical_to_a_reference_loop(kind, n, sampled_disc_problem, disc_probe_samplers):
     if kind == "circle":
         family = builtin_circle_family([2.0, 0.2, -0.1, 0.05, 0.03])
     else:
