@@ -43,15 +43,18 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary import (
-    BoundaryGrid,
-    BoundaryTrace,
-    _nodes,
-    wiener_norm,
-    winding_numbers,
-)
+from .boundary import BoundaryGrid, BoundaryTrace, wiener_norm, winding_numbers
 from .curves import CurveFamily, _eta_weights, monomial_transform, on_grid
-from .disc import DiscSolveOptions, _affine_dbar, _explicit_inverse, _weight_defect_rows, solve_disc
+from .disc import (
+    DiscSolveOptions,
+    _affine_dbar,
+    _explicit_inverse,
+    _fine_residual,
+    _rho_rows,
+    _row_norms,
+    _sup,
+    solve_disc,
+)
 from .domains import (
     Annulus,
     _check_modulus,
@@ -82,11 +85,10 @@ from .newton import (
     iterate,
 )
 
-# collar GMRES: iteration budget, relative 2-norm tolerance, and the stall
-# rule (stop once the 2-norm defect fell by less than the ratio over the
-# window; GMRES can plateau for a few iterations and then drop again)
+# collar GMRES: iteration budget and the stall rule (stop once the 2-norm
+# defect fell by less than the ratio over the window; GMRES can plateau for
+# a few iterations and then drop again)
 _GMRES_MAX_ITER = 20
-_GMRES_TOL = 1e-11
 _GMRES_STALL_RATIO = 0.9
 _GMRES_STALL_WINDOW = 5
 # inexact-Newton forcing term: a step whose sup-norm defect is at most
@@ -155,17 +157,11 @@ def _rho_scale(family: CurveFamily, theta) -> float:
     return float(np.max(ray) * np.max(slope))
 
 
-def _rho_units(outer_family, inner_family, theta) -> tuple:
-    """The _rho_scale of each boundary's family."""
-    return _rho_scale(outer_family, theta), _rho_scale(inner_family, theta)
-
-
-def _boundary_residuals(outer_family, inner_family, theta, t0, t1, units) -> tuple:
-    """Sup of rho on each boundary circle, divided by that boundary's unit."""
-    return (
-        float(np.max(np.abs(outer_family.rho(theta, t0)))) / units[0],
-        float(np.max(np.abs(inner_family.rho(theta, t1)))) / units[1],
-    )
+def _boundary_residuals(families, theta, traces, units=None) -> tuple:
+    """Sup of rho on each boundary circle, divided by that boundary's unit (its family's _rho_scale by default)."""
+    if units is None:
+        units = np.array([_rho_scale(fam, theta) for fam in families])
+    return tuple(float(value) for value in _sup(_rho_rows(families, theta, traces)) / units)
 
 
 # --------------------------------------------------------------------------
@@ -201,13 +197,12 @@ def _glue_coefficients(
     piece carries half the zero count as a divisor at its own boundary;
     the pieces then decay like q^{m/2} across the annulus and their sum
     is the telescoped initial iterate. Returns (coefficients, report,
-    (twisted outer family, twisted inner family, its pullback, outer unit,
-    inner unit)), the families bound to the grid and the units their
+    (twisted outer family, twisted inner family, its pullback, units)), the
+    families bound to the grid and units the array of the twisted families'
     _rho_scale: the coefficients describe the twisted iterate h = f / z^sigma
     and the report residual is measured against the twisted families in
-    those units. Raises GlueTooCoarse when
-    that residual exceeds the threshold (the windings are too small for
-    this modulus).
+    those units. Raises GlueTooCoarse when that residual exceeds the
+    threshold (the windings are too small for this modulus).
     """
     coherent = (int(windings[0]), int(windings[1]))
     n0, n1 = coherent[0], -coherent[1]  # disc convention used internally
@@ -249,9 +244,8 @@ def _glue_coefficients(
     if m == 0:
         coeffs = np.where(laurent_modes(n) == 0, 0.5 * (coeffs + b0), coeffs)
 
-    t0, t1 = laurent_traces(coeffs, q, n)
-    units = _rho_units(fam0t, fam1t, theta)
-    pre = max(_boundary_residuals(fam0t, fam1t, theta, t0, t1, units))
+    units = np.array([_rho_scale(fam, theta) for fam in (fam0t, fam1t)])
+    pre = max(_boundary_residuals((fam0t, fam1t), theta, laurent_traces(coeffs, q, n), units))
 
     report = GlueReport(sigma=sigma, pre_newton_residual=pre)
     if pre > opts.glue_threshold:
@@ -260,7 +254,7 @@ def _glue_coefficients(
             f"(threshold {opts.glue_threshold}); windings {coherent} are too "
             f"small for modulus {q}"
         )
-    return coeffs, report, (fam0t, fam1t, fam1p, *units)
+    return coeffs, report, (fam0t, fam1t, fam1p, units)
 
 
 def glue_construct(
@@ -317,11 +311,11 @@ def _gmres(act, precondition, r, target):
     x = precondition(y), y in the k-th Krylov space of act o precondition,
     which holds the first k Neumann partial sums (Saad and Schultz 1986);
     an iteration applies precondition and act once.
-    The run stops at the iteration budget, at a relative defect of
-    _GMRES_TOL, or once its defect fell by less than _GMRES_STALL_RATIO over
-    its last _GMRES_STALL_WINDOW iterations. target is a sup-norm defect:
-    the run also stops at its first iterate whose sup-norm defect is at most
-    target, and then keeps that iterate (a zero target is never met). With
+    The run stops at the iteration budget, or once its defect fell by less
+    than _GMRES_STALL_RATIO over its last _GMRES_STALL_WINDOW iterations.
+    target is a sup-norm defect: the run also stops at its first iterate
+    whose sup-norm defect is at most target, and then keeps that iterate (a
+    zero target is met only by a zero defect). With
     2N the length of r, the iterate meets its target when its 2-norm defect
     does, and cannot when the 2-norm is above sqrt(2N) times the target;
     only in between is the sup read off the Arnoldi basis (_sup_defect),
@@ -351,13 +345,12 @@ def _gmres(act, precondition, r, target):
         norms.append(float(beta * abs(q_full[0, k + 1])))
         window = norms[-1 - _GMRES_STALL_WINDOW :]
         stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
-        converged = norms[-1] <= _GMRES_TOL * beta
         # sup <= |.|_2 <= sqrt(2N) sup: the 2-norm decides an iterate that
         # meets its target, or cannot, without the sup estimate
-        met = not converged and norms[-1] <= target
-        if not (converged or met) and norms[-1] <= root * target:
+        met = norms[-1] <= target
+        if not met and norms[-1] <= root * target:
             met = _sup_defect(beta, q_full[:, k + 1], basis + [w / hess[k + 1, k]]) <= target
-        if converged or met or stalled or k + 1 == _GMRES_MAX_ITER:
+        if met or stalled or k + 1 == _GMRES_MAX_ITER:
             break
         basis.append(w / hess[k + 1, k])
     # a stalled stretch lowered the defect by less than the stall ratio; at
@@ -374,7 +367,7 @@ def _bounds(families, q: float, grid: BoundaryGrid, c) -> CertificateBounds:
     """The computed certificate bounds at the Laurent coefficients c.
 
     families is the glue's (outer family, inner family, inner pullback,
-    outer unit, inner unit). With t_i the traces of c, k_i and phi_i the
+    units). With t_i the traces of c, k_i and phi_i the
     weights of each boundary's explicit inverse and u_i the units, the
     collar inverse C puts the modes >= 0 of a = M0 psi0 on |z| = 1 and the
     modes < 0 of b = M1 psi1 on |z| = q, where M0 = t0 k_0 / 2,
@@ -401,8 +394,9 @@ def _bounds(families, q: float, grid: BoundaryGrid, c) -> CertificateBounds:
     max_i 2 (||beta_i||_A + ||gamma_i||_A) / u_i for the affine profiles
     d rho_i / d w-bar = alpha_i + beta_i w + gamma_i w-bar (disc._affine_dbar),
     inf when a family is not affine; omega3 is the larger A-norm of the two
-    residual rows on twice the grid, so the residual between the nodes
-    counts.
+    residual rows on twice the grid (disc._fine_residual), so the residual
+    between the nodes counts. The per-row norms come from disc._row_norms,
+    which the disc's own bounds read as the one-row case.
 
     The bounds read the continuum operator off the grid DFT. Products such
     as t0 k_0 alias past N/2, so a residual in the top modes is outside the
@@ -410,19 +404,10 @@ def _bounds(families, q: float, grid: BoundaryGrid, c) -> CertificateBounds:
     ||E r|| / ||r|| above Z. As on the disc, that tail is estimated, not
     enclosed, and the verdict is that the contraction is bounded.
     """
-    fam0t, fam1t, _, unit0, unit1 = families
-    z, norm_c, delta = _collar_bounds(families, q, grid, c)
+    fam0t, fam1t, _, units = families
+    z, norm_c, delta, omega2 = _collar_bounds(families, q, grid, c)
     omega1, identity_defect = (norm_c / (1.0 - z), delta) if z < 1.0 else (np.inf, z)
-
-    omega2 = np.inf
-    profiles = [_affine_dbar(fam, grid.theta) for fam in (fam0t, fam1t)]
-    if all(profile is not None for profile in profiles):
-        beta, gamma = wiener_norm(np.array([profile[1:] for profile in profiles])).T
-        omega2 = max(2.0 * (beta + gamma) / (unit0, unit1))
-
-    fine = _nodes(2 * grid.n)
-    f0, f1 = laurent_traces(c, q, 2 * grid.n)
-    omega3 = max(wiener_norm(np.array([fam0t.rho(fine, f0), fam1t.rho(fine, f1)])) / (unit0, unit1))
+    omega3 = _fine_residual((fam0t, fam1t), laurent_traces(c, q, 2 * grid.n), units)
     return CertificateBounds(omega1, omega2, omega3, identity_defect)
 
 
@@ -430,31 +415,31 @@ def _collar_weights(families, grid: BoundaryGrid, t0, t1) -> tuple:
     """eta and the explicit inverses' weights (phi_weight, k_weight) at the traces t0, t1, one row per boundary.
 
     Row 1 is the inner boundary's, read in the pullback's orientation; both
-    rows are checked as traces and decomposed as one stack.
+    rows are decomposed as one stack.
     """
-    fam0t, _, fam1p, _, _ = families
+    fam0t, _, fam1p, _ = families
     theta = grid.theta
     inner = _reindex(t1)
     eta = np.array([t0 * np.conj(fam0t.dbar_w(theta, t0)), inner * np.conj(fam1p.dbar_w(theta, inner))])
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("trace values must be finite")
     return eta, *_eta_weights(grid, eta)
 
 
 def _collar_bounds(families, q: float, grid: BoundaryGrid, c) -> tuple:
-    """(Z, the bound on ||C||, max delta_i) at the Laurent coefficients c (see _bounds)."""
-    fam0t, fam1t, _, unit0, unit1 = families
+    """(Z, the bound on ||C||, max delta_i, omega2) at the Laurent coefficients c (see _bounds)."""
+    fam0t, fam1t, _, units = families
     theta, n = grid.theta, grid.n
     t0, t1 = laurent_traces(c, q, n)
     eta, phi_weight, k_weight = _collar_weights(families, grid, t0, t1)
     m0, m1 = 0.5 * t0 * k_weight[0], 0.5 * t1 * _reindex(k_weight[1])
-    dbar = [fam0t.dbar_w(theta, t0), fam1t.dbar_w(theta, t1)]
-    defect_re, defect_im = _weight_defect_rows(eta, k_weight, phi_weight)
-    # the A-norms of both boundaries' rows from one FFT: phi weights, dbar
-    # rho and the two rows of each weight defect
-    norms = wiener_norm(np.array([*phi_weight, *dbar, *defect_re, *defect_im]))
-    (phi0, phi1), (g0, g1) = norms[:2], 2.0 * norms[2:4] / (unit0, unit1)
-    p0, p1 = unit0 * phi0, unit1 * phi1
+    rows = [np.array([fam0t.dbar_w(theta, t0), fam1t.dbar_w(theta, t1)])]
+    profiles = [_affine_dbar(fam, theta) for fam in (fam0t, fam1t)]
+    affine = all(profile is not None for profile in profiles)
+    if affine:
+        _, beta, gamma = map(np.array, zip(*profiles))
+        rows += [beta, gamma]
+    phi, deltas, dbar, *profile_norms = _row_norms(eta, phi_weight, k_weight, *rows)
+    (g0, g1), (p0, p1) = 2.0 * dbar / units, units * phi
+    omega2 = max(2.0 * sum(profile_norms) / units) if affine else np.inf
 
     modes = np.fft.fftfreq(n, 1.0 / n)
     neg = modes < 0
@@ -464,26 +449,18 @@ def _collar_bounds(families, q: float, grid: BoundaryGrid, c) -> tuple:
     w1 = np.sum(spec1[neg] * reach[neg]) + q * p1_modes
     v0 = np.sum(spec0[~neg] * reach[~neg]) + n0
 
-    delta = max(norms[4:6] + norms[6:8] * (phi0, phi1))
+    delta = max(deltas)
     z = max(g0 * (n0 * p0 + w1 * p1), g1 * (v0 * p0 + p1_modes * p1)) + delta
     norm_c = max(np.sum(spec0) * p0 + n0 * p0 + w1 * p1, np.sum(spec1) * p1 + v0 * p0 + p1_modes * p1)
-    return z, norm_c, delta
+    return z, norm_c, delta, omega2
 
 
-def _annulus_problem(
-    outer_family: CurveFamily,
-    inner_family: CurveFamily,
-    fam1p: CurveFamily,
-    unit0: float,
-    unit1: float,
-    q: float,
-    grid: BoundaryGrid,
-    tol: float,
-) -> NewtonProblem:
+def _annulus_problem(families, q: float, grid: BoundaryGrid, tol: float) -> NewtonProblem:
     """Newton problem on the Laurent coefficients, for the families and units the glue returns.
 
     The residual rows are in curve-relative units, one fixed scale per boundary.
     """
+    fam0t, fam1t, _, units = families
     theta = grid.theta
     n = grid.n
     kmax = n // 2 - 1
@@ -492,30 +469,18 @@ def _annulus_problem(
         return laurent_traces(c, q, n)
 
     def residual(c):
-        t0, t1 = traces(c)
-        return np.concatenate(
-            [
-                np.asarray(outer_family.rho(theta, t0), dtype=float) / unit0,
-                np.asarray(inner_family.rho(theta, t1), dtype=float) / unit1,
-            ],
-            axis=-1,
-        )
+        return (_rho_rows((fam0t, fam1t), theta, traces(c)) / units[:, None]).ravel()
 
     def linearization(t0, t1):
         # DA at the iterate with traces t0, t1
-        g0 = np.conj(outer_family.dbar_w(theta, t0))
-        g1 = np.conj(inner_family.dbar_w(theta, t1))
+        g0 = np.conj(fam0t.dbar_w(theta, t0))
+        g1 = np.conj(fam1t.dbar_w(theta, t1))
 
         def act(dc):
             d0, d1 = traces(dc)
-            return np.concatenate(
-                [2.0 * (g0 * d0).real / unit0, 2.0 * (g1 * d1).real / unit1], axis=-1
-            )
+            return np.concatenate([2.0 * (g0 * d0).real / units[0], 2.0 * (g1 * d1).real / units[1]], axis=-1)
 
         return act
-
-    families = (outer_family, inner_family, fam1p, unit0, unit1)
-    units = np.array([[unit0], [unit1]])
 
     def right_inverse(c):
         t0, t1 = traces(c)
@@ -526,7 +491,7 @@ def _annulus_problem(
             # per-boundary explicit inverses, one (..., 2, N) stack in raw
             # rho units, multiplied back onto the iterate so each correction
             # carries the iterate's divisor
-            rows = r.reshape(r.shape[:-1] + (2, n)) * units
+            rows = r.reshape(r.shape[:-1] + (2, n)) * units[:, None]
             rows[..., 1, :] = _reindex(rows[..., 1, :])
             k = _explicit_inverse(grid, phi_weight, k_weight, rows)
             return laurent_from_traces(grid, q, t0 * k[..., 0, :], t1 * _reindex(k[..., 1, :]))
@@ -560,7 +525,7 @@ def _annulus_problem(
         residual=residual,
         right_inverse=right_inverse,
         iterate_norm=_iterate_norm(q, n),
-        residual_norm=lambda r: np.max(np.abs(r), axis=-1),
+        residual_norm=_sup,
         derivative_action=lambda c, dc: linearization(*traces(c))(dc),
         bounds=lambda c: _bounds(families, q, grid, c),
     )
@@ -581,7 +546,7 @@ class AnnulusSolution:
 
     @property
     def fallback_used(self) -> bool:
-        """Always False: no dense least-squares path exists (result.json keeps the key)."""
+        """Always False: no dense least-squares path exists (the benchmark records read it)."""
         return False
 
     def evaluate(self, z):
@@ -617,7 +582,7 @@ def solve_annulus(
     # family); the monomial factor is restored afterwards
     h0, glue, families = _glue_coefficients(outer_family, inner_family, windings, q, opts)
     sigma = glue.sigma
-    problem = _annulus_problem(*families, q, grid, opts.tol)
+    problem = _annulus_problem(families, q, grid, opts.tol)
     run = iterate(problem, h0, IterateOptions(tol=opts.tol, max_iter=opts.max_iter))
     if opts.certify:
         run = replace(run, certificate=certify(problem, run.x, CertifyOptions(tol=opts.tol)))
@@ -631,9 +596,7 @@ def solve_annulus(
         raise CountMismatch(
             f"converged trace windings {got} (coherent) != prescribed {windings}"
         )
-    residual_by_boundary = _boundary_residuals(
-        outer_family, inner_family, grid.theta, t0, t1, _rho_units(outer_family, inner_family, grid.theta)
-    )
+    residual_by_boundary = _boundary_residuals((outer_family, inner_family), grid.theta, (t0, t1))
     zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if sum(windings) > 0 else ()
     return AnnulusSolution(
         grid=grid,
@@ -746,9 +709,7 @@ def solve_annulus_radial(
         f = f * divisor
     tr0, tr1 = (BoundaryTrace(grid, row) for row in f)
     modulus_error = float(np.max(np.abs(np.abs(f) - r)))
-    residual_by_boundary = _boundary_residuals(
-        outer_family, inner_family, theta, *f, _rho_units(outer_family, inner_family, theta)
-    )
+    residual_by_boundary = _boundary_residuals((outer_family, inner_family), theta, f)
     zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if zero is not None else ()
     return RadialSolution(
         grid=grid,

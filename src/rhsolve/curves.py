@@ -263,10 +263,12 @@ def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition
 def _eta_weights(grid: BoundaryGrid, eta: np.ndarray) -> tuple:
     """phi_weight = exp(-a - b~) and k_weight = exp(b~ - i b) for each row of a (rows, N) stack of eta samples.
 
-    The rows must be finite, as a trace's values are. The first row whose
-    decomposition fails raises what eta_decompose raises for it:
-    ZeroOnTrace, UnresolvedPhase or EtaWindingNonzero.
+    Rows that are not finite raise ValueError, as a trace's values do. The
+    first row whose decomposition fails raises what eta_decompose raises for
+    it: ZeroOnTrace, UnresolvedPhase or EtaWindingNonzero.
     """
+    if not np.all(np.isfinite(eta)):
+        raise ValueError("trace values must be finite")
     windings, failures, increments = _phase_rows(eta)
     for failure, wind in zip(failures, windings):
         if isinstance(failure, ZeroOnBoundary):

@@ -33,7 +33,9 @@ alpha + beta w + gamma w-bar, so that eta = conj(alpha) h + conj(beta) |h|^2
 + conj(gamma) h^2 with h = exp(g); a family that is not affine gets
 omega2 = inf and no certificate. The right-inverse identity defect is
 computed from the same weights. The A-norms are read off the DFT of the
-grid samples, so the aliasing tail is estimated, not enclosed.
+grid samples, so the aliasing tail is estimated, not enclosed. The row
+helpers (_rho_rows, _row_norms, _fine_residual) take one row here and both
+boundaries' rows in the annulus certificate.
 """
 
 from __future__ import annotations
@@ -130,43 +132,51 @@ def _affine_dbar(fam_t: CurveFamily, theta: np.ndarray):
     return alpha, beta, gamma
 
 
-def _weight_defect_rows(eta, k_weight, phi_weight) -> tuple:
-    """Rows d, e with ||d||_A + ||e||_A ||phi_weight||_A bounding the defect of the explicit inverse.
+def _rho_rows(families, theta, traces) -> np.ndarray:
+    """rho of each boundary's family at its trace, one row per boundary."""
+    return np.array([fam.rho(theta, trace) for fam, trace in zip(families, traces)])
 
-    That is the A-norm of the defect of 2 Re(eta k) = r, per unit ||r||_A:
-    2 Re(eta k) = Re(m (phi + i T phi)) = Re(m) phi - Im(m) T phi with
+
+def _row_norms(eta, phi_weight, k_weight, *extra) -> tuple:
+    """Per boundary row: ||phi_weight||_A, the weight defect delta, and the A-norm of each extra row.
+
+    delta = ||Re(m) phi_weight - 1||_A + ||Im m||_A ||phi_weight||_A bounds
+    the A-norm of the defect of 2 Re(eta k) = r under the explicit inverse,
+    per unit ||r||_A: 2 Re(eta k) = Re(m) phi - Im(m) T phi with
     phi = phi_weight r and m = eta k_weight = exp(a + b~) up to rounding,
-    and ||T||_A <= 1. The arguments are one decomposition's rows or stacks.
+    and ||T||_A <= 1. The arguments are one row each (the disc) or (rows, N)
+    stacks; all norms come from one FFT, and each row's are bitwise its own.
     """
     m = eta * k_weight
-    return m.real * phi_weight - 1.0, m.imag
+    phi, defect_re, defect_im, *rest = wiener_norm(np.stack([phi_weight, m.real * phi_weight - 1.0, m.imag, *extra]))
+    return (phi, defect_re + defect_im * phi, *rest)
+
+
+def _fine_residual(families, traces, units=1.0):
+    """omega3: the largest A-norm of the rows rho_i / u_i at traces sampled on twice the grid."""
+    theta = _nodes(np.shape(traces[0])[-1])
+    return np.max(wiener_norm(_rho_rows(families, theta, traces)) / units)
 
 
 def _bounds(fam_t: CurveFamily, grid: BoundaryGrid, g) -> CertificateBounds:
-    """The computed certificate bounds at g (see the module docstring).
-
-    The A-norms on the grid come from one FFT of their stacked rows.
-    """
+    """The computed certificate bounds at g (see the module docstring)."""
     h = np.exp(g)
     dec = eta_decompose(fam_t, BoundaryTrace(grid, h))
-    rows = [dec.phi_weight, dec.k_weight, *_weight_defect_rows(dec.eta.values, dec.k_weight, dec.phi_weight)]
+    rows = [dec.k_weight]
     profiles = _affine_dbar(fam_t, grid.theta)
     if profiles is not None:
         alpha, beta, gamma = np.conj(profiles)
         rows += [alpha * h, beta * np.abs(h) ** 2, gamma * h * h]
-    norms = wiener_norm(np.array(rows))
-    phi_norm, k_norm, defect_re, defect_im = norms[:4]
+    phi_norm, identity_defect, k_norm, *affine = _row_norms(dec.eta.values, dec.phi_weight, dec.k_weight, *rows)
     omega1 = 0.5 * k_norm * phi_norm
-    identity_defect = defect_re + defect_im * phi_norm
     omega2 = np.inf
     if profiles is not None:
         # eta at g + d is alpha h e^d + beta |h|^2 e^(d + conj d) + gamma h^2 e^(2d),
         # and ||e^x - e^y||_A <= e^max(||x||_A, ||y||_A) ||x - y||_A
         grow = np.exp(_BALL_RADIUS)
-        linear, quadratic = norms[4], norms[5] + norms[6]
-        omega2 = 2.0 * (grow * linear + 2.0 * grow**2 * quadratic)
-    fine_theta, fine_g = _nodes(2 * grid.n), _refined_samples(g, 2)
-    omega3 = wiener_norm(fam_t.rho(fine_theta, np.exp(fine_g)))
+        linear, square, conj_square = affine
+        omega2 = 2.0 * (grow * linear + 2.0 * grow**2 * (square + conj_square))
+    omega3 = _fine_residual((fam_t,), (np.exp(_refined_samples(g, 2)),))
     return CertificateBounds(omega1, omega2, omega3, identity_defect)
 
 
@@ -262,6 +272,8 @@ def solve_disc_circle_closed_form(radius, winding: int, grid_n: int = 256) -> Di
     f = exp(i n theta) exp(g); this equals the Newton initializer, which is
     why circle problems converge with zero iterations.
     """
+    if winding < 0:
+        raise ValueError("a holomorphic solution cannot have negative boundary winding")
     R = as_trig_polynomial(radius)
     family = builtin_circle_family(R)
     grid = BoundaryGrid(grid_n)

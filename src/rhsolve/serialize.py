@@ -41,7 +41,7 @@ def _finite_or_none(value):
     return value if np.isfinite(value) else None
 
 
-def certificate_dict(certificate, fallback: bool):
+def certificate_dict(certificate):
     """Certificate block embedded in solution summaries; a non-finite constant is null."""
     if certificate is None:
         return None
@@ -52,7 +52,7 @@ def certificate_dict(certificate, fallback: bool):
         "product": _finite_or_none(certificate.product),
         "identity_defect": _finite_or_none(certificate.identity_defect),
         "certified": bool(certificate.certified),
-        "fallback": bool(fallback),
+        "fallback": False,  # no solver has a dense fallback; result files keep the key
     }
 
 
@@ -74,7 +74,7 @@ def disc_result_dict(solution) -> dict:
         "winding": int(winding_number(solution.f_trace)),
         "residual_sup": float(solution.residual_sup),
         "newton_history": [float(r) for r in (() if run is None else run.residual_norms)],
-        "certificate": certificate_dict(None if run is None else run.certificate, False),
+        "certificate": certificate_dict(None if run is None else run.certificate),
     }
 
 
@@ -83,7 +83,6 @@ def annulus_result_dict(solution) -> dict:
     gamma0, gamma1_disc = winding_numbers((solution.outer_trace, solution.inner_trace))
     glue = getattr(solution, "glue", None)
     run = getattr(solution, "run", None)
-    fallback = bool(getattr(solution, "fallback_used", False))
     r0, r1 = solution.residual_by_boundary
     return {
         "q": float(solution.q),
@@ -97,9 +96,7 @@ def annulus_result_dict(solution) -> dict:
         "glue": None
         if glue is None
         else {"pre_newton_residual": float(glue.pre_newton_residual)},
-        "certificate": certificate_dict(
-            None if run is None else run.certificate, fallback
-        ),
+        "certificate": certificate_dict(None if run is None else run.certificate),
     }
 
 

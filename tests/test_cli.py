@@ -58,7 +58,7 @@ def test_disc_solve_writes_summary_and_traces(tmp_path):
     # exact initializer of a circle family leaves only rounding to contract
     certificate = result["certificate"]
     computed = solve_disc(builtin_circle_family(1.0), 1).run.certificate
-    assert certificate == certificate_dict(computed, fallback=False)
+    assert certificate == certificate_dict(computed)
     assert certificate["fallback"] is False and certificate["certified"] is True
     assert certificate["product"] < 1e-10
     assert (out / "trace.csv").read_text().splitlines()[0] == "theta,re,im"

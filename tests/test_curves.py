@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rhsolve import boundary, curves
+from rhsolve import boundary, curves, disc
 from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
 from rhsolve.boundary import BoundaryGrid, BoundaryTrace
 from rhsolve.curves import (
@@ -282,6 +282,34 @@ def test_eta_weights_of_a_stack_are_those_of_its_rows():
         assert str(stacked.value) == str(single.value), kind
     with pytest.raises(EtaWindingNonzero, match="eta has winding 1, expected 0"):
         curves._eta_weights(grid, np.array([good, bad["winds"]]))
+    with pytest.raises(ValueError, match="trace values must be finite"):
+        curves._eta_weights(grid, np.array([good, np.where(th < 1.0, good, np.nan)]))
+
+
+def test_row_norms_and_rho_rows_of_a_stack_are_those_of_its_rows():
+    # the disc is the one-row case of the bounds core the collar runs on two
+    # rows: each row of a two-row stack gets bitwise the rho values, A-norms,
+    # weight defect and fine residual it gets alone
+    grid = BoundaryGrid(128)
+    th = grid.theta
+    fams = (builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0]),
+            builtin_circle_family([1.4, 0.05, -0.02]))
+    traces = (1.5 * np.exp(1j * th), (1.2 + 0.1 * np.cos(2 * th)) * np.exp(1j * (th + 0.3 * np.sin(th))))
+    eta = np.array([t * np.conj(fam.dbar_w(th, t)) for fam, t in zip(fams, traces)])
+    phi_weight, k_weight = curves._eta_weights(grid, eta)
+    extra = (np.array([fam.dbar_w(th, t) for fam, t in zip(fams, traces)]), np.array(traces) ** 2)
+    stacked = disc._row_norms(eta, phi_weight, k_weight, *extra)
+    assert len(stacked) == 4 and all(norms.shape == (2,) for norms in stacked)
+    for i in range(2):
+        alone = disc._row_norms(eta[i], phi_weight[i], k_weight[i], *(rows[i] for rows in extra))
+        assert [norms[i] for norms in stacked] == list(alone)
+    rho = disc._rho_rows(fams, th, traces)
+    units = np.array([2.0, 0.5])
+    for fam, trace, row, unit in zip(fams, traces, rho, units):
+        assert np.array_equal(row, fam.rho(th, trace))
+        assert np.array_equal(disc._rho_rows((fam,), th, (trace,)), row[None])
+    each = [disc._fine_residual((fam,), (trace,), unit) for fam, trace, unit in zip(fams, traces, units)]
+    assert disc._fine_residual(fams, traces, units) == max(each)
 
 
 # ----------------------------------------------------------- grid binding

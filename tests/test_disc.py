@@ -99,6 +99,16 @@ def test_negative_winding_rejected():
         solve_disc(builtin_circle_family(1.0), -1)
 
 
+def test_closed_form_rejects_negative_winding_as_solve_disc_does():
+    # a circle trace of winding -2 meets |f| = 1 to rounding, but no
+    # holomorphic f has it: the closed form refuses it with the solver's error
+    message = "a holomorphic solution cannot have negative boundary winding"
+    with pytest.raises(ValueError, match=message):
+        solve_disc(builtin_circle_family(1.0), -2)
+    with pytest.raises(ValueError, match=message):
+        solve_disc_circle_closed_form(1.0, -2)
+
+
 # ------------------------------------------------------------- linear algebra
 
 

@@ -337,13 +337,13 @@ def test_certificate_with_every_probe_missed_reports_no_contraction():
     assert cert.omega1 == cert.product == np.inf
     assert cert.omega3 == pytest.approx(0.21)
     assert cert.identity_defect == 2.8 and not cert.certified
-    block = certificate_dict(cert, fallback=False)
+    block = certificate_dict(cert)
     assert block["omega1"] is None and block["product"] is None
     assert block["omega3"] == cert.omega3 and block["identity_defect"] == cert.identity_defect
     assert block["certified"] is False
     text = dump_json(block)
     assert '"product": null' in text and "Infinity" not in text
-    assert dump_json(certificate_dict(certify(problem, 1.1), False)) == text
+    assert dump_json(certificate_dict(certify(problem, 1.1))) == text
 
 
 def test_certificate_with_every_probe_missed_keeps_inf_at_an_exact_start():
