@@ -995,6 +995,43 @@ def test_unit_circles_at_q_0_7_converge_above_the_forcing_floor():
     assert sol.run.converged
 
 
+def _readme_solves_from_perturbed_glue(monkeypatch, grid_n):
+    # the README case (N = grid_n, tol 1e-9, uncertified) from its glued
+    # coefficients, each scaled by 1 + 1e-15 u with u uniform in [-1, 1],
+    # for 8 seeded draws
+    ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
+    glue = annulus._glue_coefficients
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+
+        def perturbed(*args):
+            h0, report, families = glue(*args)
+            return h0 * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, h0.shape)), report, families
+
+        monkeypatch.setattr(annulus, "_glue_coefficients", perturbed)
+        options = AnnulusSolveOptions(grid_n=grid_n, tol=1e-9, certify=False)
+        yield solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, options)
+
+
+@pytest.mark.xfail(raises=NoConvergence, strict=True)
+def test_readme_case_converges_from_glue_perturbed_by_rounding(monkeypatch):
+    # on N = 512 the README case converges only by rounding luck: its third
+    # step leaves a residual of 6.4e-9, near the grid's truncation floor, and
+    # whether the fourth gets below tol 1e-9 depends on the last bits. Most
+    # 1e-15 perturbations of the glued coefficients end in "residual
+    # stagnated at 6.374e-09 after 6 halvings". ROADMAP item 2's grid
+    # refinement is to flip it
+    for sol in _readme_solves_from_perturbed_glue(monkeypatch, 512):
+        assert sol.run.converged
+
+
+def test_readme_case_on_twice_the_grid_converges_from_perturbed_glue(monkeypatch):
+    # the same draws on N = 1024 all converge in 3 steps: the hazard is the
+    # grid's resolution, not the glue
+    for sol in _readme_solves_from_perturbed_glue(monkeypatch, 1024):
+        assert sol.run.converged and sol.run.iterations == 3
+
+
 def test_certificate_never_touches_the_newton_run():
     # certify reads run.x and changes nothing of the run it certifies
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rhsolve import boundary, curves, disc
+from rhsolve import annulus, boundary, curves, disc
 from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
 from rhsolve.boundary import BoundaryGrid, BoundaryTrace
 from rhsolve.curves import (
@@ -231,17 +231,117 @@ def test_non_finite_coefficients_rejected_at_construction(kind, key, value):
         TrigPolynomial((1.0, value, 0.0))
 
 
-def test_eta_decompose_unwraps_eta_once(monkeypatch):
+def test_eta_decompose_unwraps_only_eta_off_the_right_half_plane(monkeypatch):
+    # an eta in the right half-plane takes its principal argument and is not
+    # unwrapped; an eta that leaves it is unwrapped once
     calls = []
     original = boundary._interval_increments
     monkeypatch.setattr(
         boundary, "_interval_increments", lambda values, spectrum: calls.append(1) or original(values, spectrum)
     )
-    fam = builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0])
     grid = BoundaryGrid(128)
-    dec = eta_decompose(fam, BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta)))
-    assert len(calls) == 1
-    npt.assert_allclose(dec.eta.values * dec.k_weight * dec.phi_weight, 1.0, rtol=1e-12)
+    cases = (
+        (builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0]),
+         BoundaryTrace(grid, 1.5 * np.exp(1j * grid.theta)), 0),
+        (_eta_family(np.exp(2.5j * np.sin(grid.theta))), BoundaryTrace(grid, np.ones(grid.n)), 1),
+    )
+    for fam, trace, unwraps in cases:
+        calls.clear()
+        dec = eta_decompose(fam, trace)
+        assert len(calls) == unwraps
+        npt.assert_allclose(dec.eta.values * dec.k_weight * dec.phi_weight, 1.0, rtol=1e-12)
+
+
+def _unwrapped_weights(grid, eta):
+    # the weights written out from the certified unwrap of every row,
+    # whichever half-plane eta lies in
+    windings, failures, increments = boundary._phase_rows(eta)
+    assert windings == [0] * len(eta) and failures == [None] * len(eta)
+    b = boundary._unwrapped_phases(eta, increments)
+    b_tilde = boundary.conjugate_samples(grid, b)
+    return np.exp(-np.log(np.abs(eta)) - b_tilde), np.exp(b_tilde - 1j * b)
+
+
+def _same_bytes(got, want):
+    return all(np.array_equal(g, w) and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _spy_unwraps(monkeypatch):
+    # the rows of each stack _eta_weights unwraps
+    unwraps = []
+    phase_rows = curves._phase_rows
+    monkeypatch.setattr(curves, "_phase_rows", lambda values: unwraps.append(len(values)) or phase_rows(values))
+    return unwraps
+
+
+def test_right_half_plane_eta_weights_are_the_unwrapped_ones_bitwise(monkeypatch):
+    # every eta stack that disc solves decompose at their Newton iterates and
+    # certificates (ellipse, tilted and scaled families) and that an annulus
+    # solve's glue and collar decompose lies in the right half-plane: no
+    # stack is unwrapped, and the weights from the principal argument are
+    # bitwise those of the unwrap
+    seen = []
+    weights = curves._eta_weights
+
+    def record(grid, eta):
+        seen.append((grid, eta.copy()))
+        return weights(grid, eta)
+
+    monkeypatch.setattr(curves, "_eta_weights", record)
+    monkeypatch.setattr(annulus, "_eta_weights", record)
+    unwraps = _spy_unwraps(monkeypatch)
+    cases = (
+        (builtin_ellipse_family([2.1, 0.1, -0.05], [1.0, 0.03, 0.0]), 1, 256),
+        (builtin_ellipse_family([2.4, 0.1, 0.05], [1.0, 0.0, 0.08], phi=[0.3, -0.1, 0.2]), 2, 512),
+        (scaled_circle(1.5, [0.0, 0.1, -0.05, 0.03]), 0, 256),
+    )
+    for fam, winding, n in cases:
+        assert solve_disc(fam, winding, DiscSolveOptions(grid_n=n)).run.certificate is not None
+    wobbly = builtin_circle_family([1.0, 0.02, -0.01, 0.015]), builtin_circle_family([1.0, -0.01, 0.02])
+    solve_annulus(*wobbly, (4, 4), 0.5, AnnulusSolveOptions())
+    assert unwraps == [] and {len(eta) for _, eta in seen} == {1, 2}
+    for grid, eta in seen:
+        assert _same_bytes(weights(grid, eta), _unwrapped_weights(grid, eta))
+
+
+def test_stack_leaving_the_right_half_plane_is_unwrapped_with_each_row_bitwise_its_own(monkeypatch):
+    # one row that leaves the right half-plane sends the whole stack to the
+    # unwrap, and each row still gets bitwise its one-row weights
+    grid = BoundaryGrid(128)
+    th = grid.theta
+    inside = (1.0 + 0.3 * np.cos(th)) * np.exp(0.2j * np.sin(th))
+    leaving = np.exp(2.5j * np.sin(th))  # winding 0, argument up to 2.5
+    rows = (inside, leaving)
+    unwraps = _spy_unwraps(monkeypatch)
+    alone = [curves._eta_weights(grid, row[None]) for row in rows]
+    assert unwraps == [1]
+    for row, weights in zip(rows, alone):
+        assert _same_bytes(weights, _unwrapped_weights(grid, row[None]))
+    for order in ((0, 1), (1, 0)):
+        phi_weight, k_weight = curves._eta_weights(grid, np.array([rows[i] for i in order]))
+        assert unwraps[-1] == 2
+        for i, phi, k in zip(order, phi_weight, k_weight):
+            assert _same_bytes((phi, k), (alone[i][0][0], alone[i][1][0]))
+
+
+def test_tilted_winding_two_disc_solve_neither_unwraps_nor_refines_eta(monkeypatch):
+    # the seed-1 tilted winding-2 N = 512 benchmark disc case: every eta of
+    # its Newton run and certificate lies in the right half-plane, so the
+    # solve makes no phase unwrap and no 8x refinement (the unwrap refined
+    # 5 of its eta decompositions)
+    fam = builtin_ellipse_family(
+        [2.415257325287711, -0.06810731340036313, 0.11537148137136173],
+        [0.960638965858329, 0.0, -0.009300422103869698],
+        phi=[-0.36595830275283525, -0.05813220813172246, -0.17792685559431023],
+    )
+    unwraps, refined = _spy_unwraps(monkeypatch), []
+    original = boundary._refined_samples
+    monkeypatch.setattr(
+        boundary, "_refined_samples", lambda values, factor: refined.append(factor) or original(values, factor)
+    )
+    sol = solve_disc(fam, 2, DiscSolveOptions(grid_n=512))
+    assert sol.run.converged and sol.run.certificate is not None
+    assert unwraps == [] and boundary._REFINE not in refined
 
 
 def _eta_family(eta):
