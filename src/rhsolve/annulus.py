@@ -9,52 +9,41 @@ iterate (telescoping: each piece is exponentially small at the other
 boundary once the windings are balanced by a monomial twist). Newton
 iteration on the Laurent coefficients then removes the gluing error.
 
-The linearized equations are solved by the collar right inverse: the
-per-boundary explicit inverses are projected onto one Laurent series. Both
-boundaries run as one (2, N) stack (rhsolve.boundary): one eta
-decomposition per inverse, and one conjugation and one projection FFT per
-application, with every row bitwise what it would be alone.
-The paper blends its collar pieces with a cutoff and removes the blend's
-dbar defect by an area transform; the projection needs no such term, since
-that transform has no mode the projection keeps. Right-preconditioned GMRES,
-with this collar inverse as the preconditioner, absorbs the remaining
-coupling. A step is accepted by an inexact-Newton forcing test; a residual
-it cannot invert raises NeumannDiverges (there is no dense fallback).
-Each Newton step runs one GMRES on its one residual, with one collar
-inverse and one linearization application per iteration. It stops at the
-first iterate whose sup-norm defect meets the step's inexact-Newton target
-(Dembo, Eisenstat and Steihaug 1982). The 2-norm of the defect
-brackets its sup, sup <= |.|_2 <= sqrt(2N) sup, and decides every iterate
-it can; the sup is read off the Arnoldi basis only in between.
+The linearized equations have an exact right inverse, the disc's explicit
+inverse written on the annulus (Wegert 1992 treats the problem on multiply
+connected domains). With eta_i = t_i conj(d rho_i / d w-bar) on both
+circles and b_i its argument (curves._eta_phases), the harmonic extension
+c_log log|z| + Re G of b turns Re(eta k) = s into Re m = sigma_0 on
+|z| = 1 and Re(e^{i phi} m) = sigma_1 on |z| = q for k = e^{-iG} m, with
+phi = c_log log q and sigma_i = s_i / |eta_i e^{-iG}|. That system is
+diagonal in the Laurent modes of m, one 2x2 solve per mode (_mode_solve).
+Its mode 0 has one real obstruction, the problem's index, which one
+bordered real unknown mu removes (Govaerts 2000): with zeros the step gains
+mu times a monomial direction, which moves the iterate's zeros; zero-free,
+the step leaves mu times a constant residual on the outer circle, and mu
+vanishes when the flux of log|f| is an integer (else ModeConditioning).
+The step is d = t k, read back into one Laurent series by
+laurent_from_traces.
 
-A certified solve certifies the converged iterate c from bounds computed
-in the Wiener algebra A (as the disc solver does), in radii-polynomial form
-(Day, Lessard and Mischaikow 2007; van den Berg and Lessard 2015):
-omega3 = Y, the A-norm of the residual rows on twice the grid; Z bounds
-||I - DA C|| for the collar inverse C; and ||B|| <= ||C|| / (1 - Z) for
-the right inverse B = C (DA C)^-1, so omega1 = ||C|| / (1 - Z) when Z < 1
-and omega1 = inf otherwise. A residual is measured by the larger A-norm of
-its two rows, an iterate by the larger A-norm of its two traces. No
-certificate probe and no GMRES is run; _bounds derives the constants.
+A certified solve certifies the converged iterate c from bounds on this
+same inverse, computed in the Wiener algebra A (as the disc solver does),
+in radii-polynomial form (Day, Lessard and Mischaikow 2007; van den Berg
+and Lessard 2015): omega1 bounds ||B|| from the mode gains, the weights and
+the border; the identity defect carries the weight defect of e^{-iG}
+against the phase of eta through the same gains; omega3 = Y is the A-norm
+of the residual rows on twice the grid. A residual is measured by the
+larger A-norm of its two rows, an iterate by the larger A-norm of its two
+traces. No certificate probe is run; _bounds derives the constants.
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .boundary import BoundaryGrid, BoundaryTrace, wiener_norm, winding_numbers
-from .curves import CurveFamily, _eta_weights, monomial_transform, on_grid
-from .disc import (
-    DiscSolveOptions,
-    _affine_dbar,
-    _explicit_inverse,
-    _fine_residual,
-    _rho_rows,
-    _row_norms,
-    _sup,
-    solve_disc,
-)
+from .curves import CurveFamily, _eta_phases, monomial_transform, on_grid
+from .disc import DiscSolveOptions, _affine_dbar, _fine_residual, _rho_rows, _sup, solve_disc
 from .domains import (
     Annulus,
     _check_modulus,
@@ -72,7 +61,6 @@ from .errors import (
     GlueTooCoarse,
     CountMismatch,
     ModeConditioning,
-    NeumannDiverges,
     NotRadialFamily,
 )
 from .newton import (
@@ -84,17 +72,6 @@ from .newton import (
     certify,
     iterate,
 )
-
-# collar GMRES: iteration budget and the stall rule (stop once the 2-norm
-# defect fell by less than the ratio over the window; GMRES can plateau for
-# a few iterations and then drop again)
-_GMRES_MAX_ITER = 20
-_GMRES_STALL_RATIO = 0.9
-_GMRES_STALL_WINDOW = 5
-# inexact-Newton forcing term: a step whose sup-norm defect is at most
-# min(_FORCING, |r|) * |r| keeps the iteration quadratic (Dembo, Eisenstat
-# and Steihaug 1982)
-_FORCING = 0.1
 
 
 def _reindex(values: np.ndarray) -> np.ndarray:
@@ -197,11 +174,12 @@ def _glue_coefficients(
     piece carries half the zero count as a divisor at its own boundary;
     the pieces then decay like q^{m/2} across the annulus and their sum
     is the telescoped initial iterate. Returns (coefficients, report,
-    (twisted outer family, twisted inner family, its pullback, units)), the
-    families bound to the grid and units the array of the twisted families'
-    _rho_scale: the coefficients describe the twisted iterate h = f / z^sigma
-    and the report residual is measured against the twisted families in
-    those units. Raises GlueTooCoarse when that residual exceeds the
+    (twisted outer family, twisted inner family, units, zero_free)), the
+    families bound to the grid, units the array of the twisted families'
+    _rho_scale and zero_free whether the iterate has no zeros: the
+    coefficients describe the twisted iterate h = f / z^sigma and the
+    report residual is measured against the twisted families in those
+    units. Raises GlueTooCoarse when that residual exceeds the
     threshold (the windings are too small for this modulus).
     """
     coherent = (int(windings[0]), int(windings[1]))
@@ -254,7 +232,7 @@ def _glue_coefficients(
             f"(threshold {opts.glue_threshold}); windings {coherent} are too "
             f"small for modulus {q}"
         )
-    return coeffs, report, (fam0t, fam1t, fam1p, units)
+    return coeffs, report, (fam0t, fam1t, units, m == 0)
 
 
 def glue_construct(
@@ -294,230 +272,179 @@ def _iterate_norm(q: float, n: int):
     return lambda dc: np.max(wiener_norm(laurent_traces(dc, q, n)), axis=0)
 
 
-def _sup_defect(beta, last, vectors):
-    """The sup norm of a GMRES iterate's defect, read off the Arnoldi basis without applying act.
+class _Inverse(NamedTuple):
+    """The exact annulus inverse at one iterate, on (2, N) stacks, outer circle first.
 
-    The defect r - act(x) is V (beta e1 - H y) = beta q_0 sum_i q_i v_i, q
-    (last) the last column of the complete Q of the Hessenberg matrix H and
-    v_0..v_{k+1} (vectors) the basis, v_{k+1} = w / h.
+    zeta = eta e^{-iG} is |zeta| e^{i phi_i} up to the weight defect, with
+    phi_0 = 0 and phi_1 = phi; a residual r gives sigma = weight r, weight =
+    u / (2 |zeta|), and turn = t e^{-iG} carries m back to a step. beta is
+    the border's image in sigma, delta its step (zero for zero-free data),
+    and pivot its weight in the mode-0 condition.
     """
-    return beta * abs(last[0]) * np.max(np.abs(last @ np.asarray(vectors)))
+
+    phi: float
+    zeta: np.ndarray
+    weight: np.ndarray
+    turn: np.ndarray
+    beta: np.ndarray
+    delta: np.ndarray
+    pivot: float
 
 
-def _gmres(act, precondition, r, target):
-    """Right-preconditioned GMRES for act(precondition(y)) = r, in real arithmetic.
+def _inverse(families, q: float, grid: BoundaryGrid, t) -> _Inverse:
+    """The exact inverse of DA at the traces t, for the families the glue returns (see the module docstring).
 
-    The k-th iterate minimizes the 2-norm defect |r - act(x)| over
-    x = precondition(y), y in the k-th Krylov space of act o precondition,
-    which holds the first k Neumann partial sums (Saad and Schultz 1986);
-    an iteration applies precondition and act once.
-    The run stops at the iteration budget, or once its defect fell by less
-    than _GMRES_STALL_RATIO over its last _GMRES_STALL_WINDOW iterations.
-    target is a sup-norm defect: the run also stops at its first iterate
-    whose sup-norm defect is at most target, and then keeps that iterate (a
-    zero target is met only by a zero defect). With
-    2N the length of r, the iterate meets its target when its 2-norm defect
-    does, and cannot when the 2-norm is above sqrt(2N) times the target;
-    only in between is the sup read off the Arnoldi basis (_sup_defect),
-    without applying act. Returns the best iterate and the list of defect
-    2-norms of iterates 0..k. r may not be zero.
+    With zeros, the border is the direction mu_hat z^p, scaled to unit size
+    on the annulus, whose mode-0 weight |C_p| is largest: C_p, for every p
+    at once, is read off one FFT of e^{iG} / t. Zero-free, it is the
+    constant residual 1 on the outer circle.
     """
-    # einsum products and norms along an axis, not v @ w or a plain norm:
-    # those go through a BLAS dot, which rounds differently, and at a grid's
-    # truncation floor a Newton step's acceptance hinges on the last bit
-    # (v @ w makes the README case stagnate)
-    beta = np.linalg.norm(r, axis=0)
-    root = np.sqrt(len(r))
-    norms = [float(beta)]
-    basis = [r / beta]  # the Krylov vectors
-    images = []
-    hess = np.zeros((_GMRES_MAX_ITER + 1, _GMRES_MAX_ITER))
-    for k in range(_GMRES_MAX_ITER):
-        images.append(precondition(basis[k]))
-        w = act(images[k])
-        for i, v in enumerate(basis):  # modified Gram-Schmidt
-            hess[i, k] = np.einsum("j,j->", v, w)
-            w = w - hess[i, k] * v
-        hess[k + 1, k] = np.linalg.norm(w, axis=0)
-        # the defect of min |beta e1 - H y| is the part of beta e1 along the
-        # last column of the complete Q of H
-        q_full, _ = np.linalg.qr(hess[: k + 2, : k + 1], mode="complete")
-        norms.append(float(beta * abs(q_full[0, k + 1])))
-        window = norms[-1 - _GMRES_STALL_WINDOW :]
-        stalled = len(window) > _GMRES_STALL_WINDOW and window[-1] > _GMRES_STALL_RATIO * window[0]
-        # sup <= |.|_2 <= sqrt(2N) sup: the 2-norm decides an iterate that
-        # meets its target, or cannot, without the sup estimate
-        met = norms[-1] <= target
-        if not met and norms[-1] <= root * target:
-            met = _sup_defect(beta, q_full[:, k + 1], basis + [w / hess[k + 1, k]]) <= target
-        if met or stalled or k + 1 == _GMRES_MAX_ITER:
-            break
-        basis.append(w / hess[k + 1, k])
-    # a stalled stretch lowered the defect by less than the stall ratio; at
-    # a grid's truncation floor it does so by growing the step along
-    # near-kernel directions, so the iterate before it is the better step,
-    # unless this one already meets its target
-    keep = max(1, k + 1 - _GMRES_STALL_WINDOW) if stalled and not met else k + 1
-    q_red, tri = np.linalg.qr(hess[: keep + 1, :keep])
-    y = np.linalg.solve(tri, beta * q_red[0])
-    return np.asarray(images[:keep]).T @ y, norms
+    fam0t, fam1t, units, zero_free = families
+    theta, n = grid.theta, grid.n
+    eta = t * np.conj([fam0t.dbar_w(theta, t[0]), fam1t.dbar_w(theta, t[1])])
+    c_log, g = harmonic_extend_annulus(grid, q, *_eta_phases(eta))
+    phi = c_log * np.log(q)
+    rotate = np.exp(-1j * laurent_traces(g, q, n))
+    zeta, turn = eta * rotate, t * rotate
+    weight = 0.5 * units[:, None] / np.abs(zeta)
+    if zero_free:
+        beta, delta = weight * [[1.0], [0.0]], np.zeros_like(t)
+    else:
+        # C_p is mode -p of the border's mode-0 rows; z^p is scaled by q^|p|
+        # on the circle where it is largest
+        p = laurent_modes(n)
+        spectra = np.fft.fft(1.0 / turn)[:, -p % n] / n
+        scales = q ** np.maximum(0.0, [-p, p])
+        scores = np.cos(phi) * scales[0] * spectra[0] - np.exp(1j * phi) * scales[1] * spectra[1]
+        best = np.argmax(np.abs(scores))
+        direction = np.conj(scores[best]) / np.abs(scores[best]) * scales[:, best, None]
+        delta = direction * np.exp(1j * p[best] * theta)
+        beta = (delta / turn * [[1.0], [np.exp(1j * phi)]]).real
+    pivot = np.cos(phi) * np.mean(beta[0]) - np.mean(beta[1])
+    return _Inverse(phi, zeta, weight, turn, beta, delta, pivot)
+
+
+def _mode_solve(q: float, phi: float, sigma: np.ndarray) -> np.ndarray:
+    """The traces of m with Re m = sigma_0 on |z| = 1, Re(e^{i phi} m) = sigma_1 on |z| = q and Im m_0 = 0.
+
+    sigma is a real (2, N) stack, outer first, whose means meet the mode-0
+    condition cos(phi) mean(sigma_0) = mean(sigma_1). Mode j >= 1 is the
+    2x2 solve a_j + q^j b_j = 2 s0_j, e^{i phi} q^j a_j + e^{-i phi} b_j =
+    2 s1_j, for the coefficient a_j of z^j and b_j = conj(a_-j) q^-j, the
+    size of mode -j on |z| = q: every power of q sits in a numerator, so no
+    mode overflows. Returns the (2, N) traces, outer first.
+    """
+    n = sigma.shape[-1]
+    k = n // 2 - 1
+    s = np.fft.fft(sigma)[:, : k + 1] * (2.0 / n)
+    qj = q ** np.arange(1.0, k + 1)
+    turn = np.exp(1j * phi)
+    det = np.conj(turn) - turn * qj * qj
+    a = (s[0, 1:] * np.conj(turn) - s[1, 1:] * qj) / det
+    b = np.conj((s[1, 1:] - s[0, 1:] * turn * qj) / det)
+    spectra = np.zeros((2, n), dtype=complex)
+    spectra[:, 0] = 0.5 * s[0, 0].real
+    spectra[:, 1 : k + 1] = a, a * qj
+    spectra[:, n - k :] = (b * qj)[::-1], b[::-1]
+    return np.fft.ifft(spectra) * n
+
+
+def _apply(inverse: _Inverse, q: float, r) -> tuple:
+    """The step's traces for the residual r, and the border's mu.
+
+    The mode-0 condition fixes mu, and the mode solve the rest.
+    """
+    phi, _, weight, turn, beta, delta, pivot = inverse
+    sigma = weight * np.reshape(r, weight.shape)
+    mu = (np.cos(phi) * np.mean(sigma[0]) - np.mean(sigma[1])) / pivot
+    return turn * _mode_solve(q, phi, sigma - mu * beta) + mu * delta, mu
 
 
 def _bounds(families, q: float, grid: BoundaryGrid, c) -> CertificateBounds:
-    """The computed certificate bounds at the Laurent coefficients c.
+    """The computed certificate bounds at the Laurent coefficients c, for the inverse B that Newton applies.
 
-    families is the glue's (outer family, inner family, inner pullback,
-    units). With t_i the traces of c, k_i and phi_i the
-    weights of each boundary's explicit inverse and u_i the units, the
-    collar inverse C puts the modes >= 0 of a = M0 psi0 on |z| = 1 and the
-    modes < 0 of b = M1 psi1 on |z| = q, where M0 = t0 k_0 / 2,
-    M1 = t1 k_1(-theta) / 2, psi0 has modes >= 0, psi1 modes <= 0, and
-    ||psi_i||_A <= p_i ||r_i||_A with p_i = u_i ||phi_i||_A. k_i is
-    holomorphic, so the pulled-back k_1(-theta) carries modes <= 0.
+    Per unit A-norm of r, and per row i (with W_i, T_i, ... the A-norms of
+    the _Inverse rows): |mu| <= M = (|cos phi| W_0 + W_1) / |pivot|, the
+    mode solve's data have ||sigma_i - mu beta_i||_A <= S_i = W_i + M B_i,
+    and mode j passes them on with the gains (1 + q^2j) / |det_j| to its own
+    circle and 2 q^j / |det_j| to the other, |det_j| >= 1 - q^2j, so
+    ||m_0||_A <= g S_0 + h S_1 and ||m_1||_A <= max(1, h) S_0 + g S_1 with
+    g, h the largest gains. The step is turn m + mu delta, so
 
-    Then DA C = I - E + D. D is each boundary's weight defect delta_i, as
-    on the disc. E holds the cross terms, with G_i = 2 ||g_i||_A / u_i and
-    g_i = conj(d rho_i / d w-bar) at t_i: on |z| = 1 the modes < 0 of a,
-    which C drops (N0 p0), and those of b continued to |z| = 1 (W1 p1); on
-    |z| = q the modes >= 0 of b (P1 p1) and a continued to |z| = q (V0 p0).
-    With |M_s| the moduli of the DFT coefficients of M0 and M1,
-    N0 = sum_{s<0} |M0_s|, P1 = sum_{s>=0} |M1_s|,
-    W1 = sum_{s<0} |M1_s| q^|s| + q P1 and V0 = sum_{s>=0} |M0_s| q^s + N0,
-    so that
+        omega1 = max_i (T_i ||m_i|| + M ||delta_i||_A),
 
-        Z = max(G0 (N0 p0 + W1 p1), G1 (V0 p0 + P1 p1)) + max delta_i,
-        ||C|| <= max(||M0||_A p0 + N0 p0 + W1 p1, ||M1||_A p1 + V0 p0 + P1 p1).
+    and DA B r - r = Re(eps_i m_i') / weight_i, with eps_i = zeta_i / |zeta_i|
+    - e^{i phi_i} the weight defect and m' = m + mu delta / turn, bounds the
+    identity defect by max_i ||1 / weight_i||_A ||eps_i||_A ||m_i'||_A.
+    Zero-free data have no right inverse (the flux direction is off the
+    range of DA), so omega1 = inf, and the identity defect also counts the
+    border's mu psi, M >= 1. omega2 is max_i 2 (||beta_i||_A +
+    ||gamma_i||_A) / u_i for the affine profiles d rho_i / d w-bar =
+    alpha_i + beta_i w + gamma_i w-bar (disc._affine_dbar), inf when a
+    family is not affine; omega3 is the larger A-norm of the two residual
+    rows on twice the grid (disc._fine_residual), so the residual between
+    the nodes counts.
 
-    When Z < 1, omega1 = ||C|| / (1 - Z) bounds B = C (DA C)^-1 and the
-    identity defect is max delta_i; otherwise omega1 = inf and the identity
-    defect is Z, that of C, the only right inverse at hand. omega2 is
-    max_i 2 (||beta_i||_A + ||gamma_i||_A) / u_i for the affine profiles
-    d rho_i / d w-bar = alpha_i + beta_i w + gamma_i w-bar (disc._affine_dbar),
-    inf when a family is not affine; omega3 is the larger A-norm of the two
-    residual rows on twice the grid (disc._fine_residual), so the residual
-    between the nodes counts. The per-row norms come from disc._row_norms,
-    which the disc's own bounds read as the one-row case.
-
-    The bounds read the continuum operator off the grid DFT. Products such
-    as t0 k_0 alias past N/2, so a residual in the top modes is outside the
-    range of the grid operator, and a single mode near N/2 can see
-    ||E r|| / ||r|| above Z. As on the disc, that tail is estimated, not
-    enclosed, and the verdict is that the contraction is bounded.
+    The bounds read the continuum operator off the grid DFT: the products
+    turn m alias past N/2 and the mode solve drops the Nyquist mode, so
+    that tail is estimated, not enclosed, and the verdict is that the
+    contraction is bounded.
     """
-    fam0t, fam1t, _, units = families
-    z, norm_c, delta, omega2 = _collar_bounds(families, q, grid, c)
-    omega1, identity_defect = (norm_c / (1.0 - z), delta) if z < 1.0 else (np.inf, z)
-    omega3 = _fine_residual((fam0t, fam1t), laurent_traces(c, q, 2 * grid.n), units)
-    return CertificateBounds(omega1, omega2, omega3, identity_defect)
-
-
-def _collar_weights(families, grid: BoundaryGrid, t0, t1) -> tuple:
-    """eta and the explicit inverses' weights (phi_weight, k_weight) at the traces t0, t1, one row per boundary.
-
-    Row 1 is the inner boundary's, read in the pullback's orientation; both
-    rows are decomposed as one stack.
-    """
-    fam0t, _, fam1p, _ = families
-    theta = grid.theta
-    inner = _reindex(t1)
-    eta = np.array([t0 * np.conj(fam0t.dbar_w(theta, t0)), inner * np.conj(fam1p.dbar_w(theta, inner))])
-    return eta, *_eta_weights(grid, eta)
-
-
-def _collar_bounds(families, q: float, grid: BoundaryGrid, c) -> tuple:
-    """(Z, the bound on ||C||, max delta_i, omega2) at the Laurent coefficients c (see _bounds)."""
-    fam0t, fam1t, _, units = families
+    fam0t, fam1t, units, zero_free = families
     theta, n = grid.theta, grid.n
-    t0, t1 = laurent_traces(c, q, n)
-    eta, phi_weight, k_weight = _collar_weights(families, grid, t0, t1)
-    m0, m1 = 0.5 * t0 * k_weight[0], 0.5 * t1 * _reindex(k_weight[1])
-    rows = [np.array([fam0t.dbar_w(theta, t0), fam1t.dbar_w(theta, t1)])]
+    inv = _inverse(families, q, grid, laurent_traces(c, q, n))
+    defect = inv.zeta / np.abs(inv.zeta) - [[1.0], [np.exp(1j * inv.phi)]]
+    rows = [inv.weight, inv.turn, inv.beta, inv.delta, inv.delta / inv.turn, defect, 1.0 / inv.weight]
     profiles = [_affine_dbar(fam, theta) for fam in (fam0t, fam1t)]
     affine = all(profile is not None for profile in profiles)
     if affine:
-        _, beta, gamma = map(np.array, zip(*profiles))
-        rows += [beta, gamma]
-    phi, deltas, dbar, *profile_norms = _row_norms(eta, phi_weight, k_weight, *rows)
-    (g0, g1), (p0, p1) = 2.0 * dbar / units, units * phi
+        rows += list(map(np.array, zip(*profiles)))[1:]
+    weight, turn, beta, delta, border, eps, unweight, *profile_norms = wiener_norm(np.array(rows))
     omega2 = max(2.0 * sum(profile_norms) / units) if affine else np.inf
 
-    modes = np.fft.fftfreq(n, 1.0 / n)
-    neg = modes < 0
-    reach = q ** np.abs(modes)
-    spec0, spec1 = np.abs(np.fft.fft(np.array([m0, m1]))) / n
-    n0, p1_modes = np.sum(spec0[neg]), np.sum(spec1[~neg])
-    w1 = np.sum(spec1[neg] * reach[neg]) + q * p1_modes
-    v0 = np.sum(spec0[~neg] * reach[~neg]) + n0
+    mu = (abs(np.cos(inv.phi)) * weight[0] + weight[1]) / abs(inv.pivot)
+    s = weight + mu * beta
+    qj = q ** np.arange(1.0, n // 2)
+    det = np.abs(np.exp(-1j * inv.phi) - np.exp(1j * inv.phi) * qj * qj)
+    same, cross = np.max((1.0 + qj * qj) / det), np.max(2.0 * qj / det)
+    m = np.array([same * s[0] + cross * s[1], max(1.0, cross) * s[0] + same * s[1]])
+    identity_defect = np.max(unweight * eps * (m + mu * border))
+    omega3 = _fine_residual((fam0t, fam1t), laurent_traces(c, q, 2 * n), units)
+    if zero_free:
+        return CertificateBounds(np.inf, omega2, omega3, mu + identity_defect)
+    return CertificateBounds(np.max(turn * m + mu * delta), omega2, omega3, identity_defect)
 
-    delta = max(deltas)
-    z = max(g0 * (n0 * p0 + w1 * p1), g1 * (v0 * p0 + p1_modes * p1)) + delta
-    norm_c = max(np.sum(spec0) * p0 + n0 * p0 + w1 * p1, np.sum(spec1) * p1 + v0 * p0 + p1_modes * p1)
-    return z, norm_c, delta, omega2
 
-
-def _annulus_problem(families, q: float, grid: BoundaryGrid, tol: float) -> NewtonProblem:
-    """Newton problem on the Laurent coefficients, for the families and units the glue returns.
+def _annulus_problem(families, q: float, grid: BoundaryGrid) -> NewtonProblem:
+    """Newton problem on the Laurent coefficients, for the families, units and zero_free flag the glue returns.
 
     The residual rows are in curve-relative units, one fixed scale per boundary.
     """
-    fam0t, fam1t, _, units = families
-    theta = grid.theta
-    n = grid.n
-    kmax = n // 2 - 1
-
-    def traces(c):
-        return laurent_traces(c, q, n)
+    fam0t, fam1t, units, zero_free = families
+    theta, n = grid.theta, grid.n
 
     def residual(c):
-        return (_rho_rows((fam0t, fam1t), theta, traces(c)) / units[:, None]).ravel()
+        return (_rho_rows((fam0t, fam1t), theta, laurent_traces(c, q, n)) / units[:, None]).ravel()
 
-    def linearization(t0, t1):
-        # DA at the iterate with traces t0, t1
-        g0 = np.conj(fam0t.dbar_w(theta, t0))
-        g1 = np.conj(fam1t.dbar_w(theta, t1))
-
-        def act(dc):
-            d0, d1 = traces(dc)
-            return np.concatenate([2.0 * (g0 * d0).real / units[0], 2.0 * (g1 * d1).real / units[1]], axis=-1)
-
-        return act
+    def derivative_action(c, dc):
+        t = laurent_traces(c, q, n)
+        g = np.conj([fam0t.dbar_w(theta, t[0]), fam1t.dbar_w(theta, t[1])])
+        return (2.0 * (g * laurent_traces(dc, q, n)).real / units[:, None]).ravel()
 
     def right_inverse(c):
-        t0, t1 = traces(c)
-        _, phi_weight, k_weight = _collar_weights(families, grid, t0, t1)
-        act = linearization(t0, t1)
-
-        def collar_apply(r):
-            # per-boundary explicit inverses, one (..., 2, N) stack in raw
-            # rho units, multiplied back onto the iterate so each correction
-            # carries the iterate's divisor
-            rows = r.reshape(r.shape[:-1] + (2, n)) * units[:, None]
-            rows[..., 1, :] = _reindex(rows[..., 1, :])
-            k = _explicit_inverse(grid, phi_weight, k_weight, rows)
-            return laurent_from_traces(grid, q, t0 * k[..., 0, :], t1 * _reindex(k[..., 1, :]))
+        inverse = _inverse(families, q, grid, laurent_traces(c, q, n))
 
         def apply(r):
-            r = np.asarray(r, dtype=float)
+            d, mu = _apply(inverse, q, r)
             scale = np.max(np.abs(r))
-            if not scale > 0.0:  # a zero (or NaN) residual: nothing to invert
-                return np.zeros(2 * kmax + 1, dtype=complex)
-            # GMRES stops at half the forcing bound max(min(_FORCING, |r|) |r|,
-            # tol / 2), so that roundoff in its own defect estimate cannot
-            # push the step past the bound
-            step, norms = _gmres(act, collar_apply, r, 0.5 * max(min(_FORCING, scale) * scale, 0.5 * tol))
-            defect = np.max(np.abs(r - act(step)))
-            # a step is accepted when its sup-norm defect is at most
-            # max(_FORCING * |r|, tol / 2) (less than half the Newton
-            # tolerance is as good as exact)
-            bound = max(_FORCING * scale, 0.5 * tol)
-            if defect > bound:
-                raise NeumannDiverges(
-                    f"collar GMRES left defect {defect:.3e} > {bound:.3e} on a residual "
-                    f"of size {scale:.3e} after {len(norms) - 1} iterations on a {n}-point grid",
-                    defect / scale,
-                    len(norms) - 1,
+            # the step leaves mu on the outer row; once that is half the
+            # residual, Newton cannot reduce it
+            if zero_free and abs(mu) > 0.5 * scale:
+                raise ModeConditioning(
+                    f"zero-free step leaves mu = {mu:.3e} of a residual of size {scale:.3e}: "
+                    f"the flux of log|f| is off an integer, so no zero-free solution exists"
                 )
-            return step
+            return laurent_from_traces(grid, q, *d)
 
         return apply
 
@@ -526,7 +453,7 @@ def _annulus_problem(families, q: float, grid: BoundaryGrid, tol: float) -> Newt
         right_inverse=right_inverse,
         iterate_norm=_iterate_norm(q, n),
         residual_norm=_sup,
-        derivative_action=lambda c, dc: linearization(*traces(c))(dc),
+        derivative_action=derivative_action,
         bounds=lambda c: _bounds(families, q, grid, c),
     )
 
@@ -582,7 +509,7 @@ def solve_annulus(
     # family); the monomial factor is restored afterwards
     h0, glue, families = _glue_coefficients(outer_family, inner_family, windings, q, opts)
     sigma = glue.sigma
-    problem = _annulus_problem(families, q, grid, opts.tol)
+    problem = _annulus_problem(families, q, grid)
     run = iterate(problem, h0, IterateOptions(tol=opts.tol, max_iter=opts.max_iter))
     if opts.certify:
         run = replace(run, certificate=certify(problem, run.x, CertifyOptions(tol=opts.tol)))

@@ -30,17 +30,16 @@ from .errors import UnresolvedPhase, ZeroOnBoundary
 
 _TWO_PI = 2.0 * np.pi
 
-# both certificates are computed from FFTs, so a solve holds a bounded
-# number of length-N arrays (at most 20 Krylov vectors and their images in
-# a Newton step's GMRES, and the certificate's stack of eight A-norm rows),
+# Newton steps and both certificates are computed from FFTs, so a solve
+# holds a bounded number of length-N arrays (a handful of (2, N) rows in
+# the annulus inverse, and the certificate's stack of nine A-norm rows),
 # and the grid cap bounds their length: a certified README annulus solve
-# at N = 4096 peaks 2.9 MB above its start in traced allocations
-# (tracemalloc, in process; 22 MB with the 16-probe stacked GMRES
-# certificate it replaced), 0.7 MB in its first Newton step's GMRES and
-# 2.1 MB in its certificate bounds. No bench case or README
-# example goes above N = 1024. The disc certificate's residual is measured
-# on twice the grid, which may exceed this cap. ROADMAP item 2 (nested
-# grids) revisits the cap
+# at N = 4096 peaks 5.5 MB above its start in traced allocations
+# (tracemalloc, in process), 1.5 MB in building a Newton step's inverse,
+# 0.7 MB in applying it and 4.9 MB in its certificate bounds. No bench case
+# or README example goes above N = 1024. The disc certificate's residual is
+# measured on twice the grid, which may exceed this cap. ROADMAP item 4
+# (nested grids) revisits the cap
 _MAX_GRID = 4096
 
 

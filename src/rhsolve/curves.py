@@ -8,12 +8,13 @@ its conjugate), and the ray radius r(theta, psi) at which the ray
 arg w = psi meets gamma_theta.
 
 eta_decompose supplies the multiplicative splitting of the linearized
-boundary operator along a trace (the one-row case of _eta_weights, which
-the annulus collar runs on both boundaries at once); near a solution a
-star-shaped family puts eta in the right half-plane, where its argument
-needs no unwrap. divisor_transform rescales a family by a nonvanishing
-multiplier. Its case g = scale * exp(i sigma theta), monomial_transform,
-is how prescribed windings are divided out.
+boundary operator along a trace (the one-row case of _eta_weights). Its
+phase core, _eta_phases, also gives the annulus inverse the argument of eta
+on both boundaries at once; near a solution a star-shaped family puts eta
+in the right half-plane, where its argument needs no unwrap.
+divisor_transform rescales a family by a nonvanishing multiplier. Its case
+g = scale * exp(i sigma theta), monomial_transform, is how prescribed
+windings are divided out.
 
 on_grid binds a builtin or transformed family to a solve's grid nodes, so
 its theta-profiles (radii, axes, tilts, multipliers) are evaluated once per
@@ -267,34 +268,40 @@ def eta_decompose(family: CurveFamily, trace: BoundaryTrace) -> EtaDecomposition
 def _eta_weights(grid: BoundaryGrid, eta: np.ndarray) -> tuple:
     """phi_weight = exp(-a - b~) and k_weight = exp(b~ - i b) for each row of a (rows, N) stack of eta samples.
 
+    b is the phase core's continuous argument (_eta_phases), with its errors.
+    """
+    b = _eta_phases(eta)
+    b_tilde = conjugate_samples(grid, b)
+    return np.exp(-np.log(np.abs(eta)) - b_tilde), np.exp(b_tilde - 1j * b)
+
+
+def _eta_phases(eta: np.ndarray) -> np.ndarray:
+    """The continuous, winding-zero argument b of each row of a (rows, N) stack of eta samples.
+
     Rows that are not finite raise ValueError, as a trace's values do. A
     stack whose every row keeps Re eta above the zero floor between the
     nodes (min Re eta - L pi / N, with L = sum |k| |c_k| of Re eta as in the
-    certified unwrap) lies in the right half-plane: the winding is zero, b
-    is the principal argument and the weights are bitwise the unwrap's.
-    Any other stack is unwrapped, and its first row whose decomposition
-    fails raises what eta_decompose raises for it: ZeroOnTrace,
-    UnresolvedPhase or EtaWindingNonzero.
+    certified unwrap) lies in the right half-plane: the winding is zero and
+    b is the principal argument, bitwise the unwrap's. Any other stack is
+    unwrapped, and its first row whose unwrap fails raises what
+    eta_decompose raises for it: ZeroOnTrace, UnresolvedPhase or
+    EtaWindingNonzero.
     """
     if not np.all(np.isfinite(eta)):
         raise ValueError("trace values must be finite")
-    modulus, n = np.abs(eta), grid.n
-    scales = modulus.max(axis=1)
+    scales, n = np.abs(eta).max(axis=1), eta.shape[-1]
     lipschitz = (np.abs(np.fft.fft(eta.real)) @ _abs_modes(n)) / n
     if np.all(eta.real.min(axis=1) - lipschitz * np.pi / n - _ROUNDOFF_MARGIN * scales > _ZERO_FLOOR * scales):
-        b = np.angle(eta)
-    else:
-        windings, failures, increments = _phase_rows(eta)
-        for failure, wind in zip(failures, windings):
-            if isinstance(failure, ZeroOnBoundary):
-                raise ZeroOnTrace(str(failure)) from failure
-            if failure is not None:
-                raise failure
-            if wind != 0:
-                raise EtaWindingNonzero(f"eta has winding {wind}, expected 0")
-        b = _unwrapped_phases(eta, increments)
-    b_tilde = conjugate_samples(grid, b)
-    return np.exp(-np.log(modulus) - b_tilde), np.exp(b_tilde - 1j * b)
+        return np.angle(eta)
+    windings, failures, increments = _phase_rows(eta)
+    for failure, wind in zip(failures, windings):
+        if isinstance(failure, ZeroOnBoundary):
+            raise ZeroOnTrace(str(failure)) from failure
+        if failure is not None:
+            raise failure
+        if wind != 0:
+            raise EtaWindingNonzero(f"eta has winding {wind}, expected 0")
+    return _unwrapped_phases(eta, increments)
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ alpha + beta w + gamma w-bar, so that eta = conj(alpha) h + conj(beta) |h|^2
 omega2 = inf and no certificate. The right-inverse identity defect is
 computed from the same weights. The A-norms are read off the DFT of the
 grid samples, so the aliasing tail is estimated, not enclosed. The row
-helpers (_rho_rows, _row_norms, _fine_residual) take one row here and both
+helpers _rho_rows and _fine_residual take one row here and both
 boundaries' rows in the annulus certificate.
 """
 
@@ -80,20 +80,12 @@ class DiscSolution:
 def right_inverse_apply(eta: EtaDecomposition, rhs: np.ndarray) -> np.ndarray:
     """Solve 2 Re(eta k) = rhs with k in the holomorphic class.
 
-    rhs is one real trace or a stack of them along the last axis.
+    k = 1/2 k_weight (phi + i T phi) with phi = phi_weight rhs; rhs is one
+    real trace or a stack of them along the last axis.
     """
-    return _explicit_inverse(eta.grid, eta.phi_weight, eta.k_weight, rhs)
-
-
-def _explicit_inverse(grid: BoundaryGrid, phi_weight, k_weight, rhs) -> np.ndarray:
-    """k = 1/2 k_weight (phi + i T phi), phi = phi_weight rhs, along the last axis.
-
-    The weights are one decomposition's rows, or a stack of them that the
-    rows of rhs broadcast against.
-    """
-    phi = phi_weight * np.asarray(rhs, dtype=float)
-    analytic = phi + 1j * conjugate_samples(grid, phi)
-    return 0.5 * k_weight * analytic
+    phi = eta.phi_weight * np.asarray(rhs, dtype=float)
+    analytic = phi + 1j * conjugate_samples(eta.grid, phi)
+    return 0.5 * eta.k_weight * analytic
 
 
 def _initial_log_trace(fam_t: CurveFamily, grid: BoundaryGrid) -> np.ndarray:

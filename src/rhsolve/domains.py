@@ -125,7 +125,7 @@ def laurent_modes(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _q_powers(q: float, k: int) -> np.ndarray:
-    """q^j for the modes j = -K..K, read-only: every collar application reuses them.
+    """q^j for the modes j = -K..K, read-only: every Newton step reuses them.
 
     q^-K may overflow to inf; laurent_traces then takes its log branch, and
     laurent_from_traces reads only the powers q^1..q^K.

@@ -57,19 +57,6 @@ class GlueTooCoarse(SolverError):
     """Collar decay too weak for the requested winding; gluing would not be small."""
 
 
-class NeumannDiverges(SolverError):
-    """The collar right inverse left a defect above its acceptance bound.
-
-    defect is the relative sup-norm defect |r - DA x| / |r| of the best
-    Krylov iterate x, iterations the number of Krylov iterations run.
-    """
-
-    def __init__(self, message, defect, iterations):
-        super().__init__(message)
-        self.defect = float(defect)
-        self.iterations = int(iterations)
-
-
 class SamplingFailed(SolverError):
     """Certificate sampling could not produce enough valid probes."""
 

@@ -353,7 +353,7 @@ def test_certified_unwrap_keeps_the_refinement_errors():
 @pytest.mark.parametrize("n", [2**k for k in range(4, 13)])
 def test_fft_of_a_stack_is_the_fft_of_each_row(n):
     # canary: every stacked transform of the solver (the phase core, the eta
-    # weights, the Laurent traces, the collar and the certificate norms)
+    # weights, the Laurent traces, the annulus inverse and the certificate norms)
     # gives each row what it gives that row alone, bitwise, because numpy's
     # FFT of a (rows, N) stack equals the FFTs of its rows; a numpy that
     # breaks this changes the solver's answers, and this test says so first
@@ -365,7 +365,7 @@ def test_fft_of_a_stack_is_the_fft_of_each_row(n):
             rows = transform(stack)
             for row, want in zip(stack, rows):
                 assert np.array_equal(transform(row), want), (transform.__name__, stack.dtype)
-            # a deeper stack, as the collar's (2, rows, N) traces are
+            # a deeper stack, as stacked coefficients' (2, rows, N) traces are
             deep = transform(np.array([stack, stack[::-1]]))
             assert np.array_equal(deep[0], rows) and np.array_equal(deep[1], rows[::-1])
     # a real row transforms as the same row stored complex

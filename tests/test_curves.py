@@ -277,18 +277,18 @@ def _spy_unwraps(monkeypatch):
 def test_right_half_plane_eta_weights_are_the_unwrapped_ones_bitwise(monkeypatch):
     # every eta stack that disc solves decompose at their Newton iterates and
     # certificates (ellipse, tilted and scaled families) and that an annulus
-    # solve's glue and collar decompose lies in the right half-plane: no
-    # stack is unwrapped, and the weights from the principal argument are
-    # bitwise those of the unwrap
+    # solve's glue and exact inverse take the phase of lies in the right
+    # half-plane: no stack is unwrapped, and the phases and the disc's
+    # weights from the principal argument are bitwise those of the unwrap
     seen = []
-    weights = curves._eta_weights
+    phases = curves._eta_phases
 
-    def record(grid, eta):
-        seen.append((grid, eta.copy()))
-        return weights(grid, eta)
+    def record(eta):
+        seen.append(eta.copy())
+        return phases(eta)
 
-    monkeypatch.setattr(curves, "_eta_weights", record)
-    monkeypatch.setattr(annulus, "_eta_weights", record)
+    monkeypatch.setattr(curves, "_eta_phases", record)
+    monkeypatch.setattr(annulus, "_eta_phases", record)
     unwraps = _spy_unwraps(monkeypatch)
     cases = (
         (builtin_ellipse_family([2.1, 0.1, -0.05], [1.0, 0.03, 0.0]), 1, 256),
@@ -299,9 +299,13 @@ def test_right_half_plane_eta_weights_are_the_unwrapped_ones_bitwise(monkeypatch
         assert solve_disc(fam, winding, DiscSolveOptions(grid_n=n)).run.certificate is not None
     wobbly = builtin_circle_family([1.0, 0.02, -0.01, 0.015]), builtin_circle_family([1.0, -0.01, 0.02])
     solve_annulus(*wobbly, (4, 4), 0.5, AnnulusSolveOptions())
-    assert unwraps == [] and {len(eta) for _, eta in seen} == {1, 2}
-    for grid, eta in seen:
-        assert _same_bytes(weights(grid, eta), _unwrapped_weights(grid, eta))
+    assert unwraps == [] and {len(eta) for eta in seen} == {1, 2}
+    monkeypatch.setattr(curves, "_eta_phases", phases)
+    for eta in seen:
+        grid = BoundaryGrid(eta.shape[-1])
+        assert _same_bytes(curves._eta_weights(grid, eta), _unwrapped_weights(grid, eta))
+        windings, _, increments = boundary._phase_rows(eta)
+        assert _same_bytes((phases(eta),), (boundary._unwrapped_phases(eta, increments),))
 
 
 def test_stack_leaving_the_right_half_plane_is_unwrapped_with_each_row_bitwise_its_own(monkeypatch):
@@ -350,7 +354,7 @@ def _eta_family(eta):
 
 
 def test_eta_weights_of_a_stack_are_those_of_its_rows():
-    # the collar decomposes both boundaries as one stack: each row's weights
+    # a stack of rows decomposes as one: each row's weights
     # are bitwise those eta_decompose forms for it alone, and the first row
     # that fails raises the error, with the message, that its own
     # decomposition raises
@@ -387,9 +391,9 @@ def test_eta_weights_of_a_stack_are_those_of_its_rows():
 
 
 def test_row_norms_and_rho_rows_of_a_stack_are_those_of_its_rows():
-    # the disc is the one-row case of the bounds core the collar runs on two
-    # rows: each row of a two-row stack gets bitwise the rho values, A-norms,
-    # weight defect and fine residual it gets alone
+    # the row helpers take the disc's one row and the annulus's two: each
+    # row of a two-row stack gets bitwise the rho values, A-norms, weight
+    # defect and fine residual it gets alone
     grid = BoundaryGrid(128)
     th = grid.theta
     fams = (builtin_ellipse_family([2.0, 0.1, 0.0], [1.0, 0.0, -0.05], phi=[0.3, 0.2, 0.0]),

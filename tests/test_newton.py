@@ -327,7 +327,7 @@ def test_sampled_disc_certificate_is_bit_identical_to_a_reference_loop(kind, n, 
 
 def test_certificate_with_every_probe_missed_reports_no_contraction():
     # bounds that find nothing bounding the right inverse (omega1 = inf and
-    # the identity defect Z >= 1, as on the zero-free collar) away from a
+    # the identity defect >= 1, as on zero-free annulus data) away from a
     # root: the product is inf rather than a perfect-looking number, and
     # result files say null
     problem = dataclasses.replace(
@@ -348,7 +348,7 @@ def test_certificate_with_every_probe_missed_reports_no_contraction():
 
 def test_certificate_with_every_probe_missed_keeps_inf_at_an_exact_start():
     # bounds that find nothing bounding the right inverse (omega1 = inf, as
-    # on the zero-free collar) at an exact start (omega3 = 0): inf * 0 must
+    # on zero-free annulus data) at an exact start (omega3 = 0): inf * 0 must
     # not turn into a NaN product
     problem = dataclasses.replace(
         quadratic_problem(), bounds=lambda x: CertificateBounds(np.inf, 2.0, 0.0, 1.0)

@@ -86,8 +86,8 @@ def test_repeated_and_traced_passes_agree_on_certified_workloads(tmp_path):
 
 def test_bench_annulus_cases_keep_their_newton_iteration_counts(tmp_path):
     # the README, wobbly and zero-free cases of seeds 1, 3 and 7 (certificate
-    # on, as the bench runs them): a collar GMRES that stops a Newton step at
-    # the forcing target must not cost Newton a step
+    # on, as the bench runs them): a change to the right inverse must not
+    # cost Newton a step
     workloads = _load("perfbench_workloads", _WORKLOADS)
     for seed, counts in {1: [3, 3, 3], 3: [3, 3, 4], 7: [3, 3, 4]}.items():
         records = [workloads.run_case(case, tmp_path) for case in workloads.build("annulus-glued", seed)]
@@ -98,8 +98,8 @@ def test_bench_annulus_cases_keep_their_newton_iteration_counts(tmp_path):
 def test_bench_annulus_certificates_at_the_converged_iterate():
     # the seed-1/3/7 cases as the bench solves them: the README and wobbly
     # answers certify; the zero-free linearization is not onto (the flux
-    # direction is off its range), so the collar's cross terms leave Z >= 1
-    # and nothing bounds a right inverse
+    # direction is off its range), so nothing bounds a right inverse and the
+    # bordered inverse leaves an identity defect of at least 1
     workloads = _load("perfbench_workloads", _WORKLOADS)
     for seed in (1, 3, 7):
         for case in workloads.build("annulus-glued", seed):
