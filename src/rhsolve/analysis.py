@@ -124,10 +124,9 @@ def surjectivity_demo(targets: Sequence[float], q: float, grid_n: int = 256):
     """Realize each fractional flux target with radial boundary data.
 
     For each t the data R0 = 1, R1 = q**t is solved in closed form and the
-    realized value is recomputed from the located zeros as the sum of their
-    inner harmonic measures mod 1, so the construction is checked against
-    the zero positions rather than against its own bookkeeping. Each case
-    needs at most one zero.
+    realized value is the sum of the zeros' inner harmonic measures mod 1,
+    read at the closed-form zero that the solve certified on its traces as
+    their only one. Each case needs at most one zero.
     """
     h1 = harmonic_measure(q)  # checks the modulus
     outer = builtin_circle_family(1.0)

@@ -49,6 +49,7 @@ from .domains import (
     _check_modulus,
     _shift_modes,
     annulus_flux,
+    certify_simple_zero,
     harmonic_extend_annulus,
     laurent_evaluate,
     laurent_from_traces,
@@ -597,7 +598,9 @@ def solve_annulus_radial(
     log|f| must extend the boundary data harmonically, so the flux of the
     extension dictates the inner winding and the single zero radius; the
     rest of f is the exponential of a mode-by-mode completion. The zero
-    phase is free and can be prescribed.
+    phase is free and can be prescribed. The zero is not searched for:
+    domains.certify_simple_zero checks on the traces' own series that it is
+    their only zero, and gives its certified radius.
     """
     if outer_family.radial_profile is None or inner_family.radial_profile is None:
         raise NotRadialFamily("both families must be circles centered at the origin")
@@ -637,7 +640,7 @@ def solve_annulus_radial(
     tr0, tr1 = (BoundaryTrace(grid, row) for row in f)
     modulus_error = float(np.max(np.abs(np.abs(f) - r)))
     residual_by_boundary = _boundary_residuals((outer_family, inner_family), theta, f)
-    zeros = tuple(locate_zeros((tr0, tr1), Annulus(q))) if zero is not None else ()
+    zeros = (certify_simple_zero((tr0, tr1), Annulus(q), zero),) if zero is not None else ()
     return RadialSolution(
         grid=grid,
         q=q,

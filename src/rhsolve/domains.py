@@ -22,7 +22,9 @@ the traces' roundoff and certifies each by a winding count, all from one
 prepared series and from each trace's one spectrum; the two boundary
 windings are one stacked unwrap, as are the winding counts of all
 certification circles. A multiple zero with |f| above the roundoff is a
-cluster, refused.
+cluster, refused. A zero known in closed form is not searched for:
+certify_simple_zero bounds F'' about it from the traces' modes and shows by
+Rouche's theorem that it is their only zero, and within what radius.
 Both circles' traces move through one FFT: laurent_traces and
 laurent_from_traces transform a (2, ..., n) stack, outer circle first.
 cauchy_extend, the discretized Cauchy integral, is the reference quadrature
@@ -319,9 +321,12 @@ _CIRCLE_POINTS = 64
 
 @dataclass(frozen=True)
 class LocatedZero:
+    """A zero with its multiplicity, |f| there, and the radius of a disc about it holding it alone."""
+
     position: complex
     multiplicity: int
     residual: float
+    radius: float
 
 
 def _moments(traces, spectra, domain: Annulus, count) -> np.ndarray:
@@ -445,7 +450,7 @@ def locate_zeros(traces, domain: Annulus):
         raise ValueError("trace values must be finite")
     windings, failures, _ = _phase_rows(values)
     zeros = []
-    for zj, mj, row, res, counted, failure in zip(z, mult, values, residuals, windings, failures):
+    for zj, mj, rj, row, res, counted, failure in zip(z, mult, radii, values, residuals, windings, failures):
         if failure is not None:
             raise CountMismatch(f"cannot count the zeros near {zj:.6g}: {failure}") from failure
         if counted != mj:
@@ -457,5 +462,48 @@ def locate_zeros(traces, domain: Annulus):
                 f"the certification circle, above the roundoff bound {noise / peak:.3g}: "
                 f"a cluster of {mj} zeros"
             )
-        zeros.append(LocatedZero(position=complex(zj), multiplicity=int(mj), residual=float(res)))
+        zeros.append(LocatedZero(position=complex(zj), multiplicity=int(mj), residual=float(res), radius=float(rj)))
     return sorted(zeros, key=lambda z: (round(abs(z.position), 9), np.angle(z.position)))
+
+
+def certify_simple_zero(traces, domain: Annulus, z) -> LocatedZero:
+    """Certify z as the only zero of the traces' Laurent extension F = sum a_k w^k + b_k (q/w)^k.
+
+    a_k are the outer trace's modes, b_k the inner one's modes -k, and the
+    boundary windings must count one zero. Within rho_max, half the distance
+    from z to the nearer circle, |F''| <= M = sum k(k-1)|a_k| R+^(k-2) +
+    sum k(k+1)|b_k| (q/R-)^k / R-^2, R+- = |z| +- rho_max, and no power of q
+    above 1 is formed. Where the radii polynomial p(rho) = M rho^2 / 2 -
+    (|F'(z)| - eps') rho + |F(z)| + eps is negative (eps and eps' the roundoff
+    floors of F and F'), Rouche's theorem puts one zero within rho of z. The
+    radius is p's smaller root (Day, Lessard and Mischaikow 2007); CountMismatch
+    when it is not below rho_max.
+    """
+    traces = _trace_pair(traces)
+    grid = _same_grid(*traces)
+    outer_winding, inner_winding = winding_numbers(traces)
+    if outer_winding - inner_winding != 1:
+        raise CountMismatch(f"boundary windings predict {outer_winding - inner_winding} zeros, not one")
+    q, n, k, r = domain.q, grid.n, grid.n // 2 - 1, abs(z)
+    rho_max = 0.5 * min(1.0 - r, r - q)
+    if not rho_max > 0.0:
+        raise CountMismatch(f"{z:.6g} is not inside the annulus {q} < |z| < 1")
+    spectra = np.array([t._spectrum for t in traces])
+    value, slope = np.abs(_LaurentSums(_laurent_from_spectra(grid, q, spectra))(complex(z), slope=True))
+    j = np.arange(1, k + 1)
+    a, b = np.abs(spectra[0, 1 : k + 1]) / n, np.abs(spectra[1, n - k :][::-1]) / n
+    far, near = r + rho_max, r - rho_max
+    curvature = np.sum(j * (j - 1) * a * far ** (j - 2.0) + j * (j + 1) * b * (q / near) ** j / near**2)
+    # each mode carries about one unit in the last place of the largest trace
+    # value, summed like a random walk: plainly for F, weighted by the slope for F'
+    unit = np.finfo(float).eps * max(t.sup() for t in traces)
+    gain = slope - unit * np.sqrt(np.sum((j * r ** (j - 1.0)) ** 2 + (j * (q / r) ** j / r) ** 2))
+    offset = value + np.sqrt(2 * k + 1) * unit
+    discriminant = gain * gain - 2.0 * curvature * offset
+    rho = 2.0 * offset / (gain + np.sqrt(discriminant)) if gain > 0.0 and discriminant > 0.0 else np.inf
+    if not rho < rho_max:
+        raise CountMismatch(
+            f"radii polynomial leaves no certified disc about {z:.6g}: |F(z)| = {value:.3g}, "
+            f"|F'(z)| = {slope:.3g}, M = {curvature:.3g}, rho_max = {rho_max:.3g}"
+        )
+    return LocatedZero(position=complex(z), multiplicity=1, residual=float(value), radius=float(rho))

@@ -83,8 +83,11 @@ _LIPSCHITZ_PAIRS = 8
 _BALL_RADIUS = 0.1
 _FD_STEP = 1e-6
 _CHECK_TOL = 1e-6
-# damping budget: step halvings tried before the iteration gives up
+# damping budget: step halvings tried before the iteration gives up; an
+# accepted step that lowers the residual by less than _STAGNATION of itself
+# has reached the grid's floor, and the iteration gives up there too
 _MAX_HALVINGS = 6
+_STAGNATION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,8 @@ def iterate(
     """Run x <- x - lambda B(x) A(x), halving lambda on residual increase.
 
     Raises NoConvergence (with the residual history attached) when the
-    damping budget or the iteration budget is exhausted.
+    damping budget or the iteration budget is exhausted, or when an
+    accepted step lowers the residual by less than _STAGNATION of itself.
     """
     x = x0
     r = problem.residual(x)
@@ -259,6 +263,10 @@ def iterate(
             )
         if halvings > 0:
             damped = True
+        if trial_norm >= options.tol and rn - trial_norm < _STAGNATION * rn:
+            drop = 1.0 - trial_norm / rn
+            message = f"residual stagnated at {trial_norm:.3e}: a step lowered it by {drop:.1e} of itself"
+            raise NoConvergence(message, history=(*history, float(trial_norm)))
         x, r, rn = trial, trial_r, trial_norm
     raise NoConvergence(
         f"no convergence within {options.max_iter} iterations", history=tuple(history)

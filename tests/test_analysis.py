@@ -14,7 +14,7 @@ from rhsolve.analysis import (
 )
 from rhsolve.annulus import AnnulusSolveOptions, solve_annulus, solve_annulus_radial
 from rhsolve.curves import builtin_circle_family, divisor_transform
-from rhsolve.domains import harmonic_extend_annulus
+from rhsolve.domains import Annulus, harmonic_extend_annulus, locate_zeros
 from rhsolve.errors import ConfigError
 from rhsolve.trig import TrigPolynomial
 
@@ -28,6 +28,20 @@ def random_zero_mean_trig(rng, degree=4, size=0.12):
     coeffs = np.zeros(2 * degree + 1)
     coeffs[1:] = size * rng.standard_normal(2 * degree) / np.arange(1, 2 * degree + 1)
     return coeffs
+
+
+def criterion_5_pairs():
+    """The 20 random radial pairs of acceptance criterion 5, as (q, flux exponent, outer, inner)."""
+    rng = np.random.default_rng(7)
+    for q in (0.25, 0.5):
+        for _ in range(10):
+            # fractional parts stay off the circles so the fixed grid
+            # resolves log|z - z1|; integer fluxes exercise the no-zero path
+            base = int(rng.integers(-1, 2))
+            exponent = base + (0.0 if rng.random() < 0.25 else rng.uniform(0.1, 0.9))
+            outer = scaled_circle(1.0, random_zero_mean_trig(rng))
+            inner = scaled_circle(q ** exponent, random_zero_mean_trig(rng))
+            yield q, exponent, outer, inner
 
 
 # --------------------------------------------------------------------------
@@ -113,25 +127,41 @@ def test_identity_requires_located_zeros():
 
 
 def test_identity_random_radial_pairs():
-    rng = np.random.default_rng(7)
-    for q in (0.25, 0.5):
-        for _ in range(10):
-            # fractional parts stay off the circles so the fixed grid
-            # resolves log|z - z1|; integer fluxes exercise the no-zero path
-            base = int(rng.integers(-1, 2))
-            exponent = base + (0.0 if rng.random() < 0.25 else rng.uniform(0.1, 0.9))
-            outer = scaled_circle(1.0, random_zero_mean_trig(rng))
-            inner = scaled_circle(q ** exponent, random_zero_mean_trig(rng))
-            sol = solve_annulus_radial(outer, inner, q, grid_n=512)
-            report = check_identity(sol)
-            assert report.diff < 1e-6
-            assert sol.modulus_error < 1e-8
-            k1, t = minimal_zero_selector(exponent)
-            assert report.k1 == k1
-            if t is None:
-                assert not report.zeros_used
-            else:
-                assert abs(sol.zeros[0].position) == pytest.approx(q ** t, abs=1e-8)
+    for q, exponent, outer, inner in criterion_5_pairs():
+        sol = solve_annulus_radial(outer, inner, q, grid_n=512)
+        report = check_identity(sol)
+        assert report.diff < 1e-6
+        assert sol.modulus_error < 1e-8
+        k1, t = minimal_zero_selector(exponent)
+        assert report.k1 == k1
+        if t is None:
+            assert not report.zeros_used
+        else:
+            assert abs(sol.zeros[0].position) == pytest.approx(q ** t, abs=1e-8)
+
+
+def test_certified_radial_zeros_are_found_by_the_search_within_their_radius():
+    # the radial solve certifies its closed-form zero without a search; the
+    # moment search on the same traces is the independent check, on criterion
+    # 5's pairs and on the data of criterion 6's targets 0.1 .. 0.9 (N = 256)
+    def radii(answers):
+        found_radii = []
+        for sol in answers:
+            for zero in sol.zeros:
+                (found,) = locate_zeros((sol.outer_trace, sol.inner_trace), Annulus(sol.q))
+                assert found.multiplicity == zero.multiplicity == 1
+                assert abs(found.position - zero.position) <= zero.radius
+                found_radii.append(zero.radius)
+        return found_radii
+
+    # five of criterion 5's pairs carry an integer flux and no zero
+    pairs = radii(solve_annulus_radial(outer, inner, q, grid_n=512) for q, _, outer, inner in criterion_5_pairs())
+    assert len(pairs) == 15 and max(pairs) < 1e-12
+    circles = (builtin_circle_family(0.5 ** (i / 10)) for i in range(1, 10))
+    targets = radii(solve_annulus_radial(builtin_circle_family(1.0), inner, 0.5) for inner in circles)
+    # targets 0.1 and 0.9 put the zero 0.067 and 0.036 from a circle, where
+    # the 256-point series leaves |F(z1)| near 1e-8 and the radius says so
+    assert len(targets) == 9 and max(targets[1:-1]) < 1e-12 and max(targets[0], targets[-1]) < 1e-8
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import warnings
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhsolve import annulus, boundary, domains, newton
-from rhsolve.analysis import check_identity
+from rhsolve import annulus, boundary, cli, domains, newton
+from rhsolve.analysis import check_identity, surjectivity_demo
 from rhsolve.annulus import (
     AnnulusSolveOptions,
     glue_construct,
@@ -38,6 +39,7 @@ from rhsolve.domains import (
     laurent_from_traces,
     laurent_modes,
     laurent_traces,
+    locate_zeros,
 )
 from rhsolve.errors import (
     ConfigError,
@@ -371,6 +373,14 @@ def _mixed_ellipse_circle(grid_n):
     # the README data at tol 5e-6, above the default
     ell = builtin_ellipse_family([1.0, 0.04, 0.02], [0.85, -0.03, 0.02], 0.15)
     return solve_annulus(ell, builtin_circle_family(0.3), (6, 6), 0.4, AnnulusSolveOptions(grid_n=grid_n, tol=5e-6))
+
+
+def test_mixed_ellipse_circle_on_256_points_stops_at_the_grid_floor():
+    # after step 3 each step lowers the residual (5.35e-6, above tol 5e-6) by
+    # less than 1e-6 of itself: Newton gives up there, not after 40 steps
+    with pytest.raises(NoConvergence, match="residual stagnated at 5.351e-06") as info:
+        _mixed_ellipse_circle(256)
+    assert len(info.value.history) <= 5
 
 
 @pytest.mark.xfail(raises=NoConvergence, strict=True)
@@ -723,8 +733,8 @@ def test_solution_traces_are_unwrapped_once(monkeypatch):
 
 @pytest.mark.parametrize("exponent, zeros", [(0.4, 1), (1.0, 0)], ids=["one-zero", "zero-free"])
 def test_radial_traces_are_unwrapped_once(exponent, zeros, monkeypatch):
-    # with a zero, zero location unwraps the pair and the identity and the
-    # summary read its memos; without one, the identity unwraps it
+    # with a zero, its certificate's count unwraps the pair and the identity
+    # and the summary read its memos; without one, the identity unwraps it
     calls = _unwrapped_rows(monkeypatch)
     sol = solve_annulus_radial(
         scaled_circle(1.0, [0.0, 0.05, -0.02]), scaled_circle(Q ** exponent, [0.0, 0.0, 0.03]), Q, grid_n=128
@@ -733,6 +743,48 @@ def test_radial_traces_are_unwrapped_once(exponent, zeros, monkeypatch):
     check_identity(sol)
     annulus_result_dict(sol)
     assert_pair_unwrapped_once(calls, sol)
+
+
+def test_radial_answers_run_no_zero_search(tmp_path, monkeypatch):
+    # the radial solve, the surjectivity demo and a CLI radial solve certify
+    # the closed-form zero where it is: no moments, no pencil, no polish
+    searches = ((annulus, "locate_zeros"), (domains, "locate_zeros"), (domains, "_moments"), (domains, "_polish"))
+    for module, name in searches:
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+    sol = solve_annulus_radial(builtin_circle_family(1.0), builtin_circle_family(Q ** 0.37), Q)
+    assert [z.multiplicity for z in sol.zeros] == [1] and sol.zeros[0].position == sol.zero
+    assert [case.zero_count for case in surjectivity_demo([0.0, 0.3, 0.9], Q)] == [0, 1, 1]
+    circles = {name: {"type": "circle", "fourier": {"R": [r]}} for name, r in (("gamma0", 1.0), ("gamma1", Q ** 0.37))}
+    config = tmp_path / "radial.json"
+    config.write_text(json.dumps({"domain": {"type": "annulus", "q": Q}, "families": circles}))
+    assert cli.main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert [z["mult"] for z in json.loads((tmp_path / "out" / "result.json").read_text())["zeros"]] == [1]
+
+
+@pytest.mark.parametrize("q, t", [(0.5, 0.05), (0.5, 0.95), (0.8, 0.15), (0.8, 0.85)])
+def test_radial_zero_on_a_coarse_grid_certifies_with_an_honest_radius(q, t):
+    # unit and q^t circles on 64 points: the zero sits 2 to 4 nodes' spacing
+    # from a circle, |F(z1)| is 0.05 to 0.09 and the radius shows it
+    sol = solve_annulus_radial(builtin_circle_family(1.0), builtin_circle_family(q ** t), q, grid_n=64)
+    (zero,) = sol.zeros
+    assert zero.position == sol.zero and 1e-3 < zero.radius < 0.5 * min(1.0 - abs(sol.zero), abs(sol.zero) - q)
+    assert 0.04 < zero.residual < 0.1
+    assert check_identity(sol).diff < 1e-2
+    # Newton's method on the traces' series, from z1, ends at a zero inside the radius
+    series = domains._LaurentSums(laurent_from_traces(sol.grid, q, sol.outer_trace.values, sol.inner_trace.values))
+    w = sol.zero
+    for _ in range(8):
+        value, slope = series(w, slope=True)
+        w = w - value / slope
+    assert abs(series(w)) < 1e-14 and abs(w - sol.zero) <= zero.radius
+
+
+def test_radial_zero_the_radii_polynomial_cannot_certify_raises():
+    # t = 0.9 at q = 0.8 on 64 points: z1 = 0.818 lies 0.018 from the inner
+    # circle, where |F(z1)| = 0.17 leaves no disc that Rouche's theorem covers
+    message = r"no certified disc about 0.818052\+0j: \|F\(z\)\| = 0.168, \|F'\(z\)\| = 10.8, M = 294, rho_max = 0.00903"
+    with pytest.raises(CountMismatch, match="radii polynomial leaves " + message):
+        solve_annulus_radial(builtin_circle_family(1.0), builtin_circle_family(0.8 ** 0.9), 0.8, grid_n=64)
 
 
 def _residual_probe(sampler, n, seed):
@@ -1107,9 +1159,11 @@ def test_evaluate_matches_cauchy_extension_of_the_traces(unit_solution):
     for sol in (unit_solution, radial):
         reference = cauchy_extend((sol.outer_trace, sol.inner_trace), Annulus(sol.q), points)
         npt.assert_allclose(sol.evaluate(points), reference, rtol=0, atol=1e-10)
-    # the radial product form vanishes at its zero, found again by the search
+    # the radial product form vanishes at its zero, and the search on its
+    # traces finds that zero within the certified radius
     assert radial.evaluate(radial.zero) == 0.0
-    assert abs(radial.evaluate(radial.zeros[0].position)) < 1e-10
+    (certified,), (found,) = radial.zeros, locate_zeros((radial.outer_trace, radial.inner_trace), Annulus(Q))
+    assert abs(found.position - certified.position) <= certified.radius < 1e-12
 
 
 def test_radial_requires_centered_circles():

@@ -17,6 +17,7 @@ from rhsolve.domains import (
     LocatedZero,
     annulus_flux,
     cauchy_extend,
+    certify_simple_zero,
     harmonic_extend_annulus,
     laurent_evaluate,
     laurent_from_traces,
@@ -189,6 +190,10 @@ def test_locate_simple_zeros():
     want = sorted(roots.tolist(), key=lambda w: (w.real, w.imag))
     npt.assert_allclose(got, want, atol=1e-9)
     assert all(z.residual < 1e-10 for z in found)
+    # each radius is that of the certification circle, which holds its zero alone
+    for root in roots:
+        (hit,) = [z for z in found if abs(z.position - root) < z.radius]
+        assert hit.radius == pytest.approx(0.5 * min(1.0 - abs(root), abs(root) - 0.25))
 
 
 def test_locate_triple_zero():
@@ -433,6 +438,33 @@ def test_one_zero_moments_with_s0_zero_end_in_count_mismatch(monkeypatch):
     monkeypatch.setattr(domains, "_moments", lambda *args: np.array([0.0, 0.7 + 0.0j]))
     with pytest.raises(CountMismatch, match=r"moment multiplicities \[\] do not sum to the boundary count 1"):
         locate_zeros(traces, Annulus(0.5))
+
+
+def test_certify_simple_zero_encloses_the_zero_near_the_given_point():
+    # f = (z - a) exp(z) / z: one zero; the closed-form point certifies to
+    # roundoff, a point 1e-3 off certifies with a radius that reaches a
+    q, a = 0.4, 0.6 * np.exp(0.8j)
+    traces = annulus_traces(128, q, lambda z: (z - a) * np.exp(z) / z)
+    exact = certify_simple_zero(traces, Annulus(q), a)
+    assert (exact.position, exact.multiplicity) == (a, 1)
+    assert exact.residual < 1e-15 and exact.radius < 1e-14
+    off = certify_simple_zero(traces, Annulus(q), a + 1e-3)
+    assert 1e-3 <= off.radius < 1.1e-3
+    assert off.residual == pytest.approx(1e-3 * abs(np.exp(a) / a), rel=1e-2)
+
+
+def test_certify_simple_zero_refuses():
+    q, a = 0.4, 0.6 * np.exp(0.8j)
+    one = annulus_traces(128, q, lambda z: (z - a) * np.exp(z) / z)
+    # a point far from the zero: p(rho) has no root below rho_max
+    with pytest.raises(CountMismatch, match=r"radii polynomial leaves no certified disc .* rho_max = 0.1"):
+        certify_simple_zero(one, Annulus(q), -0.6)
+    with pytest.raises(CountMismatch, match="is not inside the annulus"):
+        certify_simple_zero(one, Annulus(q), 0.3)
+    # the boundary windings count the zeros before any series is summed
+    two = annulus_traces(128, q, lambda z: (z - a) * (z + a))
+    with pytest.raises(CountMismatch, match="boundary windings predict 2 zeros, not one"):
+        certify_simple_zero(two, Annulus(q), a)
 
 
 def test_flux_is_the_log_coefficient_of_the_mode_solve():

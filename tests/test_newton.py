@@ -132,6 +132,25 @@ def test_no_convergence_reports_history():
     assert len(err.value.history) >= 1
 
 
+def test_a_step_that_barely_lowers_the_residual_ends_the_run():
+    # |A| = |x - 1| + 1e-3 and each step halves the distance to the root: the
+    # residual nears its floor 1e-3, and step 30 lowers it by 9.3e-7 of itself
+    prob = NewtonProblem(
+        residual=lambda x: x - 1.0,
+        right_inverse=lambda x: (lambda r: 0.5 * r),
+        iterate_norm=abs,
+        residual_norm=lambda r: abs(r) + 1e-3,
+    )
+    with pytest.raises(NoConvergence, match="residual stagnated at 1.000e-03") as err:
+        iterate(prob, 2.0)
+    history = err.value.history
+    assert len(history) == 31
+    assert 1.0 - history[-1] / history[-2] < 1e-6 <= 1.0 - history[-2] / history[-3]
+    # the same step converges when it lands below tol
+    run = iterate(prob, 2.0, IterateOptions(tol=1e-3 + 1.5e-9))
+    assert run.converged and run.iterations == 30
+
+
 def vector_problem():
     # A(x) = (x0^2 - x1, x1 - 2) on R^2, root (sqrt 2, 2)
     def residual(x):
